@@ -48,6 +48,10 @@ let crashed_nodes t =
 let create ?(params = Params.default) ?faults ?reliability ?(reliability_off = false) ?topology
     ~nic_kind ~nodes () =
   if nodes < 1 then invalid_arg "Cluster.create: need at least one node";
+  (match Params.validate params with
+  | Ok () -> ()
+  | Error errs ->
+      invalid_arg ("Cluster.create: invalid machine geometry: " ^ String.concat "; " errs));
   let eng = Engine.create () in
   let registry = Stats.Registry.create () in
   let faulty =

@@ -25,9 +25,10 @@ type 'a t
     [topology] selects the fabric's interconnect shape (default
     {!Cni_atm.Topology.Single}, the seed central switch).
 
-    @raise Invalid_argument on an inconsistent fault schedule (see
-    {!Cni_atm.Faults.validate}) or a topology that rejects the node count
-    (see {!Cni_atm.Topology.validate}). *)
+    @raise Invalid_argument listing every error of a machine geometry that
+    fails {!Cni_machine.Params.validate}, on an inconsistent fault schedule
+    (see {!Cni_atm.Faults.validate}) or a topology that rejects the node
+    count (see {!Cni_atm.Topology.validate}). *)
 val create :
   ?params:Cni_machine.Params.t ->
   ?faults:Cni_atm.Faults.config ->

@@ -135,18 +135,26 @@ let flush_pending t =
 
 let work t cycles = t.pending_cycles <- t.pending_cycles + cycles
 
+(* Bus occupancy of the write-backs the last cache operation left in the
+   cache's buffer; each line is snooped as it crosses the bus. *)
+let writeback_time t =
+  let total = ref Time.zero in
+  for i = 0 to Cache.writebacks t.cache - 1 do
+    total := Time.(!total + Bus.writeback_line t.bus (Cache.writeback t.cache i))
+  done;
+  !total
+
 let touch t ~addr ~bytes ~write =
   if bytes > 0 then begin
     let line = t.p.Params.line_bytes in
-    let first = addr - (addr mod line) in
     let last = addr + bytes - 1 in
-    let la = ref first in
+    let la = ref (addr land lnot (line - 1)) in
     while !la <= last do
-      t.pending_cycles <- t.pending_cycles + Tlb.lookup t.tlb ~addr:!la;
-      let r = Cache.access_line t.cache ~addr:!la ~write in
-      t.pending_cycles <- t.pending_cycles + r.Cache.cycles;
-      if r.Cache.writeback_lines <> [] then
-        t.pending_extra <- Time.(t.pending_extra + Bus.writeback_lines t.bus r.Cache.writeback_lines);
+      let tlb = Tlb.lookup t.tlb ~addr:!la in
+      let cache = Cache.access_line t.cache ~addr:!la ~write in
+      t.pending_cycles <- t.pending_cycles + tlb + cache;
+      if Cache.writebacks t.cache > 0 then
+        t.pending_extra <- Time.(t.pending_extra + writeback_time t);
       la := !la + line
     done
   end
@@ -175,8 +183,8 @@ let blocking t f =
       raise e
 
 let flush_range t ~addr ~bytes =
-  let writebacks, cycles = Cache.flush_range t.cache ~addr ~bytes in
-  let bus_time = Bus.writeback_lines t.bus writebacks in
+  let cycles = Cache.flush_range t.cache ~addr ~bytes in
+  let bus_time = writeback_time t in
   let cpu_time = Params.cpu_cycles t.p cycles in
   overhead_time t Time.(cpu_time + bus_time)
 

@@ -55,8 +55,9 @@ type page_state = {
   mutable twinned : bool;
   mutable dirty_words : int;
   mutable mask : Bytes.t;  (* one bit per word; empty until first write *)
-  pending : (int, int) Hashtbl.t;  (* owner -> highest unapplied seq *)
-  applied : (int, int) Hashtbl.t;  (* owner -> highest applied seq *)
+  (* version tables, created on first write (most pages never need one) *)
+  mutable pending : (int, int) Hashtbl.t option;  (* owner -> highest unapplied seq *)
+  mutable applied : (int, int) Hashtbl.t option;  (* owner -> highest applied seq *)
 }
 
 type lock_state = {
@@ -88,7 +89,7 @@ type t = {
   max_resident : int;
   vc : Vclock.t;
   last_barrier_vc : Vclock.t;
-  pages : (int, page_state) Hashtbl.t;
+  mutable pages : page_state option array;  (* indexed by page number *)
   locks : (int, lock_state) Hashtbl.t;
   dirty_set : int Vec.t;
   (* outstanding requests *)
@@ -130,8 +131,10 @@ let nic t = Node.nic t.node
 (* Page state                                                          *)
 (* ------------------------------------------------------------------ *)
 
+let find_page t page = if page < Array.length t.pages then t.pages.(page) else None
+
 let get_page t page =
-  match Hashtbl.find_opt t.pages page with
+  match find_page t page with
   | Some st -> st
   | None ->
       let local = Space.home t.space ~page = t.me in
@@ -142,15 +145,43 @@ let get_page t page =
           twinned = false;
           dirty_words = 0;
           mask = Bytes.empty;
-          pending = Hashtbl.create 4;
-          applied = Hashtbl.create 4;
+          pending = None;
+          applied = None;
         }
       in
-      Hashtbl.replace t.pages page st;
+      let n = Array.length t.pages in
+      if page >= n then begin
+        let grown = Array.make (max (page + 1) (2 * n)) None in
+        Array.blit t.pages 0 grown 0 n;
+        t.pages <- grown
+      end;
+      t.pages.(page) <- Some st;
       if local then Vec.push t.resident page;
       st
 
-let applied_seq st owner = match Hashtbl.find_opt st.applied owner with Some s -> s | None -> 0
+(* A page's version table on first write. [Hashtbl.create 4] has 16 buckets
+   however small the hint, so iteration order (and with it the order diffs
+   are requested in) does not depend on when the table was created. *)
+let pending_table st =
+  match st.pending with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 4 in
+      st.pending <- Some h;
+      h
+
+let applied_table st =
+  match st.applied with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 4 in
+      st.applied <- Some h;
+      h
+
+let applied_seq st owner =
+  match st.applied with
+  | Some h -> ( match Hashtbl.find_opt h owner with Some s -> s | None -> 0)
+  | None -> 0
 
 (* Mapping cap: evict a clean resident page (approximate LRU via a clock over
    the resident list). Dirty/in-flight pages are skipped. Re-fetched pages
@@ -313,7 +344,7 @@ let close_interval t =
         st.twinned <- false;
         st.dirty_words <- 0;
         if Bytes.length st.mask > 0 then Bytes.fill st.mask 0 (Bytes.length st.mask) '\000';
-        Hashtbl.replace st.applied t.me seq;
+        Hashtbl.replace (applied_table st) t.me seq;
         Space.set_last_writer t.space ~page ~node:t.me)
       t.dirty_set;
     Vec.clear t.dirty_set;
@@ -333,9 +364,10 @@ let apply_notices t ex notices =
         let st = get_page t page in
         if seq > applied_seq st owner then begin
           st.valid <- false;
-          (match Hashtbl.find_opt st.pending owner with
+          let pending = pending_table st in
+          (match Hashtbl.find_opt pending owner with
           | Some upto when upto >= seq -> ()
-          | _ -> Hashtbl.replace st.pending owner seq);
+          | _ -> Hashtbl.replace pending owner seq);
           Stats.Counter.incr t.s_notices_applied
         end
       end)
@@ -378,9 +410,12 @@ let fetch_diffs t ex ~page ~owners =
     owners
 
 let pending_owners st =
-  Hashtbl.fold
-    (fun owner upto acc -> if upto > applied_seq st owner then (owner, upto) :: acc else acc)
-    st.pending []
+  match st.pending with
+  | None -> []
+  | Some pending ->
+      Hashtbl.fold
+        (fun owner upto acc -> if upto > applied_seq st owner then (owner, upto) :: acc else acc)
+        pending []
 
 (* Deadlock freedom: a diff request is always served immediately from the
    owner's diff log, but a page request may force the server to fault its
@@ -391,9 +426,7 @@ let pending_owners st =
    resolves through diffs alone and terminates. The validity peek stands in
    for the directory state a real implementation would consult. *)
 let peer_copy_valid t ~page ~owner =
-  match Hashtbl.find_opt t.peers.(owner).pages page with
-  | Some st -> st.valid
-  | None -> false
+  match find_page t.peers.(owner) page with Some st -> st.valid | None -> false
 
 let rec fault_in t ex ~page ~write_intent =
   let st = get_page t page in
@@ -634,16 +667,20 @@ let handle_page_reply t (ctx : Protocol.msg Nic.ctx) ex ~page ~server ~migratory
   (* the server's copy carries everything the server had applied: merge its
      version vector (metadata; the data arrived as the full page) *)
   let peer = t.peers.(server) in
-  (match Hashtbl.find_opt peer.pages page with
-  | Some pst ->
+  (match find_page peer page with
+  | Some { applied = Some peer_applied; _ } ->
       Hashtbl.iter
-        (fun owner seq -> if seq > applied_seq st owner then Hashtbl.replace st.applied owner seq)
-        pst.applied
-  | None -> ());
+        (fun owner seq ->
+          if seq > applied_seq st owner then Hashtbl.replace (applied_table st) owner seq)
+        peer_applied
+  | Some { applied = None; _ } | None -> ());
   (* drop the pending entries the fetched copy satisfies *)
-  Hashtbl.iter
-    (fun owner upto -> if upto <= applied_seq st owner then Hashtbl.remove st.pending owner)
-    (Hashtbl.copy st.pending);
+  Option.iter
+    (fun pending ->
+      Hashtbl.iter
+        (fun owner upto -> if upto <= applied_seq st owner then Hashtbl.remove pending owner)
+        (Hashtbl.copy pending))
+    st.pending;
   (* note_resident both records the copy and runs the mapping-cap clock *)
   note_resident t page;
   match take_wait t.page_waits page with
@@ -669,10 +706,13 @@ let handle_diff_reply t (ctx : Protocol.msg Nic.ctx) ex ~page ~owner ~bytes ~upt
       ~bytes:(min bytes (page_bytes t))
       ~cacheable:false;
   let st = get_page t page in
-  if upto > applied_seq st owner then Hashtbl.replace st.applied owner upto;
-  (match Hashtbl.find_opt st.pending owner with
-  | Some p when p <= upto -> Hashtbl.remove st.pending owner
-  | Some _ | None -> ());
+  if upto > applied_seq st owner then Hashtbl.replace (applied_table st) owner upto;
+  (match st.pending with
+  | Some pending -> (
+      match Hashtbl.find_opt pending owner with
+      | Some p when p <= upto -> Hashtbl.remove pending owner
+      | Some _ | None -> ())
+  | None -> ());
   match take_wait t.diff_waits (page, owner) with
   | Some iv -> Sync.Ivar.fill iv ()
   | None -> failwith "Lrc: unexpected diff reply"
@@ -890,7 +930,7 @@ let create cluster space_ costs max_resident ~id =
     max_resident;
     vc = Vclock.create (Space.nprocs space_);
     last_barrier_vc = Vclock.create (Space.nprocs space_);
-    pages = Hashtbl.create 1024;
+    pages = [||];
     locks = Hashtbl.create 64;
     dirty_set = Vec.create ();
     lock_waits = Hashtbl.create 16;

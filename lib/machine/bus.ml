@@ -9,6 +9,8 @@ type stats = { dma_transfers : int; dma_bytes : int; writeback_lines : int }
 type t = {
   eng : Engine.t;
   p : Params.t;
+  line_bytes : int;
+  line_time : Time.t;  (* bus occupancy of one line write-back *)
   sem : Sync.Semaphore.t;
   mutable snoopers : (dir:dir -> addr:int -> bytes:int -> unit) list;
   mutable s_dma_transfers : int;
@@ -20,6 +22,8 @@ let create eng p =
   {
     eng;
     p;
+    line_bytes = p.Params.line_bytes;
+    line_time = Params.bus_transfer p ~bytes:p.Params.line_bytes;
     sem = Sync.Semaphore.create 1;
     snoopers = [];
     s_dma_transfers = 0;
@@ -29,18 +33,19 @@ let create eng p =
 
 let params t = t.p
 let register_snooper t f = t.snoopers <- f :: t.snoopers
-let notify t ~dir ~addr ~bytes = List.iter (fun f -> f ~dir ~addr ~bytes) t.snoopers
 
-let writeback_lines t lines =
-  let line = t.p.Params.line_bytes in
-  let total = ref Time.zero in
-  List.iter
-    (fun la ->
-      t.s_writeback_lines <- t.s_writeback_lines + 1;
-      notify t ~dir:Cpu_writeback ~addr:la ~bytes:line;
-      total := Time.( + ) !total (Params.bus_transfer t.p ~bytes:line))
-    lines;
-  !total
+(* a plain recursion over the list: no closure is built per notification *)
+let rec notify snoopers ~dir ~addr ~bytes =
+  match snoopers with
+  | [] -> ()
+  | f :: rest ->
+      f ~dir ~addr ~bytes;
+      notify rest ~dir ~addr ~bytes
+
+let writeback_line t la =
+  t.s_writeback_lines <- t.s_writeback_lines + 1;
+  notify t.snoopers ~dir:Cpu_writeback ~addr:la ~bytes:t.line_bytes;
+  t.line_time
 
 let dma_time t ~bytes = Params.bus_transfer t.p ~bytes
 
@@ -52,7 +57,7 @@ let dma t ~dir ~addr ~bytes =
   Engine.delay (dma_time t ~bytes);
   t.s_dma_transfers <- t.s_dma_transfers + 1;
   t.s_dma_bytes <- t.s_dma_bytes + bytes;
-  notify t ~dir ~addr ~bytes;
+  notify t.snoopers ~dir ~addr ~bytes;
   Sync.Semaphore.release t.sem
 
 let stats t =

@@ -26,10 +26,10 @@ val params : t -> Params.t
     bus transfer as [f ~dir ~addr ~bytes]. *)
 val register_snooper : t -> (dir:dir -> addr:int -> bytes:int -> unit) -> unit
 
-(** [writeback_lines t lines] accounts for CPU-side line write-backs:
-    notifies snoopers and returns the total bus occupancy to charge to the
-    CPU's clock. *)
-val writeback_lines : t -> int list -> Cni_engine.Time.t
+(** [writeback_line t addr] accounts for one CPU-side write-back of the
+    cache line at [addr]: notifies snoopers and returns the line's bus
+    occupancy to charge to the CPU's clock. Allocates nothing. *)
+val writeback_line : t -> int -> Cni_engine.Time.t
 
 (** [dma t ~dir ~addr ~bytes] performs a DMA transfer from inside a fiber:
     acquires the bus, holds it for the transfer time, releases it, and

@@ -5,38 +5,47 @@
     for both levels. An L1 victim that is dirty is written into L2 (possibly
     displacing a dirty L2 line to memory); a dirty L2 victim goes to memory
     over the bus. All memory-bound write-backs are reported to the caller so
-    the bus model can account for them and the Message Cache can snoop them. *)
+    the bus model can account for them and the Message Cache can snoop them.
+
+    The per-line path allocates nothing: each level is one [int array] of
+    packed [line address lor dirty bit] words, indexed by shift and mask
+    (the geometry must pass {!Params.validate}), allocated on first use; and
+    write-backs are left in a buffer inside [t] that the caller reads with
+    {!writebacks} and {!writeback} before the next operation. *)
 
 type t
 
 (** Where an access was satisfied. *)
 type level = L1 | L2 | Memory
 
-type access_result = {
-  level : level;
-  cycles : int;  (** CPU cycles for the access itself (lookup chain + memory
-                     latency), excluding bus occupancy of line movements *)
-  writeback_lines : int list;  (** line-aligned physical addresses written back
-                                   to memory as a consequence of this access *)
-  fill_from_memory : bool;  (** a line was fetched from memory *)
-}
-
+(** @raise Invalid_argument if the geometry fails {!Params.validate}. *)
 val create : Params.t -> t
 
-(** [access t ~addr ~write] simulates one load or store of (up to) a word at
-    [addr]. *)
-val access : t -> addr:int -> write:bool -> access_result
+(** [access_line t ~addr ~write] simulates one load or store touching the
+    cache line containing [addr] and returns its CPU cycles (the lookup
+    chain plus memory latency, excluding bus occupancy of line movements).
+    It leaves in the write-back buffer the at most two line-aligned addresses
+    written back to memory as a consequence: under write-through the stored
+    line itself, then any dirty L2 victim. *)
+val access_line : t -> addr:int -> write:bool -> int
 
-(** [access_line t ~addr ~write] behaves as {!access} but represents touching
-    a whole cache line starting at the line containing [addr]; used by the
-    bulk shared-array operations. *)
-val access_line : t -> addr:int -> write:bool -> access_result
+(** Where the last {!access_line} was satisfied. *)
+val last_level : t -> level
+
+(** Number of memory-bound write-backs the last {!access_line} or
+    {!flush_range} left in the buffer. *)
+val writebacks : t -> int
+
+(** [writeback t i] is the [i]-th of them ([0 <= i < writebacks t]), in the
+    order they reach the bus. *)
+val writeback : t -> int -> int
 
 (** [flush_range t ~addr ~bytes] writes back and invalidates every line
     intersecting [\[addr, addr+bytes)] in both levels (the pre-DMA flush a
-    write-back system needs before a message transfer, section 2.2). Returns
-    the memory-bound write-backs and the CPU cycles spent walking the range. *)
-val flush_range : t -> addr:int -> bytes:int -> int list * int
+    write-back system needs before a message transfer, section 2.2). Leaves
+    the memory-bound write-backs, in address order, in the buffer and
+    returns the CPU cycles spent walking the range. *)
+val flush_range : t -> addr:int -> bytes:int -> int
 
 (** [dirty_lines_in t ~addr ~bytes] counts dirty resident lines in the range
     without modifying any state. *)

@@ -79,6 +79,31 @@ let default =
     page_bytes = 2048;
   }
 
+let is_pow2 n = n > 0 && n land (n - 1) = 0
+
+let log2 n =
+  let rec go k = if 1 lsl k >= n then k else go (k + 1) in
+  go 0
+
+let validate p =
+  let errors = ref [] in
+  let fail fmt = Printf.ksprintf (fun e -> errors := e :: !errors) fmt in
+  let pow2 name n = if not (is_pow2 n) then fail "%s = %d is not a power of two" name n in
+  (* bit 0 of a line address carries the cache's dirty flag *)
+  if p.line_bytes < 2 || not (is_pow2 p.line_bytes) then
+    fail "line_bytes = %d is not a power of two >= 2" p.line_bytes;
+  pow2 "l1_bytes" p.l1_bytes;
+  pow2 "l2_bytes" p.l2_bytes;
+  pow2 "page_bytes" p.page_bytes;
+  pow2 "tlb_entries" p.tlb_entries;
+  if p.l1_bytes < p.line_bytes then
+    fail "l1_bytes = %d is smaller than one %d-byte line" p.l1_bytes p.line_bytes;
+  if p.page_bytes < p.line_bytes then
+    fail "page_bytes = %d is smaller than one %d-byte line" p.page_bytes p.line_bytes;
+  if p.l1_bytes > p.l2_bytes then
+    fail "l1_bytes = %d exceeds l2_bytes = %d" p.l1_bytes p.l2_bytes;
+  match List.rev !errors with [] -> Ok () | errs -> Error errs
+
 let cpu_cycles p n = Time.cycles ~hz:p.cpu_hz n
 let bus_cycles p n = Time.cycles ~hz:p.bus_hz n
 let nic_cycles p n = Time.cycles ~hz:p.nic_hz n

@@ -59,6 +59,18 @@ type t = {
 
 val default : t
 
+(** [validate p] checks the cache, TLB and page geometry the machine models
+    index by shift and mask: line, L1, L2 and page sizes and the TLB entry
+    count must be powers of two (a line at least 2 bytes), a page and the L1
+    must each hold at least one line, and the L1 must not exceed the L2.
+    Every violated rule is reported, in that order. *)
+val validate : t -> (unit, string list) result
+
+val is_pow2 : int -> bool
+
+(** [log2 n] for a power of two [n]: the shift that divides by [n]. *)
+val log2 : int -> int
+
 (** {2 Derived durations} *)
 
 val cpu_cycles : t -> int -> Cni_engine.Time.t

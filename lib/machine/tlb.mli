@@ -9,6 +9,9 @@
 
 type t
 
+(** [entries] and [page_bytes] must be powers of two: a lookup shifts the
+    address to its page number and masks that to a slot.
+    @raise Invalid_argument otherwise. *)
 val create : entries:int -> miss_cycles:int -> page_bytes:int -> t
 
 (** [lookup t ~addr] returns the cycle cost of translating [addr]

@@ -602,6 +602,77 @@ let test_message_mix () =
   let count2 name = List.fold_left (fun a (k, n) -> if k = name then a + n else a) 0 mix2 in
   checkb "lock grants flowed" true (count2 "lock-grant" > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Pinned runs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Completion time and protocol counters of two small CNI runs, pinned
+   exactly. They move if the host cache model, the LRC page-state tables or
+   the order pending diffs are requested in (a Hashtbl fold) changes — a
+   change that must be deliberate. *)
+let pinned_run app ~elapsed_ps ~counters =
+  let cluster = Cluster.create ~nic_kind:(`Cni Nic.default_cni_options) ~nodes:4 () in
+  let space = Space.create ~nprocs:4 ~page_bytes:(Cluster.params cluster).page_bytes in
+  let lrcs = Lrc.install cluster space () in
+  app cluster lrcs;
+  checki "elapsed ps" elapsed_ps (Time.to_ps (Cluster.elapsed cluster));
+  let sum f = Array.fold_left (fun acc l -> acc + f (Lrc.stats l)) 0 lrcs in
+  check
+    Alcotest.(list (pair string int))
+    "LRC stats summed over nodes" counters
+    [
+      ("faults", sum (fun s -> s.Lrc.faults));
+      ("page_fetches", sum (fun s -> s.Lrc.page_fetches));
+      ("diff_fetches", sum (fun s -> s.Lrc.diff_fetches));
+      ("twins", sum (fun s -> s.Lrc.twins));
+      ("intervals", sum (fun s -> s.Lrc.intervals));
+      ("notices_applied", sum (fun s -> s.Lrc.notices_applied));
+      ("local_acquires", sum (fun s -> s.Lrc.local_acquires));
+      ("remote_acquires", sum (fun s -> s.Lrc.remote_acquires));
+      ("barriers", sum (fun s -> s.Lrc.barriers));
+      ("evictions", sum (fun s -> s.Lrc.evictions));
+    ]
+
+let test_pinned_jacobi () =
+  pinned_run
+    (fun cluster lrcs ->
+      ignore
+        (Cni_apps.Jacobi.run cluster lrcs
+           { Cni_apps.Jacobi.default_config with Cni_apps.Jacobi.n = 128; iterations = 3 }))
+    ~elapsed_ps:6_283_577_373
+    ~counters:
+      [
+        ("faults", 16);
+        ("page_fetches", 16);
+        ("diff_fetches", 0);
+        ("twins", 192);
+        ("intervals", 12);
+        ("notices_applied", 576);
+        ("local_acquires", 0);
+        ("remote_acquires", 0);
+        ("barriers", 28);
+        ("evictions", 0);
+      ]
+
+let test_pinned_cholesky () =
+  let a = Cni_apps.Sparse.stiffness_like ~n:120 ~dofs:3 ~seed:5 in
+  pinned_run
+    (fun cluster lrcs -> ignore (Cni_apps.Cholesky.run cluster lrcs (Cni_apps.Cholesky.default_config a)))
+    ~elapsed_ps:53_309_604_564
+    ~counters:
+      [
+        ("faults", 422);
+        ("page_fetches", 30);
+        ("diff_fetches", 617);
+        ("twins", 493);
+        ("intervals", 239);
+        ("notices_applied", 1451);
+        ("local_acquires", 302);
+        ("remote_acquires", 407);
+        ("barriers", 8);
+        ("evictions", 0);
+      ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "dsm"
@@ -656,5 +727,10 @@ let () =
           Alcotest.test_case "lock API errors" `Quick test_lock_api_errors;
           Alcotest.test_case "shmem bounds" `Quick test_shmem_bounds;
           Alcotest.test_case "shmem layout" `Quick test_shmem_layout;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "4-node Jacobi elapsed + LRC stats" `Quick test_pinned_jacobi;
+          Alcotest.test_case "4-node Cholesky elapsed + LRC stats" `Quick test_pinned_cholesky;
         ] );
     ]
