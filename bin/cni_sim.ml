@@ -18,6 +18,7 @@ module Sparse = Cni_apps.Sparse
 module Runner = Cni_experiments.Runner
 module Microbench = Cni_experiments.Microbench
 module Report = Cni_experiments.Report
+module Check = Cni_experiments.Check
 module Topology = Cni_atm.Topology
 open Cmdliner
 
@@ -82,16 +83,19 @@ let make_params ~page ~cells =
   let p = { Params.default with Params.page_bytes = page } in
   if cells then { p with Params.cell_payload_bytes = 1 lsl 26 } else p
 
-(* The parameters of a command that runs the model: a geometry the cache
-   and TLB cannot index is reported, one error per line, before anything is
-   built. *)
-let checked_params ~page ~cells =
-  let p = make_params ~page ~cells in
-  match Params.validate p with
-  | Ok () -> p
-  | Error errs ->
-      prerr_endline "cni_sim: invalid machine geometry:";
-      List.iter (Printf.eprintf "  %s\n") errs;
+(* The verdict doctor reports for [Runner.build]; every command that builds
+   a cluster reports a rejected configuration under it too. *)
+let install_check = "protocol stacks install"
+
+(* A configuration a command's build step rejects is reported the way
+   doctor reports it — one FAIL line naming the problem — and the command
+   exits 1. The microbenchmark and chaos harnesses build inside one call
+   and raise their configuration errors there, before the first event, so
+   [Check.catch] around the call yields the same error. *)
+let built label = function
+  | Ok v -> v
+  | Error msg ->
+      ignore (Check.print stderr [ (label, Error msg) ]);
       exit 1
 
 let make_kind ?(rx_policy = `Hybrid) ?(rx_batch = 1) nic ~mc_kb ~no_aih =
@@ -336,18 +340,24 @@ let nic_collectives_arg =
           "Run DSM barriers on the boards' combining tree (NIC-resident collectives) \
            instead of the centralised node-0 manager.")
 
+let barrier_impl nic_collectives = if nic_collectives then `Nic_collective else `Centralised
+
 let run_cmd =
   let doc = "Run a benchmark application on a simulated cluster." in
   let run app nic procs topology page mc_kb no_aih rx_policy rx_batch cells n iterations
       molecules matrix loss corrupt link_down fault_seed schedule crash nic_collectives trace
       trace_out metrics_out =
-    let params = checked_params ~page ~cells in
+    let params = make_params ~page ~cells in
     let kind = make_kind ~rx_policy ~rx_batch nic ~mc_kb ~no_aih in
-    let barrier_impl = if nic_collectives then `Nic_collective else `Centralised in
     let faults =
       make_faults ~seed:fault_seed ~loss ~corrupt ~link_down ~schedule ~crash
     in
     setup_trace trace;
+    let stacks =
+      built install_check
+        (Runner.build ~params ?faults ~topology ~barrier_impl:(barrier_impl nic_collectives)
+           ~kind ~procs ())
+    in
     let checksum = ref nan in
     let application cluster lrcs =
       match app with
@@ -368,7 +378,7 @@ let run_cmd =
           in
           checksum := (Cholesky.run cluster lrcs (Cholesky.default_config a)).Cholesky.checksum
     in
-    let r = Runner.run ~params ?faults ~topology ~barrier_impl ~kind ~procs application in
+    let r = Runner.exec stacks application in
     finish_trace ~spec:trace ~out:trace_out;
     write_metrics ~out:metrics_out r.Runner.metrics;
     Printf.printf "elapsed            %s  (%.3f x 10^9 CPU cycles)\n"
@@ -411,7 +421,7 @@ let run_cmd =
 let sweep_cmd =
   let doc = "Sweep processor counts for one application, both interfaces." in
   let run app page mc_kb no_aih cells n iterations molecules matrix =
-    let params = checked_params ~page ~cells in
+    let params = make_params ~page ~cells in
     let application cluster lrcs =
       match app with
       | `Jacobi ->
@@ -431,9 +441,11 @@ let sweep_cmd =
     let t1c = ref 1.0 and t1s = ref 1.0 in
     List.iter
       (fun procs ->
-        let kc = make_kind `Cni_k ~mc_kb ~no_aih in
-        let rc = Runner.run ~params ~kind:kc ~procs application in
-        let rs = Runner.run ~params ~kind:Runner.standard ~procs application in
+        let run kind =
+          Runner.exec (built install_check (Runner.build ~params ~kind ~procs ())) application
+        in
+        let rc = run (make_kind `Cni_k ~mc_kb ~no_aih) in
+        let rs = run Runner.standard in
         let tc = Time.to_s_float rc.Runner.elapsed and ts = Time.to_s_float rs.Runner.elapsed in
         if procs = 1 then begin
           t1c := tc;
@@ -458,14 +470,16 @@ let latency_cmd =
   let doc = "One-way node-to-node latency (Figure 14 microbenchmark)." in
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"Message size.") in
   let run nic bytes page mc_kb cells =
-    let params = checked_params ~page ~cells in
+    let params = make_params ~page ~cells in
     let kind =
       match nic with
       | `Standard_k -> Runner.standard
       | `Osiris_k -> Runner.osiris
       | `Cni_k -> Runner.cni ~mc_bytes:(mc_kb * 1024) ~aih:false ()
     in
-    let t = Microbench.latency ~params ~kind ~bytes () in
+    let t =
+      built install_check (Check.catch (fun () -> Microbench.latency ~params ~kind ~bytes ()))
+    in
     Printf.printf "%d bytes: %s one-way (second send of a warm buffer)\n" bytes
       (Format.asprintf "%a" Time.pp t)
   in
@@ -495,7 +509,10 @@ let collectives_cmd =
   let run nic nodes reps host topology fanout mc_kb no_aih =
     let kind = make_kind nic ~mc_kb ~no_aih in
     let p =
-      Microbench.collective_latency ~reps ~topology ~fanout ~kind ~nodes ~nic:(not host) ()
+      built install_check
+        (Check.catch (fun () ->
+             Microbench.collective_latency ~reps ~topology ~fanout ~kind ~nodes ~nic:(not host)
+               ()))
     in
     Printf.printf "impl               %s\n" (if host then "host-driven" else "nic-tree");
     Printf.printf "nodes              %d\n" nodes;
@@ -596,148 +613,53 @@ let aih_verify_cmd =
 (* doctor                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Preflight: validate a configuration without running it. Each check prints
-   one ok/FAIL line; any FAIL exits non-zero. The checks mirror what the
-   simulator would reject (or silently mis-serve) at run time: the machine
-   geometry the cache and TLB index by shift and mask, fault-model sanity,
-   the fault schedule's consistency, ADC channel admission across the
-   protocol stacks, the boards' handler-memory budget, and the WCET
-   certificates of the generated collectives firmware. *)
+(* Preflight: validate a configuration, then build it exactly as [run]
+   does and stop before the first event. Each check prints one ok/FAIL
+   line; any FAIL exits 1. Whatever the install path would reject — board
+   memory, the combining tree's node limit, firmware admission — surfaces
+   in the build verdict, so doctor and run accept the same configurations. *)
 let doctor_cmd =
-  let doc = "Preflight checks: config sanity, channel admission, firmware certificates." in
+  let doc = "Preflight checks: config sanity, then a dry run of the protocol-stack build." in
   let run procs topology page mc_kb cells loss corrupt link_down fault_seed schedule crash
       nic_collectives =
     let params = make_params ~page ~cells in
-    let failures = ref 0 in
-    let check name = function
-      | Ok () -> Printf.printf "ok    %s\n" name
-      | Error msg ->
-          incr failures;
-          Printf.printf "FAIL  %s: %s\n" name msg
-    in
-    check "machine geometry (powers of two, page >= line, L1 <= L2)"
-      (match Params.validate params with
-      | Ok () -> Ok ()
-      | Error errs -> Error (String.concat "; " errs));
-    let topo_check = Topology.validate topology ~nodes:procs in
-    check
-      (Printf.sprintf "topology %s fits %d node(s)" (Topology.kind_to_string topology) procs)
-      topo_check;
-    if topo_check = Ok () then
-      Printf.printf "      %s\n" (Topology.describe (Topology.of_kind topology ~nodes:procs));
     let faults = make_faults ~seed:fault_seed ~loss ~corrupt ~link_down ~schedule ~crash in
-    check "fault model (probabilities, windows, schedule)"
-      (match faults with
-      | None -> Ok ()
-      | Some cfg -> (
-          match Faults.validate ~nodes:procs cfg with
-          | Ok () -> Ok ()
-          | Error errs -> Error (String.concat "; " errs)));
-    check "fault schedule spares node 0 (DSM manager)"
-      (match faults with
-      | Some cfg
-        when List.exists (fun (e : Faults.event) -> e.Faults.e_node = 0) cfg.Faults.schedule
-        ->
-          Error "node 0 manages locks and barriers; crashing it deadlocks the DSM"
-      | Some _ | None -> Ok ());
-    let channels =
+    let none () = "" in
+    let stacks (cluster, _) =
+      let board = Cni_cluster.Node.nic (Cni_cluster.Cluster.node cluster 0) in
+      Printf.sprintf "%d board(s), each %d B of handler code + %d KB Message Cache of %d KB"
+        procs
+        (Cni_nic.Nic.handler_code_bytes board)
+        mc_kb
+        (params.Params.nic_memory_bytes / 1024)
+    in
+    let checks =
       [
-        ("dsm", Cni_dsm.Protocol.channel);
-        ("mp", Cni_mp.Mp.channel);
-        ("mp-collectives", Cni_mp.Mp.collectives_channel);
-        ("dsm-collectives", Cni_dsm.Lrc.collectives_channel);
+        Check.verdict "machine geometry (powers of two, page >= line, L1 <= L2)" none
+          (Params.validate params);
+        Check.verdict
+          (Printf.sprintf "topology %s fits %d node(s)" (Topology.kind_to_string topology) procs)
+          (Check.describe_topology topology ~nodes:procs)
+          (Check.topology topology ~nodes:procs);
+        Check.verdict "fault model (probabilities, windows, schedule)" none
+          (match faults with None -> Ok () | Some cfg -> Check.faults ~nodes:procs cfg);
+        ( "fault schedule spares node 0 (DSM manager)",
+          match faults with
+          | Some cfg
+            when List.exists (fun (e : Faults.event) -> e.Faults.e_node = 0) cfg.Faults.schedule
+            ->
+              Error "node 0 manages locks and barriers; crashing it deadlocks the DSM"
+          | Some _ | None -> Ok "" );
+        ( install_check,
+          Result.map stacks
+            (Runner.build ~params ?faults ~topology ~barrier_impl:(barrier_impl nic_collectives)
+               ~kind:(make_kind `Cni_k ~mc_kb ~no_aih:false)
+               ~procs ()) );
       ]
     in
-    check "ADC channel admission (distinct, ack channel reserved)"
-      (let dup =
-         List.find_opt
-           (fun (_, c) ->
-             List.length (List.filter (fun (_, c') -> c' = c) channels) > 1
-             || c = Cni_nic.Reliable.ack_channel)
-           channels
-       in
-       match dup with
-       | None -> Ok ()
-       | Some (name, c) -> Error (Printf.sprintf "channel %d (%s) collides" c name));
-    check "board memory budget (handler code + Message Cache)"
-      (let mc_bytes = mc_kb * 1024 in
-       let dsm_code = 1024 * List.length Cni_dsm.Protocol.all_kinds in
-       let mp_code = 512 in
-       let coll_code = if nic_collectives then 2048 else 0 in
-       let need = dsm_code + mp_code + coll_code in
-       let have = params.Params.nic_memory_bytes - mc_bytes in
-       if need <= have then Ok ()
-       else
-         Error
-           (Printf.sprintf "handlers need %d bytes, board has %d after %d KB Message Cache"
-              need have mc_kb));
-    check "collectives firmware WCET certificates"
-      (let module Verify = Cni_aih.Aih_verify in
-       let module Cir = Cni_mp.Collectives_ir in
-       let bad = ref None in
-       List.iter
-         (fun op ->
-           List.iter
-             (fun rank ->
-               if !bad = None && rank < procs then
-                 let p = Cir.program ~op ~rank ~size:procs ~fanout:2 in
-                 match Verify.verify p with
-                 | Ok _ -> ()
-                 | Error rjs ->
-                     bad :=
-                       Some
-                         (Printf.sprintf "%s: %s" p.Cni_aih.Aih_ir.name
-                            (Verify.explain_all rjs)))
-             [ 0; 1; procs - 1 ])
-         [ Cir.Sum; Cir.Max; Cir.Min ];
-       match !bad with None -> Ok () | Some msg -> Error msg);
-    (* every firmware handler this configuration would install must hold a
-       certificate whose per-activation WCET fits the per-cell budget at the
-       configured link rate — otherwise the board falls behind the wire *)
-    check
-      (Printf.sprintf "firmware line-rate admission (budget %d cycles/cell)"
-         (Params.line_rate_budget params))
-      (let module Verify = Cni_aih.Aih_verify in
-       let module Cir = Cni_mp.Collectives_ir in
-       let budget = Params.line_rate_budget params in
-       let programs =
-         List.concat_map
-           (fun op ->
-             List.filter_map
-               (fun rank ->
-                 if rank < procs then Some (Cir.program ~op ~rank ~size:procs ~fanout:2)
-                 else None)
-               [ 0; procs - 1 ])
-           [ Cir.Sum; Cir.Max; Cir.Min ]
-         @ [
-             Cni_nic.Reliable_ir.rx_program ~size:procs;
-             Cni_nic.Reliable_ir.tx_program ~size:procs;
-           ]
-       in
-       let bad = ref None in
-       List.iter
-         (fun (p : Cni_aih.Aih_ir.program) ->
-           if !bad = None then
-             match Verify.verify ~cell_budget:budget p with
-             | Ok _ -> ()
-             | Error rjs ->
-                 let line_rate =
-                   List.exists
-                     (fun rj ->
-                       match rj.Verify.rj_reason with
-                       | Verify.Line_rate_exceeded _ -> true
-                       | _ -> false)
-                     rjs
-                 in
-                 bad :=
-                   Some
-                     (Printf.sprintf "%s %s" p.Cni_aih.Aih_ir.name
-                        (if line_rate then Verify.explain_all rjs
-                         else "rejected: " ^ Verify.explain_all rjs)))
-         programs;
-       match !bad with None -> Ok () | Some msg -> Error msg);
-    Printf.printf "doctor: %d check(s) failed\n" !failures;
-    if !failures > 0 then exit 1
+    let failures = Check.print stdout checks in
+    Printf.printf "doctor: %d check(s) failed\n" failures;
+    if failures > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "doctor" ~doc)
@@ -775,9 +697,11 @@ let chaos_cmd =
     let kind = make_kind nic ~mc_kb ~no_aih in
     let down = Time.us down_us in
     let m =
-      match app with
-      | `Dsm -> Chaos.run_dsm ~seed ~procs ~scrub ~kind ~crashes ~down ()
-      | `Ring -> Chaos.run_ring ~seed ~nodes:procs ~scrub ~kind ~crashes ~down ()
+      built "chaos schedule"
+        (Check.catch (fun () ->
+             match app with
+             | `Dsm -> Chaos.run_dsm ~seed ~procs ~scrub ~kind ~crashes ~down ()
+             | `Ring -> Chaos.run_ring ~seed ~nodes:procs ~scrub ~kind ~crashes ~down ()))
     in
     Printf.printf "outcome            %s\n" m.Chaos.outcome;
     Printf.printf "elapsed            %.1f us\n" m.Chaos.elapsed_us;
@@ -836,18 +760,7 @@ let scenario_cmd =
     | Some _, Some _ -> fail "give either NAME or --file, not both"
     | None, None -> fail "give a profile NAME or --file FILE"
   in
-  let preflight p =
-    let failures = ref 0 in
-    List.iter
-      (fun (label, verdict) ->
-        match verdict with
-        | Ok detail -> Printf.printf "ok    %s: %s\n" label detail
-        | Error msg ->
-            incr failures;
-            Printf.printf "FAIL  %s: %s\n" label msg)
-      (Scenario.preflight p);
-    !failures
-  in
+  let preflight p = Check.print stdout (Scenario.preflight p) in
   let list_cmd =
     let doc = "List the built-in scenario profiles." in
     let run () =

@@ -13,84 +13,7 @@ module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
 
-module Hist = struct
-  (* sub_bits = 5: 32 sub-buckets per power-of-two octave. Values < 32 are
-     their own bucket (exact); above that, bucket [b*32 + s] (b >= 1)
-     covers [(32+s) << (b-1) .. (32+s+1) << (b-1) - 1], width 1/32 of the
-     value — constant relative error. 62-bit values top out at index
-     58*32 + 31, so 1920 buckets cover every OCaml int. *)
-  let sub = 32
-  let max_relative_error = 1. /. float_of_int sub
-  let nbuckets = 1920
-
-  type t = {
-    counts : int array;
-    mutable count : int;
-    mutable sum : int;
-    mutable min_v : int;
-    mutable max_v : int;
-  }
-
-  let create () =
-    { counts = Array.make nbuckets 0; count = 0; sum = 0; min_v = max_int; max_v = 0 }
-
-  let msb v =
-    let k = ref 0 in
-    let x = ref v in
-    while !x > 1 do
-      incr k;
-      x := !x lsr 1
-    done;
-    !k
-
-  let index v = if v < sub then v else let k = msb v in ((k - 4) * sub) + (v lsr (k - 5)) - sub
-
-  let bucket_bounds idx =
-    if idx < sub then (idx, idx)
-    else
-      let b = idx / sub and s = idx mod sub in
-      let shift = b - 1 in
-      let lo = (sub + s) lsl shift in
-      (lo, lo + (1 lsl shift) - 1)
-
-  let observe t v =
-    let v = if v < 0 then 0 else v in
-    t.counts.(index v) <- t.counts.(index v) + 1;
-    t.count <- t.count + 1;
-    t.sum <- t.sum + v;
-    if v < t.min_v then t.min_v <- v;
-    if v > t.max_v then t.max_v <- v
-
-  let count t = t.count
-  let min_value t = if t.count = 0 then 0 else t.min_v
-  let max_value t = t.max_v
-  let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.count
-
-  let quantile t q =
-    if t.count = 0 then 0
-    else begin
-      let rank =
-        let r = int_of_float (Float.ceil (q *. float_of_int t.count)) in
-        Stdlib.min t.count (Stdlib.max 1 r)
-      in
-      let idx = ref 0 and cum = ref 0 in
-      while !cum < rank do
-        cum := !cum + t.counts.(!idx);
-        incr idx
-      done;
-      let _, hi = bucket_bounds (!idx - 1) in
-      Stdlib.min hi t.max_v
-    end
-
-  let buckets t =
-    let acc = ref [] in
-    for idx = nbuckets - 1 downto 0 do
-      if t.counts.(idx) > 0 then
-        let lo, hi = bucket_bounds idx in
-        acc := (lo, hi, t.counts.(idx)) :: !acc
-    done;
-    !acc
-end
+module Hist = Cni_engine.Stats.Histogram
 
 type config = {
   clients : int;

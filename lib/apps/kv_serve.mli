@@ -18,50 +18,10 @@
     {!Cni_engine.Rng} streams, so a run is a pure function of its
     configuration. *)
 
-(** HDR-style log-bucketed latency histogram over non-negative integer
-    samples (the serving workload feeds it nanoseconds).
-
-    Values below 32 get exact unit-width buckets; above that each
-    power-of-two octave is split into 32 sub-buckets, so any recorded
-    quantile is within a factor of [1 + 1/32] (~3.1%) of the true sample —
-    constant relative error at any magnitude, constant memory, O(1)
-    observe. *)
-module Hist : sig
-  type t
-
-  (** A fresh, empty histogram. *)
-  val create : unit -> t
-
-  (** [observe t v] records one sample. Negative samples are clamped to 0.
-      O(1), no allocation. *)
-  val observe : t -> int -> unit
-
-  (** Number of samples recorded. *)
-  val count : t -> int
-
-  (** Exact smallest recorded sample (0 when empty). *)
-  val min_value : t -> int
-
-  (** Exact largest recorded sample (0 when empty). *)
-  val max_value : t -> int
-
-  (** Exact arithmetic mean of the samples (0 when empty). *)
-  val mean : t -> float
-
-  (** [quantile t q] with [0 <= q <= 1]: an upper bound on the sample at
-      rank [ceil (q * count)], tight to the bucket width (so within ~3.1%
-      relative error) and never above {!max_value}. [quantile t 1.0] is the
-      exact maximum. 0 when empty. *)
-  val quantile : t -> float -> int
-
-  (** Non-empty buckets in increasing order as [(lo, hi, count)]: [count]
-      samples fell in the inclusive value range [lo..hi]. *)
-  val buckets : t -> (int * int * int) list
-
-  (** The worst-case relative error of {!quantile} below rank 1.0:
-      [1/32]. *)
-  val max_relative_error : float
-end
+(** The latency histogram: {!Cni_engine.Stats.Histogram}, HDR-style with
+    at most 1/32 relative error per quantile (the serving workload feeds
+    it nanoseconds). *)
+module Hist = Cni_engine.Stats.Histogram
 
 (** Workload shape. All counts are per the whole run; [arrival] is
     evaluated once per client with the client's index (0-based) and must

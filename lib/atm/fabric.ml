@@ -46,7 +46,7 @@ type 'a t = {
   mutable ingress_free : Time.t array;
   receivers : ('a packet -> unit) array;
   registry : Stats.Registry.t option;
-  mutable faults : Faults.t option;
+  faults : Faults.t option;
   (* crashed nodes: frames to or from a down node are discarded, counted
      apart from the link-layer fault classes *)
   down : bool array;
@@ -170,7 +170,6 @@ let nodes t = t.n
 let params t = t.p
 let topology t = t.topo
 let set_receiver t ~node f = t.receivers.(node) <- f
-let set_faults t cfg = t.faults <- (if Faults.is_none cfg then None else Some (Faults.create cfg))
 let faults t = Option.map Faults.config t.faults
 let undeliverable t ~node = counter_value t ~node "undeliverable"
 

@@ -73,9 +73,6 @@ val topology : 'a t -> Topology.t
     callback runs inside a fabric fiber; it may block. *)
 val set_receiver : 'a t -> node:int -> ('a packet -> unit) -> unit
 
-(** Attach (or replace) the fault model; {!Faults.is_none} configs detach it. *)
-val set_faults : 'a t -> Faults.config -> unit
-
 (** The active fault configuration, if any. *)
 val faults : 'a t -> Faults.config option
 

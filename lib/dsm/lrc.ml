@@ -101,8 +101,6 @@ type t = {
   mutable peers : t array;
   mutable coll : (Vclock.t * Protocol.notice list, Protocol.msg) Collectives.t option;
       (* NIC-resident combining tree for barriers; None = centralised node-0 *)
-  mutable barrier_timeout : Time.t option;
-      (* bound on a centralised-barrier wait; None = wait forever *)
   resident : int Vec.t;  (* pages with has_copy, for the mapping-cap clock *)
   mutable resident_hand : int;
   mutable locks_held : int;
@@ -282,12 +280,6 @@ let take_wait tbl key =
 (* Dirty masks and diff sizes                                          *)
 (* ------------------------------------------------------------------ *)
 
-let popcount_byte =
-  lazy
-    (Array.init 256 (fun b ->
-         let rec go n b = if b = 0 then n else go (n + (b land 1)) (b lsr 1) in
-         go 0 b))
-
 (* diff wire size: the changed words plus an 8-byte (offset,len) header per
    contiguous run, mirroring Diff.wire_bytes *)
 let diff_bytes_of_mask mask dirty_words =
@@ -300,8 +292,6 @@ let diff_bytes_of_mask mask dirty_words =
     prev := set
   done;
   (dirty_words * 8) + (!runs * 8)
-
-let _ = popcount_byte
 
 (* ------------------------------------------------------------------ *)
 (* Interval closing (a release point)                                  *)
@@ -563,13 +553,6 @@ let handle_lock_acquire t ex ~lock ~requester ~req_vc =
   end
   else ex.send ~dst:prev (Protocol.Lock_forward { lock; requester; vc = req_vc }) Nic.No_data
 
-let debug_lock = ref (-1)
-
-let dbg t lock fmt =
-  if lock = !debug_lock then
-    Printf.eprintf ("LOCKDBG n%d " ^^ fmt ^^ "\n") t.me
-  else Printf.ifprintf stderr fmt
-
 let acquire t ~lock =
   let st = get_lock t lock in
   if st.holding then invalid_arg "Lrc.acquire: lock already held";
@@ -578,7 +561,6 @@ let acquire t ~lock =
        locally with no traffic. Claim the lock BEFORE charging the cost: the
        charge advances simulated time, and a forward arriving in that window
        must see the lock as held and queue behind us. *)
-    dbg t lock "acquire-local";
     st.holding <- true;
     t.locks_held <- t.locks_held + 1;
     Stats.Counter.incr t.s_local_acquires;
@@ -597,9 +579,7 @@ let acquire t ~lock =
       ex.send ~dst:manager
         (Protocol.Lock_acquire { lock; requester = t.me; vc = Vclock.copy t.vc })
         Nic.No_data;
-    dbg t lock "acquire-remote-sent";
     ex.wait iv;
-    dbg t lock "acquire-remote-granted";
     (* am_last was set by the grant handler (and possibly cleared again by a
        forward that overtook our wakeup) — do not overwrite it here *)
     st.holding <- true;
@@ -610,7 +590,6 @@ let acquire t ~lock =
 let release t ~lock =
   let st = get_lock t lock in
   if not st.holding then invalid_arg "Lrc.release: lock not held";
-  dbg t lock "release (pending=%b)" (st.pending_forward <> None);
   close_interval t;
   Node.overhead_cycles t.node t.costs.release;
   st.holding <- false;
@@ -626,7 +605,6 @@ let handle_lock_forward t ex ~lock ~requester ~req_vc =
   ex.charge t.costs.server_lock;
   let st = get_lock t lock in
   st.am_last <- false;
-  dbg t lock "forward for n%d (defer=%b holding=%b)" requester (must_defer_grant t lock) st.holding;
   if must_defer_grant t lock then st.pending_forward <- Some (requester, req_vc)
   else send_grant t ex ~lock ~requester ~req_vc
 
@@ -786,44 +764,6 @@ let handle_barrier_release t ex ~id ~vc ~notices =
 
 let now_ps t = Time.to_ps (Engine.now (Node.engine t.node))
 
-exception Barrier_timeout of { node : int; barrier : int; waited : Time.t }
-
-let () =
-  Printexc.register_printer (function
-    | Barrier_timeout { node; barrier; waited } ->
-        Some
-          (Printf.sprintf
-             "Lrc.Barrier_timeout: node %d gave up on barrier %d after %.3f us"
-             node barrier (Time.to_us_float waited))
-    | _ -> None)
-
-(* Race the barrier's release ivar against an engine timer. A release that
-   arrives after the timeout still fills the ivar (the reader fiber drains
-   it silently); only the decision of which side won is guarded. *)
-let wait_barrier t ~id iv =
-  match t.barrier_timeout with
-  | None -> Node.blocking t.node (fun () -> Sync.Ivar.read iv)
-  | Some limit ->
-      let eng = Node.engine t.node in
-      let start = Engine.now eng in
-      let race = Sync.Ivar.create () in
-      let settled = ref false in
-      Engine.spawn eng ~name:(Printf.sprintf "lrc-barrier-wait-%d" t.me) (fun () ->
-          Sync.Ivar.read iv;
-          if not !settled then begin
-            settled := true;
-            Sync.Ivar.fill race true
-          end);
-      Engine.after eng limit (fun () ->
-          if not !settled then begin
-            settled := true;
-            Sync.Ivar.fill race false
-          end);
-      if not (Node.blocking t.node (fun () -> Sync.Ivar.read race)) then
-        raise
-          (Barrier_timeout
-             { node = t.me; barrier = id; waited = Time.(Engine.now eng - start) })
-
 (* Centralised barrier (the original path, kept as an ablation): every node
    sends its arrival to the manager, which merges and broadcasts releases. *)
 let centralised_barrier t ~id =
@@ -838,7 +778,7 @@ let centralised_barrier t ~id =
       (Protocol.Barrier_arrive { barrier = id; node = t.me; vc = Vclock.copy t.vc; notices })
       Nic.No_data
   end;
-  wait_barrier t ~id iv
+  Node.blocking t.node (fun () -> Sync.Ivar.read iv)
 
 (* NIC-resident barrier: an allreduce over the boards' combining tree. Each
    node contributes its vector clock and the intervals it created since its
@@ -940,7 +880,6 @@ let create cluster space_ costs max_resident ~id =
     barrier_accs = Hashtbl.create 8;
     peers = [||];
     coll = None;
-    barrier_timeout = None;
     resident = Vec.create ();
     resident_hand = 0;
     locks_held = 0;
@@ -962,7 +901,7 @@ let create cluster space_ costs max_resident ~id =
 let collectives_channel = 4
 
 let install cluster space_ ?(costs = default_costs) ?(max_resident_pages = max_int)
-    ?(barrier_impl = `Centralised) ?barrier_timeout () =
+    ?(barrier_impl = `Centralised) () =
   let n = Cluster.size cluster in
   let engines = Array.init n (fun id -> create cluster space_ costs max_resident_pages ~id) in
   let coll =
@@ -983,7 +922,6 @@ let install cluster space_ ?(costs = default_costs) ?(max_resident_pages = max_i
     (fun t ->
       t.peers <- engines;
       t.coll <- Option.map (fun c -> c.(t.me)) coll;
-      t.barrier_timeout <- barrier_timeout;
       let board = nic t in
       (* one Application Interrupt Handler per protocol kind: each gets its
          own PATHFINDER pattern (sharing the channel-match prefix in the DAG)
@@ -1012,23 +950,6 @@ let stats t =
     barriers = Stats.Counter.value t.s_barriers;
     evictions = Stats.Counter.value t.s_evictions;
   }
-
-(* Debug: a one-line summary of outstanding waits (deadlock triage). *)
-let debug_waits t =
-  let keys tbl = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-  let locks = keys t.lock_waits and pages = keys t.page_waits in
-  let diffs = Hashtbl.fold (fun (p, o) _ acc -> Printf.sprintf "%d@%d" p o :: acc) t.diff_waits [] in
-  let barriers = keys t.barrier_waits in
-  let holding =
-    Hashtbl.fold (fun l st acc -> if st.holding then l :: acc else acc) t.locks []
-  in
-  Printf.sprintf "node %d: holds=[%s] lock_waits=[%s] page_waits=[%s] diff_waits=[%s] barrier_waits=[%s]"
-    t.me
-    (String.concat "," (List.map string_of_int holding))
-    (String.concat "," (List.map string_of_int locks))
-    (String.concat "," (List.map string_of_int pages))
-    (String.concat "," diffs)
-    (String.concat "," (List.map string_of_int barriers))
 
 (* Messages this node's protocol engine has received, by kind — the traffic
    mix behind the timing results. *)

@@ -61,21 +61,13 @@ val default_costs : costs
     {!Cni_mp.Collectives} combining tree on channel 4 and runs each barrier
     as an allreduce of (vector clock, own write notices) executed by the
     boards' AIHs: on a CNI or OSIRIS interface the host is woken exactly
-    once per barrier with the merged result and takes no interrupt.
-
-    [barrier_timeout] (default: none — wait forever) bounds each
-    {e centralised}-barrier wait in simulated time; a node still waiting
-    when it expires raises {!Barrier_timeout} instead of hanging, e.g.
-    because a peer crashed before arriving. The [`Nic_collective] barrier
-    blocks inside the combining tree and is not covered — bound such runs
-    with [Cluster.run_app ~watchdog]. *)
+    once per barrier with the merged result and takes no interrupt. *)
 val install :
   Protocol.msg Cni_cluster.Cluster.t ->
   Space.t ->
   ?costs:costs ->
   ?max_resident_pages:int ->
   ?barrier_impl:[ `Centralised | `Nic_collective ] ->
-  ?barrier_timeout:Cni_engine.Time.t ->
   unit ->
   t array
 
@@ -111,14 +103,7 @@ val acquire : t -> lock:int -> unit
 (** @raise Invalid_argument if not held. *)
 val release : t -> lock:int -> unit
 
-(** Raised by {!barrier} on a node whose centralised-barrier wait exceeded
-    the [barrier_timeout] given to {!install}. [waited] is the time spent
-    blocked. A printer is registered. *)
-exception Barrier_timeout of { node : int; barrier : int; waited : Cni_engine.Time.t }
-
-(** All nodes must call [barrier] with the same id per episode.
-    @raise Barrier_timeout when a [barrier_timeout] is configured and
-    expires (centralised implementation only). *)
+(** All nodes must call [barrier] with the same id per episode. *)
 val barrier : t -> id:int -> unit
 
 type stats = {
@@ -135,12 +120,6 @@ type stats = {
 }
 
 val stats : t -> stats
-
-(** One-line summary of outstanding waits and held locks (deadlock triage). *)
-val debug_waits : t -> string
-
-(** Debug: trace protocol events of one lock id to stderr (-1 = off). *)
-val debug_lock : int ref
 
 (** Protocol messages this node has received, by kind (non-zero only) — the
     traffic mix behind the timing results. *)

@@ -48,59 +48,103 @@ module Summary = struct
 end
 
 module Histogram = struct
-  let nbuckets = 63
+  (* sub_bits = 5: 32 sub-buckets per power-of-two octave. Values < 32 are
+     their own bucket (exact); above that, bucket [b*32 + s] (b >= 1)
+     covers [(32+s) << (b-1) .. (32+s+1) << (b-1) - 1], width 1/32 of the
+     value — constant relative error. 62-bit values top out at index
+     58*32 + 31, so 1920 buckets cover every OCaml int. *)
+  let sub = 32
+  let max_relative_error = 1. /. float_of_int sub
+  let nbuckets = 1920
 
-  type t = { name : string; buckets : int array; mutable count : int }
+  type t = {
+    counts : int array;
+    mutable count : int;
+    mutable sum : int;
+    mutable min_v : int;
+    mutable max_v : int;
+  }
 
-  let create name = { name; buckets = Array.make nbuckets 0; count = 0 }
-  let name t = t.name
+  let create () =
+    { counts = Array.make nbuckets 0; count = 0; sum = 0; min_v = max_int; max_v = 0 }
 
-  let bucket_of s =
-    if s <= 0 then 0
+  let msb v =
+    let k = ref 0 in
+    let x = ref v in
+    while !x > 1 do
+      incr k;
+      x := !x lsr 1
+    done;
+    !k
+
+  let index v = if v < sub then v else let k = msb v in ((k - 4) * sub) + (v lsr (k - 5)) - sub
+
+  let bucket_bounds idx =
+    if idx < sub then (idx, idx)
     else
-      (* index of highest set bit, plus one *)
-      let rec go i v = if v = 0 then i else go (i + 1) (v lsr 1) in
-      go 0 s
+      let b = idx / sub and s = idx mod sub in
+      let shift = b - 1 in
+      let lo = (sub + s) lsl shift in
+      (lo, lo + (1 lsl shift) - 1)
 
-  let observe t s =
-    let b = bucket_of s in
-    t.buckets.(b) <- t.buckets.(b) + 1;
-    t.count <- t.count + 1
+  let observe t v =
+    let v = if v < 0 then 0 else v in
+    t.counts.(index v) <- t.counts.(index v) + 1;
+    t.count <- t.count + 1;
+    t.sum <- t.sum + v;
+    if v < t.min_v then t.min_v <- v;
+    if v > t.max_v then t.max_v <- v
 
   let count t = t.count
+  let min_value t = if t.count = 0 then 0 else t.min_v
+  let max_value t = t.max_v
+  let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.count
 
-  let upper_bound i = if i = 0 then 1 else 1 lsl i
+  let quantile t q =
+    if t.count = 0 then 0
+    else begin
+      let rank =
+        let r = int_of_float (Float.ceil (q *. float_of_int t.count)) in
+        Stdlib.min t.count (Stdlib.max 1 r)
+      in
+      let idx = ref 0 and cum = ref 0 in
+      while !cum < rank do
+        cum := !cum + t.counts.(!idx);
+        incr idx
+      done;
+      let _, hi = bucket_bounds (!idx - 1) in
+      Stdlib.min hi t.max_v
+    end
 
   let buckets t =
     let acc = ref [] in
-    for i = nbuckets - 1 downto 0 do
-      if t.buckets.(i) > 0 then acc := (upper_bound i, t.buckets.(i)) :: !acc
+    for idx = nbuckets - 1 downto 0 do
+      if t.counts.(idx) > 0 then
+        let lo, hi = bucket_bounds idx in
+        acc := (lo, hi, t.counts.(idx)) :: !acc
     done;
     !acc
 
-  let percentile t p =
-    if t.count = 0 then 0
-    else begin
-      let target = int_of_float (ceil (p /. 100. *. float_of_int t.count)) in
-      let target = Stdlib.max 1 (Stdlib.min t.count target) in
-      let seen = ref 0 in
-      let result = ref 0 in
-      (try
-         for i = 0 to nbuckets - 1 do
-           seen := !seen + t.buckets.(i);
-           if !seen >= target then begin
-             result := upper_bound i;
-             raise Exit
-           end
-         done
-       with Exit -> ());
-      !result
-    end
-
   let reset t =
-    Array.fill t.buckets 0 nbuckets 0;
-    t.count <- 0
+    Array.fill t.counts 0 nbuckets 0;
+    t.count <- 0;
+    t.sum <- 0;
+    t.min_v <- max_int;
+    t.max_v <- 0
 end
+
+let json_escape s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.contents buf
 
 module Registry = struct
   type metric = C of Counter.t | S of Summary.t | H of Histogram.t
@@ -142,7 +186,7 @@ module Registry = struct
     | Some (H h) -> h
     | Some _ -> mismatch key
     | None ->
-        let h = Histogram.create key in
+        let h = Histogram.create () in
         Hashtbl.replace t.tbl key (H h);
         h
 
@@ -162,7 +206,7 @@ module Registry = struct
   type value =
     | Counter_v of int
     | Summary_v of { count : int; sum : int; min : int option; max : int option; mean : float }
-    | Histogram_v of { count : int; buckets : (int * int) list }
+    | Histogram_v of { count : int; buckets : (int * int * int) list }
 
   type snapshot = (string * value) list
 
@@ -189,7 +233,7 @@ module Registry = struct
 
   (* [diff ~before ~after]: the metric movement between two snapshots.
      Counters and counts subtract; a summary's min/max and a histogram's
-     buckets are taken from [after] (buckets subtract per upper bound).
+     buckets are taken from [after] (buckets subtract per bucket).
      Metrics absent from [before] diff against zero. *)
   let diff ~before ~after =
     let prior = Hashtbl.create (List.length before) in
@@ -203,12 +247,12 @@ module Registry = struct
             let mean = if count = 0 then 0. else float_of_int sum /. float_of_int count in
             (k, Summary_v { count; sum; min = s.min; max = s.max; mean })
         | Histogram_v h, Some (Histogram_v h0) ->
-            let prior_buckets = h0.buckets in
+            let prior_buckets = List.map (fun (lo, _, n) -> (lo, n)) h0.buckets in
             let buckets =
               List.filter_map
-                (fun (ub, n) ->
-                  let n0 = Option.value (List.assoc_opt ub prior_buckets) ~default:0 in
-                  if n - n0 <> 0 then Some (ub, n - n0) else None)
+                (fun (lo, hi, n) ->
+                  let n0 = Option.value (List.assoc_opt lo prior_buckets) ~default:0 in
+                  if n - n0 <> 0 then Some (lo, hi, n - n0) else None)
                 h.buckets
             in
             (k, Histogram_v { count = h.count - h0.count; buckets })
@@ -216,20 +260,6 @@ module Registry = struct
       after
 
   (* ---------------- JSON export ---------------- *)
-
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
 
   let value_to_json = function
     | Counter_v n -> string_of_int n
@@ -239,7 +269,8 @@ module Registry = struct
           (opt min) (opt max) mean
     | Histogram_v { count; buckets } ->
         Printf.sprintf "{\"count\":%d,\"buckets\":[%s]}" count
-          (String.concat "," (List.map (fun (ub, n) -> Printf.sprintf "[%d,%d]" ub n) buckets))
+          (String.concat ","
+             (List.map (fun (lo, hi, n) -> Printf.sprintf "[%d,%d,%d]" lo hi n) buckets))
 
   let snapshot_to_json snap =
     let buf = Buffer.create 4096 in

@@ -1,4 +1,4 @@
-(** Statistics collection: counters, running summaries, log2 histograms, and
+(** Statistics collection: counters, running summaries, HDR histograms, and
     a registry that names metrics per node/subsystem and exports machine-
     readable snapshots. *)
 
@@ -41,23 +41,53 @@ module Summary : sig
 end
 
 module Histogram : sig
-  (** Power-of-two bucketed histogram of non-negative integer samples.
-      Bucket [i] counts samples [s] with [2^(i-1) <= s < 2^i] (bucket 0
-      counts zeros). *)
+  (** HDR-style log-bucketed histogram over non-negative integer samples.
+
+      Values below 32 get exact unit-width buckets; above that each
+      power-of-two octave is split into 32 sub-buckets, so any recorded
+      quantile is within a factor of [1 + 1/32] (~3.1%) of the true sample —
+      constant relative error at any magnitude, constant memory, O(1)
+      observe. *)
   type t
 
-  val create : string -> t
-  val name : t -> string
-  val observe : t -> int -> unit
-  val count : t -> int
-  val buckets : t -> (int * int) list
-  (** [(upper_bound_exclusive, count)] for non-empty buckets, ascending. *)
+  (** A fresh, empty histogram. *)
+  val create : unit -> t
 
-  val percentile : t -> float -> int
-  (** Upper bound of the bucket holding the given percentile (in [0,100]). *)
+  (** [observe t v] records one sample. Negative samples are clamped to 0.
+      O(1), no allocation. *)
+  val observe : t -> int -> unit
+
+  (** Number of samples recorded. *)
+  val count : t -> int
+
+  (** Exact smallest recorded sample (0 when empty). *)
+  val min_value : t -> int
+
+  (** Exact largest recorded sample (0 when empty). *)
+  val max_value : t -> int
+
+  (** Exact arithmetic mean of the samples (0 when empty). *)
+  val mean : t -> float
+
+  (** [quantile t q] with [0 <= q <= 1]: an upper bound on the sample at
+      rank [ceil (q * count)], tight to the bucket width (so within ~3.1%
+      relative error) and never above {!max_value}. [quantile t 1.0] is the
+      exact maximum. 0 when empty. *)
+  val quantile : t -> float -> int
+
+  (** Non-empty buckets in increasing order as [(lo, hi, count)]: [count]
+      samples fell in the inclusive value range [lo..hi]. *)
+  val buckets : t -> (int * int * int) list
+
+  (** The worst-case relative error of {!quantile} below rank 1.0:
+      [1/32]. *)
+  val max_relative_error : float
 
   val reset : t -> unit
 end
+
+(** [json_escape s] escapes [s] for use inside a JSON string literal. *)
+val json_escape : string -> string
 
 module Registry : sig
   (** A named collection of metrics. Names follow
@@ -86,7 +116,8 @@ module Registry : sig
   type value =
     | Counter_v of int
     | Summary_v of { count : int; sum : int; min : int option; max : int option; mean : float }
-    | Histogram_v of { count : int; buckets : (int * int) list }
+    | Histogram_v of { count : int; buckets : (int * int * int) list }
+        (** buckets as {!Histogram.buckets} reports them *)
 
   type snapshot = (string * value) list
   (** Sorted by metric name. *)
@@ -96,7 +127,7 @@ module Registry : sig
   val diff : before:snapshot -> after:snapshot -> snapshot
   (** Metric movement between two snapshots: counters and counts subtract;
       a summary's min/max and histogram buckets are taken from [after]
-      (buckets subtract per upper bound). Metrics absent from [before] diff
+      (buckets subtract per bucket). Metrics absent from [before] diff
       against zero. *)
 
   val value_to_json : value -> string

@@ -170,24 +170,11 @@ let write_human oc =
   let fmt = Format.formatter_of_out_channel oc in
   iter (fun r -> Format.fprintf fmt "%a@." pp_record r)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_jsonl oc =
   iter (fun r ->
       Printf.fprintf oc
         "{\"t_ps\":%d,\"node\":%d,\"category\":\"%s\",\"event\":\"%s\",\"label\":\"%s\",\"payload\":%d}\n"
-        r.t_ps r.node (category_name r.category) (event_name r.event) (json_escape r.label)
+        r.t_ps r.node (category_name r.category) (event_name r.event) (Stats.json_escape r.label)
         r.payload)
 
 let write_csv oc =
@@ -195,14 +182,3 @@ let write_csv oc =
   iter (fun r ->
       Printf.fprintf oc "%d,%d,%s,%s,%s,%d\n" r.t_ps r.node (category_name r.category)
         (event_name r.event) r.label r.payload)
-
-(* ------------------------------------------------------------------ *)
-(* Legacy printf sink                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let printf ~t_ps fmt =
-  if !enabled then begin
-    Format.eprintf "[%a] " Time.pp (Time.ps t_ps);
-    Format.kfprintf (fun f -> Format.pp_print_newline f ()) Format.err_formatter fmt
-  end
-  else Format.ifprintf Format.err_formatter fmt

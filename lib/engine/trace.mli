@@ -28,7 +28,7 @@ type record = {
 (** {2 Gating} *)
 
 val enabled : bool ref
-(** Master switch; also gates {!printf}. Prefer {!enable} / {!disable}. *)
+(** Master switch. Prefer {!enable} / {!disable}. *)
 
 val enable : ?cats:category list -> unit -> unit
 (** Enable tracing for the given categories (default: all). *)
@@ -91,9 +91,3 @@ val pp_record : Format.formatter -> record -> unit
 val write_human : out_channel -> unit
 val write_jsonl : out_channel -> unit
 val write_csv : out_channel -> unit
-
-(** {2 Legacy printf sink} *)
-
-val printf : t_ps:int -> ('a, Format.formatter, unit) format -> 'a
-(** Human-readable line on stderr prefixed with the simulated time; no-op
-    unless [!enabled]. *)

@@ -20,18 +20,7 @@ let make ~label ~quick ?(zero_alloc = []) ~substrate ~experiments () =
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let escape = Cni_engine.Stats.json_escape
 
 (* %.17g round-trips every finite double; non-finite values are not valid
    JSON numbers, so they are written as null and read back as nan *)

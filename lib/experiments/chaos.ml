@@ -39,7 +39,11 @@ let schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub =
   if crashes > 0 && nodes < 2 then invalid_arg "Chaos.schedule: need at least 2 nodes";
   let jitter = 40 in
   if slot <= Time.(down + Time.us jitter) then
-    invalid_arg "Chaos.schedule: slot must exceed down time plus jitter";
+    invalid_arg
+      (Printf.sprintf
+         "Chaos.schedule: down time %.0f us plus %d us jitter must be shorter than the %.0f us \
+          crash slot"
+         (Time.to_us_float down) jitter (Time.to_us_float slot));
   let rng = Rng.create ~seed in
   let evs = ref [] in
   for k = 0 to crashes - 1 do
@@ -57,8 +61,6 @@ let outcome_of_exn = function
   | Cluster.Deadlock _ -> "deadlock"
   | Engine.Fiber_failure (_, Reliable.Peer_dead _) -> "peer-dead"
   | Engine.Fiber_failure (_, Reliable.Delivery_failed _) -> "delivery-failed"
-  | Lrc.Barrier_timeout _ | Engine.Fiber_failure (_, Lrc.Barrier_timeout _) ->
-      "barrier-timeout"
   | e -> Printexc.to_string e
 
 let collect ?(rx_timeouts = 0) ~outcome ~completed ~checksum ~sched cluster =

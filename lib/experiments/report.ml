@@ -59,30 +59,17 @@ let write_csv ~dir t =
   List.iter line t.rows;
   close_out oc
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_metrics_json ~dir t =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let oc = open_out (Filename.concat dir (t.id ^ ".metrics.json")) in
   let summary =
     t.metrics
-    |> List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %g" (json_escape name) v)
+    |> List.map (fun (name, v) -> Printf.sprintf "    \"%s\": %g" (Stats.json_escape name) v)
     |> String.concat ",\n"
   in
   output_string oc
     (Printf.sprintf "{\n  \"id\": \"%s\",\n  \"title\": \"%s\",\n  \"summary\": {\n%s\n  },\n  \"registry\": %s\n}\n"
-       (json_escape t.id) (json_escape t.title) summary
+       (Stats.json_escape t.id) (Stats.json_escape t.title) summary
        (Stats.Registry.snapshot_to_json t.snapshot));
   close_out oc
 

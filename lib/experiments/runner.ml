@@ -7,6 +7,7 @@ module Space = Cni_dsm.Space
 module Lrc = Cni_dsm.Lrc
 
 type app = Cni_dsm.Protocol.msg Cluster.t -> Lrc.t array -> unit
+type built = Cni_dsm.Protocol.msg Cluster.t * Lrc.t array
 
 type result = {
   elapsed : Time.t;
@@ -46,13 +47,17 @@ let cni ?mc_bytes ?mc_mode ?aih ?rx_policy ?rx_batch () =
 let standard = `Standard
 let osiris = `Osiris Nic.default_osiris_options
 
-let run ?(params = Params.default) ?faults ?reliability ?topology ?barrier_impl ~kind ~procs
-    app =
-  let cluster =
-    Cluster.create ~params ?faults ?reliability ?topology ~nic_kind:kind ~nodes:procs ()
-  in
-  let space = Space.create ~nprocs:procs ~page_bytes:params.Params.page_bytes in
-  let lrcs = Lrc.install cluster space ?barrier_impl () in
+let build ?(params = Params.default) ?faults ?reliability ?topology ?barrier_impl ~kind ~procs
+    () =
+  Check.catch (fun () ->
+      let cluster =
+        Cluster.create ~params ?faults ?reliability ?topology ~nic_kind:kind ~nodes:procs ()
+      in
+      let space = Space.create ~nprocs:procs ~page_bytes:params.Params.page_bytes in
+      (cluster, Lrc.install cluster space ?barrier_impl ()))
+
+let exec (cluster, lrcs) app =
+  let params = Cluster.params cluster and procs = Cluster.size cluster in
   app cluster lrcs;
   let o = Cluster.overheads cluster in
   let f = Fabric.stats (Cluster.fabric cluster) in
@@ -110,5 +115,10 @@ let run ?(params = Params.default) ?faults ?reliability ?topology ?barrier_impl 
        !acc);
     metrics = Cluster.metrics_snapshot cluster;
   }
+
+let run ?params ?faults ?reliability ?topology ?barrier_impl ~kind ~procs app =
+  match build ?params ?faults ?reliability ?topology ?barrier_impl ~kind ~procs () with
+  | Ok built -> exec built app
+  | Error msg -> invalid_arg msg
 
 let speedup ~t1 r = Time.to_s_float t1 /. Time.to_s_float r.elapsed

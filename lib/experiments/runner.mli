@@ -58,13 +58,39 @@ val standard : Cni_cluster.Cluster.nic_kind
 (** The OSIRIS base board: the intermediate design point. *)
 val osiris : Cni_cluster.Cluster.nic_kind
 
-(** [run ~kind ~procs app] builds a cluster + DSM and runs [app] to
-    completion. [params] defaults to Table 1. [faults] makes the fabric
+(** A cluster with the DSM protocol engines installed on every board. *)
+type built = Cni_dsm.Protocol.msg Cni_cluster.Cluster.t * Cni_dsm.Lrc.t array
+
+(** [build ~kind ~procs ()] is {!run}'s construction step on its own: the
+    cluster, the shared address space and {!Cni_dsm.Lrc.install} (with the
+    NIC-tree barrier when [barrier_impl] asks for it), stopped before the
+    first event. [params] defaults to Table 1. [faults] makes the fabric
     lossy (implying NIC reliable delivery, see {!Cni_cluster.Cluster.create});
     [reliability] tunes or force-enables the delivery protocol;
     [topology] selects the fabric shape (see {!Cni_atm.Topology});
-    [barrier_impl] selects the DSM barrier implementation (see
-    {!Cni_dsm.Lrc.install}). *)
+    [barrier_impl] selects the DSM barrier implementation.
+
+    A configuration the install path rejects comes back as [Error] with the
+    installer's message (see {!Check.catch}): a machine geometry, topology
+    or fault model the cluster refuses, handlers that overflow board
+    memory, a combining tree over more nodes than its header can name. *)
+val build :
+  ?params:Cni_machine.Params.t ->
+  ?faults:Cni_atm.Faults.config ->
+  ?reliability:Cni_nic.Reliable.config ->
+  ?topology:Cni_atm.Topology.kind ->
+  ?barrier_impl:[ `Centralised | `Nic_collective ] ->
+  kind:Cni_cluster.Cluster.nic_kind ->
+  procs:int ->
+  unit ->
+  (built, string) Stdlib.result
+
+(** [exec built app] runs [app] on a built cluster to completion and
+    collects the result. *)
+val exec : built -> app -> result
+
+(** [run ~kind ~procs app] is {!build} then {!exec}.
+    @raise Invalid_argument with the build step's error. *)
 val run :
   ?params:Cni_machine.Params.t ->
   ?faults:Cni_atm.Faults.config ->

@@ -71,59 +71,68 @@ let name_ok n =
   && String.for_all (fun c -> (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-') n
   && n.[0] <> '-'
 
-(* every crash must be matched by a later restart — a server that stays
-   down strands its clients' blocking receives and the watchdog fires *)
-let unpaired_crashes sched =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun e ->
-      let c, r = Option.value (Hashtbl.find_opt tbl e.Faults.e_node) ~default:(0, 0) in
-      match e.Faults.e_fault with
-      | Faults.Crash _ -> Hashtbl.replace tbl e.Faults.e_node (c + 1, r)
-      | Faults.Restart -> Hashtbl.replace tbl e.Faults.e_node (c, r + 1))
-    sched;
-  Hashtbl.fold (fun node (c, r) acc -> if c <> r then node :: acc else acc) tbl []
-  |> List.sort compare
+(* The workload half of a profile, with each client's seeded arrival
+   stream; [validate] checks its fields and [run] drives it. *)
+let kv_config p =
+  {
+    Kv_serve.clients = p.clients;
+    servers = p.servers;
+    requests_per_client = p.requests_per_client;
+    arrival =
+      (fun client ->
+        let g = Arrival.create ~seed:(p.seed + (104729 * (client + 1))) p.arrival in
+        fun () -> Arrival.next_gap g);
+    value_bytes = p.value_bytes;
+    put_pct = p.put_pct;
+    seed = p.seed;
+    service_cycles = p.service_cycles;
+  }
+
+let fields p =
+  let name =
+    if name_ok p.name then []
+    else
+      [
+        Printf.sprintf
+          "name must be non-empty lowercase-kebab ([a-z0-9-], not starting with '-'): %S"
+          p.name;
+      ]
+  and workload = match Kv_serve.validate (kv_config p) with Ok () -> [] | Error es -> es
+  and rx_batch =
+    if p.rx_batch < 1 then [ Printf.sprintf "rx-batch must be >= 1 (got %d)" p.rx_batch ]
+    else []
+  in
+  match name @ workload @ rx_batch with [] -> Ok () | errs -> Error errs
+
+let fault_summary f =
+  if Faults.is_none f then "fault-free"
+  else
+    Printf.sprintf "loss %g, corrupt %g, drop %g, %d windows, %d events" f.Faults.cell_loss
+      f.Faults.cell_corrupt f.Faults.frame_drop (List.length f.Faults.link_down)
+      (List.length f.Faults.schedule)
+
+(* The checks [validate] and [preflight] share, in report order: a label,
+   the check's errors, and the detail [preflight] prints when it passes. *)
+let checks p =
+  let nodes = p.clients + p.servers in
+  [
+    ( "profile fields",
+      fields p,
+      fun () ->
+        Printf.sprintf "%d clients x %d requests against %d servers" p.clients
+          p.requests_per_client p.servers );
+    ( "arrival process",
+      Arrival.validate_kind p.arrival,
+      fun () ->
+        Printf.sprintf "%s (%.0f req/s offered)" (Arrival.kind_to_string p.arrival)
+          (offered_rps p) );
+    ("topology", Check.topology p.topology ~nodes, Check.describe_topology p.topology ~nodes);
+    ("fault model", Check.faults ~nodes p.faults, fun () -> fault_summary p.faults);
+  ]
 
 let validate p =
-  let errs = ref [] in
-  let bad fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  if not (name_ok p.name) then
-    bad "name must be non-empty lowercase-kebab ([a-z0-9-], not starting with '-'): %S"
-      p.name;
-  (match
-     Kv_serve.validate
-       {
-         Kv_serve.clients = p.clients;
-         servers = p.servers;
-         requests_per_client = p.requests_per_client;
-         arrival = (fun _ () -> Time.ps 1);
-         value_bytes = p.value_bytes;
-         put_pct = p.put_pct;
-         seed = p.seed;
-         service_cycles = p.service_cycles;
-       }
-   with
-  | Ok () -> ()
-  | Error es -> errs := List.rev_append es !errs);
-  (match Arrival.validate_kind p.arrival with
-  | Ok () -> ()
-  | Error es -> errs := List.rev_append es !errs);
-  if p.rx_batch < 1 then bad "rx-batch must be >= 1 (got %d)" p.rx_batch;
-  let nodes = p.clients + p.servers in
-  (match Topology.validate p.topology ~nodes with
-  | Ok () -> ()
-  | Error e -> bad "topology: %s" e);
-  (match Faults.validate ~nodes p.faults with
-  | Ok () -> ()
-  | Error es -> errs := List.rev_append es !errs);
-  (match unpaired_crashes p.faults.Faults.schedule with
-  | [] -> ()
-  | ns ->
-      bad "crash without matching restart on node%s %s (the workload could never drain)"
-        (if List.length ns > 1 then "s" else "")
-        (String.concat ", " (List.map string_of_int ns)));
-  if !errs = [] then Ok () else Error (List.rev !errs)
+  let errors (_, r, _) = match r with Ok () -> [] | Error es -> es in
+  match List.concat_map errors (checks p) with [] -> Ok () | errs -> Error errs
 
 (* ------------------------------------------------------------------ *)
 (* Text format                                                         *)
@@ -360,66 +369,6 @@ let utilisation p =
     /. (float_of_int p.servers *. float_of_int Params.default.Params.cpu_hz)
 
 let preflight p =
-  let nodes = p.clients + p.servers in
-  let fields =
-    let errs = ref [] in
-    if not (name_ok p.name) then errs := [ Printf.sprintf "bad name %S" p.name ];
-    (match
-       Kv_serve.validate
-         {
-           Kv_serve.clients = p.clients;
-           servers = p.servers;
-           requests_per_client = p.requests_per_client;
-           arrival = (fun _ () -> Time.ps 1);
-           value_bytes = p.value_bytes;
-           put_pct = p.put_pct;
-           seed = p.seed;
-           service_cycles = p.service_cycles;
-         }
-     with
-    | Ok () -> ()
-    | Error es -> errs := !errs @ es);
-    if p.rx_batch < 1 then
-      errs := !errs @ [ Printf.sprintf "rx-batch must be >= 1 (got %d)" p.rx_batch ];
-    match !errs with
-    | [] ->
-        Ok
-          (Printf.sprintf "%d clients x %d requests against %d servers" p.clients
-             p.requests_per_client p.servers)
-    | es -> Error (String.concat "; " es)
-  in
-  let arrival =
-    match Arrival.validate_kind p.arrival with
-    | Ok () ->
-        Ok
-          (Printf.sprintf "%s (%.0f req/s offered)" (Arrival.kind_to_string p.arrival)
-             (offered_rps p))
-    | Error es -> Error (String.concat "; " es)
-  in
-  let topology =
-    match Topology.validate p.topology ~nodes with
-    | Ok () -> Ok (Topology.describe (Topology.of_kind p.topology ~nodes))
-    | Error e -> Error e
-  in
-  let faults =
-    match Faults.validate ~nodes p.faults with
-    | Error es -> Error (String.concat "; " es)
-    | Ok () -> (
-        match unpaired_crashes p.faults.Faults.schedule with
-        | [] ->
-            if Faults.is_none p.faults then Ok "fault-free"
-            else
-              Ok
-                (Printf.sprintf "loss %g, corrupt %g, drop %g, %d windows, %d events"
-                   p.faults.Faults.cell_loss p.faults.Faults.cell_corrupt
-                   p.faults.Faults.frame_drop
-                   (List.length p.faults.Faults.link_down)
-                   (List.length p.faults.Faults.schedule))
-        | ns ->
-            Error
-              (Printf.sprintf "crash without matching restart on node %s"
-                 (String.concat ", " (List.map string_of_int ns))))
-  in
   let capacity =
     let u = utilisation p in
     if u >= 1. then
@@ -430,43 +379,8 @@ let preflight p =
            (u *. 100.))
     else Ok (Printf.sprintf "service utilisation %.1f%%" (u *. 100.))
   in
-  let firmware =
-    (* every firmware handler a profile of this size could install must fit
-       the cell inter-arrival budget at the default link rate — the same
-       admission Nic.install_handler_verified enforces at install time, so
-       a FAIL here is a run that would die on its first install *)
-    let module Verify = Cni_aih.Aih_verify in
-    let budget = Params.line_rate_budget Params.default in
-    let size = max 2 nodes in
-    let handlers =
-      [
-        ("reliable-rx", Cni_nic.Reliable_ir.rx_program ~size);
-        ("reliable-tx-stamp", Cni_nic.Reliable_ir.tx_program ~size);
-      ]
-    in
-    let bad =
-      List.filter_map
-        (fun (name, prog) ->
-          match Verify.verify ~cell_budget:budget prog with
-          | Ok _ -> None
-          | Error rjs -> Some (Printf.sprintf "%s: %s" name (Verify.explain_all rjs)))
-        handlers
-    in
-    match bad with
-    | [] ->
-        Ok
-          (Printf.sprintf "%d handlers fit the %d-cycle/cell budget" (List.length handlers)
-             budget)
-    | es -> Error (String.concat "; " es)
-  in
-  [
-    ("profile fields", fields);
-    ("arrival process", arrival);
-    ("topology", topology);
-    ("fault model", faults);
-    ("service capacity", capacity);
-    ("firmware line-rate admission", firmware);
-  ]
+  List.map (fun (label, r, detail) -> Check.verdict label detail r) (checks p)
+  @ [ ("service capacity", capacity) ]
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -490,23 +404,8 @@ let run ?watchdog p =
   (match validate p with
   | Ok () -> ()
   | Error errs -> invalid_arg ("Scenario.run: " ^ String.concat "; " errs));
-  let cfg =
-    {
-      Kv_serve.clients = p.clients;
-      servers = p.servers;
-      requests_per_client = p.requests_per_client;
-      arrival =
-        (fun client ->
-          let g = Arrival.create ~seed:(p.seed + (104729 * (client + 1))) p.arrival in
-          fun () -> Arrival.next_gap g);
-      value_bytes = p.value_bytes;
-      put_pct = p.put_pct;
-      seed = p.seed;
-      service_cycles = p.service_cycles;
-    }
-  in
   Kv_serve.run ?watchdog ~faults:p.faults ~topology:p.topology ~nic_kind:(to_nic_kind p)
-    cfg
+    (kv_config p)
 
 (* ------------------------------------------------------------------ *)
 (* Built-ins                                                           *)

@@ -57,7 +57,9 @@ val find : string -> profile option
 (** [validate p] collects {e every} inconsistency — field ranges, arrival
     parameters, name format, topology vs node count, fault model vs node
     count, and crash events without a matching restart (which would strand
-    the workload's blocking receives) — rather than stopping at the first. *)
+    the workload's blocking receives) — rather than stopping at the first.
+    It runs the same checks as {!preflight} (see {!Check}), minus service
+    capacity. *)
 val validate : profile -> (unit, string list) result
 
 (** Parse the profile text format (see docs/SCENARIOS.md): one
@@ -75,14 +77,14 @@ val of_string : string -> (profile, string) result
 val to_string : profile -> string
 
 (** Preflight checks for the doctor, cheap enough to run before every long
-    run: each entry is a labelled verdict, [Ok detail] or [Error problem].
-    Covers field validation, topology admission (with the resolved shape),
-    the fault model, crash/restart pairing, a service-capacity check
+    run: each entry is a labelled verdict, [Ok detail] or [Error problem]
+    (see {!Check.t}). Covers {!validate}'s checks — profile fields, the
+    arrival process, topology admission (with the resolved shape), the
+    fault model with crash/restart pairing — plus a service-capacity check
     that flags offered load at or beyond the servers' aggregate service
-    rate (where the queue — and the tail — grows without bound), and a
-    firmware line-rate admission check: the streaming reliable-delivery
-    handlers a cluster of this size would install must fit the per-cell
-    WCET budget at the default link rate. *)
+    rate (where the queue — and the tail — grows without bound). Every
+    failing check except service capacity has a matching {!validate}
+    error. *)
 val preflight : profile -> (string * (string, string) result) list
 
 (** Offered load of the whole profile, requests per second of simulated

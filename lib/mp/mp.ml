@@ -316,17 +316,3 @@ let allreduce t ~op ?(bytes = 64) value =
       host_broadcast t ~root:0 ~bytes partial
 
 let nic_collective t = Option.is_some t.coll
-
-(* Debug: outstanding waits and parked messages (deadlock triage). *)
-let debug_state t =
-  let w =
-    List.map
-      (fun w ->
-        Printf.sprintf "(src=%s,tag=%d)"
-          (match w.w_src with Some s -> string_of_int s | None -> "*")
-          w.w_tag)
-      t.waiters
-  in
-  let m = List.map (fun e -> Printf.sprintf "(src=%d,tag=%d)" e.src e.tag) t.mailbox in
-  Printf.sprintf "rank %d: waiters=[%s] mailbox=[%s]" t.rank (String.concat ";" w)
-    (String.concat ";" m)

@@ -102,6 +102,3 @@ val reduce : 'a t -> root:int -> op:('a -> 'a -> 'a) -> ?bytes:int -> 'a -> 'a
 
 (** Reduction whose result every node receives. *)
 val allreduce : 'a t -> op:('a -> 'a -> 'a) -> ?bytes:int -> 'a -> 'a
-
-(** One-line summary of outstanding receives and parked messages. *)
-val debug_state : 'a t -> string

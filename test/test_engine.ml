@@ -276,14 +276,35 @@ let test_summary () =
   checkio "max" (Some 9) (Stats.Summary.max s);
   check (Alcotest.float 1e-9) "mean" 5.0 (Stats.Summary.mean s)
 
+(* registry histograms are the HDR type: quantiles stay within a bucket
+   width of the sample, and snapshot, diff and JSON carry its buckets *)
 let test_histogram () =
-  let h = Stats.Histogram.create "h" in
+  let r = Stats.Registry.create () in
+  let h = Stats.Registry.histogram r ~subsystem:"nic" "lat" in
   List.iter (Stats.Histogram.observe h) [ 0; 1; 2; 3; 100; 100 ];
   checki "count" 6 (Stats.Histogram.count h);
-  let buckets = Stats.Histogram.buckets h in
-  checkb "has buckets" true (List.length buckets >= 3);
-  checki "p100 bucket bound" 128 (Stats.Histogram.percentile h 100.);
-  checki "p1 bucket bound" 1 (Stats.Histogram.percentile h 1.)
+  checki "p100 is the exact maximum" 100 (Stats.Histogram.quantile h 1.0);
+  checki "p1 exact below 32" 0 (Stats.Histogram.quantile h 0.01);
+  let before = Stats.Registry.snapshot r in
+  (match List.assoc "nic/lat" before with
+  | Stats.Registry.Histogram_v { count; buckets } ->
+      checki "snapshot count" 6 count;
+      check
+        (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+        "snapshot buckets" (Stats.Histogram.buckets h) buckets
+  | _ -> Alcotest.fail "expected a histogram value");
+  Stats.Histogram.observe h 100;
+  (match List.assoc "nic/lat" (Stats.Registry.diff ~before ~after:(Stats.Registry.snapshot r)) with
+  | Stats.Registry.Histogram_v { count = 1; buckets = [ (lo, hi, 1) ] } ->
+      checkb "moved bucket holds 100" true (lo <= 100 && 100 <= hi)
+  | _ -> Alcotest.fail "expected one moved bucket");
+  let json = Stats.Registry.snapshot_to_json (Stats.Registry.snapshot r) in
+  checkb "json carries [lo,hi,count] buckets" true
+    (match Str.search_forward (Str.regexp_string "\"buckets\":[[0,0,1],") json 0 with
+    | _ -> true
+    | exception Not_found -> false);
+  Stats.Registry.reset r;
+  checki "reset" 0 (Stats.Histogram.count h)
 
 let test_registry () =
   let r = Stats.Registry.create () in

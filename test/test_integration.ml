@@ -210,6 +210,52 @@ let test_report_csv () =
   check Alcotest.string "header" "a,b" l1;
   check Alcotest.string "escaped row" "1,\"x,y\"" l2
 
+(* ------------------------------------------------------------------ *)
+(* Build step (what doctor and run both admit)                          *)
+(* ------------------------------------------------------------------ *)
+
+let contains hay needle =
+  try
+    ignore (Str.search_forward (Str.regexp_string needle) hay 0);
+    true
+  with Not_found -> false
+
+let builds what r =
+  match r with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "%s rejected: %s" what msg
+
+let rejects what ~naming r =
+  match r with
+  | Ok _ -> Alcotest.failf "%s built" what
+  | Error msg ->
+      checkb (Printf.sprintf "%s names %S (%s)" what naming msg) true (contains msg naming)
+
+let test_build_step () =
+  builds "one node" (Runner.build ~kind:(Runner.cni ()) ~procs:1 ());
+  rejects "300 nodes with the NIC-tree barrier" ~naming:"256 nodes"
+    (Runner.build ~barrier_impl:`Nic_collective ~kind:(Runner.cni ()) ~procs:300 ());
+  (* the DSM handlers take 9 KB of the 1 MB board, leaving 1015 KB *)
+  builds "a 1015 KB Message Cache"
+    (Runner.build ~kind:(Runner.cni ~mc_bytes:(1015 * 1024) ()) ~procs:4 ());
+  rejects "a 1016 KB Message Cache" ~naming:"board memory"
+    (Runner.build ~kind:(Runner.cni ~mc_bytes:(1016 * 1024) ()) ~procs:4 ())
+
+(* each protocol stack claims its own wire channel, and none of them takes
+   the reliable-delivery ack channel *)
+let test_stack_channels () =
+  let channels =
+    [
+      Cni_dsm.Protocol.channel;
+      Cni_mp.Mp.channel;
+      Cni_mp.Mp.collectives_channel;
+      Cni_dsm.Lrc.collectives_channel;
+    ]
+  in
+  check Alcotest.int "distinct" (List.length channels)
+    (List.length (List.sort_uniq compare channels));
+  checkb "ack channel reserved" false (List.mem Cni_nic.Reliable.ack_channel channels)
+
 let () =
   Alcotest.run "integration"
     [
@@ -239,5 +285,10 @@ let () =
           Alcotest.test_case "corrupted header detected" `Quick test_corrupted_header_detected;
           Alcotest.test_case "report rendering" `Quick test_report_rendering;
           Alcotest.test_case "report CSV" `Quick test_report_csv;
+        ] );
+      ( "build",
+        [
+          Alcotest.test_case "install path admits and rejects" `Quick test_build_step;
+          Alcotest.test_case "stacks use distinct wire channels" `Quick test_stack_channels;
         ] );
     ]

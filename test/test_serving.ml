@@ -253,6 +253,49 @@ let test_profile_rejections () =
   | Ok () -> Alcotest.fail "multi-problem profile accepted"
   | Error es -> checkb "all three problems reported" true (List.length es >= 3)
 
+(* validate and preflight share one check list: every check the preflight
+   fails, bar service capacity (a load warning, not an inconsistency), is
+   also a validate error *)
+let test_preflight_matches_validate () =
+  let d = { Scenario.default with Scenario.name = "x" } in
+  let crash =
+    {
+      Cni_atm.Faults.e_at = Time.us 100;
+      e_node = 1;
+      e_fault = Cni_atm.Faults.Crash { scrub = false };
+    }
+  in
+  let broken =
+    [
+      { d with Scenario.name = ""; clients = 0; rx_batch = 0 };
+      { d with Scenario.arrival = Arrival.Poisson { rate_per_s = -1. } };
+      { d with Scenario.topology = Cni_atm.Topology.Torus { dims = Some (2, 2, 2) } };
+      { d with Scenario.faults = { Cni_atm.Faults.none with Cni_atm.Faults.cell_loss = 2. } };
+      { d with Scenario.faults = { Cni_atm.Faults.none with Cni_atm.Faults.schedule = [ crash ] } };
+    ]
+  in
+  List.iter
+    (fun p ->
+      let failing =
+        List.filter_map
+          (fun (label, verdict) ->
+            match verdict with
+            | Error msg when label <> "service capacity" -> Some (label, msg)
+            | Ok _ | Error _ -> None)
+          (Scenario.preflight p)
+      in
+      if List.memq p broken then
+        checkb (Printf.sprintf "%S fails a check" p.Scenario.name) true (failing <> []);
+      let errs = match Scenario.validate p with Ok () -> [] | Error es -> es in
+      List.iter
+        (fun (label, msg) ->
+          checkb
+            (Printf.sprintf "%s: %s has a validate error" label msg)
+            true
+            (List.exists (fun e -> contains msg e) errs))
+        failing)
+    (Scenario.builtins @ broken)
+
 let test_profile_parse_errors () =
   let parse_err s = match Scenario.of_string s with Ok _ -> None | Error e -> Some e in
   (match parse_err "name x\nclients twelve\n" with
@@ -320,6 +363,8 @@ let () =
           Alcotest.test_case "builtin round-trip" `Quick test_profile_roundtrip;
           Alcotest.test_case "builtins validate + preflight" `Quick test_builtins_valid;
           Alcotest.test_case "rejections" `Quick test_profile_rejections;
+          Alcotest.test_case "preflight failures are validate errors" `Quick
+            test_preflight_matches_validate;
           Alcotest.test_case "parse errors" `Quick test_profile_parse_errors;
         ] );
       ( "serving",
