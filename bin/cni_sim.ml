@@ -11,14 +11,13 @@ module Time = Cni_engine.Time
 module Trace = Cni_engine.Trace
 module Stats = Cni_engine.Stats
 module Params = Cni_machine.Params
-module Jacobi = Cni_apps.Jacobi
-module Water = Cni_apps.Water
 module Cholesky = Cni_apps.Cholesky
 module Sparse = Cni_apps.Sparse
 module Runner = Cni_experiments.Runner
 module Microbench = Cni_experiments.Microbench
 module Report = Cni_experiments.Report
 module Check = Cni_experiments.Check
+module Scenario = Cni_experiments.Scenario
 module Topology = Cni_atm.Topology
 open Cmdliner
 
@@ -27,8 +26,10 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 
 let nic_kind =
-  let conv_nic = Arg.enum [ ("cni", `Cni_k); ("osiris", `Osiris_k); ("standard", `Standard_k) ] in
-  Arg.(value & opt conv_nic `Cni_k & info [ "nic" ] ~doc:"Network interface: $(b,cni), $(b,osiris) or $(b,standard).")
+  Arg.(
+    value
+    & opt (enum Scenario.nic_names) Scenario.Cni
+    & info [ "nic" ] ~doc:"Network interface: $(b,cni), $(b,osiris) or $(b,standard).")
 
 let procs = Arg.(value & opt int 8 & info [ "p"; "procs" ] ~doc:"Number of workstation nodes.")
 let page_bytes = Arg.(value & opt int 2048 & info [ "page-bytes" ] ~doc:"Shared page size.")
@@ -53,12 +54,9 @@ let topology_arg =
            (3D torus, dimension-order routed).")
 
 let rx_policy_arg =
-  let rx_policy_conv =
-    Arg.enum
-      [ ("interrupt", `Interrupt); ("poll", `Poll); ("hybrid", `Hybrid); ("adaptive", `Adaptive) ]
-  in
   Arg.(
-    value & opt rx_policy_conv `Hybrid
+    value
+    & opt (enum Scenario.rx_names) Scenario.Hybrid
     & info [ "rx-policy" ]
         ~doc:
           "CNI receive wakeup policy for host-resident handlers: $(b,interrupt), $(b,poll), \
@@ -72,12 +70,6 @@ let rx_batch_arg =
         ~doc:
           "Receive coalescing depth: one host wakeup drains up to this many queued frames \
            (1 = one wakeup per frame).")
-
-let to_rx_policy = function
-  | `Interrupt -> Cni_nic.Nic.Rx_interrupt
-  | `Poll -> Cni_nic.Nic.Rx_poll
-  | `Hybrid -> Cni_nic.Nic.Rx_hybrid
-  | `Adaptive -> Cni_nic.Nic.Rx_adaptive Cni_nic.Nic.default_rx_adaptive
 
 let make_params ~page ~cells =
   let p = { Params.default with Params.page_bytes = page } in
@@ -98,13 +90,13 @@ let built label = function
       ignore (Check.print stderr [ (label, Error msg) ]);
       exit 1
 
-let make_kind ?(rx_policy = `Hybrid) ?(rx_batch = 1) nic ~mc_kb ~no_aih =
+let make_kind ?(rx_policy = Scenario.Hybrid) ?(rx_batch = 1) nic ~mc_kb ~no_aih =
   match nic with
-  | `Standard_k -> Runner.standard
-  | `Osiris_k -> Runner.osiris
-  | `Cni_k ->
+  | Scenario.Standard -> Runner.standard
+  | Scenario.Osiris -> Runner.osiris
+  | Scenario.Cni ->
       Runner.cni ~mc_bytes:(mc_kb * 1024) ~aih:(not no_aih)
-        ~rx_policy:(to_rx_policy rx_policy) ~rx_batch ()
+        ~rx_policy:(Scenario.to_rx_policy rx_policy) ~rx_batch ()
 
 (* ------------------------------------------------------------------ *)
 (* Observability options                                               *)
@@ -206,9 +198,12 @@ let corrupt_arg =
 
 let fault_seed_arg =
   Arg.(
-    value & opt int 42
+    value
+    & opt (some int) None
     & info [ "fault-seed" ] ~docv:"SEED"
-        ~doc:"Seed of the fault model's random stream (runs are reproducible per seed).")
+        ~doc:
+          "Seed of the fault model's random stream (runs are reproducible per seed). Default: \
+           the $(b,--schedule) file's seed, else 42; an explicit value wins over the file's.")
 
 let window_conv =
   let parse s =
@@ -307,7 +302,7 @@ let make_faults ~seed ~loss ~corrupt ~link_down ~schedule ~crash =
   let cfg =
     {
       base with
-      Faults.seed = (if seed <> 42 then seed else base.Faults.seed);
+      Faults.seed = Option.value seed ~default:base.Faults.seed;
       cell_loss = (if loss > 0. then loss else base.Faults.cell_loss);
       cell_corrupt = (if corrupt > 0. then corrupt else base.Faults.cell_corrupt);
       link_down = base.Faults.link_down @ link_down;
@@ -342,6 +337,17 @@ let nic_collectives_arg =
 
 let barrier_impl nic_collectives = if nic_collectives then `Nic_collective else `Centralised
 
+let application app ~n ~iterations ~molecules ~matrix =
+  match app with
+  | `Jacobi -> Runner.jacobi ~n ~iterations
+  | `Water -> Runner.water ~molecules
+  | `Cholesky ->
+      Runner.cholesky
+        (match matrix with
+        | `B14 -> Runner.bcsstk14
+        | `B15 -> lazy (Cholesky.bcsstk15_like ())
+        | `Small -> lazy (Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1))
+
 let run_cmd =
   let doc = "Run a benchmark application on a simulated cluster." in
   let run app nic procs topology page mc_kb no_aih rx_policy rx_batch cells n iterations
@@ -358,27 +364,7 @@ let run_cmd =
         (Runner.build ~params ?faults ~topology ~barrier_impl:(barrier_impl nic_collectives)
            ~kind ~procs ())
     in
-    let checksum = ref nan in
-    let application cluster lrcs =
-      match app with
-      | `Jacobi ->
-          checksum :=
-            (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n; iterations })
-              .Jacobi.checksum
-      | `Water ->
-          checksum :=
-            (Water.run cluster lrcs { Water.default_config with Water.molecules })
-              .Water.checksum
-      | `Cholesky ->
-          let a =
-            match matrix with
-            | `B14 -> Cholesky.bcsstk14_like ()
-            | `B15 -> Cholesky.bcsstk15_like ()
-            | `Small -> Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1
-          in
-          checksum := (Cholesky.run cluster lrcs (Cholesky.default_config a)).Cholesky.checksum
-    in
-    let r = Runner.exec stacks application in
+    let r = Runner.exec stacks (application app ~n ~iterations ~molecules ~matrix) in
     finish_trace ~spec:trace ~out:trace_out;
     write_metrics ~out:metrics_out r.Runner.metrics;
     Printf.printf "elapsed            %s  (%.3f x 10^9 CPU cycles)\n"
@@ -397,7 +383,7 @@ let run_cmd =
     Printf.printf "cache hit ratio    %.1f%%\n" r.Runner.hit_ratio;
     Printf.printf "host interrupts    %d\n" r.Runner.host_interrupts;
     Printf.printf "host polls         %d (%d wasted)\n" r.Runner.polls r.Runner.wasted_polls;
-    Printf.printf "checksum           %.17g\n" !checksum;
+    Printf.printf "checksum           %.17g\n" r.Runner.checksum;
     if faults <> None then
       Printf.printf "faults             %d frames destroyed, %d retransmits\n"
         r.Runner.fault_drops r.Runner.retransmits;
@@ -422,20 +408,7 @@ let sweep_cmd =
   let doc = "Sweep processor counts for one application, both interfaces." in
   let run app page mc_kb no_aih cells n iterations molecules matrix =
     let params = make_params ~page ~cells in
-    let application cluster lrcs =
-      match app with
-      | `Jacobi ->
-          ignore (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n; iterations })
-      | `Water -> ignore (Water.run cluster lrcs { Water.default_config with Water.molecules })
-      | `Cholesky ->
-          let a =
-            match matrix with
-            | `B14 -> Cholesky.bcsstk14_like ()
-            | `B15 -> Cholesky.bcsstk15_like ()
-            | `Small -> Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1
-          in
-          ignore (Cholesky.run cluster lrcs (Cholesky.default_config a))
-    in
+    let application = application app ~n ~iterations ~molecules ~matrix in
     Printf.printf "%5s  %12s  %12s  %8s  %8s  %6s\n" "procs" "cni" "standard" "sp-cni"
       "sp-std" "hit-%";
     let t1c = ref 1.0 and t1s = ref 1.0 in
@@ -444,7 +417,7 @@ let sweep_cmd =
         let run kind =
           Runner.exec (built install_check (Runner.build ~params ~kind ~procs ())) application
         in
-        let rc = run (make_kind `Cni_k ~mc_kb ~no_aih) in
+        let rc = run (make_kind Scenario.Cni ~mc_kb ~no_aih) in
         let rs = run Runner.standard in
         let tc = Time.to_s_float rc.Runner.elapsed and ts = Time.to_s_float rs.Runner.elapsed in
         if procs = 1 then begin
@@ -471,12 +444,7 @@ let latency_cmd =
   let bytes = Arg.(value & opt int 4096 & info [ "bytes" ] ~doc:"Message size.") in
   let run nic bytes page mc_kb cells =
     let params = make_params ~page ~cells in
-    let kind =
-      match nic with
-      | `Standard_k -> Runner.standard
-      | `Osiris_k -> Runner.osiris
-      | `Cni_k -> Runner.cni ~mc_bytes:(mc_kb * 1024) ~aih:false ()
-    in
+    let kind = make_kind nic ~mc_kb ~no_aih:true in
     let t =
       built install_check (Check.catch (fun () -> Microbench.latency ~params ~kind ~bytes ()))
     in
@@ -653,7 +621,7 @@ let doctor_cmd =
         ( install_check,
           Result.map stacks
             (Runner.build ~params ?faults ~topology ~barrier_impl:(barrier_impl nic_collectives)
-               ~kind:(make_kind `Cni_k ~mc_kb ~no_aih:false)
+               ~kind:(make_kind Scenario.Cni ~mc_kb ~no_aih:false)
                ~procs ()) );
       ]
     in
@@ -727,7 +695,6 @@ let chaos_cmd =
    report is entirely simulated metrics — no wall-clock — so two runs of
    the same profile are byte-identical, which CI checks. *)
 let scenario_cmd =
-  let module Scenario = Cni_experiments.Scenario in
   let module Kv = Cni_apps.Kv_serve in
   let name_arg =
     Arg.(

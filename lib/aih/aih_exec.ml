@@ -26,7 +26,10 @@ let eval_bin pc op a b =
   | Shl -> if b < 0 || b > 62 then fault "pc=%d: shift count %d" pc b else a lsl b
   | Shr -> if b < 0 || b > 62 then fault "pc=%d: shift count %d" pc b else a asr b
 
-let run ?(fuel = 1_000_000) ?(view = [||]) p ~mem ~inputs services =
+(* instructions one activation may execute before it faults *)
+let fuel = 1_000_000
+
+let run ?(view = [||]) p ~mem ~inputs services =
   if Array.length mem < p.seg_words then
     fault "segment of %d words is smaller than the program's %d" (Array.length mem) p.seg_words;
   let n = Array.length p.code in

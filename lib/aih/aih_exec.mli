@@ -31,8 +31,7 @@ exception Fault of string
     read-only window [Ldv] reads — the header words or payload chunk
     streaming dispatch latched for this activation (empty for episode
     handlers). A fresh zeroed scratch segment of [p.scratch_words] words
-    backs [Lds]/[Sts] for the duration of the run. [fuel] (default
-    1_000_000 instructions) is a hard stop far above any verifiable worst
-    case. *)
+    backs [Lds]/[Sts] for the duration of the run. A run of 1_000_000
+    instructions faults: a hard stop far above any verifiable worst case. *)
 val run :
-  ?fuel:int -> ?view:int array -> Aih_ir.program -> mem:int array -> inputs:int array -> services -> int
+  ?view:int array -> Aih_ir.program -> mem:int array -> inputs:int array -> services -> int

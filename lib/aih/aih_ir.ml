@@ -165,43 +165,6 @@ let encode p =
 let code_bytes p = Bytes.length (encode p) + (word_bytes * (p.seg_words + p.scratch_words))
 
 (* ------------------------------------------------------------------ *)
-(* Pretty-printing                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let binop_name = function
-  | Add -> "add"
-  | Sub -> "sub"
-  | Mul -> "mul"
-  | Div -> "div"
-  | Rem -> "rem"
-  | And -> "and"
-  | Or -> "or"
-  | Xor -> "xor"
-  | Shl -> "shl"
-  | Shr -> "shr"
-
-let cmp_name = function Eq -> "eq" | Ne -> "ne" | Lt -> "lt" | Le -> "le" | Gt -> "gt" | Ge -> "ge"
-
-let pp_instr fmt = function
-  | Const (rd, v) -> Format.fprintf fmt "const r%d, %d" rd v
-  | Mov (rd, rs) -> Format.fprintf fmt "mov r%d, r%d" rd rs
-  | Bin (op, rd, rs, rt) -> Format.fprintf fmt "%s r%d, r%d, r%d" (binop_name op) rd rs rt
-  | Bini (op, rd, rs, imm) -> Format.fprintf fmt "%si r%d, r%d, %d" (binop_name op) rd rs imm
-  | Load (rd, rs, off) -> Format.fprintf fmt "load r%d, [r%d+%d]" rd rs off
-  | Store (rsrc, rbase, off) -> Format.fprintf fmt "store [r%d+%d], r%d" rbase off rsrc
-  | Ldv (rd, rs, off) -> Format.fprintf fmt "ldv r%d, view[r%d+%d]" rd rs off
-  | Lds (rd, rs, off) -> Format.fprintf fmt "lds r%d, scratch[r%d+%d]" rd rs off
-  | Sts (rsrc, rbase, off) -> Format.fprintf fmt "sts scratch[r%d+%d], r%d" rbase off rsrc
-  | Br (c, rs, rt, tgt) -> Format.fprintf fmt "br.%s r%d, r%d, %d" (cmp_name c) rs rt tgt
-  | Bri (c, rs, imm, tgt) -> Format.fprintf fmt "br.%s r%d, %d, %d" (cmp_name c) rs imm tgt
-  | Jmp tgt -> Format.fprintf fmt "jmp %d" tgt
-  | Loop { counter; limit; exit } -> Format.fprintf fmt "loop r%d, %d, exit=%d" counter limit exit
-  | Send { dst; kind; obj; value } ->
-      Format.fprintf fmt "send dst=r%d kind=r%d obj=r%d value=r%d" dst kind obj value
-  | Wake { seq; value } -> Format.fprintf fmt "wake seq=r%d value=r%d" seq value
-  | Halt -> Format.fprintf fmt "halt"
-
-(* ------------------------------------------------------------------ *)
 (* Assembler                                                           *)
 (* ------------------------------------------------------------------ *)
 

@@ -114,9 +114,6 @@ val encode : program -> bytes
     [code_bytes] the verifier certifies and [Nic.install_handler] debits. *)
 val code_bytes : program -> int
 
-(** Pretty-print one instruction (diagnostics, corpus listings). *)
-val pp_instr : Format.formatter -> instr -> unit
-
 (** A small assembler for building programs with labels: emit instructions
     in order, [fresh]/[place] labels, and {!Asm.assemble} patches every
     branch target. [const_addr] emits a relocated [Const] (a segment word

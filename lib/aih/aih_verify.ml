@@ -546,13 +546,15 @@ let interpret p states =
     | Halt -> ())
   done
 
-let default_max_wcet = 200_000
+(* The longest one activation may hold the protocol processor, in NIC
+   cycles (~6 ms at 33 MHz). *)
+let max_wcet = 200_000
 
 let per_byte_milli ~wcet p =
   let bytes = Aih_ir.bytes_per_activation p in
   if bytes = 0 then 0 else ((1000 * wcet) + bytes - 1) / bytes
 
-let verify ?(max_wcet = default_max_wcet) ?cell_budget p =
+let verify ?cell_budget p =
   (* states computed so far, for rendering the diagnostic *)
   let states = ref [||] in
   let state_at pc = if pc < Array.length !states then !states.(pc) else None in

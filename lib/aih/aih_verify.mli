@@ -52,7 +52,7 @@ type reason =
   | Store_out_of_segment of interval  (** possible address range of the store *)
   | Division_by_zero  (** divisor interval contains zero *)
   | Shift_out_of_range  (** shift count may leave [0 .. 62] *)
-  | Wcet_exceeded of int  (** the computed bound, above [max_wcet] *)
+  | Wcet_exceeded of int  (** the computed bound, above 200_000 cycles *)
   | Bad_stream_decl of int
       (** a streaming declaration is out of range: view/chunk words outside
           [1 .. 16], max chunks outside [1 .. 65535], scratch outside
@@ -89,14 +89,14 @@ val explain : reject -> string
 (** All rejections on one line, ["; "]-separated. *)
 val explain_all : reject list -> string
 
-(** [verify ?max_wcet ?cell_budget p] returns the certificate or every
-    independent rejection found (program order; structural violations are
-    all collected before the loop/interpretation phases run, which need a
-    well-formed program). [max_wcet] (default 200_000 NIC cycles, ~6 ms of
-    33 MHz board time) caps how long one activation may monopolize the
-    protocol processor. [cell_budget] — NIC cycles available per streaming
+(** [verify ?cell_budget p] returns the certificate or every independent
+    rejection found (program order; structural violations are all
+    collected before the loop/interpretation phases run, which need a
+    well-formed program). A WCET above 200_000 NIC cycles (~6 ms of 33 MHz
+    board time) is rejected with {!Wcet_exceeded}: no activation may
+    monopolize the protocol processor that long. [cell_budget] — NIC cycles available per streaming
     activation at line rate, typically [Params.line_rate_budget] — enables
     admission control: a header/payload handler whose WCET exceeds it is
     rejected with {!Line_rate_exceeded}. Episode handlers ignore
     [cell_budget]. *)
-val verify : ?max_wcet:int -> ?cell_budget:int -> Aih_ir.program -> (cert, reject list) result
+val verify : ?cell_budget:int -> Aih_ir.program -> (cert, reject list) result

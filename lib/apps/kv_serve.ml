@@ -74,12 +74,12 @@ let resp_tag = 2
    value payload rides the other direction. *)
 let header_bytes = 32
 
-let run ?params ?faults ?reliability ?topology ?(watchdog = Time.s 2) ~nic_kind c =
+let run ?faults ?topology ?(watchdog = Time.s 2) ~nic_kind c =
   (match validate c with
   | Ok () -> ()
   | Error errs -> invalid_arg ("Kv_serve.run: " ^ String.concat "; " errs));
   let nodes = c.clients + c.servers in
-  let cluster = Cluster.create ?params ?faults ?reliability ?topology ~nic_kind ~nodes () in
+  let cluster = Cluster.create ?faults ?topology ~nic_kind ~nodes () in
   let eps : msg Mp.t array = Mp.install cluster in
   let keyspace = 64 * c.servers in
   let hist = Hist.create () in

@@ -75,19 +75,18 @@ type result = {
 
 (** [run ~nic_kind c] builds a [clients + servers]-node cluster, installs
     {!Cni_mp.Mp} endpoints, drives the open-loop workload to completion and
-    collects the latency distribution plus fabric/NIC counters. Optional
-    arguments are passed straight to {!Cni_cluster.Cluster.create}; note a
-    faulty fabric enables NIC-level reliable delivery by default, which
-    this workload's blocking receives rely on. [watchdog] (default 2
+    collects the latency distribution plus fabric/NIC counters. [faults]
+    and [topology] are passed straight to {!Cni_cluster.Cluster.create},
+    on Table 1's machine; note a faulty fabric enables NIC-level reliable
+    delivery with its default settings, which this workload's blocking
+    receives rely on. [watchdog] (default 2
     simulated seconds) bounds the run; a hung run raises
     {!Cni_engine.Engine.Quiescence_timeout}.
 
     Deterministic: two runs with equal arguments produce identical results.
     @raise Invalid_argument when {!validate} rejects [c]. *)
 val run :
-  ?params:Cni_machine.Params.t ->
   ?faults:Cni_atm.Faults.config ->
-  ?reliability:Cni_nic.Reliable.config ->
   ?topology:Cni_atm.Topology.kind ->
   ?watchdog:Cni_engine.Time.t ->
   nic_kind:Cni_cluster.Cluster.nic_kind ->

@@ -56,22 +56,6 @@ let normalize_windows windows =
 
 type t = { cfg : config; windows : window list; rng : Rng.t }
 
-let check_prob name p =
-  if not (p >= 0. && p <= 1.) then
-    invalid_arg (Printf.sprintf "Faults.create: %s must be in [0,1]" name)
-
-let check_window w =
-  if w.w_node < 0 then invalid_arg "Faults.create: window node must be >= 0";
-  if w.w_from > w.w_upto then invalid_arg "Faults.create: reversed link-down window (start > stop)";
-  if w.w_upto = w.w_from then invalid_arg "Faults.create: empty link-down window"
-
-let create cfg =
-  check_prob "cell_loss" cfg.cell_loss;
-  check_prob "cell_corrupt" cfg.cell_corrupt;
-  check_prob "frame_drop" cfg.frame_drop;
-  List.iter check_window cfg.link_down;
-  { cfg; windows = normalize_windows cfg.link_down; rng = Rng.create ~seed:cfg.seed }
-
 let config t = t.cfg
 
 type verdict = Pass | Corrupt of int | Lose_cells of int | Drop
@@ -111,17 +95,22 @@ let link_down t ~node ~now =
 let sorted_schedule cfg =
   List.stable_sort (fun a b -> compare a.e_at b.e_at) cfg.schedule
 
-let validate ~nodes cfg =
+(* Every rule a config breaks, in declaration order. With [Some nodes] the
+   node ids are also held to the cluster's size; with [None] only to be
+   >= 0. *)
+let problems nodes cfg =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
   let prob name p = if not (p >= 0. && p <= 1.) then err "%s %g outside [0,1]" name p in
+  let node_ok n = n >= 0 && match nodes with Some k -> n < k | None -> true in
+  let cluster = match nodes with Some k -> Printf.sprintf " (cluster has %d)" k | None -> "" in
   prob "loss" cfg.cell_loss;
   prob "corrupt" cfg.cell_corrupt;
   prob "drop" cfg.frame_drop;
   List.iter
     (fun w ->
-      if w.w_node < 0 || w.w_node >= nodes then
-        err "link-down window names node %d (cluster has %d)" w.w_node nodes;
+      if not (node_ok w.w_node) then
+        err "link-down window names node %d%s" w.w_node cluster;
       if w.w_from > w.w_upto then
         err "link-down window for node %d is reversed (start > stop)" w.w_node
       else if w.w_from = w.w_upto then
@@ -131,9 +120,9 @@ let validate ~nodes cfg =
   let crashed = Hashtbl.create 8 in
   List.iter
     (fun e ->
-      if e.e_node < 0 || e.e_node >= nodes then
-        err "schedule event at %.0f us names node %d (cluster has %d)"
-          (Time.to_us_float e.e_at) e.e_node nodes
+      if not (node_ok e.e_node) then
+        err "schedule event at %.0f us names node %d%s" (Time.to_us_float e.e_at) e.e_node
+          cluster
       else
         match e.e_fault with
         | Crash _ ->
@@ -151,104 +140,112 @@ let validate ~nodes cfg =
                   e.e_node (Time.to_us_float e.e_at)
             | Some _ -> Hashtbl.remove crashed e.e_node))
     (sorted_schedule cfg);
-  match List.rev !errors with [] -> Ok () | es -> Error es
+  List.rev !errors
+
+let validate ~nodes cfg = match problems (Some nodes) cfg with [] -> Ok () | es -> Error es
+
+let create cfg =
+  match problems None cfg with
+  | [] -> { cfg; windows = normalize_windows cfg.link_down; rng = Rng.create ~seed:cfg.seed }
+  | es -> invalid_arg ("Faults.create: " ^ String.concat "; " es)
 
 (* ------------------------------------------------------------------ *)
 (* Text format                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* One directive per line; '#' starts a comment; times are integer
-   microseconds of engine time:
+(* Each directive and the arguments it takes, in the order [config_to_string]
+   writes them. *)
+let usage =
+  [
+    ("seed", "SEED");
+    ("loss", "P");
+    ("corrupt", "P");
+    ("drop", "P");
+    ("down", "NODE FROM_US UPTO_US");
+    ("crash", "NODE AT_US [scrub]");
+    ("restart", "NODE AT_US");
+  ]
 
-     seed 7
-     loss 1e-4
-     corrupt 0
-     drop 0
-     down NODE FROM_US UPTO_US
-     crash NODE AT_US [scrub]
-     restart NODE AT_US *)
+let directive cfg word args =
+  let ( let* ) = Result.bind in
+  let int_of s =
+    match int_of_string_opt s with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "expected an integer, got %S" s)
+  in
+  let float_of s =
+    match float_of_string_opt s with
+    | Some f -> Ok f
+    | None -> Error (Printf.sprintf "expected a number, got %S" s)
+  in
+  let event n at e_fault =
+    let* e_node = int_of n in
+    let* at_us = int_of at in
+    Ok { cfg with schedule = cfg.schedule @ [ { e_node; e_at = Time.us at_us; e_fault } ] }
+  in
+  match (word, args) with
+  | "seed", [ s ] ->
+      let* seed = int_of s in
+      Ok { cfg with seed }
+  | "loss", [ p ] ->
+      let* cell_loss = float_of p in
+      Ok { cfg with cell_loss }
+  | "corrupt", [ p ] ->
+      let* cell_corrupt = float_of p in
+      Ok { cfg with cell_corrupt }
+  | "drop", [ p ] ->
+      let* frame_drop = float_of p in
+      Ok { cfg with frame_drop }
+  | "down", [ n; a; b ] ->
+      let* w_node = int_of n in
+      let* from_us = int_of a in
+      let* upto_us = int_of b in
+      let w = { w_node; w_from = Time.us from_us; w_upto = Time.us upto_us } in
+      Ok { cfg with link_down = cfg.link_down @ [ w ] }
+  | "crash", [ n; at ] -> event n at (Crash { scrub = false })
+  | "crash", [ n; at; "scrub" ] -> event n at (Crash { scrub = true })
+  | "restart", [ n; at ] -> event n at Restart
+  | _ -> (
+      match List.assoc_opt word usage with
+      | Some args -> Error ("expected " ^ args)
+      | None ->
+          Error
+            (Printf.sprintf "unknown directive (expected %s)"
+               (String.concat ", " (List.map fst usage))))
 
 let config_of_string text =
-  let lineno = ref 0 in
-  let strip line = match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
   let fields line =
-    String.split_on_char ' ' (String.trim (strip line))
+    let line = match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line in
+    String.split_on_char ' ' line
     |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun s -> s <> "")
+    |> List.filter (( <> ) "")
   in
-  let fail fmt = Printf.ksprintf (fun s -> Error (Printf.sprintf "line %d: %s" !lineno s)) fmt in
-  let int_of s = match int_of_string_opt s with
-    | Some n -> Ok n
-    | None -> fail "expected an integer, got %S" s
-  in
-  let float_of s = match float_of_string_opt s with
-    | Some f -> Ok f
-    | None -> fail "expected a number, got %S" s
-  in
-  let ( let* ) = Result.bind in
-  let rec go cfg = function
-    | [] -> Ok { cfg with link_down = List.rev cfg.link_down; schedule = List.rev cfg.schedule }
+  let rec go lineno cfg = function
+    | [] -> Ok cfg
     | line :: rest -> (
-        incr lineno;
         match fields line with
-        | [] -> go cfg rest
-        | [ "seed"; s ] ->
-            let* seed = int_of s in
-            go { cfg with seed } rest
-        | [ "loss"; p ] ->
-            let* cell_loss = float_of p in
-            go { cfg with cell_loss } rest
-        | [ "corrupt"; p ] ->
-            let* cell_corrupt = float_of p in
-            go { cfg with cell_corrupt } rest
-        | [ "drop"; p ] ->
-            let* frame_drop = float_of p in
-            go { cfg with frame_drop } rest
-        | [ "down"; n; a; b ] ->
-            let* node = int_of n in
-            let* from_us = int_of a in
-            let* upto_us = int_of b in
-            let w = { w_node = node; w_from = Time.us from_us; w_upto = Time.us upto_us } in
-            go { cfg with link_down = w :: cfg.link_down } rest
-        | "crash" :: n :: at :: tail when tail = [] || tail = [ "scrub" ] ->
-            let* node = int_of n in
-            let* at_us = int_of at in
-            let e =
-              { e_node = node; e_at = Time.us at_us; e_fault = Crash { scrub = tail <> [] } }
-            in
-            go { cfg with schedule = e :: cfg.schedule } rest
-        | [ "restart"; n; at ] ->
-            let* node = int_of n in
-            let* at_us = int_of at in
-            let e = { e_node = node; e_at = Time.us at_us; e_fault = Restart } in
-            go { cfg with schedule = e :: cfg.schedule } rest
-        | word :: _ ->
-            fail
-              "unknown directive %S (expected seed, loss, corrupt, drop, down, crash, restart)"
-              word)
+        | [] -> go (lineno + 1) cfg rest
+        | word :: args -> (
+            match directive cfg word args with
+            | Ok cfg -> go (lineno + 1) cfg rest
+            | Error e -> Error (Printf.sprintf "line %d: %s: %s" lineno word e)))
   in
-  go none (String.split_on_char '\n' text)
+  go 1 none (String.split_on_char '\n' text)
 
 let config_to_string cfg =
   let b = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
+  let us t = Time.to_ps t / 1_000_000 in
   if cfg.seed <> none.seed then line "seed %d" cfg.seed;
-  if cfg.cell_loss <> 0. then line "loss %g" cfg.cell_loss;
-  if cfg.cell_corrupt <> 0. then line "corrupt %g" cfg.cell_corrupt;
-  if cfg.frame_drop <> 0. then line "drop %g" cfg.frame_drop;
-  List.iter
-    (fun w ->
-      line "down %d %.0f %.0f" w.w_node (Time.to_us_float w.w_from) (Time.to_us_float w.w_upto))
-    cfg.link_down;
+  if cfg.cell_loss <> 0. then line "loss %.17g" cfg.cell_loss;
+  if cfg.cell_corrupt <> 0. then line "corrupt %.17g" cfg.cell_corrupt;
+  if cfg.frame_drop <> 0. then line "drop %.17g" cfg.frame_drop;
+  List.iter (fun w -> line "down %d %d %d" w.w_node (us w.w_from) (us w.w_upto)) cfg.link_down;
   List.iter
     (fun e ->
       match e.e_fault with
       | Crash { scrub } ->
-          line "crash %d %.0f%s" e.e_node (Time.to_us_float e.e_at)
-            (if scrub then " scrub" else "")
-      | Restart -> line "restart %d %.0f" e.e_node (Time.to_us_float e.e_at))
+          line "crash %d %d%s" e.e_node (us e.e_at) (if scrub then " scrub" else "")
+      | Restart -> line "restart %d %d" e.e_node (us e.e_at))
     cfg.schedule;
   Buffer.contents b

@@ -77,30 +77,43 @@ val sorted_schedule : config -> event list
     all problems found, not just the first. *)
 val validate : nodes:int -> config -> (unit, string list) result
 
-(** Parse the small text fault-schedule format. One directive per line,
-    ['#'] starts a comment, times are integer microseconds of engine time:
+(** [directive cfg word args] applies one line of the text format — the
+    directive [word] and its whitespace-separated [args] — to [cfg]. The
+    directives, with times in integer microseconds of engine time:
     {v
-    seed 7
-    loss 1e-4
-    corrupt 0
-    drop 0
+    seed SEED
+    loss P
+    corrupt P
+    drop P
     down NODE FROM_US UPTO_US
     crash NODE AT_US [scrub]
     restart NODE AT_US
     v}
-    The error carries the offending line number. *)
+    [down], [crash] and [restart] append to the window list or the schedule;
+    the others set their field. The error (an unknown directive, a wrong
+    argument count, a malformed number) carries no line number: callers
+    that read a file add it. Scenario profiles read their fault lines
+    through this parser too. *)
+val directive : config -> string -> string list -> (config, string) result
+
+(** Parse a whole fault-schedule text: one {!directive} per line, ['#']
+    starts a comment, blank lines are skipped. The error carries the
+    offending line number. *)
 val config_of_string : string -> (config, string) result
 
-(** Render a config back into the text format (omitting defaults); a
-    round-trip through {!config_of_string} yields an equal config for
+(** Render a config back into the text format, omitting the seed when it is
+    {!none}'s and zero probabilities. Probabilities are printed with 17
+    significant digits and times in whole microseconds, so a round-trip
+    through {!config_of_string} yields an equal config for
     microsecond-aligned times. *)
 val config_to_string : config -> string
 
 type t
 
-(** @raise Invalid_argument on a probability outside [0,1], a reversed
-    window ([start > stop]) or an empty one. The stored window list is
-    normalized with {!normalize_windows}. *)
+(** @raise Invalid_argument listing every rule of {!validate} the config
+    breaks, node ids held only to be non-negative (the cluster size is not
+    known here). The stored window list is normalized with
+    {!normalize_windows}. *)
 val create : config -> t
 
 val config : t -> config

@@ -6,7 +6,7 @@ module Params = Cni_machine.Params
 module Fabric = Cni_atm.Fabric
 module Nic = Cni_nic.Nic
 
-type nic_kind = [ `Cni of Nic.cni_options | `Osiris of Nic.osiris_options | `Standard ]
+type nic_kind = Nic.kind
 
 type 'a t = {
   eng : Engine.t;
@@ -57,14 +57,10 @@ let create ?(params = Params.default) ?faults ?reliability ?(reliability_off = f
   let faulty =
     match faults with Some f when not (Cni_atm.Faults.is_none f) -> Some f | _ -> None
   in
-  (match faulty with
-  | Some f when f.Cni_atm.Faults.schedule <> [] -> (
-      match Cni_atm.Faults.validate ~nodes f with
-      | Ok () -> ()
-      | Error errs ->
-          invalid_arg
-            ("Cluster.create: inconsistent fault schedule: " ^ String.concat "; " errs))
-  | _ -> ());
+  (match Option.map (Cni_atm.Faults.validate ~nodes) faulty with
+  | Some (Error errs) ->
+      invalid_arg ("Cluster.create: invalid fault model: " ^ String.concat "; " errs)
+  | Some (Ok ()) | None -> ());
   let fabric = Fabric.create ~registry ?faults:faulty ?topology eng params ~nodes in
   (* an injected-fault fabric without reliable delivery would just lose
      protocol messages and deadlock; default the protocol on when faults are

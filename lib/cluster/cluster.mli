@@ -4,8 +4,8 @@
     Polymorphic in the protocol-message payload type ['a] (the DSM layer
     instantiates it with its message type; examples use their own). *)
 
-type nic_kind =
-  [ `Cni of Cni_nic.Nic.cni_options | `Osiris of Cni_nic.Nic.osiris_options | `Standard ]
+(** The board every node carries (see {!Cni_nic.Nic.kind}). *)
+type nic_kind = Cni_nic.Nic.kind
 
 type 'a t
 
@@ -17,18 +17,18 @@ type 'a t
     fabric). [reliability_off] forces NIC reliability off even under
     faults, for workloads that bring their own recovery protocol — the
     firmware-compiled {!Cni_nic.Reliable_ir} endpoints, notably — and
-    accept raw loss everywhere else. A non-empty [faults.schedule] is
-    validated against the node
-    count and wired onto engine timers: each event calls {!crash_node} /
-    {!restart_node} at its time.
+    accept raw loss everywhere else. Every fault model other than
+    {!Cni_atm.Faults.none} is validated against the node count (see
+    {!Cni_atm.Faults.validate}), and its schedule is wired onto engine
+    timers: each event calls {!crash_node} / {!restart_node} at its time.
 
     [topology] selects the fabric's interconnect shape (default
     {!Cni_atm.Topology.Single}, the seed central switch).
 
     @raise Invalid_argument listing every error of a machine geometry that
-    fails {!Cni_machine.Params.validate}, on an inconsistent fault schedule
-    (see {!Cni_atm.Faults.validate}) or a topology that rejects the node
-    count (see {!Cni_atm.Topology.validate}). *)
+    fails {!Cni_machine.Params.validate}, every error of a fault model that
+    fails {!Cni_atm.Faults.validate}, or on a topology that rejects the
+    node count (see {!Cni_atm.Topology.validate}). *)
 val create :
   ?params:Cni_machine.Params.t ->
   ?faults:Cni_atm.Faults.config ->

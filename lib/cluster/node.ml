@@ -78,15 +78,7 @@ let create ?registry ?reliability eng p fabric ~id ~nic_kind =
       overhead = (fun d -> t.t_service <- Time.(t.t_service + d));
     }
   in
-  let nic =
-    match nic_kind with
-    | `Cni options ->
-        Nic.create_cni ?registry ?reliability eng bus fabric ~node:id ~host ~options ()
-    | `Osiris options ->
-        Nic.create_osiris ?registry ?reliability eng bus fabric ~node:id ~host ~options ()
-    | `Standard -> Nic.create_standard ?registry ?reliability eng bus fabric ~node:id ~host ()
-  in
-  t.nic <- Some nic;
+  t.nic <- Some (Nic.create ?registry ?reliability ~kind:nic_kind eng bus fabric ~node:id ~host);
   t
 
 let id t = t.id

@@ -30,8 +30,7 @@ val create :
   Cni_machine.Params.t ->
   'a Cni_atm.Fabric.t ->
   id:int ->
-  nic_kind:
-    [ `Cni of Cni_nic.Nic.cni_options | `Osiris of Cni_nic.Nic.osiris_options | `Standard ] ->
+  nic_kind:Cni_nic.Nic.kind ->
   'a t
 
 val id : 'a t -> int

@@ -3,8 +3,6 @@ let word_bytes = 8
 type run = { offset : int (* byte offset, word aligned *); data : Bytes.t }
 type t = run list (* ascending, non-adjacent *)
 
-let make_twin = Bytes.copy
-
 let create ~twin ~current =
   let len = Bytes.length twin in
   if Bytes.length current <> len then invalid_arg "Diff.create: length mismatch";

@@ -15,9 +15,6 @@ type t
 
 val word_bytes : int (** 8 *)
 
-(** [make_twin page] is a private copy. *)
-val make_twin : Bytes.t -> Bytes.t
-
 (** [create ~twin ~current] — runs of words that differ.
     @raise Invalid_argument if lengths differ or are not word multiples. *)
 val create : twin:Bytes.t -> current:Bytes.t -> t

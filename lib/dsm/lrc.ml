@@ -10,6 +10,8 @@ module Nic = Cni_nic.Nic
 module Wire = Cni_nic.Wire
 module Collectives = Cni_mp.Collectives
 
+(* Protocol instruction counts, charged at the NIC or host clock depending
+   on where the code runs. *)
 type costs = {
   acquire_local : int;
   acquire_remote : int;
@@ -29,7 +31,7 @@ type costs = {
   pio_per_word : int;
 }
 
-let default_costs =
+let costs =
   {
     acquire_local = 60;
     acquire_remote = 150;
@@ -85,7 +87,6 @@ type t = {
   me : int;
   node : Protocol.msg Node.t;
   space : Space.t;
-  costs : costs;
   max_resident : int;
   vc : Vclock.t;
   last_barrier_vc : Vclock.t;
@@ -299,7 +300,6 @@ let diff_bytes_of_mask mask dirty_words =
 
 let close_interval t =
   if Vec.length t.dirty_set > 0 then begin
-    let c = t.costs in
     let seq = Vclock.incr t.vc t.me in
     let pb = page_bytes t in
     let total_dirty = ref 0 in
@@ -316,7 +316,7 @@ let close_interval t =
     in
     (* ... and its cost is protocol overhead *)
     Node.overhead_cycles t.node
-      ((c.diff_create_per_word * !total_dirty) + (c.notice_make * List.length notices));
+      ((costs.diff_create_per_word * !total_dirty) + (costs.notice_make * List.length notices));
     (* write-back consistency: flush the dirtied pages so host memory (and,
        through snooping, the Message Cache) holds the released data *)
     Vec.iter
@@ -326,7 +326,7 @@ let close_interval t =
        deposited into AIH memory by programmed I/O; diff DATA is extracted
        lazily at request time from the Message Cache copy (or DMAed then) *)
     if Nic.aih_enabled (nic t) then
-      Node.overhead_cycles t.node (c.pio_per_word * 2 * List.length notices);
+      Node.overhead_cycles t.node (costs.pio_per_word * 2 * List.length notices);
     Space.record_interval t.space ~node:t.me ~seq ~notices;
     Vec.iter
       (fun page ->
@@ -347,7 +347,7 @@ let close_interval t =
 
 let apply_notices t ex notices =
   let n = List.length notices in
-  if n > 0 then ex.charge (t.costs.notice_apply * n);
+  if n > 0 then ex.charge (costs.notice_apply * n);
   List.iter
     (fun { Protocol.page; owner; seq; _ } ->
       if owner <> t.me then begin
@@ -422,7 +422,7 @@ let rec fault_in t ex ~page ~write_intent =
   let st = get_page t page in
   if not st.valid then begin
     Stats.Counter.incr t.s_faults;
-    ex.charge t.costs.fault;
+    ex.charge costs.fault;
     (if not st.has_copy then begin
        (* no base copy: must take the whole page from its last writer *)
        let owner = Space.last_writer t.space ~page in
@@ -470,13 +470,12 @@ let ensure_write t ~page =
   if not st0.valid then fault_in t (client_exec t) ~page ~write_intent:true;
   let st = get_page t page in
   if not st.twinned then begin
-    let c = t.costs in
     let words = page_words t in
     (* twin: copy the page into a shadow buffer (real cache traffic) *)
     let twin_addr = addr_of t page + (1 lsl 50) in
     Node.touch t.node ~addr:(addr_of t page) ~bytes:(page_bytes t) ~write:false;
     Node.touch t.node ~addr:twin_addr ~bytes:(page_bytes t) ~write:true;
-    Node.overhead_cycles t.node (c.twin_per_word * words);
+    Node.overhead_cycles t.node (costs.twin_per_word * words);
     st.twinned <- true;
     if Bytes.length st.mask = 0 then st.mask <- Bytes.make ((words + 7) / 8) '\000';
     Vec.push t.dirty_set page;
@@ -523,7 +522,7 @@ let get_lock t lock =
 (* Grant the lock to [requester]: piggyback every interval it has not seen. *)
 let send_grant t ex ~lock ~requester ~req_vc =
   let notices = Space.notices_between t.space ~from_vc:req_vc ~upto_vc:t.vc in
-  ex.charge (t.costs.notice_make * List.length notices);
+  ex.charge (costs.notice_make * List.length notices);
   ex.send ~dst:requester
     (Protocol.Lock_grant { lock; vc = Vclock.copy t.vc; notices })
     Nic.No_data
@@ -538,7 +537,7 @@ let must_defer_grant t lock =
 
 (* Server side: an acquire arrived at the manager (or was routed locally). *)
 let handle_lock_acquire t ex ~lock ~requester ~req_vc =
-  ex.charge t.costs.server_lock;
+  ex.charge costs.server_lock;
   let prev = Space.lock_last_owner t.space ~lock in
   Space.set_lock_last_owner t.space ~lock ~node:requester;
   if prev = requester then
@@ -564,11 +563,11 @@ let acquire t ~lock =
     st.holding <- true;
     t.locks_held <- t.locks_held + 1;
     Stats.Counter.incr t.s_local_acquires;
-    Node.overhead_cycles t.node t.costs.acquire_local
+    Node.overhead_cycles t.node costs.acquire_local
   end
   else begin
     let ex = client_exec t in
-    ex.charge t.costs.acquire_remote;
+    ex.charge costs.acquire_remote;
     let iv, fresh = find_or_create_wait t.lock_waits lock in
     assert fresh;
     let manager = Space.lock_manager t.space ~lock in
@@ -591,7 +590,7 @@ let release t ~lock =
   let st = get_lock t lock in
   if not st.holding then invalid_arg "Lrc.release: lock not held";
   close_interval t;
-  Node.overhead_cycles t.node t.costs.release;
+  Node.overhead_cycles t.node costs.release;
   st.holding <- false;
   t.locks_held <- t.locks_held - 1;
   match st.pending_forward with
@@ -602,7 +601,7 @@ let release t ~lock =
   | None -> ()
 
 let handle_lock_forward t ex ~lock ~requester ~req_vc =
-  ex.charge t.costs.server_lock;
+  ex.charge costs.server_lock;
   let st = get_lock t lock in
   st.am_last <- false;
   if must_defer_grant t lock then st.pending_forward <- Some (requester, req_vc)
@@ -626,7 +625,7 @@ let handle_lock_grant t ex ~lock ~vc ~notices =
 (* ------------------------------------------------------------------ *)
 
 let handle_page_req t ex ~page ~requester ~write_intent =
-  ex.charge t.costs.server_page;
+  ex.charge costs.server_page;
   (* our copy may itself be invalid (we applied notices since we wrote it);
      bring it up to date before serving *)
   let st = get_page t page in
@@ -639,7 +638,7 @@ let handle_page_req t ex ~page ~requester ~write_intent =
     (Nic.Page { vaddr = addr_of t page; bytes = page_bytes t; cacheable = true })
 
 let handle_page_reply t (ctx : Protocol.msg Nic.ctx) ex ~page ~server ~migratory =
-  ex.charge t.costs.server_page;
+  ex.charge costs.server_page;
   ctx.Nic.deliver_page ~vaddr:(addr_of t page) ~bytes:(page_bytes t) ~cacheable:migratory;
   let st = get_page t page in
   (* the server's copy carries everything the server had applied: merge its
@@ -666,7 +665,7 @@ let handle_page_reply t (ctx : Protocol.msg Nic.ctx) ex ~page ~server ~migratory
   | None -> failwith "Lrc: unexpected page reply" 
 
 let handle_diff_req t ex ~page ~requester ~since ~upto =
-  ex.charge t.costs.server_diff;
+  ex.charge costs.server_diff;
   let bytes = Space.diff_bytes_between t.space ~owner:t.me ~page ~since ~upto in
   (* the diff data comes out of the page's buffer: on a CNI board a Message
      Cache hit serves it without touching the host; a miss DMAs the words
@@ -677,7 +676,7 @@ let handle_diff_req t ex ~page ~requester ~since ~upto =
 
 let handle_diff_reply t (ctx : Protocol.msg Nic.ctx) ex ~page ~owner ~bytes ~upto =
   let words = (bytes + 7) / 8 in
-  ex.charge (t.costs.diff_apply_per_word * words);
+  ex.charge (costs.diff_apply_per_word * words);
   (* the changed words are written into the host page *)
   if bytes > 0 then
     ctx.Nic.deliver_page ~vaddr:(addr_of t page)
@@ -714,14 +713,14 @@ let get_barrier_acc t id =
 
 (* Runs on the manager (node 0) for every arrival, including its own. *)
 let barrier_arrival t ex ~id ~from ~vc =
-  ex.charge t.costs.server_barrier;
+  ex.charge costs.server_barrier;
   let acc = get_barrier_acc t id in
   acc.arrived <- acc.arrived + 1;
   acc.vcs <- (from, vc) :: acc.vcs;
   if acc.arrived = nprocs t then begin
     let merged = Vclock.create (nprocs t) in
     List.iter (fun (_, v) -> Vclock.merge merged v) acc.vcs;
-    ex.charge (t.costs.server_barrier_per_node * nprocs t);
+    ex.charge (costs.server_barrier_per_node * nprocs t);
     (* construct the union of unseen intervals ONCE (from the pointwise
        minimum of the arrival clocks) and broadcast the same notice list to
        every node — TreadMarks-style interval distribution; per-destination
@@ -734,7 +733,7 @@ let barrier_arrival t ex ~id ~from ~vc =
         done)
       acc.vcs;
     let notices = Space.notices_between t.space ~from_vc:min_vc ~upto_vc:merged in
-    ex.charge (t.costs.notice_make * List.length notices);
+    ex.charge (costs.notice_make * List.length notices);
     List.iter
       (fun (n, _) ->
         if n <> t.me then
@@ -804,7 +803,7 @@ let collective_barrier t coll =
 
 let barrier t ~id =
   close_interval t;
-  Node.overhead_cycles t.node t.costs.barrier_client;
+  Node.overhead_cycles t.node costs.barrier_client;
   Stats.Counter.incr t.s_barriers;
   if Trace.enabled_cat Trace.Dsm then
     Trace.span_begin ~t_ps:(now_ps t) ~node:t.me Trace.Dsm ~label:"barrier" ~payload:id;
@@ -850,7 +849,7 @@ let handle t (ctx : Protocol.msg Nic.ctx) (pkt : Protocol.msg Cni_atm.Fabric.pac
       (* routed on the collectives channel, classified by its own handler *)
       failwith "Lrc: collective payload arrived on the DSM channel"
 
-let create cluster space_ costs max_resident ~id =
+let create cluster space_ max_resident ~id =
   let n = Cluster.node cluster id in
   let registry = Cluster.metrics cluster in
   let counter name = Stats.Registry.counter registry ~node:id ~subsystem:"dsm" name in
@@ -866,7 +865,6 @@ let create cluster space_ costs max_resident ~id =
     me = id;
     node = n;
     space = space_;
-    costs;
     max_resident;
     vc = Vclock.create (Space.nprocs space_);
     last_barrier_vc = Vclock.create (Space.nprocs space_);
@@ -900,10 +898,9 @@ let create cluster space_ costs max_resident ~id =
    (Protocol.channel = 1 carries the point-to-point DSM traffic). *)
 let collectives_channel = 4
 
-let install cluster space_ ?(costs = default_costs) ?(max_resident_pages = max_int)
-    ?(barrier_impl = `Centralised) () =
+let install cluster space_ ?(max_resident_pages = max_int) ?(barrier_impl = `Centralised) () =
   let n = Cluster.size cluster in
-  let engines = Array.init n (fun id -> create cluster space_ costs max_resident_pages ~id) in
+  let engines = Array.init n (fun id -> create cluster space_ max_resident_pages ~id) in
   let coll =
     match barrier_impl with
     | `Centralised -> None

@@ -27,29 +27,6 @@
 
 type t
 
-(** Protocol instruction costs (counts; charged at the NIC or host clock
-    depending on where the code runs). *)
-type costs = {
-  acquire_local : int;
-  acquire_remote : int;
-  release : int;
-  barrier_client : int;
-  fault : int;
-  twin_per_word : int;
-  diff_create_per_word : int;
-  diff_apply_per_word : int;
-  notice_apply : int;
-  notice_make : int;
-  server_lock : int;
-  server_page : int;
-  server_diff : int;
-  server_barrier : int;
-  server_barrier_per_node : int;
-  pio_per_word : int;
-}
-
-val default_costs : costs
-
 (** [install cluster space] creates one protocol engine per node and installs
     the server handlers on every NIC. [max_resident_pages] bounds the shared
     mappings a node keeps (approximate-LRU replacement of clean pages, the
@@ -65,7 +42,6 @@ val default_costs : costs
 val install :
   Protocol.msg Cni_cluster.Cluster.t ->
   Space.t ->
-  ?costs:costs ->
   ?max_resident_pages:int ->
   ?barrier_impl:[ `Centralised | `Nic_collective ] ->
   unit ->

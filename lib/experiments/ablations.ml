@@ -1,28 +1,9 @@
 module Time = Cni_engine.Time
 module Nic = Cni_nic.Nic
-module Cholesky = Cni_apps.Cholesky
-module Water = Cni_apps.Water
-module Jacobi = Cni_apps.Jacobi
 
-let bcsstk14 = lazy (Cholesky.bcsstk14_like ())
-
-let cholesky c l = ignore (Cholesky.run c l (Cholesky.default_config (Lazy.force bcsstk14)))
-let water c l = ignore (Water.run c l { Water.default_config with Water.molecules = 216 })
-
-let jacobi c l =
-  ignore (Jacobi.run c l { Jacobi.default_config with Jacobi.n = 512; iterations = 12 })
-
-(* checksum-capturing variants, for rows that must show numerics unchanged *)
-let cholesky_ck ck c l =
-  ck := (Cholesky.run c l (Cholesky.default_config (Lazy.force bcsstk14))).Cholesky.checksum
-
-let water_ck ck c l =
-  ck := (Water.run c l { Water.default_config with Water.molecules = 216 }).Water.checksum
-
-let jacobi_ck ck c l =
-  ck :=
-    (Jacobi.run c l { Jacobi.default_config with Jacobi.n = 512; iterations = 12 })
-      .Jacobi.checksum
+let cholesky = Runner.cholesky Runner.bcsstk14
+let water = Runner.water ~molecules:216
+let jacobi = Runner.jacobi ~n:512 ~iterations:12
 
 let row name kind app =
   let r = Runner.run ~kind ~procs:8 app in
@@ -68,13 +49,7 @@ let hybrid_receive () =
    sweep where a computing host receives paced frames (isolating the wakeup
    cost of each policy at a known rate), then the three applications, whose
    checksums double as proof the policy changes timing only. *)
-let rx_policies =
-  [
-    ("interrupt", Nic.Rx_interrupt);
-    ("poll", Nic.Rx_poll);
-    ("hybrid", Nic.Rx_hybrid);
-    ("adaptive", Nic.Rx_adaptive Nic.default_rx_adaptive);
-  ]
+let rx_policies = List.map (fun (name, rx) -> (name, Scenario.to_rx_policy rx)) Scenario.rx_names
 
 let rx_policy () =
   let synth_row name ?(rx_batch = 1) ~gap ~count (pname, policy) =
@@ -113,14 +88,10 @@ let rx_policy () =
   in
   let app_rows =
     List.concat_map
-      (fun (aname, app_ck) ->
+      (fun (aname, app) ->
         List.map
           (fun (pname, policy) ->
-            let ck = ref nan in
-            let r =
-              Runner.run ~kind:(Runner.cni ~aih:false ~rx_policy:policy ()) ~procs:8
-                (app_ck ck)
-            in
+            let r = Runner.run ~kind:(Runner.cni ~aih:false ~rx_policy:policy ()) ~procs:8 app in
             [
               aname;
               pname;
@@ -129,13 +100,13 @@ let rx_policy () =
               string_of_int r.Runner.wasted_polls;
               "-";
               Format.asprintf "%a" Time.pp r.Runner.elapsed;
-              Printf.sprintf "%.10g" !ck;
+              Printf.sprintf "%.10g" r.Runner.checksum;
             ])
           rx_policies)
       [
-        ("Jacobi 512 (8 procs)", jacobi_ck);
-        ("Water 216 (8 procs)", water_ck);
-        ("Cholesky bcsstk14-like (8 procs)", cholesky_ck);
+        ("Jacobi 512 (8 procs)", jacobi);
+        ("Water 216 (8 procs)", water);
+        ("Cholesky bcsstk14-like (8 procs)", cholesky);
       ]
   in
   Report.make ~id:"ablation-rxpolicy"
@@ -303,10 +274,7 @@ let ordering () =
   let scrambled = Sparse.permute a ~perm:(Array.init 600 (fun i -> (i * 389) mod 600)) in
   let rcm = Sparse.permute scrambled ~perm:(Sparse.rcm scrambled) in
   let row name m =
-    let r =
-      Runner.run ~kind:(Runner.cni ()) ~procs:8 (fun c l ->
-          ignore (Cholesky.run c l (Cholesky.default_config m)))
-    in
+    let r = Runner.run ~kind:(Runner.cni ()) ~procs:8 (Runner.cholesky (Lazy.from_val m)) in
     [
       name;
       string_of_int (Sparse.nnz (Sparse.symbolic m));
@@ -546,14 +514,12 @@ let topology () =
   let app_runs =
     List.map
       (fun (tname, topology) ->
-        let ck = ref nan in
-        let r = Runner.run ~topology ~kind:(Runner.cni ()) ~procs:256 (jacobi_ck ck) in
-        (tname, topology, r, !ck))
+        (tname, topology, Runner.run ~topology ~kind:(Runner.cni ()) ~procs:256 jacobi))
       topologies
   in
   let app_rows =
     List.map
-      (fun (tname, _, r, ck) ->
+      (fun (tname, _, r) ->
         [
           "Jacobi 512 (256 procs)";
           tname;
@@ -562,7 +528,7 @@ let topology () =
           Format.asprintf "%a" Time.pp r.Runner.elapsed;
           string_of_int r.Runner.hop_waits;
           string_of_int r.Runner.banyan_conflicts;
-          Printf.sprintf "%.10g" ck;
+          Printf.sprintf "%.10g" r.Runner.checksum;
         ])
       app_runs
   in
@@ -572,7 +538,7 @@ let topology () =
      counted, not charged — the seed-equivalence contract) *)
   let metrics =
     List.concat_map
-      (fun (_, topology, r, ck) ->
+      (fun (_, topology, r) ->
         let slug =
           match topology with
           | Cni_atm.Topology.Single -> "single"
@@ -580,7 +546,7 @@ let topology () =
           | Cni_atm.Topology.Torus _ -> "torus"
         in
         [
-          ("jacobi256-" ^ slug ^ "-checksum", ck);
+          ("jacobi256-" ^ slug ^ "-checksum", r.Runner.checksum);
           ("jacobi256-" ^ slug ^ "-hop-waits", float_of_int r.Runner.hop_waits);
           ("jacobi256-" ^ slug ^ "-conflicts", float_of_int r.Runner.banyan_conflicts);
         ])
@@ -623,14 +589,6 @@ let serving () =
   let requests = if !Figures.quick then 30 else 80 in
   let loads = [ ("moderate", 20_000.); ("high", 60_000.) ] in
   let topologies = [ ("single", Topology.Single); ("torus", Topology.Torus { dims = None }) ] in
-  let policies =
-    [
-      ("interrupt", Scenario.Interrupt);
-      ("poll", Scenario.Poll);
-      ("hybrid", Scenario.Hybrid);
-      ("adaptive", Scenario.Adaptive);
-    ]
-  in
   let runs =
     List.concat_map
       (fun (tname, topology) ->
@@ -651,7 +609,7 @@ let serving () =
                   }
                 in
                 (tname, lname, pname, Scenario.run profile))
-              policies)
+              Scenario.rx_names)
           loads)
       topologies
   in

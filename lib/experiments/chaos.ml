@@ -56,6 +56,10 @@ let schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub =
   done;
   List.rev !evs
 
+(* Simulated time after which a run that has not drained is a structured
+   failure, not a hang. *)
+let watchdog = Time.s 1
+
 let outcome_of_exn = function
   | Engine.Quiescence_timeout _ -> "watchdog"
   | Cluster.Deadlock _ -> "deadlock"
@@ -109,7 +113,7 @@ let collect ?(rx_timeouts = 0) ~outcome ~completed ~checksum ~sched cluster =
    produce the fault-free checksum. The watchdog turns any unrecovered run
    into a structured failure. *)
 let run_dsm ?(seed = 7) ?(procs = 8) ?(n = 128) ?(iterations = 8) ?(scrub = false)
-    ?(watchdog = Time.s 1) ?(kind = Runner.cni ()) ~crashes ~down () =
+    ?(kind = Runner.cni ()) ~crashes ~down () =
   let sched =
     schedule ~seed ~nodes:procs ~crashes ~start:(Time.us 200) ~slot:(Time.us 600) ~down
       ~scrub
@@ -133,8 +137,7 @@ let run_dsm ?(seed = 7) ?(procs = 8) ?(n = 128) ?(iterations = 8) ?(scrub = fals
    predecessor's with [Mp.recv_timeout]; a round whose predecessor is
    crashed times out and moves on (counted), so the ring degrades instead of
    stalling. The checksum folds every token actually received. *)
-let run_ring ?(seed = 7) ?(nodes = 8) ?(rounds = 24) ?(scrub = false)
-    ?(rx_timeout = Time.us 400) ?(watchdog = Time.s 1) ?(kind = Runner.cni ())
+let run_ring ?(seed = 7) ?(nodes = 8) ?(rounds = 24) ?(scrub = false) ?(kind = Runner.cni ())
     ~crashes ~down () =
   let sched =
     schedule ~seed ~nodes ~crashes ~start:(Time.us 100) ~slot:(Time.us 600) ~down ~scrub
@@ -151,7 +154,7 @@ let run_ring ?(seed = 7) ?(nodes = 8) ?(rounds = 24) ?(scrub = false)
         let next = (me + 1) mod Mp.size ep in
         for r = 0 to rounds - 1 do
           Mp.send ep ~dst:next ~tag:r ((me * rounds) + r);
-          match Mp.recv_timeout ep ~tag:r ~timeout:rx_timeout () with
+          match Mp.recv_timeout ep ~tag:r ~timeout:(Time.us 400) () with
           | Some e -> checksum := !checksum +. float_of_int e.Mp.value
           | None -> incr rx_timeouts
         done)

@@ -41,19 +41,15 @@ val schedule :
 (** Closed-loop chaos: Jacobi over the DSM under a crash schedule. Crashed
     hosts freeze and thaw; reliable delivery retries across the dead window,
     so the run is expected to complete with the fault-free checksum, the
-    crashes paid for as elapsed time. The [watchdog] (default 1 s simulated)
-    turns an unrecovered run into a structured failure row. *)
+    crashes paid for as elapsed time. A 1 s simulated watchdog turns an
+    unrecovered run into a structured failure row. *)
 val run_dsm :
   ?seed:int ->
   ?procs:int ->
   ?n:int ->
   ?iterations:int ->
   ?scrub:bool ->
-  ?watchdog:Cni_engine.Time.t ->
-  ?kind:
-    [ `Cni of Cni_nic.Nic.cni_options
-    | `Osiris of Cni_nic.Nic.osiris_options
-    | `Standard ] ->
+  ?kind:Cni_cluster.Cluster.nic_kind ->
   crashes:int ->
   down:Cni_engine.Time.t ->
   unit ->
@@ -61,19 +57,14 @@ val run_dsm :
 
 (** Open-loop chaos: a token ring over {!Cni_mp.Mp} where every receive is a
     [recv_timeout] — a round whose predecessor is crashed gives up after
-    [rx_timeout] and moves on, so the ring degrades (counted in
-    [rx_timeouts]) instead of stalling. *)
+    400 us and moves on, so the ring degrades (counted in [rx_timeouts])
+    instead of stalling. A 1 s simulated watchdog bounds the run. *)
 val run_ring :
   ?seed:int ->
   ?nodes:int ->
   ?rounds:int ->
   ?scrub:bool ->
-  ?rx_timeout:Cni_engine.Time.t ->
-  ?watchdog:Cni_engine.Time.t ->
-  ?kind:
-    [ `Cni of Cni_nic.Nic.cni_options
-    | `Osiris of Cni_nic.Nic.osiris_options
-    | `Standard ] ->
+  ?kind:Cni_cluster.Cluster.nic_kind ->
   crashes:int ->
   down:Cni_engine.Time.t ->
   unit ->

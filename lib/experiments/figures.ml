@@ -1,33 +1,20 @@
 module Time = Cni_engine.Time
 module Params = Cni_machine.Params
-module Jacobi = Cni_apps.Jacobi
-module Water = Cni_apps.Water
-module Cholesky = Cni_apps.Cholesky
 
 let quick = ref false
 let proc_counts = [ 1; 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
-(* Applications as runner closures                                     *)
+(* Application inputs                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let jacobi_iters full = if !quick then max 4 (full / 2) else full
-
-let jacobi ~n ~iterations cluster lrcs =
-  ignore (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n; iterations })
-
-let water ~molecules cluster lrcs =
-  ignore (Water.run cluster lrcs { Water.default_config with Water.molecules })
-
-let cholesky matrix cluster lrcs =
-  ignore (Cholesky.run cluster lrcs (Cholesky.default_config matrix))
-
-let bcsstk14 = lazy (Cholesky.bcsstk14_like ())
+let cholesky14 = Runner.cholesky Runner.bcsstk14
 
 let bcsstk15 =
   lazy
     (if !quick then Cni_apps.Sparse.stiffness_like ~n:2400 ~dofs:3 ~seed:15
-     else Cholesky.bcsstk15_like ())
+     else Cni_apps.Cholesky.bcsstk15_like ())
 
 (* ------------------------------------------------------------------ *)
 (* Generic sweeps                                                      *)
@@ -158,27 +145,27 @@ let table1 () =
 let fig2 () =
   speedup_sweep ~id:"fig2" ~title:"Jacobi 128x128: speedup & network cache hit ratio"
     ~notes:[ "paper: both configurations mediocre at 32 procs; CNI degrades less" ]
-    (jacobi ~n:128 ~iterations:(jacobi_iters 30))
+    (Runner.jacobi ~n:128 ~iterations:(jacobi_iters 30))
 
 let fig3 () =
   speedup_sweep ~id:"fig3" ~title:"Jacobi 256x256: speedup & network cache hit ratio"
-    (jacobi ~n:256 ~iterations:(jacobi_iters 24))
+    (Runner.jacobi ~n:256 ~iterations:(jacobi_iters 24))
 
 let fig4 () =
   speedup_sweep ~id:"fig4" ~title:"Jacobi 1024x1024: speedup & network cache hit ratio"
     ~notes:[ "paper: high hit ratio (96-99.5%); CNI modestly above standard" ]
-    (jacobi ~n:1024 ~iterations:(jacobi_iters 16))
+    (Runner.jacobi ~n:1024 ~iterations:(jacobi_iters 16))
 
 let fig5 () =
   page_sweep ~id:"fig5" ~title:"Page-size sensitivity: 8-processor Jacobi 1024x1024"
     ~pages:[ 1024; 2048; 4096; 8192; 16384 ]
     ~notes:[ "paper: CNI less sensitive to page size (lower page-transfer cost)" ]
-    (jacobi ~n:1024 ~iterations:(jacobi_iters 12))
+    (Runner.jacobi ~n:1024 ~iterations:(jacobi_iters 12))
 
 let table2 () =
   overhead_table ~id:"table2" ~title:"Overhead for 8-processor Jacobi 1024x1024"
     ~notes:[ "paper: CNI lowers synch overhead and delay; computation unchanged" ]
-    (jacobi ~n:1024 ~iterations:(jacobi_iters 16))
+    (Runner.jacobi ~n:1024 ~iterations:(jacobi_iters 16))
 
 (* ------------------------------------------------------------------ *)
 (* Water: figures 6-9, table 3                                         *)
@@ -186,26 +173,26 @@ let table2 () =
 
 let fig6 () =
   speedup_sweep ~id:"fig6" ~title:"Water 64 molecules: speedup & network cache hit ratio"
-    (water ~molecules:64)
+    (Runner.water ~molecules:64)
 
 let fig7 () =
   speedup_sweep ~id:"fig7" ~title:"Water 216 molecules: speedup & network cache hit ratio"
     ~notes:[ "paper: hit ratio sensitive to processor count; improved scalability for CNI" ]
-    (water ~molecules:216)
+    (Runner.water ~molecules:216)
 
 let fig8 () =
   speedup_sweep ~id:"fig8" ~title:"Water 343 molecules: speedup & network cache hit ratio"
-    (water ~molecules:343)
+    (Runner.water ~molecules:343)
 
 let fig9 () =
   page_sweep ~id:"fig9" ~title:"Page-size sensitivity: 8-processor Water 216 molecules"
     ~pages:[ 1024; 2048; 4096; 8192 ]
     ~notes:[ "paper: CNI less sensitive despite some false sharing at larger pages" ]
-    (water ~molecules:216)
+    (Runner.water ~molecules:216)
 
 let table3 () =
   overhead_table ~id:"table3" ~title:"Overhead for 8-processor Water 216 molecules"
-    (water ~molecules:216)
+    (Runner.water ~molecules:216)
 
 (* ------------------------------------------------------------------ *)
 (* Cholesky: figures 10-12, table 4                                    *)
@@ -214,23 +201,23 @@ let table3 () =
 let fig10 () =
   speedup_sweep ~id:"fig10" ~title:"Cholesky bcsstk14-like: speedup & network cache hit ratio"
     ~notes:[ "paper: receive caching helps migratory pages; largest CNI gain of the three" ]
-    (fun c l -> cholesky (Lazy.force bcsstk14) c l)
+    cholesky14
 
 let fig11 () =
   speedup_sweep ~id:"fig11" ~title:"Cholesky bcsstk15-like: speedup & network cache hit ratio"
     ~notes:[ "paper: better speedup than bcsstk14 because of the larger matrix" ]
-    (fun c l -> cholesky (Lazy.force bcsstk15) c l)
+    (Runner.cholesky bcsstk15)
 
 let fig12 () =
   page_sweep ~id:"fig12" ~title:"Page-size sensitivity: 8-processor Cholesky bcsstk14-like"
     ~pages:[ 1024; 2048; 4096; 8192 ]
     ~notes:[ "paper: very page-size sensitive; transmit/receive caching reduce the sensitivity" ]
-    (fun c l -> cholesky (Lazy.force bcsstk14) c l)
+    cholesky14
 
 let table4 () =
   overhead_table ~id:"table4" ~title:"Overhead for 8-processor Cholesky bcsstk14-like"
     ~notes:[ "paper: synchronization delay dominates this application" ]
-    (fun c l -> cholesky (Lazy.force bcsstk14) c l)
+    cholesky14
 
 (* ------------------------------------------------------------------ *)
 (* Figure 13: Message Cache size sensitivity                           *)
@@ -256,9 +243,9 @@ let fig13 () =
       (fun kb ->
         [
           string_of_int kb;
-          Report.f1 (hit ~mc_kb:kb (jacobi ~n:1024 ~iterations:(jacobi_iters 12)));
-          Report.f1 (hit ~mc_kb:kb (water ~molecules:216));
-          Report.f1 (hit ~mc_kb:kb (fun c l -> cholesky (Lazy.force bcsstk14) c l));
+          Report.f1 (hit ~mc_kb:kb (Runner.jacobi ~n:1024 ~iterations:(jacobi_iters 12)));
+          Report.f1 (hit ~mc_kb:kb (Runner.water ~molecules:216));
+          Report.f1 (hit ~mc_kb:kb cholesky14);
         ])
       sizes_kb
   in
@@ -312,9 +299,12 @@ let table5 () =
   in
   let rows =
     [
-      [ "Jacobi 1024x1024"; Report.f2 (improvement (jacobi ~n:1024 ~iterations:(jacobi_iters 16))) ];
-      [ "Water 343 molecules"; Report.f2 (improvement (water ~molecules:343)) ];
-      [ "Cholesky bcsstk14-like"; Report.f2 (improvement (fun c l -> cholesky (Lazy.force bcsstk14) c l)) ];
+      [
+        "Jacobi 1024x1024";
+        Report.f2 (improvement (Runner.jacobi ~n:1024 ~iterations:(jacobi_iters 16)));
+      ];
+      [ "Water 343 molecules"; Report.f2 (improvement (Runner.water ~molecules:343)) ];
+      [ "Cholesky bcsstk14-like"; Report.f2 (improvement cholesky14) ];
     ]
   in
   Report.make ~id:"table5"

@@ -75,46 +75,50 @@ let latency ?(params = Params.default) ~kind ~bytes () =
   | (arrival, t0) :: _ -> Time.(arrival - t0)
   | [] -> failwith "Microbench: no delivery"
 
-(* Collective-operation latency: [reps] barriers (plus [reps] integer
-   allreduces when [allreduce]) over a fresh cluster, through either the
-   NIC-resident combining tree (Collectives directly) or the host-driven Mp
-   paths — the same episode count either way, so the per-op averages and the
-   interrupt totals are comparable across interfaces and implementations. *)
+(* Time [reps] barriers and then [reps] allreduces on every node's
+   application fiber, each op given the node's rank; node 0's clock is the
+   measurement. Returns the per-op averages, in microseconds. *)
+let timed_collectives cluster ~reps ~barrier ~allreduce =
+  let eng = Cluster.engine cluster in
+  let barrier_t = ref Time.zero and allreduce_t = ref Time.zero in
+  let time total node op =
+    for _ = 1 to reps do
+      let t0 = Engine.now eng in
+      op (Node.id node);
+      if Node.id node = 0 then total := Time.( + ) !total Time.(Engine.now eng - t0)
+    done
+  in
+  Cluster.run_app cluster (fun node ->
+      time barrier_t node barrier;
+      time allreduce_t node allreduce);
+  let per t = Time.to_us_float t /. float_of_int reps in
+  (per !barrier_t, per !allreduce_t)
+
+(* Collective-operation latency: [reps] barriers plus [reps] integer
+   allreduces over a fresh cluster, through either the NIC-resident
+   combining tree or the host-driven Mp paths — the same episode count
+   either way, so the per-op averages and the interrupt totals are
+   comparable across interfaces and implementations. *)
 type collective_point = {
   barrier_us : float;  (* average per-barrier latency *)
-  allreduce_us : float;  (* average per-allreduce latency (0 when skipped) *)
+  allreduce_us : float;  (* average per-allreduce latency *)
   interrupts : int;  (* host interrupts taken, summed over nodes *)
 }
 
-let collective_latency ?(params = Params.default) ?(reps = 8) ?(allreduce = true) ?topology
-    ?fanout ~kind ~nodes ~nic () =
+let collective_latency ?(reps = 8) ?topology ?fanout ~kind ~nodes ~nic () =
   let module Mp = Cni_mp.Mp in
-  let cluster : int Mp.envelope Cluster.t =
-    Cluster.create ~params ?topology ~nic_kind:kind ~nodes ()
-  in
+  let cluster : int Mp.envelope Cluster.t = Cluster.create ?topology ~nic_kind:kind ~nodes () in
   let eps = Mp.install ~nic_collectives:nic ?fanout cluster in
-  let barrier_t = ref Time.zero and allreduce_t = ref Time.zero in
-  Cluster.run_app cluster (fun node ->
-      let ep = eps.(Node.id node) in
-      let eng = Cluster.engine cluster in
-      for _ = 1 to reps do
-        let t0 = Engine.now eng in
-        Mp.barrier ep;
-        if Node.id node = 0 then barrier_t := Time.( + ) !barrier_t Time.(Engine.now eng - t0)
-      done;
-      if allreduce then
-        for _ = 1 to reps do
-          let t0 = Engine.now eng in
-          ignore (Mp.allreduce ep ~op:( + ) ~bytes:8 (Node.id node));
-          if Node.id node = 0 then
-            allreduce_t := Time.( + ) !allreduce_t Time.(Engine.now eng - t0)
-        done);
+  let barrier_us, allreduce_us =
+    timed_collectives cluster ~reps
+      ~barrier:(fun r -> Mp.barrier eps.(r))
+      ~allreduce:(fun r -> ignore (Mp.allreduce eps.(r) ~op:( + ) ~bytes:8 r))
+  in
   let interrupts = ref 0 in
   for n = 0 to nodes - 1 do
     interrupts := !interrupts + (Nic.stats (Node.nic (Cluster.node cluster n))).Nic.interrupts
   done;
-  let per t = Time.to_us_float t /. float_of_int reps in
-  { barrier_us = per !barrier_t; allreduce_us = per !allreduce_t; interrupts = !interrupts }
+  { barrier_us; allreduce_us; interrupts = !interrupts }
 
 (* Receive-policy behaviour at a controlled arrival rate. Node 0 paces
    [count] frames [gap] apart; node 1's application computes throughout (it
@@ -132,11 +136,11 @@ type rx_point = {
   rx_latency_us : float;  (* mean send-to-handler latency *)
 }
 
-let rx_policy_sweep ?(params = Params.default) ?(count = 200) ?(rx_batch = 1) ~policy ~gap () =
+let rx_policy_sweep ?(count = 200) ?(rx_batch = 1) ~policy ~gap () =
   let kind =
     `Cni { Nic.default_cni_options with Nic.aih = false; rx_policy = policy; rx_batch }
   in
-  let cluster : Time.t Cluster.t = Cluster.create ~params ~nic_kind:kind ~nodes:2 () in
+  let cluster : Time.t Cluster.t = Cluster.create ~nic_kind:kind ~nodes:2 () in
   let eng = Cluster.engine cluster in
   let got = ref 0 and lat_sum = ref Time.zero in
   let receiver_nic = Node.nic (Cluster.node cluster 1) in
@@ -268,58 +272,27 @@ type activation_point = {
   act_code_bytes : int;  (* certified object size, rank 0's firmware *)
 }
 
-let aih_activation ?(params = Params.default) ?(reps = 8) ~nodes () =
+let aih_activation ~nodes () =
   let module Collectives = Cni_mp.Collectives in
   let module Cir = Cni_mp.Collectives_ir in
-  let kind = Runner.cni () in
-  let run_closure () =
-    let cluster : int Cluster.t = Cluster.create ~params ~nic_kind:kind ~nodes () in
-    let eps = Collectives.install ~inject:Fun.id ~project:Fun.id cluster in
-    let barrier_t = ref Time.zero and allreduce_t = ref Time.zero in
-    Cluster.run_app cluster (fun node ->
-        let ep = eps.(Node.id node) in
-        let eng = Cluster.engine cluster in
-        for _ = 1 to reps do
-          let t0 = Engine.now eng in
-          Collectives.barrier ep;
-          if Node.id node = 0 then barrier_t := Time.( + ) !barrier_t Time.(Engine.now eng - t0)
-        done;
-        for _ = 1 to reps do
-          let t0 = Engine.now eng in
-          ignore (Collectives.allreduce ep ~op:( + ) (Node.id node));
-          if Node.id node = 0 then
-            allreduce_t := Time.( + ) !allreduce_t Time.(Engine.now eng - t0)
-        done);
-    let per t = Time.to_us_float t /. float_of_int reps in
-    (per !barrier_t, per !allreduce_t)
+  let cluster () : int Cluster.t = Cluster.create ~nic_kind:(Runner.cni ()) ~nodes () in
+  let closure_barrier, closure_allreduce =
+    let c = cluster () in
+    let eps = Collectives.install ~inject:Fun.id ~project:Fun.id c in
+    timed_collectives c ~reps:8
+      ~barrier:(fun r -> Collectives.barrier eps.(r))
+      ~allreduce:(fun r -> ignore (Collectives.allreduce eps.(r) ~op:( + ) r))
   in
-  let run_ir () =
-    let cluster : int Cluster.t = Cluster.create ~params ~nic_kind:kind ~nodes () in
-    let eps = Cir.install ~op:Cir.Sum ~inject:Fun.id ~project:Fun.id cluster in
-    let barrier_t = ref Time.zero and allreduce_t = ref Time.zero in
-    Cluster.run_app cluster (fun node ->
-        let ep = eps.(Node.id node) in
-        let eng = Cluster.engine cluster in
-        for _ = 1 to reps do
-          let t0 = Engine.now eng in
-          Cir.barrier ep;
-          if Node.id node = 0 then barrier_t := Time.( + ) !barrier_t Time.(Engine.now eng - t0)
-        done;
-        for _ = 1 to reps do
-          let t0 = Engine.now eng in
-          ignore (Cir.allreduce ep (Node.id node));
-          if Node.id node = 0 then
-            allreduce_t := Time.( + ) !allreduce_t Time.(Engine.now eng - t0)
-        done);
-    let per t = Time.to_us_float t /. float_of_int reps in
-    let cert = Cir.cert eps.(0) in
-    (per !barrier_t, per !allreduce_t, cert)
+  let c = cluster () in
+  let eps = Cir.install ~op:Cir.Sum ~inject:Fun.id ~project:Fun.id c in
+  let ir_barrier, ir_allreduce =
+    timed_collectives c ~reps:8
+      ~barrier:(fun r -> Cir.barrier eps.(r))
+      ~allreduce:(fun r -> ignore (Cir.allreduce eps.(r) r))
   in
-  let closure_barrier, closure_allreduce = run_closure () in
-  let ir_barrier, ir_allreduce, cert = run_ir () in
   let wcet, bytes =
-    match cert with
-    | Some c -> Cni_aih.Aih_verify.(c.wcet_nic_cycles, c.code_bytes)
+    match Cir.cert eps.(0) with
+    | Some cert -> Cni_aih.Aih_verify.(cert.wcet_nic_cycles, cert.code_bytes)
     | None -> (0, 0)
   in
   {
@@ -345,11 +318,12 @@ type reliable_point = {
   rel_wcet_per_byte_milli : int;  (* streaming rx certificate, per byte *)
 }
 
-let reliable_firmware_activation ?(nodes = 2) ?(messages = 8) ?(body_bytes = 96) () =
+let reliable_firmware_activation () =
+  let nodes = 2 and messages = 8 in
   let per impl =
     let o =
       Reliable_flow.run impl
-        { Reliable_flow.default with Reliable_flow.nodes; messages; body_bytes }
+        { Reliable_flow.default with Reliable_flow.nodes; messages; body_bytes = 96 }
     in
     float_of_int o.Reliable_flow.elapsed_ps
     /. 1e6
@@ -372,13 +346,13 @@ let reliable_firmware_activation ?(nodes = 2) ?(messages = 8) ?(body_bytes = 96)
 
 type point = { bytes : int; cni_us : float; standard_us : float; reduction_pct : float }
 
-let sweep ?(params = Params.default) ~sizes () =
+let sweep ~sizes () =
   List.map
     (fun bytes ->
       (* app-level delivery on CNI goes through the ADC + polling hybrid,
          not an AIH (there is no protocol code to run, just data arrival) *)
       let cni_kind = Runner.cni ~aih:false () in
-      let c = Time.to_us_float (latency ~params ~kind:cni_kind ~bytes ()) in
-      let s = Time.to_us_float (latency ~params ~kind:`Standard ~bytes ()) in
+      let c = Time.to_us_float (latency ~kind:cni_kind ~bytes ()) in
+      let s = Time.to_us_float (latency ~kind:`Standard ~bytes ()) in
       { bytes; cni_us = c; standard_us = s; reduction_pct = 100. *. (s -. c) /. s })
     sizes

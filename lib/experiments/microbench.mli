@@ -21,27 +21,27 @@ val latency :
   unit ->
   Cni_engine.Time.t
 
-val sweep : ?params:Cni_machine.Params.t -> sizes:int list -> unit -> point list
+(** [sweep ~sizes ()] — {!latency} of a CNI board with host handlers and of
+    the standard board, at each size, on Table 1's machine. *)
+val sweep : sizes:int list -> unit -> point list
 
 (** {2 Collective-operation latency} *)
 
 type collective_point = {
   barrier_us : float;  (** average per-barrier latency *)
-  allreduce_us : float;  (** average per-allreduce latency (0 when skipped) *)
+  allreduce_us : float;  (** average per-allreduce latency *)
   interrupts : int;  (** host interrupts taken, summed over nodes *)
 }
 
 (** [collective_latency ~kind ~nodes ~nic ()] — average latency of [reps]
-    (default 8) barriers and, unless [allreduce:false], [reps] integer
-    allreduces over a fresh [nodes]-node cluster. [nic] selects the
+    (default 8) barriers and [reps] integer allreduces over a fresh
+    [nodes]-node cluster of Table 1 machines. [nic] selects the
     NIC-resident combining tree ({!Cni_mp.Collectives}) versus the
     host-driven {!Cni_mp.Mp} collectives. [topology] selects the fabric
     shape (see {!Cni_atm.Topology}); [fanout] the combining-tree arity
     (NIC-resident collectives only). *)
 val collective_latency :
-  ?params:Cni_machine.Params.t ->
   ?reps:int ->
-  ?allreduce:bool ->
   ?topology:Cni_atm.Topology.kind ->
   ?fanout:int ->
   kind:Cni_cluster.Cluster.nic_kind ->
@@ -62,13 +62,13 @@ type rx_point = {
 }
 
 (** [rx_policy_sweep ~policy ~gap ()] — node 0 paces [count] (default 200)
-    empty frames [gap] apart at a 2-node cluster whose receiving application
+    empty frames [gap] apart at a 2-node cluster of Table 1 machines whose
+    receiving application
     computes throughout, with AIH off so delivery crosses the ADC host path
     governed by [policy]. [rx_batch] (default 1) enables receive coalescing.
     Returns the receiving board's wakeup counters and the mean delivery
     latency. *)
 val rx_policy_sweep :
-  ?params:Cni_machine.Params.t ->
   ?count:int ->
   ?rx_batch:int ->
   policy:Cni_nic.Nic.rx_policy ->
@@ -119,13 +119,12 @@ type activation_point = {
   act_code_bytes : int;  (** certified object size, rank 0's firmware *)
 }
 
-(** [aih_activation ~nodes ()] — the same [reps] (default 8) barriers and
-    integer-sum allreduces through the closure combining tree (flat
-    per-dispatch charge) and the verified-firmware one (per-instruction
-    charge under {!Cni_aih.Aih_exec}), on separate CNI clusters, with the
-    rank-0 certificate alongside. *)
-val aih_activation :
-  ?params:Cni_machine.Params.t -> ?reps:int -> nodes:int -> unit -> activation_point
+(** [aih_activation ~nodes ()] — the same 8 barriers and 8 integer-sum
+    allreduces through the closure combining tree (flat per-dispatch
+    charge) and the verified-firmware one (per-instruction charge under
+    {!Cni_aih.Aih_exec}), on separate CNI clusters, with the rank-0
+    certificate alongside. *)
+val aih_activation : nodes:int -> unit -> activation_point
 
 (** {2 Reliable delivery: closure layer vs streaming firmware (simulated
     clock)} *)
@@ -140,9 +139,8 @@ type reliable_point = {
 }
 
 (** [reliable_firmware_activation ()] — the {!Reliable_flow} lockstep ring
-    through the closure reliability layer and the firmware-compiled
-    {!Cni_nic.Reliable_ir} endpoints on a clean fabric, per delivered
-    message, with the streaming rx certificate that admitted the firmware
-    alongside. *)
-val reliable_firmware_activation :
-  ?nodes:int -> ?messages:int -> ?body_bytes:int -> unit -> reliable_point
+    (2 nodes, 8 messages of 96 bytes each) through the closure reliability
+    layer and the firmware-compiled {!Cni_nic.Reliable_ir} endpoints on a
+    clean fabric, per delivered message, with the streaming rx certificate
+    that admitted the firmware alongside. *)
+val reliable_firmware_activation : unit -> reliable_point

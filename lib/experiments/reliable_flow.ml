@@ -27,8 +27,6 @@ module Node = Cni_cluster.Node
 
 type impl = Closure | Firmware
 
-let impl_name = function Closure -> "closure" | Firmware -> "firmware"
-
 type config = {
   nic : Cluster.nic_kind;
   nodes : int;

@@ -13,8 +13,6 @@
 
 type impl = Closure | Firmware
 
-val impl_name : impl -> string
-
 type config = {
   nic : Cni_cluster.Cluster.nic_kind;
   nodes : int;

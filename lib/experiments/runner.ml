@@ -6,7 +6,7 @@ module Cluster = Cni_cluster.Cluster
 module Space = Cni_dsm.Space
 module Lrc = Cni_dsm.Lrc
 
-type app = Cni_dsm.Protocol.msg Cluster.t -> Lrc.t array -> unit
+type app = Cni_dsm.Protocol.msg Cluster.t -> Lrc.t array -> float
 type built = Cni_dsm.Protocol.msg Cluster.t * Lrc.t array
 
 type result = {
@@ -28,8 +28,23 @@ type result = {
   host_interrupts : int;  (* host interrupts taken, summed over nodes *)
   polls : int;  (* receive wakeups taken by a host poll, summed over nodes *)
   wasted_polls : int;  (* empty ring checks while in poll mode, summed *)
+  checksum : float;
   metrics : Cni_engine.Stats.Registry.snapshot;
 }
+
+let jacobi ~n ~iterations cluster lrcs =
+  (Cni_apps.Jacobi.run cluster lrcs { Cni_apps.Jacobi.default_config with n; iterations })
+    .Cni_apps.Jacobi.checksum
+
+let water ~molecules cluster lrcs =
+  (Cni_apps.Water.run cluster lrcs { Cni_apps.Water.default_config with molecules })
+    .Cni_apps.Water.checksum
+
+let cholesky matrix cluster lrcs =
+  let module Cholesky = Cni_apps.Cholesky in
+  (Cholesky.run cluster lrcs (Cholesky.default_config (Lazy.force matrix))).Cholesky.checksum
+
+let bcsstk14 = lazy (Cni_apps.Cholesky.bcsstk14_like ())
 
 let cni ?mc_bytes ?mc_mode ?aih ?rx_policy ?rx_batch () =
   let d = Nic.default_cni_options in
@@ -40,8 +55,6 @@ let cni ?mc_bytes ?mc_mode ?aih ?rx_policy ?rx_batch () =
       aih = Option.value aih ~default:d.Nic.aih;
       rx_policy = Option.value rx_policy ~default:d.Nic.rx_policy;
       rx_batch = Option.value rx_batch ~default:d.Nic.rx_batch;
-      rx_poll_period = d.Nic.rx_poll_period;
-      mc_phys_to_vpage = d.Nic.mc_phys_to_vpage;
     }
 
 let standard = `Standard
@@ -58,7 +71,7 @@ let build ?(params = Params.default) ?faults ?reliability ?topology ?barrier_imp
 
 let exec (cluster, lrcs) app =
   let params = Cluster.params cluster and procs = Cluster.size cluster in
-  app cluster lrcs;
+  let checksum = app cluster lrcs in
   let o = Cluster.overheads cluster in
   let f = Fabric.stats (Cluster.fabric cluster) in
   let elapsed = Cluster.elapsed cluster in
@@ -113,6 +126,7 @@ let exec (cluster, lrcs) app =
            + (Nic.stats (Cni_cluster.Node.nic (Cluster.node cluster n))).Nic.wasted_polls
        done;
        !acc);
+    checksum;
     metrics = Cluster.metrics_snapshot cluster;
   }
 

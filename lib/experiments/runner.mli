@@ -1,7 +1,24 @@
 (** One-stop execution of an application on a freshly built cluster. *)
 
+(** An application: runs on every node of a built cluster and returns its
+    checksum. *)
 type app =
-  Cni_dsm.Protocol.msg Cni_cluster.Cluster.t -> Cni_dsm.Lrc.t array -> unit
+  Cni_dsm.Protocol.msg Cni_cluster.Cluster.t -> Cni_dsm.Lrc.t array -> float
+
+(** {2 The paper's three applications} *)
+
+(** Jacobi relaxation on an [n] x [n] grid ({!Cni_apps.Jacobi}). *)
+val jacobi : n:int -> iterations:int -> app
+
+(** Water with [molecules] molecules ({!Cni_apps.Water}). *)
+val water : molecules:int -> app
+
+(** Sparse Cholesky of [matrix] ({!Cni_apps.Cholesky}), forced on the
+    first run: the bcsstk-like inputs take a while to build. *)
+val cholesky : Cni_apps.Sparse.t Lazy.t -> app
+
+(** The bcsstk14-like input, built at most once per process. *)
+val bcsstk14 : Cni_apps.Sparse.t Lazy.t
 
 type result = {
   elapsed : Cni_engine.Time.t;
@@ -36,6 +53,7 @@ type result = {
           {!Cni_nic.Nic.rx_policy}) *)
   wasted_polls : int;
       (** empty receive-ring checks while in poll mode, summed over nodes *)
+  checksum : float;  (** the application's checksum *)
   metrics : Cni_engine.Stats.Registry.snapshot;
       (** full registry snapshot: every node's NIC, ring, Message Cache, DSM
           and time-accounting metrics *)

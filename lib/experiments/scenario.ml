@@ -52,13 +52,18 @@ let default =
     faults = Faults.none;
   }
 
-let nic_to_string = function Cni -> "cni" | Osiris -> "osiris" | Standard -> "standard"
+let nic_names = [ ("cni", Cni); ("osiris", Osiris); ("standard", Standard) ]
 
-let rx_to_string = function
-  | Interrupt -> "interrupt"
-  | Poll -> "poll"
-  | Hybrid -> "hybrid"
-  | Adaptive -> "adaptive"
+let rx_names =
+  [ ("interrupt", Interrupt); ("poll", Poll); ("hybrid", Hybrid); ("adaptive", Adaptive) ]
+
+let name_of names v = fst (List.find (fun (_, v') -> v' = v) names)
+
+let to_rx_policy = function
+  | Interrupt -> Nic.Rx_interrupt
+  | Poll -> Nic.Rx_poll
+  | Hybrid -> Nic.Rx_hybrid
+  | Adaptive -> Nic.Rx_adaptive Nic.default_rx_adaptive
 
 let offered_rps p = float_of_int p.clients *. Arrival.mean_rate_per_s p.arrival
 
@@ -138,8 +143,6 @@ let validate p =
 (* Text format                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let us_of_time t = Time.to_ps t / 1_000_000
-
 let to_string p =
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
@@ -153,31 +156,17 @@ let to_string p =
   line "put-pct %d" p.put_pct;
   line "service-cycles %d" p.service_cycles;
   line "seed %d" p.seed;
-  line "nic %s" (nic_to_string p.nic);
+  line "nic %s" (name_of nic_names p.nic);
   line "aih %s" (if p.aih then "on" else "off");
-  line "rx-policy %s" (rx_to_string p.rx_policy);
+  line "rx-policy %s" (name_of rx_names p.rx_policy);
   line "rx-batch %d" p.rx_batch;
   line "topology %s" (Topology.kind_to_string p.topology);
-  if p.faults <> Faults.none then begin
-    let f = p.faults in
-    line "fault-seed %d" f.Faults.seed;
-    line "loss %.17g" f.Faults.cell_loss;
-    line "corrupt %.17g" f.Faults.cell_corrupt;
-    line "drop %.17g" f.Faults.frame_drop;
-    List.iter
-      (fun w ->
-        line "down %d %d %d" w.Faults.w_node (us_of_time w.Faults.w_from)
-          (us_of_time w.Faults.w_upto))
-      f.Faults.link_down;
-    List.iter
-      (fun e ->
-        match e.Faults.e_fault with
-        | Faults.Crash { scrub } ->
-            line "crash %d %d%s" e.Faults.e_node (us_of_time e.Faults.e_at)
-              (if scrub then " scrub" else "")
-        | Faults.Restart -> line "restart %d %d" e.Faults.e_node (us_of_time e.Faults.e_at))
-      f.Faults.schedule
-  end;
+  (* the fault model's own directives; its [seed] is spelled [fault-seed]
+     here, [seed] being the profile's master seed *)
+  List.iter
+    (fun l ->
+      if l <> "" then line "%s" (if String.starts_with ~prefix:"seed " l then "fault-" ^ l else l))
+    (String.split_on_char '\n' (Faults.config_to_string p.faults));
   Buffer.contents b
 
 let of_string text =
@@ -207,21 +196,16 @@ let of_string text =
                 String.trim (String.sub line j (String.length line - j)) )
           | None -> (line, "")
         in
-        let fields = List.filter (fun f -> f <> "") (String.split_on_char ' ' rest) in
         let intv what k =
           match int_of_string_opt rest with
           | Some v -> k v
           | None -> fail "%s: expected an integer, got %S" what rest
         in
-        let floatv what k =
-          match float_of_string_opt rest with
+        let named what names k =
+          match List.assoc_opt rest names with
           | Some v -> k v
-          | None -> fail "%s: expected a number, got %S" what rest
-        in
-        let int_field what s k =
-          match int_of_string_opt s with
-          | Some v -> k v
-          | None -> fail "%s: expected an integer, got %S" what s
+          | None ->
+              fail "%s: expected %s, got %S" what (String.concat " | " (List.map fst names)) rest
         in
         let set f = p := f !p in
         match key with
@@ -246,111 +230,22 @@ let of_string text =
         | "service-cycles" ->
             intv "service-cycles" (fun v -> set (fun p -> { p with service_cycles = v }))
         | "seed" -> intv "seed" (fun v -> set (fun p -> { p with seed = v }))
-        | "nic" -> (
-            match rest with
-            | "cni" -> set (fun p -> { p with nic = Cni })
-            | "osiris" -> set (fun p -> { p with nic = Osiris })
-            | "standard" -> set (fun p -> { p with nic = Standard })
-            | s -> fail "nic: expected cni, osiris or standard, got %S" s)
-        | "aih" -> (
-            match rest with
-            | "on" -> set (fun p -> { p with aih = true })
-            | "off" -> set (fun p -> { p with aih = false })
-            | s -> fail "aih: expected on or off, got %S" s)
-        | "rx-policy" -> (
-            match rest with
-            | "interrupt" -> set (fun p -> { p with rx_policy = Interrupt })
-            | "poll" -> set (fun p -> { p with rx_policy = Poll })
-            | "hybrid" -> set (fun p -> { p with rx_policy = Hybrid })
-            | "adaptive" -> set (fun p -> { p with rx_policy = Adaptive })
-            | s -> fail "rx-policy: expected interrupt, poll, hybrid or adaptive, got %S" s)
+        | "nic" -> named "nic" nic_names (fun v -> set (fun p -> { p with nic = v }))
+        | "aih" ->
+            named "aih" [ ("on", true); ("off", false) ] (fun aih -> set (fun p -> { p with aih }))
+        | "rx-policy" ->
+            named "rx-policy" rx_names (fun v -> set (fun p -> { p with rx_policy = v }))
         | "rx-batch" -> intv "rx-batch" (fun v -> set (fun p -> { p with rx_batch = v }))
         | "topology" -> (
             match Topology.kind_of_string rest with
             | Ok k -> set (fun p -> { p with topology = k })
             | Error e -> fail "topology: %s" e)
-        | "fault-seed" ->
-            intv "fault-seed"
-              (fun v -> set (fun p -> { p with faults = { p.faults with Faults.seed = v } }))
-        | "loss" ->
-            floatv "loss"
-              (fun v ->
-                set (fun p -> { p with faults = { p.faults with Faults.cell_loss = v } }))
-        | "corrupt" ->
-            floatv "corrupt"
-              (fun v ->
-                set (fun p -> { p with faults = { p.faults with Faults.cell_corrupt = v } }))
-        | "drop" ->
-            floatv "drop"
-              (fun v ->
-                set (fun p -> { p with faults = { p.faults with Faults.frame_drop = v } }))
-        | "down" -> (
-            match fields with
-            | [ n; f; u ] ->
-                int_field "down node" n (fun n ->
-                    int_field "down start" f (fun f ->
-                        int_field "down end" u (fun u ->
-                            let w =
-                              {
-                                Faults.w_node = n;
-                                w_from = Time.us f;
-                                w_upto = Time.us u;
-                              }
-                            in
-                            set (fun p ->
-                                {
-                                  p with
-                                  faults =
-                                    {
-                                      p.faults with
-                                      Faults.link_down =
-                                        p.faults.Faults.link_down @ [ w ];
-                                    };
-                                }))))
-            | _ -> fail "down takes exactly three fields: NODE FROM_US UPTO_US")
-        | "crash" -> (
-            let add n at scrub =
-              int_field "crash node" n (fun n ->
-                  int_field "crash time" at (fun at ->
-                      let e =
-                        {
-                          Faults.e_at = Time.us at;
-                          e_node = n;
-                          e_fault = Faults.Crash { scrub };
-                        }
-                      in
-                      set (fun p ->
-                          {
-                            p with
-                            faults =
-                              {
-                                p.faults with
-                                Faults.schedule = p.faults.Faults.schedule @ [ e ];
-                              };
-                          })))
-            in
-            match fields with
-            | [ n; at ] -> add n at false
-            | [ n; at; "scrub" ] -> add n at true
-            | _ -> fail "crash takes NODE AT_US [scrub]")
-        | "restart" -> (
-            match fields with
-            | [ n; at ] ->
-                int_field "restart node" n (fun n ->
-                    int_field "restart time" at (fun at ->
-                        let e =
-                          { Faults.e_at = Time.us at; e_node = n; e_fault = Faults.Restart }
-                        in
-                        set (fun p ->
-                            {
-                              p with
-                              faults =
-                                {
-                                  p.faults with
-                                  Faults.schedule = p.faults.Faults.schedule @ [ e ];
-                                };
-                            })))
-            | _ -> fail "restart takes exactly two fields: NODE AT_US")
+        | "fault-seed" | "loss" | "corrupt" | "drop" | "down" | "crash" | "restart" -> (
+            let word = if key = "fault-seed" then "seed" else key in
+            let args = List.filter (( <> ) "") (String.split_on_char ' ' rest) in
+            match Faults.directive !p.faults word args with
+            | Ok faults -> set (fun p -> { p with faults })
+            | Error e -> fail "%s: %s" key e)
         | k -> fail "unknown key %S" k
       end)
     lines;
@@ -388,15 +283,7 @@ let preflight p =
 
 let to_nic_kind p =
   match p.nic with
-  | Cni ->
-      let rx_policy =
-        match p.rx_policy with
-        | Interrupt -> Nic.Rx_interrupt
-        | Poll -> Nic.Rx_poll
-        | Hybrid -> Nic.Rx_hybrid
-        | Adaptive -> Nic.Rx_adaptive Nic.default_rx_adaptive
-      in
-      Runner.cni ~aih:p.aih ~rx_policy ~rx_batch:p.rx_batch ()
+  | Cni -> Runner.cni ~aih:p.aih ~rx_policy:(to_rx_policy p.rx_policy) ~rx_batch:p.rx_batch ()
   | Osiris -> Runner.osiris
   | Standard -> Runner.standard
 

@@ -17,6 +17,16 @@ type nic = Cni | Osiris | Standard
     [Osiris] and [Standard] interfaces, which have fixed receive paths. *)
 type rx = Interrupt | Poll | Hybrid | Adaptive
 
+(** The one name table for interfaces and receive policies, in listing
+    order: the profile text, [cni_sim]'s [--nic] and [--rx-policy] and the
+    ablation reports all spell them this way. *)
+val nic_names : (string * nic) list
+
+val rx_names : (string * rx) list
+
+(** The NIC policy a profile's [rx] selects. *)
+val to_rx_policy : rx -> Cni_nic.Nic.rx_policy
+
 (** The complete recipe for one serving run. *)
 type profile = {
   name : string;  (** lowercase-kebab identifier ([baseline-16], ...) *)
@@ -64,16 +74,18 @@ val validate : profile -> (unit, string list) result
 
 (** Parse the profile text format (see docs/SCENARIOS.md): one
     [key value] pair per line, ['#'] comments, unknown keys rejected.
-    Fields not mentioned keep their {!default} value; [name] is
-    mandatory. The error names the offending line. Parsing does not
-    {!validate} — call it separately so all semantic problems are
-    reported together. *)
+    The fault lines are {!Cni_atm.Faults.directive}s, the fault model's
+    [seed] spelled [fault-seed]. Fields not mentioned keep their {!default}
+    value; [name] is mandatory. The error names the offending line.
+    Parsing does not {!validate} — call it separately so all semantic
+    problems are reported together. *)
 val of_string : string -> (profile, string) result
 
-(** Render a profile in the text format. The round-trip
-    [of_string (to_string p) = Ok p] is exact: floats are printed with
-    full precision and fault times at microsecond granularity (which is
-    how they are declared). *)
+(** Render a profile in the text format; the fault lines are
+    {!Cni_atm.Faults.config_to_string}'s, so a default seed and zero
+    probabilities are omitted. The round-trip [of_string (to_string p) =
+    Ok p] is exact: floats are printed with full precision and fault times
+    at microsecond granularity (which is how they are declared). *)
 val to_string : profile -> string
 
 (** Preflight checks for the doctor, cheap enough to run before every long

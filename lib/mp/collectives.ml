@@ -303,11 +303,9 @@ let allreduce t ~op v =
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let install ?(channel = default_channel) ?(fanout = 2) ?(code_bytes = 2048)
-    ?(bytes_of = fun _ -> 64) ?live ~inject ~project cluster =
-  let live =
-    match live with Some f -> f | None -> fun r -> Cluster.node_alive cluster r
-  in
+let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64) ~inject
+    ~project cluster =
+  let live r = Cluster.node_alive cluster r in
   let n = Cluster.size cluster in
   if n > 256 then
     invalid_arg "Collectives.install: at most 256 nodes (the root rides in the header)";
@@ -340,12 +338,12 @@ let install ?(channel = default_channel) ?(fanout = 2) ?(code_bytes = 2048)
   in
   Array.iter
     (fun t ->
-      (* one AIH per board: [code_bytes] covers the handler's object code
-         plus the combining-tree state it keeps in board memory *)
+      (* one AIH per board: 2 KB covers the handler's object code plus the
+         combining-tree state it keeps in board memory *)
       ignore
         (Nic.install_handler (Node.nic t.node)
            ~pattern:(Wire.pattern_channel ~channel)
-           ~code_bytes
+           ~code_bytes:2048
            (fun ctx pkt ->
              let hdr = Wire.decode pkt.Fabric.header in
              let seq = hdr.Wire.obj lsr 8 and root = hdr.Wire.obj land 0xff in

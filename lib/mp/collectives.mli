@@ -32,26 +32,24 @@ type ('v, 'a) t
 val default_channel : int
 
 (** [install ~inject ~project cluster] builds one endpoint per node and
-    installs one handler (pattern = the channel) per board, charging
-    [code_bytes] (default 2048: object code + tree state) of board memory
-    each. [fanout] (default 2) is the combining-tree arity; [bytes_of]
-    (default [fun _ -> 64]) sizes a value on the wire.
+    installs one handler (pattern = the channel) per board, charging 2048
+    bytes (object code + tree state) of board memory each. [fanout]
+    (default 2) is the combining-tree arity; [bytes_of] (default
+    [fun _ -> 64]) sizes a value on the wire.
 
-    [live] (default: the cluster's [Cluster.node_alive]) is the routing
-    oracle for the combining tree: a rank it reports dead is bypassed — its
-    parent adopts its live descendants — so collectives started {e after} a
-    crash reconfigure around the casualty instead of waiting on it forever.
+    The combining tree routes around crashed nodes: a rank
+    [Cluster.node_alive] reports dead is bypassed — its parent adopts its
+    live descendants — so collectives started {e after} a crash
+    reconfigure around the casualty instead of waiting on it forever.
     A crash in the middle of an episode can still strand that episode; bound
     the run with [Cluster.run_app ~watchdog] to turn such hangs into a
     structured failure.
     @raise Invalid_argument on more than 256 nodes or [fanout < 1].
-    @raise Failure if a board cannot hold [code_bytes]. *)
+    @raise Failure if a board cannot hold 2048 bytes. *)
 val install :
   ?channel:int ->
   ?fanout:int ->
-  ?code_bytes:int ->
   ?bytes_of:('v -> int) ->
-  ?live:(int -> bool) ->
   inject:('v -> 'a) ->
   project:('a -> 'v) ->
   'a Cni_cluster.Cluster.t ->

@@ -16,6 +16,7 @@ let k_down = 2
 let k_barrier_up = 3
 let k_barrier_down = 4
 let barrier_body_bytes = 8
+let value_bytes = 64  (* a value frame's body, as Collectives sizes it by default *)
 
 type op = Sum | Max | Min
 
@@ -283,10 +284,8 @@ type 'a t = {
   node : 'a Node.t;
   rank : int;
   size : int;
-  channel : int;
   inject : int -> 'a;
   project : 'a -> int;
-  bytes_of : int -> int;
   mutable vh : 'a Nic.verified_handler option; (* None when size = 1 *)
   waiters : (int, int Sync.Ivar.t) Hashtbl.t; (* seq -> episode result *)
   mutable next_seq : int;
@@ -317,7 +316,7 @@ let entry t pkt =
   else if k = k_barrier_up then [| ev_up; seq; root; 0; 1; 0; 0 |]
   else if k = k_down then [| ev_down; seq; root; t.project pkt.Fabric.payload; 0; 0; 0 |]
   else if k = k_barrier_down then [| ev_down; seq; root; 0; 1; 0; 0 |]
-  else failwith (Printf.sprintf "Collectives_ir: unknown kind %d on channel %d" k t.channel)
+  else failwith (Printf.sprintf "Collectives_ir: unknown kind %d on channel %d" k default_channel)
 
 let on_send t (ctx : 'a Nic.ctx) ~dst ~kind ~obj ~value =
   if kind = k_down || kind = k_barrier_down then Stats.Counter.incr t.s_forwards;
@@ -328,7 +327,7 @@ let on_send t (ctx : 'a Nic.ctx) ~dst ~kind ~obj ~value =
         cacheable = false;
         has_data = false;
         src = t.rank;
-        channel = t.channel;
+        channel = default_channel;
         obj;
         aux = 0;
       }
@@ -337,7 +336,7 @@ let on_send t (ctx : 'a Nic.ctx) ~dst ~kind ~obj ~value =
     ctx.Nic.reply ~dst ~header ~body_bytes:barrier_body_bytes ~data:Nic.No_data
       ~payload:(Obj.magic 0)
   else
-    ctx.Nic.reply ~dst ~header ~body_bytes:(t.bytes_of value) ~data:Nic.No_data
+    ctx.Nic.reply ~dst ~header ~body_bytes:value_bytes ~data:Nic.No_data
       ~payload:(t.inject value)
 
 let on_wake t ~seq ~value = Sync.Ivar.fill (waiter t seq) value
@@ -371,8 +370,7 @@ let allreduce t v = run t ~root:0 ~barrier:false ~has_up:true ~want_down:true v
 (* Installation                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64) ~op ~inject
-    ~project cluster =
+let install ?(fanout = 2) ~op ~inject ~project cluster =
   let n = Cluster.size cluster in
   if n > 256 then
     invalid_arg "Collectives_ir.install: at most 256 nodes (the root rides in the header)";
@@ -389,10 +387,8 @@ let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64)
           node;
           rank;
           size = n;
-          channel;
           inject;
           project;
-          bytes_of;
           vh = None;
           waiters = Hashtbl.create 16;
           next_seq = 0;
@@ -404,7 +400,7 @@ let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64)
         let prog = program ~op ~rank ~size:n ~fanout in
         match
           Nic.install_handler_verified (Node.nic node)
-            ~pattern:(Wire.pattern_channel ~channel)
+            ~pattern:(Wire.pattern_channel ~channel:default_channel)
             ~program:prog ~entry:(entry t) ~on_send:(on_send t) ~on_wake:(on_wake t)
         with
         | Ok vh -> t.vh <- Some vh

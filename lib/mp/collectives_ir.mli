@@ -43,18 +43,16 @@ val default_channel : int
 val program : op:op -> rank:int -> size:int -> fanout:int -> Cni_aih.Aih_ir.program
 
 (** [install ~op ~inject ~project cluster] generates, verifies and installs
-    one firmware image per board and returns the per-node endpoints.
-    [fanout] (default 2) is the combining-tree arity; [bytes_of] (default
-    [fun _ -> 64]) sizes a value on the wire, as in {!Collectives.install}.
+    one firmware image per board and returns the per-node endpoints, on
+    {!Collectives.default_channel} with a 64-byte value on the wire.
+    [fanout] (default 2) is the combining-tree arity.
     @raise Invalid_argument on more than 256 nodes or [fanout] outside
     [1 .. 255].
     @raise Failure if a generated program fails verification (a bug — the
     shipped firmware must verify) or a board cannot hold its certified
     size. *)
 val install :
-  ?channel:int ->
   ?fanout:int ->
-  ?bytes_of:(int -> int) ->
   op:op ->
   inject:(int -> 'a) ->
   project:('a -> int) ->

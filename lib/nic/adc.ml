@@ -14,13 +14,8 @@ type 'a t = {
    would clobber each other's data and confuse the snooper). *)
 let posted_buffer_region = 1 lsl 22
 
-let default_buffer_base nic ~channel =
-  posted_buffer_region + (channel * (Nic.params nic).Params.page_bytes)
-
-let open_channel nic ~channel ?(slots = 32) ?buffer_base () =
-  let buffer_base =
-    match buffer_base with Some b -> b | None -> default_buffer_base nic ~channel
-  in
+let open_channel nic ~channel ?(slots = 32) () =
+  let buffer_base = posted_buffer_region + (channel * (Nic.params nic).Params.page_bytes) in
   let ring =
     Ring.create ?registry:(Nic.registry nic) ~node:(Nic.node nic)
       ~subsystem:(Printf.sprintf "adc-ch%d/ring" channel)

@@ -17,12 +17,10 @@ type 'a t
 (** [open_channel nic ~channel ()] — allocates the ring (default 32 slots,
     consuming board memory like any AIH installation) and installs the
     classifier pattern for [channel]. Incoming bulk data is DMAed to the
-    channel's posted receive buffer: [buffer_base] when given, otherwise a
-    channel-indexed page in a dedicated region — two channels never share a
-    delivery page.
+    channel's posted receive buffer, a channel-indexed page in a dedicated
+    region ({!buffer_base}) — two channels never share a delivery page.
     @raise Failure if the board cannot hold the ring. *)
-val open_channel :
-  'a Nic.t -> channel:int -> ?slots:int -> ?buffer_base:int -> unit -> 'a t
+val open_channel : 'a Nic.t -> channel:int -> ?slots:int -> unit -> 'a t
 
 (** Host virtual address incoming bulk data for this channel is DMAed to. *)
 val buffer_base : 'a t -> int

@@ -51,8 +51,6 @@ type cni_options = {
   aih : bool;
   rx_policy : rx_policy;
   rx_batch : int;
-  rx_poll_period : Time.t;
-  mc_phys_to_vpage : (int -> int) option;
 }
 
 let default_cni_options =
@@ -60,13 +58,10 @@ let default_cni_options =
     mc_mode = Message_cache.Update;
     aih = true;
     rx_policy = Rx_hybrid;
-    rx_batch = 1;
-    rx_poll_period = Time.us 5;
-    mc_phys_to_vpage = None }
+    rx_batch = 1 }
 
 let check_cni_options o =
   if o.rx_batch < 1 then invalid_arg "Nic: rx_batch must be >= 1";
-  if o.rx_poll_period <= Time.zero then invalid_arg "Nic: rx_poll_period must be positive";
   match o.rx_policy with
   | Rx_adaptive a ->
       if not (a.ra_alpha > 0. && a.ra_alpha <= 1.) then
@@ -85,7 +80,7 @@ type osiris_options = {
 
 let default_osiris_options = { software_classify_nic_cycles = 120 }
 
-type kind = Cni of cni_options | Osiris of osiris_options | Standard
+type kind = [ `Cni of cni_options | `Osiris of osiris_options | `Standard ]
 
 type 'a handler_fn = 'a ctx -> 'a Fabric.packet -> unit
 
@@ -161,7 +156,6 @@ type 'a t = {
   (* receive engine state (CNI, host delivery path) *)
   rx_policy : rx_policy;
   rx_batch : int;
-  rx_poll_period : Time.t;
   rx_queue : ('a handler_fn * 'a Fabric.packet) Queue.t;
   mutable rx_wakeup_armed : bool;
   mutable rx_last_arrival : Time.t option;
@@ -214,8 +208,8 @@ type rel_stats = {
 
 let node t = t.node
 let params t = t.p
-let is_cni t = match t.kind with Cni _ -> true | Osiris _ | Standard -> false
-let aih_enabled t = match t.kind with Cni { aih; _ } -> aih | Osiris _ | Standard -> false
+let is_cni t = match t.kind with `Cni _ -> true | `Osiris _ | `Standard -> false
+let aih_enabled t = match t.kind with `Cni { aih; _ } -> aih | `Osiris _ | `Standard -> false
 let message_cache t = t.mc
 
 let network_cache_hit_ratio t =
@@ -326,7 +320,7 @@ let nic_transmit t ~dst ~header ~body_bytes ~data ~payload =
   | Page { vaddr; bytes; cacheable } -> (
       Stats.Counter.incr t.s_tx_data_packets;
       match t.kind with
-      | Cni _ -> (
+      | `Cni _ -> (
           match t.mc with
           | Some mc when Message_cache.lookup mc ~vpage:(vpage_of t vaddr) ->
               (* transmit caching hit: the board already holds a consistent
@@ -339,7 +333,7 @@ let nic_transmit t ~dst ~header ~body_bytes ~data ~payload =
           | None ->
               Bus.dma t.bus ~dir:Bus.Dma_from_memory ~addr:vaddr ~bytes;
               Stats.Counter.add t.s_tx_dma_bytes bytes)
-      | Osiris _ | Standard ->
+      | `Osiris _ | `Standard ->
           Bus.dma t.bus ~dir:Bus.Dma_from_memory ~addr:vaddr ~bytes;
           Stats.Counter.add t.s_tx_dma_bytes bytes));
   (* bulk data rides in the same frame: it must be counted in the wire size
@@ -395,8 +389,8 @@ let rec arm_retransmit t r (e : 'a tx_entry) =
               ~label:"retransmit" ~payload:e.e_seq;
           Engine.spawn t.eng ~name:"nic-retransmit" (fun () ->
               (match t.kind with
-              | Cni _ | Osiris _ -> ()
-              | Standard ->
+              | `Cni _ | `Osiris _ -> ()
+              | `Standard ->
                   Stats.Counter.incr t.s_interrupts;
                   host_kernel_burst t
                     Time.(t.p.Params.interrupt_latency
@@ -456,8 +450,8 @@ let send t ~dst ~header ~body_bytes ~data ~payload =
   let p = t.p in
   let host_cycles =
     match t.kind with
-    | Cni _ | Osiris _ -> p.Params.adc_enqueue_cycles (* user-level send path *)
-    | Standard -> p.Params.kernel_send_cycles
+    | `Cni _ | `Osiris _ -> p.Params.adc_enqueue_cycles (* user-level send path *)
+    | `Standard -> p.Params.kernel_send_cycles
   in
   let cost = Params.cpu_cycles p host_cycles in
   t.host.overhead cost;
@@ -519,8 +513,8 @@ let local_dispatch t f =
   let p = t.p in
   let enqueue_cycles =
     match t.kind with
-    | Cni _ | Osiris _ -> p.Params.adc_enqueue_cycles
-    | Standard -> p.Params.kernel_send_cycles
+    | `Cni _ | `Osiris _ -> p.Params.adc_enqueue_cycles
+    | `Standard -> p.Params.kernel_send_cycles
   in
   let cost = Params.cpu_cycles p enqueue_cycles in
   t.host.overhead cost;
@@ -552,12 +546,12 @@ let local_dispatch t f =
 let discard_cost t =
   let p = t.p in
   match t.kind with
-  | Cni _ ->
+  | `Cni _ ->
       Engine.delay (Time.ns p.Params.pathfinder_cell_ns);
       nic_busy t (Params.nic_cycles p p.Params.handler_dispatch_nic_cycles)
-  | Osiris { software_classify_nic_cycles } ->
+  | `Osiris { software_classify_nic_cycles } ->
       nic_busy t (Params.nic_cycles p software_classify_nic_cycles)
-  | Standard ->
+  | `Standard ->
       Stats.Counter.incr t.s_interrupts;
       host_kernel_burst t
         Time.(p.Params.interrupt_latency + Params.cpu_cycles p p.Params.kernel_recv_cycles)
@@ -574,8 +568,8 @@ let send_ack t r ~dst ~seq =
   in
   Engine.spawn t.eng ~name:"nic-ack" (fun () ->
       (match t.kind with
-      | Cni _ | Osiris _ -> ()
-      | Standard ->
+      | `Cni _ | `Osiris _ -> ()
+      | `Standard ->
           host_kernel_burst t (Params.cpu_cycles t.p t.p.Params.kernel_send_cycles));
       (* acks carry no payload and are intercepted before classification at
          the far end, so the placeholder is never read (cf. Mp's barrier
@@ -652,6 +646,11 @@ let rel_admit t (h : Wire.t) (pkt : 'a Fabric.packet) =
 (* Receive wakeup policy                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* How often a polling host checks the receive ring: the unit of the
+   wasted-poll cost [Rx_poll] (and the adaptive policy's poll mode) pays
+   when traffic is slower than this. *)
+let rx_poll_period = Time.us 5
+
 (* The mode a host wakeup will use right now. Fixed policies are their own
    mode; the adaptive policy follows its estimator. *)
 let effective_mode t : rx_mode =
@@ -684,7 +683,7 @@ let note_rx_arrival t =
   t.rx_last_arrival <- Some now;
   (match (gap_ps, effective_mode t) with
   | Some gap, `Poll when gap > 0 ->
-      let period = max 1 (Time.to_ps t.rx_poll_period) in
+      let period = Time.to_ps rx_poll_period in
       let wasted = max 0 ((gap / period) - 1) in
       if wasted > 0 then begin
         Stats.Counter.add t.s_wasted_polls wasted;
@@ -843,7 +842,7 @@ let receive t (pkt : 'a Fabric.packet) =
               t.default_handler
         in
         match t.kind with
-        | Cni { aih; _ } ->
+        | `Cni { aih; _ } ->
             (* PATHFINDER classifies the first cell in dedicated hardware;
                continuation cells follow the remembered VC binding (their cost
                is folded into the SAR term). *)
@@ -864,7 +863,7 @@ let receive t (pkt : 'a Fabric.packet) =
                  poll, hybrid or adaptive) decides how the host learns of the
                  frame *)
               deliver_host t handler pkt
-        | Osiris { software_classify_nic_cycles } ->
+        | `Osiris { software_classify_nic_cycles } ->
             (* the base board: ADC queues exist, but demultiplexing is software
                on the board processor and the host is interrupted for every
                packet (section 2.1's two differences from the CNI) *)
@@ -875,7 +874,7 @@ let receive t (pkt : 'a Fabric.packet) =
             if not (t.host.host_waiting ()) then t.host.steal p.Params.interrupt_latency;
             run_on_host t ~base:p.Params.interrupt_latency
               ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt
-        | Standard ->
+        | `Standard ->
             (* the standard board interrupts the host for every packet; the
                kernel demultiplexes in software and runs the handler on the
                host CPU *)
@@ -890,14 +889,14 @@ let receive t (pkt : 'a Fabric.packet) =
 
 let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
   let p = Bus.params bus in
-  (match kind with Cni o -> check_cni_options o | Osiris _ | Standard -> ());
+  (match kind with `Cni o -> check_cni_options o | `Osiris _ | `Standard -> ());
   let mc =
     match kind with
-    | Cni { mc_bytes; mc_mode; mc_phys_to_vpage; _ } when mc_bytes > 0 ->
+    | `Cni { mc_bytes; mc_mode; _ } when mc_bytes > 0 ->
         Some
-          (Message_cache.create ?registry ~node ?phys_to_vpage:mc_phys_to_vpage
-             ~page_bytes:p.Params.page_bytes ~capacity_bytes:mc_bytes ~mode:mc_mode ())
-    | Cni _ | Osiris _ | Standard -> None
+          (Message_cache.create ?registry ~node ~page_bytes:p.Params.page_bytes
+             ~capacity_bytes:mc_bytes ~mode:mc_mode ())
+    | `Cni _ | `Osiris _ | `Standard -> None
   in
   let counter name =
     match registry with
@@ -950,13 +949,9 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       recovery_latencies = [];
       rx_policy =
         (match kind with
-        | Cni { rx_policy; _ } -> rx_policy
-        | Osiris _ | Standard -> Rx_interrupt);
-      rx_batch = (match kind with Cni { rx_batch; _ } -> rx_batch | Osiris _ | Standard -> 1);
-      rx_poll_period =
-        (match kind with
-        | Cni { rx_poll_period; _ } -> rx_poll_period
-        | Osiris _ | Standard -> Time.us 5);
+        | `Cni { rx_policy; _ } -> rx_policy
+        | `Osiris _ | `Standard -> Rx_interrupt);
+      rx_batch = (match kind with `Cni { rx_batch; _ } -> rx_batch | `Osiris _ | `Standard -> 1);
       rx_queue = Queue.create ();
       rx_wakeup_armed = false;
       rx_last_arrival = None;
@@ -992,23 +987,12 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
   Fabric.set_receiver fabric ~node (fun pkt -> receive t pkt);
   t
 
-let create_cni ?registry ?reliability eng bus fabric ~node ~host
-    ?(options = default_cni_options) () =
-  create ?registry ?reliability ~kind:(Cni options) eng bus fabric ~node ~host
-
-let create_standard ?registry ?reliability eng bus fabric ~node ~host () =
-  create ?registry ?reliability ~kind:Standard eng bus fabric ~node ~host
-
-let create_osiris ?registry ?reliability eng bus fabric ~node ~host
-    ?(options = default_osiris_options) () =
-  create ?registry ?reliability ~kind:(Osiris options) eng bus fabric ~node ~host
-
 (* The memory-check + classifier half of an installation, shared by the
    public entry point and the restart replay (which must not re-log). *)
 let install_raw t ~pattern ~code_bytes f =
   if code_bytes <= 0 then invalid_arg "Nic.install_handler: code_bytes must be positive";
   let mc_bytes =
-    match t.kind with Cni { mc_bytes; _ } -> mc_bytes | Osiris _ | Standard -> 0
+    match t.kind with `Cni { mc_bytes; _ } -> mc_bytes | `Osiris _ | `Standard -> 0
   in
   let free = t.p.Params.nic_memory_bytes - mc_bytes - t.s_handler_code_bytes in
   if code_bytes > free then
@@ -1153,11 +1137,11 @@ type 'a verified_handler = {
    header words plus the frame's body size. *)
 let header_view_words = 6
 
-let install_handler_verified ?max_wcet ?link_bps t ~pattern ~program ~entry ~on_send ~on_wake =
+let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_wake =
   (* line-rate admission: the budget one streaming activation gets before
      the next cell arrives, at the configured (or overridden) link rate *)
   let cell_budget = Params.line_rate_budget ?link_bps t.p in
-  match Cni_aih.Aih_verify.verify ?max_wcet ~cell_budget program with
+  match Cni_aih.Aih_verify.verify ~cell_budget program with
   | Error rjs ->
       Stats.Counter.incr (lcounter t "aih_verify_rejects");
       Error rjs
@@ -1221,7 +1205,7 @@ let install_handler_verified ?max_wcet ?link_bps t ~pattern ~program ~entry ~on_
             (fun () ->
               (* firmware goes back through the verifier before the scrubbed
                  board will run it again *)
-              match Cni_aih.Aih_verify.verify ?max_wcet ~cell_budget program with
+              match Cni_aih.Aih_verify.verify ~cell_budget program with
               | Error _ ->
                   Stats.Counter.incr (lcounter t "restart_reverify_rejects");
                   None
@@ -1255,4 +1239,4 @@ let stats t =
 
 (* the wakeup mode a frame arriving now would be delivered with *)
 let rx_mode t : rx_mode =
-  match t.kind with Cni _ -> effective_mode t | Osiris _ | Standard -> `Interrupt
+  match t.kind with `Cni _ -> effective_mode t | `Osiris _ | `Standard -> `Interrupt

@@ -1,6 +1,7 @@
 (** Network interface models.
 
-    Three interfaces share one API:
+    Three interfaces share one API and one constructor, {!create}, whose
+    [~kind] (see {!kind}) picks the board:
 
     - {b CNI} (the paper's design): Application Device Channels (no kernel on
       the send/receive path), the PATHFINDER classifier feeding Application
@@ -85,9 +86,9 @@ val default_rx_adaptive : rx_adaptive
 
     - [Rx_interrupt]: an interrupt per wakeup, whatever the host is doing —
       the standard board's behaviour, kept as an ablation.
-    - [Rx_poll]: the host checks the receive ring every [rx_poll_period];
-      cheap per check, but checks that find nothing ({e wasted polls}) burn
-      host cycles whenever traffic is slower than the period.
+    - [Rx_poll]: the host checks the receive ring every 5 us; cheap per
+      check, but checks that find nothing ({e wasted polls}) burn host
+      cycles whenever traffic is slower than that period.
     - [Rx_hybrid]: the paper's section 2.1 policy — poll when the host is
       already waiting on the network, interrupt when it is computing.
     - [Rx_adaptive]: pick interrupt / hybrid / poll from the measured
@@ -110,15 +111,6 @@ type cni_options = {
       (** receive coalescing: one host wakeup drains up to this many queued
           frames (frames arriving while the wakeup cost is still being
           charged ride along). 1 (default) = one wakeup per frame *)
-  rx_poll_period : Cni_engine.Time.t;
-      (** how often a polling host checks the receive ring; sets the
-          wasted-poll cost of [Rx_poll] (and of the adaptive policy's poll
-          mode) when traffic is slower than the period. Default 5 us *)
-  mc_phys_to_vpage : (int -> int) option;
-      (** the snooper's RTLB: translate a physical bus address to the virtual
-          page bound in the Message Cache's buffer map. [None] = identity
-          mapping (phys addr / page size), which is correct only while host
-          buffers are identity-mapped — see {!Message_cache.create} *)
 }
 
 (** AIH on, full-size Message Cache in update mode, [Rx_hybrid] with no
@@ -132,10 +124,19 @@ type osiris_options = {
 
 val default_osiris_options : osiris_options
 
-(** All constructors take an optional metrics [registry]; when given, the
-    interface registers its counters as [node<N>/nic/<metric>], its transmit
-    descriptor queue as [node<N>/ring/<metric>], and the Message Cache (CNI)
-    as [node<N>/message-cache/<metric>].
+(** Which board a node carries: the paper's CNI, the OSIRIS base board it
+    extends (section 2.1: Application Device Channels at user level, but
+    software demultiplexing on the board and an interrupt per packet towards
+    the host; no Message Cache, no AIH), or the standard interface. *)
+type kind = [ `Cni of cni_options | `Osiris of osiris_options | `Standard ]
+
+(** [create ~kind eng bus fabric ~node ~host] builds the interface of board
+    [node] and attaches it to the fabric as that node's receiver.
+
+    With a metrics [registry], the interface registers its counters as
+    [node<N>/nic/<metric>], its transmit descriptor queue as
+    [node<N>/ring/<metric>], and the Message Cache (CNI) as
+    [node<N>/message-cache/<metric>].
 
     [reliability] enables end-to-end reliable delivery (see {!Reliable}):
     every Wire frame sent through this interface is sequenced, acknowledged
@@ -144,44 +145,19 @@ val default_osiris_options : osiris_options
     runs in board firmware; on the standard interface every ack,
     retransmission and duplicate costs the host an interrupt + kernel path.
     With [reliability] absent the interface behaves exactly as before —
-    the zero-loss fast path carries no cost. *)
+    the zero-loss fast path carries no cost.
 
-val create_cni :
+    @raise Invalid_argument on inconsistent {!cni_options} ([rx_batch < 1],
+    an adaptive policy whose thresholds or weights are out of range). *)
+val create :
   ?registry:Cni_engine.Stats.Registry.t ->
   ?reliability:Reliable.config ->
+  kind:kind ->
   Cni_engine.Engine.t ->
   Cni_machine.Bus.t ->
   'a Cni_atm.Fabric.t ->
   node:int ->
   host:host ->
-  ?options:cni_options ->
-  unit ->
-  'a t
-
-val create_standard :
-  ?registry:Cni_engine.Stats.Registry.t ->
-  ?reliability:Reliable.config ->
-  Cni_engine.Engine.t ->
-  Cni_machine.Bus.t ->
-  'a Cni_atm.Fabric.t ->
-  node:int ->
-  host:host ->
-  unit ->
-  'a t
-
-(** The OSIRIS base board the CNI extends (section 2.1): Application Device
-    Channels at user level, but software demultiplexing on the board and an
-    interrupt per packet towards the host; no Message Cache, no AIH. *)
-val create_osiris :
-  ?registry:Cni_engine.Stats.Registry.t ->
-  ?reliability:Reliable.config ->
-  Cni_engine.Engine.t ->
-  Cni_machine.Bus.t ->
-  'a Cni_atm.Fabric.t ->
-  node:int ->
-  host:host ->
-  ?options:osiris_options ->
-  unit ->
   'a t
 
 val node : 'a t -> int
@@ -270,7 +246,6 @@ val header_view_words : int
     @raise Failure if the program verifies but the board's free memory
     cannot hold its certified [code_bytes]. *)
 val install_handler_verified :
-  ?max_wcet:int ->
   ?link_bps:int ->
   'a t ->
   pattern:Cni_pathfinder.Pattern.t ->
@@ -329,7 +304,7 @@ type stats = {
   polls : int;  (** receive wakeups delivered to a polling host check *)
   wasted_polls : int;
       (** ring checks that found nothing, while in poll mode; the cost
-          polling pays when traffic is slower than [rx_poll_period] *)
+          polling pays when traffic is slower than the 5 us poll period *)
   coalesced : int;
       (** frames delivered by a wakeup they did not pay for ([rx_batch] >
           1): total frames minus wakeups on the batched path *)

@@ -174,8 +174,6 @@ type 'a t = {
   eng : Engine.t;
   rank : int;
   size : int;
-  channel : int;
-  cfg : Reliable.config;
   deliver : src:int -> seq:int -> body_bytes:int -> payload:'a -> unit;
   rx_vh : 'a Nic.verified_handler;
   tx_vh : 'a Nic.verified_handler;
@@ -199,8 +197,6 @@ let stats t =
     rx_duplicates = Stats.Counter.value t.s_rx_duplicates;
   }
 
-let pending_count t = Hashtbl.length t.pending
-
 let header t ~kind ~obj =
   Wire.encode
     {
@@ -208,10 +204,13 @@ let header t ~kind ~obj =
       cacheable = false;
       has_data = false;
       src = t.rank;
-      channel = t.channel;
+      channel = default_channel;
       obj;
       aux = 0;
     }
+
+(* The closure layer's default timeouts, backoff and retry budget. *)
+let cfg = Reliable.default
 
 (* Retransmit timer, same shape as the closure layer's [arm_retransmit]:
    doubling RTO under the cap, a structured failure when the budget runs
@@ -220,10 +219,10 @@ let header t ~kind ~obj =
 let rec arm t p =
   Engine.after t.eng p.p_rto (fun () ->
       if Hashtbl.mem t.pending (p.p_dst, p.p_seq) && Nic.alive t.nic then
-        if p.p_tries >= t.cfg.Reliable.max_tries then begin
+        if p.p_tries >= cfg.Reliable.max_tries then begin
           Hashtbl.remove t.pending (p.p_dst, p.p_seq);
           let f =
-            { Reliable.node = t.rank; dst = p.p_dst; channel = t.channel;
+            { Reliable.node = t.rank; dst = p.p_dst; channel = default_channel;
               seq = p.p_seq; tries = p.p_tries }
           in
           Engine.spawn t.eng ~name:"relir-delivery-failed" (fun () ->
@@ -231,8 +230,8 @@ let rec arm t p =
         end
         else begin
           p.p_tries <- p.p_tries + 1;
-          let next_rto = Time.(p.p_rto * t.cfg.Reliable.backoff) in
-          p.p_rto <- Time.min next_rto t.cfg.Reliable.max_rto;
+          let next_rto = Time.(p.p_rto * cfg.Reliable.backoff) in
+          p.p_rto <- Time.min next_rto cfg.Reliable.max_rto;
           Stats.Counter.incr t.s_retransmits;
           Engine.spawn t.eng ~name:"relir-retx" (fun () ->
               Nic.send t.nic ~dst:p.p_dst ~header:p.p_header
@@ -281,7 +280,7 @@ let on_wake t ~seq ~value =
         p_payload = g.g_payload;
         p_done = g.g_done;
         p_tries = 1;
-        p_rto = t.cfg.Reliable.timeout;
+        p_rto = cfg.Reliable.timeout;
       }
     in
     Hashtbl.replace t.pending (peer, value) p;
@@ -294,9 +293,7 @@ let counter nic name =
       Stats.Registry.counter reg ~node:(Nic.node nic) ~subsystem:"reliable-ir" name
   | None -> Stats.Counter.create name
 
-let install ?(channel = default_channel) ?(config = Reliable.default) ~engine ~size
-    ~deliver nic =
-  Reliable.check_config config;
+let install ~engine ~size ~deliver nic =
   let rank = Nic.node nic in
   if size < 1 then invalid_arg "Reliable_ir.install: need at least one node";
   if size > 0xFFFF then invalid_arg "Reliable_ir.install: peer index rides in 16 bits";
@@ -307,8 +304,6 @@ let install ?(channel = default_channel) ?(config = Reliable.default) ~engine ~s
         eng = engine;
         rank;
         size;
-        channel;
-        cfg = config;
         deliver;
         rx_vh = install_rx ();
         tx_vh = install_tx ();
@@ -323,7 +318,7 @@ let install ?(channel = default_channel) ?(config = Reliable.default) ~engine ~s
   and install_rx () =
     match
       Nic.install_handler_verified nic
-        ~pattern:(Wire.pattern_channel ~channel)
+        ~pattern:(Wire.pattern_channel ~channel:default_channel)
         ~program:(rx_program ~size)
         ~entry:(fun pkt ->
           (Lazy.force t).cur_pkt <-
@@ -340,10 +335,10 @@ let install ?(channel = default_channel) ?(config = Reliable.default) ~engine ~s
              (Cni_aih.Aih_verify.explain_all rjs))
   and install_tx () =
     (* the stamp program is driven only through local_dispatch; its pattern
-       sits on channel+1, which never appears on the wire *)
+       sits on the next channel, which never appears on the wire *)
     match
       Nic.install_handler_verified nic
-        ~pattern:(Wire.pattern_channel ~channel:(channel + 1))
+        ~pattern:(Wire.pattern_channel ~channel:(default_channel + 1))
         ~program:(tx_program ~size)
         ~entry:(fun _ -> [| 0 |])
         ~on_send:(fun ctx ~dst ~kind ~obj ~value ->
@@ -367,5 +362,3 @@ let send t ~dst ~body_bytes ~payload =
   Nic.local_dispatch t.nic (fun ctx -> t.tx_vh.Nic.vh_activate ctx [| dst |]);
   g_done
 
-let rx_cert t = t.rx_vh.Nic.vh_cert
-let tx_cert t = t.tx_vh.Nic.vh_cert

@@ -27,9 +27,9 @@
     beyond the floor (the closure layer's table is unbounded); frames
     further out are dropped unacked and recovered by retransmission. *)
 
-(** Wire channel of data/ack frames (default 9); the transmit stamp
-    program occupies [channel + 1] in the classifier but never appears
-    on the wire. *)
+(** Wire channel of data/ack frames (9); the transmit stamp program
+    occupies [default_channel + 1] in the classifier but never appears on
+    the wire. *)
 val default_channel : int
 
 val k_data : int
@@ -52,15 +52,15 @@ type 'a t
 (** [install ~engine ~size ~deliver nic] verifies and installs both
     programs on [nic] (rank is the NIC's node id) and returns the
     endpoint. [deliver] is called once per fresh data frame, in arrival
-    order, from the receive dispatch. Counters register under
-    subsystem "reliable-ir" with the {!Nic.rel_stats} names.
+    order, from the receive dispatch. Frames travel on
+    {!default_channel}; timeouts, backoff and the retry budget are
+    {!Reliable.default}'s. Counters register under subsystem
+    "reliable-ir" with the {!Nic.rel_stats} names.
 
     @raise Failure when the generated firmware is rejected by the
     verifier — a shipped-firmware bug, not a caller error.
-    @raise Invalid_argument on a bad [size] or [config]. *)
+    @raise Invalid_argument on a bad [size]. *)
 val install :
-  ?channel:int ->
-  ?config:Reliable.config ->
   engine:Cni_engine.Engine.t ->
   size:int ->
   deliver:(src:int -> seq:int -> body_bytes:int -> payload:'a -> unit) ->
@@ -75,15 +75,6 @@ val install :
 val send :
   'a t -> dst:int -> body_bytes:int -> payload:'a -> unit Cni_engine.Sync.Ivar.t
 
-(** Frames sent but not yet acknowledged. *)
-val pending_count : 'a t -> int
-
 type stats = { retransmits : int; acks_tx : int; acks_rx : int; rx_duplicates : int }
 
 val stats : 'a t -> stats
-
-(** Admission certificates of the installed programs (the rx one is the
-    interesting one: it carries a non-zero per-byte bound). *)
-val rx_cert : 'a t -> Cni_aih.Aih_verify.cert
-
-val tx_cert : 'a t -> Cni_aih.Aih_verify.cert

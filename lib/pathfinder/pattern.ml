@@ -27,9 +27,6 @@ let matches_field header f =
 
 let matches t header = List.for_all (matches_field header) t
 
-let equal_field a b =
-  a.offset = b.offset && a.len = b.len && a.mask = b.mask && a.value = b.value
-
 let pp_field fmt f =
   Format.fprintf fmt "[%d:%d & 0x%x = 0x%x]" f.offset f.len f.mask f.value
 

@@ -35,11 +35,6 @@ val read_field : Bytes.t -> field -> int option
     header. *)
 val read_masked : Bytes.t -> offset:int -> len:int -> mask:int -> int option
 
-(** Structural equality of two fields (offset, length, mask and expected
-    value all equal). Branch sharing in the classifier DAG is defined in
-    terms of this relation. *)
-val equal_field : field -> field -> bool
-
 (** Prints one field as [[offset:len & mask = value]]. *)
 val pp_field : Format.formatter -> field -> unit
 

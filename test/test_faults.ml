@@ -12,7 +12,6 @@ module Nic = Cni_nic.Nic
 module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
-module Jacobi = Cni_apps.Jacobi
 module Runner = Cni_experiments.Runner
 
 let check = Alcotest.check
@@ -82,9 +81,13 @@ let test_schedule_text_roundtrip () =
         ];
     }
   in
-  (match Faults.config_of_string (Faults.config_to_string cfg) with
-  | Ok cfg' -> checkb "text round-trip preserves the config" true (cfg = cfg')
-  | Error e -> Alcotest.fail e);
+  (* 1/3 is where a short float format would truncate the probability *)
+  List.iter
+    (fun cfg ->
+      match Faults.config_of_string (Faults.config_to_string cfg) with
+      | Ok cfg' -> checkb "text round-trip preserves the config" true (cfg = cfg')
+      | Error e -> Alcotest.fail e)
+    [ cfg; { cfg with Faults.cell_corrupt = 1. /. 3.; frame_drop = 0.1 } ];
   match Faults.config_of_string (Faults.config_to_string Faults.none) with
   | Ok cfg' -> checkb "none renders to nothing and parses back" true (Faults.is_none cfg')
   | Error e -> Alcotest.fail e
@@ -174,15 +177,9 @@ let test_window_dedup () =
 (* End-to-end recovery                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let jacobi_cfg = { Jacobi.default_config with Jacobi.n = 96; iterations = 6 }
-
 let run_jacobi ?faults ?reliability ~kind () =
-  let cs = ref nan in
-  let r =
-    Runner.run ?faults ?reliability ~kind ~procs:4 (fun cluster lrcs ->
-        cs := (Jacobi.run cluster lrcs jacobi_cfg).Jacobi.checksum)
-  in
-  (r, !cs)
+  let r = Runner.run ?faults ?reliability ~kind ~procs:4 (Runner.jacobi ~n:96 ~iterations:6) in
+  (r, r.Runner.checksum)
 
 let clean_checksum = lazy (snd (run_jacobi ~kind:(Runner.cni ()) ()))
 

@@ -6,9 +6,6 @@
 module Time = Cni_engine.Time
 module Params = Cni_machine.Params
 module Mc = Cni_nic.Message_cache
-module Jacobi = Cni_apps.Jacobi
-module Water = Cni_apps.Water
-module Cholesky = Cni_apps.Cholesky
 module Sparse = Cni_apps.Sparse
 module Runner = Cni_experiments.Runner
 module Microbench = Cni_experiments.Microbench
@@ -20,16 +17,9 @@ let checkb = check Alcotest.bool
 let sec t = Time.to_s_float t
 
 (* small workloads with the same sharing patterns as the paper's *)
-let jacobi cluster lrcs =
-  ignore (Jacobi.run cluster lrcs { Jacobi.default_config with Jacobi.n = 128; iterations = 10 })
-
-let water cluster lrcs =
-  ignore (Water.run cluster lrcs { Water.default_config with Water.molecules = 64 })
-
-let small_matrix = lazy (Sparse.stiffness_like ~n:360 ~dofs:3 ~seed:3)
-
-let cholesky cluster lrcs =
-  ignore (Cholesky.run cluster lrcs (Cholesky.default_config (Lazy.force small_matrix)))
+let jacobi = Runner.jacobi ~n:128 ~iterations:10
+let water = Runner.water ~molecules:64
+let cholesky = Runner.cholesky (lazy (Sparse.stiffness_like ~n:360 ~dofs:3 ~seed:3))
 
 let elapsed ~kind ~procs app = (Runner.run ~kind ~procs app).Runner.elapsed
 
@@ -239,7 +229,13 @@ let test_build_step () =
   builds "a 1015 KB Message Cache"
     (Runner.build ~kind:(Runner.cni ~mc_bytes:(1015 * 1024) ()) ~procs:4 ());
   rejects "a 1016 KB Message Cache" ~naming:"board memory"
-    (Runner.build ~kind:(Runner.cni ~mc_bytes:(1016 * 1024) ()) ~procs:4 ())
+    (Runner.build ~kind:(Runner.cni ~mc_bytes:(1016 * 1024) ()) ~procs:4 ());
+  (* a fault model is checked whole, not only when it has a crash schedule *)
+  let window = { Cni_atm.Faults.w_node = 99; w_from = Time.us 10; w_upto = Time.us 20 } in
+  rejects "a link-down window on node 99 of 4" ~naming:"node 99"
+    (Runner.build
+       ~faults:{ Cni_atm.Faults.none with Cni_atm.Faults.link_down = [ window ] }
+       ~kind:(Runner.cni ()) ~procs:4 ())
 
 (* each protocol stack claims its own wire channel, and none of them takes
    the reliable-delivery ack channel *)

@@ -191,14 +191,29 @@ let test_serving_smoke () =
 (* Scenario profiles                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* every fault directive, as a profile writes it after its fault-seed line *)
+let fault_lines =
+  "loss 1e-4\ncorrupt 0.33333333333333331\ndrop 0.001\ndown 2 10 30\ncrash 1 100 scrub\n\
+   restart 1 300\ncrash 3 250\n"
+
 let test_profile_roundtrip () =
+  let all_faults =
+    match Scenario.of_string ("name all-faults\nfault-seed 9\n" ^ fault_lines) with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "all-faults profile rejected: %s" e
+  in
+  (match Cni_atm.Faults.config_of_string ("seed 9\n" ^ fault_lines) with
+  | Ok f ->
+      checkb "profile fault lines parse as a fault schedule does" true
+        (all_faults.Scenario.faults = f)
+  | Error e -> Alcotest.failf "fault lines rejected: %s" e);
   List.iter
     (fun p ->
       match Scenario.of_string (Scenario.to_string p) with
       | Ok p' ->
           checkb (Printf.sprintf "round-trip exact for %s" p.Scenario.name) true (p = p')
       | Error e -> Alcotest.failf "%s failed to re-parse: %s" p.Scenario.name e)
-    Scenario.builtins
+    (all_faults :: Scenario.builtins)
 
 let test_builtins_valid () =
   List.iter
@@ -304,6 +319,13 @@ let test_profile_parse_errors () =
   (match parse_err "name x\nflux 3\n" with
   | Some e -> checkb "unknown key rejected with line" true (String.sub e 0 6 = "line 2")
   | None -> Alcotest.fail "unknown key accepted");
+  List.iter
+    (fun line ->
+      match parse_err ("name x\nservers 2\n" ^ line ^ "\n") with
+      | Some e ->
+          checkb (Printf.sprintf "%S rejected with line" line) true (String.sub e 0 6 = "line 3")
+      | None -> Alcotest.failf "%S accepted" line)
+    [ "down 1 10"; "crash 1"; "crash 1 10 wipe"; "restart 1 10 20" ];
   (match parse_err "clients 4\n" with
   | Some _ -> ()
   | None -> Alcotest.fail "nameless profile accepted");
