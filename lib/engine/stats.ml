@@ -10,43 +10,6 @@ module Counter = struct
   let reset t = t.v <- 0
 end
 
-module Summary = struct
-  type t = {
-    name : string;
-    mutable count : int;
-    mutable sum : int;
-    mutable min_v : int;
-    mutable max_v : int;
-  }
-
-  let create name = { name; count = 0; sum = 0; min_v = 0; max_v = 0 }
-  let name t = t.name
-
-  let observe t s =
-    if t.count = 0 then begin
-      t.min_v <- s;
-      t.max_v <- s
-    end
-    else begin
-      if s < t.min_v then t.min_v <- s;
-      if s > t.max_v then t.max_v <- s
-    end;
-    t.count <- t.count + 1;
-    t.sum <- t.sum + s
-
-  let count t = t.count
-  let sum t = t.sum
-  let min t = if t.count = 0 then None else Some t.min_v
-  let max t = if t.count = 0 then None else Some t.max_v
-  let mean t = if t.count = 0 then 0. else float_of_int t.sum /. float_of_int t.count
-
-  let reset t =
-    t.count <- 0;
-    t.sum <- 0;
-    t.min_v <- 0;
-    t.max_v <- 0
-end
-
 module Histogram = struct
   (* sub_bits = 5: 32 sub-buckets per power-of-two octave. Values < 32 are
      their own bucket (exact); above that, bucket [b*32 + s] (b >= 1)
@@ -147,7 +110,7 @@ let json_escape s =
   Buffer.contents buf
 
 module Registry = struct
-  type metric = C of Counter.t | S of Summary.t | H of Histogram.t
+  type metric = C of Counter.t | H of Histogram.t
 
   type t = { tbl : (string, metric) Hashtbl.t }
 
@@ -170,16 +133,6 @@ module Registry = struct
         Hashtbl.replace t.tbl key (C c);
         c
 
-  let summary t ?node ~subsystem name =
-    let key = full_name ?node ~subsystem name in
-    match Hashtbl.find_opt t.tbl key with
-    | Some (S s) -> s
-    | Some _ -> mismatch key
-    | None ->
-        let s = Summary.create key in
-        Hashtbl.replace t.tbl key (S s);
-        s
-
   let histogram t ?node ~subsystem name =
     let key = full_name ?node ~subsystem name in
     match Hashtbl.find_opt t.tbl key with
@@ -197,7 +150,6 @@ module Registry = struct
       (fun _ m ->
         match m with
         | C c -> Counter.reset c
-        | S s -> Summary.reset s
         | H h -> Histogram.reset h)
       t.tbl
 
@@ -205,7 +157,6 @@ module Registry = struct
 
   type value =
     | Counter_v of int
-    | Summary_v of { count : int; sum : int; min : int option; max : int option; mean : float }
     | Histogram_v of { count : int; buckets : (int * int * int) list }
 
   type snapshot = (string * value) list
@@ -216,15 +167,6 @@ module Registry = struct
         let v =
           match m with
           | C c -> Counter_v (Counter.value c)
-          | S s ->
-              Summary_v
-                {
-                  count = Summary.count s;
-                  sum = Summary.sum s;
-                  min = Summary.min s;
-                  max = Summary.max s;
-                  mean = Summary.mean s;
-                }
           | H h -> Histogram_v { count = Histogram.count h; buckets = Histogram.buckets h }
         in
         (key, v) :: acc)
@@ -232,9 +174,8 @@ module Registry = struct
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
   (* [diff ~before ~after]: the metric movement between two snapshots.
-     Counters and counts subtract; a summary's min/max and a histogram's
-     buckets are taken from [after] (buckets subtract per bucket).
-     Metrics absent from [before] diff against zero. *)
+     Counters and histogram counts subtract, and histogram buckets subtract
+     bucket by bucket. Metrics absent from [before] diff against zero. *)
   let diff ~before ~after =
     let prior = Hashtbl.create (List.length before) in
     List.iter (fun (k, v) -> Hashtbl.replace prior k v) before;
@@ -242,10 +183,6 @@ module Registry = struct
       (fun (k, v) ->
         match (v, Hashtbl.find_opt prior k) with
         | Counter_v n, Some (Counter_v n0) -> (k, Counter_v (n - n0))
-        | Summary_v s, Some (Summary_v s0) ->
-            let count = s.count - s0.count and sum = s.sum - s0.sum in
-            let mean = if count = 0 then 0. else float_of_int sum /. float_of_int count in
-            (k, Summary_v { count; sum; min = s.min; max = s.max; mean })
         | Histogram_v h, Some (Histogram_v h0) ->
             let prior_buckets = List.map (fun (lo, _, n) -> (lo, n)) h0.buckets in
             let buckets =
@@ -263,10 +200,6 @@ module Registry = struct
 
   let value_to_json = function
     | Counter_v n -> string_of_int n
-    | Summary_v { count; sum; min; max; mean } ->
-        let opt = function None -> "null" | Some n -> string_of_int n in
-        Printf.sprintf "{\"count\":%d,\"sum\":%d,\"min\":%s,\"max\":%s,\"mean\":%.6g}" count sum
-          (opt min) (opt max) mean
     | Histogram_v { count; buckets } ->
         Printf.sprintf "{\"count\":%d,\"buckets\":[%s]}" count
           (String.concat ","

@@ -1,4 +1,4 @@
-(** Statistics collection: counters, running summaries, HDR histograms, and
+(** Statistics collection: counters, HDR histograms, and
     a registry that names metrics per node/subsystem and exports machine-
     readable snapshots. *)
 
@@ -15,28 +15,6 @@ module Counter : sig
       registry at snapshot time). *)
 
   val value : t -> int
-  val reset : t -> unit
-end
-
-module Summary : sig
-  (** Running count / sum / min / max / mean of integer samples. *)
-  type t
-
-  val create : string -> t
-  val name : t -> string
-  val observe : t -> int -> unit
-  val count : t -> int
-  val sum : t -> int
-
-  val min : t -> int option
-  (** [None] until a sample has been observed — a real observed 0 is
-      distinguishable from "no samples". *)
-
-  val max : t -> int option
-  (** [None] until a sample has been observed. *)
-
-  val mean : t -> float (** 0. when empty *)
-
   val reset : t -> unit
 end
 
@@ -92,7 +70,7 @@ val json_escape : string -> string
 module Registry : sig
   (** A named collection of metrics. Names follow
       [node<N>/<subsystem>/<metric>] (or [<subsystem>/<metric>] without a
-      node); [counter]/[summary]/[histogram] find-or-create, so subsystems
+      node); [counter]/[histogram] find-or-create, so subsystems
       can share a metric by name.
 
       Typically one registry per simulated cluster: independent runs do not
@@ -103,7 +81,6 @@ module Registry : sig
   val create : unit -> t
 
   val counter : t -> ?node:int -> subsystem:string -> string -> Counter.t
-  val summary : t -> ?node:int -> subsystem:string -> string -> Summary.t
   val histogram : t -> ?node:int -> subsystem:string -> string -> Histogram.t
   (** @raise Invalid_argument if the name is registered with another type. *)
 
@@ -115,7 +92,6 @@ module Registry : sig
 
   type value =
     | Counter_v of int
-    | Summary_v of { count : int; sum : int; min : int option; max : int option; mean : float }
     | Histogram_v of { count : int; buckets : (int * int * int) list }
         (** buckets as {!Histogram.buckets} reports them *)
 
@@ -125,14 +101,13 @@ module Registry : sig
   val snapshot : t -> snapshot
 
   val diff : before:snapshot -> after:snapshot -> snapshot
-  (** Metric movement between two snapshots: counters and counts subtract;
-      a summary's min/max and histogram buckets are taken from [after]
-      (buckets subtract per bucket). Metrics absent from [before] diff
-      against zero. *)
+  (** Metric movement between two snapshots: counters and histogram counts
+      subtract, and histogram buckets subtract bucket by bucket. Metrics
+      absent from [before] diff against zero. *)
 
   val value_to_json : value -> string
 
   val snapshot_to_json : snapshot -> string
-  (** One JSON object: metric name -> value (counters as numbers, summaries
-      and histograms as objects; empty min/max as [null]). *)
+  (** One JSON object: metric name -> value (counters as numbers,
+      histograms as objects). *)
 end

@@ -21,25 +21,6 @@ module Ivar = struct
   let peek t = match t.state with Full v -> Some v | Empty _ -> None
 end
 
-module Channel = struct
-  type 'a t = { values : 'a Queue.t; waiters : ('a -> unit) Queue.t }
-
-  let create () = { values = Queue.create (); waiters = Queue.create () }
-
-  let send t v =
-    match Queue.take_opt t.waiters with
-    | Some resume -> resume v
-    | None -> Queue.add v t.values
-
-  let recv t =
-    match Queue.take_opt t.values with
-    | Some v -> v
-    | None -> Engine.suspend (fun resume -> Queue.add resume t.waiters)
-
-  let try_recv t = Queue.take_opt t.values
-  let length t = Queue.length t.values
-end
-
 module Semaphore = struct
   type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
 
@@ -64,38 +45,5 @@ module Semaphore = struct
     | None -> t.count <- t.count + 1
 
   let available t = t.count
-  let waiting t = Queue.length t.waiters
-end
-
-module Mutex = struct
-  type t = Semaphore.t
-
-  let create () = Semaphore.create 1
-  let lock = Semaphore.acquire
-  let unlock = Semaphore.release
-
-  let with_lock t f =
-    lock t;
-    match f () with
-    | v ->
-        unlock t;
-        v
-    | exception e ->
-        unlock t;
-        raise e
-end
-
-module Condition = struct
-  type t = { mutable waiters : (unit -> unit) Queue.t }
-
-  let create () = { waiters = Queue.create () }
-
-  let await t = Engine.suspend (fun resume -> Queue.add resume t.waiters)
-
-  let signal_all t =
-    let q = t.waiters in
-    t.waiters <- Queue.create ();
-    Queue.iter (fun resume -> resume ()) q
-
   let waiting t = Queue.length t.waiters
 end

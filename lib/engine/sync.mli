@@ -1,7 +1,7 @@
 (** Synchronisation primitives for simulated fibers.
 
     All blocking operations must run inside a fiber ({!Engine.spawn}).
-    Non-blocking operations ([fill], [send], [release], ...) may be called
+    Non-blocking operations ([fill], [release], ...) may be called
     from any event context. *)
 
 module Ivar : sig
@@ -21,20 +21,6 @@ module Ivar : sig
   val peek : 'a t -> 'a option
 end
 
-module Channel : sig
-  (** Unbounded FIFO mailbox. *)
-  type 'a t
-
-  val create : unit -> 'a t
-  val send : 'a t -> 'a -> unit
-
-  (** Blocks until a value is available. *)
-  val recv : 'a t -> 'a
-
-  val try_recv : 'a t -> 'a option
-  val length : 'a t -> int
-end
-
 module Semaphore : sig
   (** Counting semaphore with FIFO wakeup order. *)
   type t
@@ -47,26 +33,5 @@ module Semaphore : sig
   val try_acquire : t -> bool
   val release : t -> unit
   val available : t -> int
-  val waiting : t -> int
-end
-
-module Mutex : sig
-  type t
-
-  val create : unit -> t
-  val lock : t -> unit
-  val unlock : t -> unit
-
-  (** [with_lock t f] runs [f] holding the lock, releasing it on return. *)
-  val with_lock : t -> (unit -> 'a) -> 'a
-end
-
-module Condition : sig
-  (** Broadcast-style condition: [await] blocks until the next [signal_all]. *)
-  type t
-
-  val create : unit -> t
-  val await : t -> unit
-  val signal_all : t -> unit
   val waiting : t -> int
 end

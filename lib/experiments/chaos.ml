@@ -5,10 +5,8 @@
 
 module Time = Cni_engine.Time
 module Rng = Cni_engine.Rng
-module Engine = Cni_engine.Engine
 module Faults = Cni_atm.Faults
 module Fabric = Cni_atm.Fabric
-module Reliable = Cni_nic.Reliable
 module Nic = Cni_nic.Nic
 module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
@@ -59,13 +57,6 @@ let schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub =
 (* Simulated time after which a run that has not drained is a structured
    failure, not a hang. *)
 let watchdog = Time.s 1
-
-let outcome_of_exn = function
-  | Engine.Quiescence_timeout _ -> "watchdog"
-  | Cluster.Deadlock _ -> "deadlock"
-  | Engine.Fiber_failure (_, Reliable.Peer_dead _) -> "peer-dead"
-  | Engine.Fiber_failure (_, Reliable.Delivery_failed _) -> "delivery-failed"
-  | e -> Printexc.to_string e
 
 let collect ?(rx_timeouts = 0) ~outcome ~completed ~checksum ~sched cluster =
   let n = Cluster.size cluster in
@@ -130,7 +121,7 @@ let run_dsm ?(seed = 7) ?(procs = 8) ?(n = 128) ?(iterations = 8) ?(scrub = fals
   | r ->
       collect ~outcome:"ok" ~completed:true ~checksum:r.Jacobi.checksum ~sched cluster
   | exception e ->
-      collect ~outcome:(outcome_of_exn e) ~completed:false ~checksum:nan ~sched cluster
+      collect ~outcome:(Check.outcome_of_exn e) ~completed:false ~checksum:nan ~sched cluster
 
 (* Open-loop run: a message ring that never blocks indefinitely. Each round
    every rank sends its token to its successor and collects its
@@ -163,5 +154,5 @@ let run_ring ?(seed = 7) ?(nodes = 8) ?(rounds = 24) ?(scrub = false) ?(kind = R
       collect ~rx_timeouts:!rx_timeouts ~outcome:"ok" ~completed:true ~checksum:!checksum
         ~sched cluster
   | exception e ->
-      collect ~rx_timeouts:!rx_timeouts ~outcome:(outcome_of_exn e) ~completed:false
+      collect ~rx_timeouts:!rx_timeouts ~outcome:(Check.outcome_of_exn e) ~completed:false
         ~checksum:nan ~sched cluster

@@ -1,8 +1,12 @@
 (* The shared preflight check list: labelled verdicts, the rules more than
-   one preflight states, the build-step error, and the ok/FAIL printer. *)
+   one preflight states, the build-step error, the verdict of a run that did
+   not complete, and the ok/FAIL printer. *)
 
+module Engine = Cni_engine.Engine
 module Topology = Cni_atm.Topology
 module Faults = Cni_atm.Faults
+module Reliable = Cni_nic.Reliable
+module Cluster = Cni_cluster.Cluster
 
 type t = string * (string, string) result
 
@@ -46,6 +50,17 @@ let catch build =
   match build () with
   | v -> Ok v
   | exception (Invalid_argument msg | Failure msg) -> Error msg
+
+let outcome_of_exn = function
+  | Engine.Quiescence_timeout _ -> "watchdog"
+  | Cluster.Deadlock _ -> "deadlock"
+  | Engine.Fiber_failure (_, Reliable.Peer_dead _) -> "peer-dead"
+  | Engine.Fiber_failure (_, Reliable.Delivery_failed _) -> "delivery-failed"
+  | e -> Printexc.to_string e
+
+let run_failure e =
+  let cause = match e with Engine.Fiber_failure (_, cause) -> cause | e -> e in
+  ("run completes", Error (outcome_of_exn e ^ ": " ^ Printexc.to_string cause))
 
 let print oc checks =
   List.fold_left

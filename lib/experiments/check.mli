@@ -35,6 +35,17 @@ val faults : nodes:int -> Cni_atm.Faults.config -> (unit, string list) result
     [Invalid_argument] or [Failure] an installer raised as [Error]. *)
 val catch : (unit -> 'a) -> ('a, string) result
 
+(** The structured outcome a run ended with when it did not complete:
+    ["watchdog"] (quiescence timeout), ["deadlock"], ["peer-dead"],
+    ["delivery-failed"], or the exception's text for anything else.
+    [cni_sim chaos] reports it; {!run_failure} names it. *)
+val outcome_of_exn : exn -> string
+
+(** The ["run completes"] verdict of a run [e] ended:
+    [Error "<outcome>: <message>"], the message being the failed fiber's
+    exception, or [e]'s. *)
+val run_failure : exn -> t
+
 (** [print oc checks] writes one [ok]/[FAIL] line per check to [oc] and
     returns how many failed. *)
 val print : out_channel -> t list -> int

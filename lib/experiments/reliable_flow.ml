@@ -46,7 +46,8 @@ let default =
     pace = None;
   }
 
-type counters = { retransmits : int; acks_tx : int; acks_rx : int; rx_duplicates : int }
+type counters = Reliable_ir.stats = {
+  retransmits : int; acks_tx : int; acks_rx : int; rx_duplicates : int }
 
 type outcome = {
   delivered : (int * int * int) list;
@@ -216,19 +217,7 @@ let run_firmware cfg =
         in
         Node.blocking node (fun () -> Sync.Ivar.read acked)
       done);
-  let per_node =
-    Array.map
-      (fun ep ->
-        let s = Reliable_ir.stats ep in
-        {
-          retransmits = s.Reliable_ir.retransmits;
-          acks_tx = s.Reliable_ir.acks_tx;
-          acks_rx = s.Reliable_ir.acks_rx;
-          rx_duplicates = s.Reliable_ir.rx_duplicates;
-        })
-      endpoints
-  in
-  finish cluster ~received ~per_node
+  finish cluster ~received ~per_node:(Array.map Reliable_ir.stats endpoints)
 
 let run impl cfg =
   if cfg.nodes < 2 then invalid_arg "Reliable_flow.run: need at least two nodes";

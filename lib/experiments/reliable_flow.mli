@@ -30,7 +30,10 @@ type config = {
 (** 2-node CNI ring, 8 messages of 96 bytes, clean fabric, unpaced. *)
 val default : config
 
-type counters = { retransmits : int; acks_tx : int; acks_rx : int; rx_duplicates : int }
+(** The firmware endpoints' counters, which carry {!Cni_nic.Nic.rel_stats}'s
+    names; the closure run reads its own into the same record. *)
+type counters = Cni_nic.Reliable_ir.stats = {
+  retransmits : int; acks_tx : int; acks_rx : int; rx_duplicates : int }
 
 type outcome = {
   delivered : (int * int * int) list;

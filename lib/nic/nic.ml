@@ -84,37 +84,20 @@ type kind = [ `Cni of cni_options | `Osiris of osiris_options | `Standard ]
 
 type 'a handler_fn = 'a ctx -> 'a Fabric.packet -> unit
 
-(* One unacknowledged sequenced transmission, kept until its ack arrives or
-   the retry budget runs out. *)
-type 'a tx_entry = {
-  e_dst : int;
-  e_channel : int;
-  e_seq : int;  (* bare sequence number; stable across crash re-stamping *)
-  mutable e_aux : int;  (* (epoch, seq) as stamped on the wire; the pending key *)
-  mutable e_header : Bytes.t;
-  e_body_bytes : int;
-  e_data : data;
-  e_payload : 'a;
-  mutable e_tries : int;  (* transmissions so far *)
-  mutable e_rto : Time.t;  (* next retransmission timeout *)
-  mutable e_acked : bool;
-}
+(* What the closure layer keeps of a sequenced frame besides its header. *)
+type 'a tx = { body_bytes : int; data : data; payload : 'a }
 
 type 'a rel = {
-  r_cfg : Reliable.config;
-  r_next_seq : (int, int ref) Hashtbl.t;  (* per-destination allocator *)
-  r_pending : (int * int, 'a tx_entry) Hashtbl.t;  (* (dst, aux) *)
-  mutable r_parked : 'a tx_entry list;
-      (* un-acked entries surviving a board crash in the host-resident
-         descriptor rings, newest first; re-stamped and re-sent at restart *)
-  r_windows : (int, Reliable.Window.t) Hashtbl.t;  (* per-source dedup *)
-  r_peer_epoch : (int, int) Hashtbl.t;  (* newest epoch seen per source *)
-  r_retransmits : Stats.Counter.t;
+  r_tx : 'a tx Reliable.Sender.t;
+  r_rx : Reliable.Receiver.t;
   r_acks_tx : Stats.Counter.t;
   r_acks_rx : Stats.Counter.t;
   r_rx_duplicates : Stats.Counter.t;
-  r_rto_capped : Stats.Counter.t;  (* arm events clamped at max_rto *)
 }
+
+(* A sender table under this board's crash rule (existential over the
+   protocol's frame type). *)
+type sender = Sender : 'f Reliable.Sender.t -> sender
 
 (* One replayable handler installation: a scrubbed board rebuilds its
    classifier and code segments from this log at restart (re-verifying
@@ -135,7 +118,8 @@ type 'a t = {
   mc : Message_cache.t option;
   host : host;
   registry : Stats.Registry.t option;
-  rel : 'a rel option;
+  mutable rel : 'a rel option;  (* set once, right after creation *)
+  mutable senders : sender list;  (* parked at crash, resumed at restart *)
   nic_proc : Sync.Semaphore.t;  (* the 33 MHz processor is a shared resource *)
   tx_ring : unit Ring.t;  (* transmit descriptors are processed in order; a
                              single-slot descriptor ring whose full_stalls
@@ -221,9 +205,12 @@ let network_cache_hit_ratio_opt t =
   match t.mc with Some mc -> Message_cache.hit_ratio_opt mc | None -> None
 
 let registry t = t.registry
-let reliability t = Option.map (fun r -> r.r_cfg) t.rel
 
 let vpage_of t vaddr = vaddr / t.p.Params.page_bytes
+
+let trace t ~label ~payload =
+  if Trace.enabled_cat Trace.Nic then
+    Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic ~label ~payload
 
 let lcounter t name =
   match Hashtbl.find_opt t.lazy_counters name with
@@ -249,40 +236,39 @@ let rel_stats t =
   Option.map
     (fun r ->
       {
-        retransmits = Stats.Counter.value r.r_retransmits;
+        retransmits = Reliable.Sender.retransmits r.r_tx;
         acks_tx = Stats.Counter.value r.r_acks_tx;
         acks_rx = Stats.Counter.value r.r_acks_rx;
         rx_duplicates = Stats.Counter.value r.r_rx_duplicates;
-        tx_unacked = Hashtbl.length r.r_pending;
-        rto_capped = Stats.Counter.value r.r_rto_capped;
+        tx_unacked = Reliable.Sender.unacked r.r_tx;
+        rto_capped = Reliable.Sender.rto_capped r.r_tx;
       })
     t.rel
 
-(* frames sequenced but not yet acknowledged; 0 with reliability off —
-   lets a sender serialise on delivery without an application-level ack *)
-let rel_pending_count t = match t.rel with Some r -> Hashtbl.length r.r_pending | None -> 0
+(* frames sequenced but not yet acknowledged, parked ones included; 0 with
+   reliability off — lets a sender serialise on delivery without an
+   application-level ack *)
+let rel_pending_count t =
+  match t.rel with Some r -> Reliable.Sender.unacked r.r_tx | None -> 0
 
 (* Occupy the board's processor for a bounded burst of work. Concurrent
    transmissions, receptions and handler activations on one board serialise
    here; a handler that blocks (e.g. a server-side fault) releases the
    processor between bursts, so reply processing can still run. *)
-let nic_busy t d =
+let occupy proc d =
   if d > Time.zero then begin
-    Sync.Semaphore.acquire t.nic_proc;
+    Sync.Semaphore.acquire proc;
     Engine.delay d;
-    Sync.Semaphore.release t.nic_proc
+    Sync.Semaphore.release proc
   end
+
+let nic_busy t d = occupy t.nic_proc d
 
 (* Same for interrupt-level work on the host CPU: two packets arriving at a
    standard board do not get their kernel service in parallel. Held only per
    bounded burst, so a protocol handler that blocks lets later interrupts
    through (nested service, as a real kernel would). *)
-let host_busy t d =
-  if d > Time.zero then begin
-    Sync.Semaphore.acquire t.host_proc;
-    Engine.delay d;
-    Sync.Semaphore.release t.host_proc
-  end
+let host_busy t d = occupy t.host_proc d
 
 (* Kernel work performed on the host without an application fiber to bill:
    occupy the interrupt level, report it as service and steal the CPU from a
@@ -353,109 +339,63 @@ let nic_transmit t ~dst ~header ~body_bytes ~data ~payload =
   Fabric.send t.fabric pkt
   end
 
-(* Arm (or re-arm) the retransmission timer for one unacked entry. On the
-   CNI/OSIRIS boards the timer and the resend run in board firmware; the
+(* The closure layer's transmissions of a sequenced frame. On the CNI/OSIRIS
+   boards the retransmission timer and the resend run in board firmware; the
    standard interface keeps them in the kernel, so every firing costs the
-   host an interrupt plus the kernel send path. Exhausting the budget kills
-   the run with a structured error in place of a silent hang. *)
-let rec arm_retransmit t r (e : 'a tx_entry) =
-  Engine.after t.eng e.e_rto (fun () ->
-      if not e.e_acked then
-        if e.e_tries >= r.r_cfg.Reliable.max_tries then begin
-          Hashtbl.remove r.r_pending (e.e_dst, e.e_aux);
-          let f =
-            { Reliable.node = t.node; dst = e.e_dst; channel = e.e_channel;
-              seq = e.e_seq; tries = e.e_tries }
-          in
-          (* a crashed destination is a diagnosis, not a timeout: the sender
-             learns its peer is dead rather than merely unreachable *)
-          let exn =
-            if Fabric.node_down t.fabric ~node:e.e_dst then Reliable.Peer_dead f
-            else Reliable.Delivery_failed f
-          in
-          Engine.spawn t.eng ~name:"nic-delivery-failed" (fun () -> raise exn)
-        end
-        else begin
-          e.e_tries <- e.e_tries + 1;
-          let next_rto = Time.(e.e_rto * r.r_cfg.Reliable.backoff) in
-          if next_rto > r.r_cfg.Reliable.max_rto then begin
-            Stats.Counter.incr r.r_rto_capped;
-            e.e_rto <- r.r_cfg.Reliable.max_rto
-          end
-          else e.e_rto <- next_rto;
-          Stats.Counter.incr r.r_retransmits;
-          if Trace.enabled_cat Trace.Nic then
-            Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-              ~label:"retransmit" ~payload:e.e_seq;
-          Engine.spawn t.eng ~name:"nic-retransmit" (fun () ->
-              (match t.kind with
-              | `Cni _ | `Osiris _ -> ()
-              | `Standard ->
-                  Stats.Counter.incr t.s_interrupts;
-                  host_kernel_burst t
-                    Time.(t.p.Params.interrupt_latency
-                          + Params.cpu_cycles t.p t.p.Params.kernel_send_cycles));
-              nic_transmit t ~dst:e.e_dst ~header:e.e_header ~body_bytes:e.e_body_bytes
-                ~data:e.e_data ~payload:e.e_payload);
-          arm_retransmit t r e
-        end)
+   host an interrupt plus the kernel send path. *)
+let transmit_frame t (e : 'a tx Reliable.Sender.frame) =
+  let header = e.header and { body_bytes; data; payload } = e.body in
+  Engine.spawn t.eng ~name:"nic-tx" (fun () ->
+      nic_transmit t ~dst:e.dst ~header ~body_bytes ~data ~payload)
+
+let retransmit_frame t (e : 'a tx Reliable.Sender.frame) =
+  trace t ~label:"retransmit" ~payload:e.seq;
+  Engine.spawn t.eng ~name:"nic-retransmit" (fun () ->
+      (match t.kind with
+      | `Cni _ | `Osiris _ -> ()
+      | `Standard ->
+          Stats.Counter.incr t.s_interrupts;
+          host_kernel_burst t
+            Time.(t.p.Params.interrupt_latency
+                  + Params.cpu_cycles t.p t.p.Params.kernel_send_cycles));
+      nic_transmit t ~dst:e.dst ~header:e.header ~body_bytes:e.body.body_bytes
+        ~data:e.body.data ~payload:e.body.payload)
 
 (* Queue a frame for transmission. With reliability enabled, every Wire
-   frame is stamped with a per-destination sequence number and tracked until
-   acknowledged; non-Wire frames (none in the current protocols) pass
-   through unsequenced. *)
+   frame goes into the sender table, which stamps it with a per-destination
+   sequence number and tracks it until acknowledged — parking it if the
+   board is down. Other frames (reliability off, or non-Wire) go straight to
+   the board; posted into a dead board's ADC window, such a frame vanishes
+   with the board, as a fabric loss would. *)
 let submit t ~dst ~header ~body_bytes ~data ~payload =
-  if not t.alive then
-    (* a descriptor posted into a dead board's ADC window vanishes with the
-       board — in particular no sequence number is allocated, so nothing can
-       later retransmit under a stale epoch (the host freeze makes this path
-       all but unreachable anyway) *)
-    Stats.Counter.incr (lcounter t "crash_tx_drops")
-  else
   let plain () =
-    Engine.spawn t.eng ~name:"nic-tx" (fun () ->
-        nic_transmit t ~dst ~header ~body_bytes ~data ~payload)
+    if t.alive then
+      Engine.spawn t.eng ~name:"nic-tx" (fun () ->
+          nic_transmit t ~dst ~header ~body_bytes ~data ~payload)
+    else Stats.Counter.incr (lcounter t "crash_tx_drops")
   in
   match t.rel with
   | None -> plain ()
   | Some r -> (
       match Wire.decode_opt header with
       | None -> plain ()
-      | Some h ->
-          let next =
-            match Hashtbl.find_opt r.r_next_seq dst with
-            | Some c -> c
-            | None ->
-                let c = ref 0 in
-                Hashtbl.replace r.r_next_seq dst c;
-                c
-          in
-          incr next;
-          let seq = !next in
-          let aux = Reliable.aux_of ~epoch:t.epoch ~seq in
-          let header = Wire.with_aux header aux in
-          let e =
-            { e_dst = dst; e_channel = h.Wire.channel; e_seq = seq; e_aux = aux;
-              e_header = header; e_body_bytes = body_bytes; e_data = data;
-              e_payload = payload; e_tries = 1; e_rto = r.r_cfg.Reliable.timeout;
-              e_acked = false }
-          in
-          Hashtbl.replace r.r_pending (dst, aux) e;
-          arm_retransmit t r e;
-          Engine.spawn t.eng ~name:"nic-tx" (fun () ->
-              nic_transmit t ~dst ~header ~body_bytes ~data ~payload))
+      | Some _ -> Reliable.Sender.post r.r_tx ~dst ~header { body_bytes; data; payload })
+
+(* The host's cost of posting a descriptor: the user-level ADC enqueue on
+   CNI/OSIRIS, a kernel entry on the standard board. *)
+let post_cycles t =
+  match t.kind with
+  | `Cni _ | `Osiris _ -> t.p.Params.adc_enqueue_cycles
+  | `Standard -> t.p.Params.kernel_send_cycles
+
+let charge_post t =
+  let cost = Params.cpu_cycles t.p (post_cycles t) in
+  t.host.overhead cost;
+  Engine.delay cost
 
 (* Host-side entry: charge the host path cost, then hand off to the board. *)
 let send t ~dst ~header ~body_bytes ~data ~payload =
-  let p = t.p in
-  let host_cycles =
-    match t.kind with
-    | `Cni _ | `Osiris _ -> p.Params.adc_enqueue_cycles (* user-level send path *)
-    | `Standard -> p.Params.kernel_send_cycles
-  in
-  let cost = Params.cpu_cycles p host_cycles in
-  t.host.overhead cost;
-  Engine.delay cost;
+  charge_post t;
   submit t ~dst ~header ~body_bytes ~data ~payload
 
 (* ------------------------------------------------------------------ *)
@@ -463,43 +403,47 @@ let send t ~dst ~header ~body_bytes ~data ~payload =
 (* ------------------------------------------------------------------ *)
 
 let make_ctx t ~on_charge ~reply_host_cycles =
-  let ctx =
-    {
-      ctx_node = t.node;
-      charge = on_charge;
-      reply =
-        (fun ~dst ~header ~body_bytes ~data ~payload ->
-          (* replies issued from protocol context: under AIH the board is
-             driven directly (no host cost); a host-resident handler pays its
-             kernel or ADC send path, charged through [on_charge] *)
-          if reply_host_cycles > 0 then on_charge reply_host_cycles;
-          submit t ~dst ~header ~body_bytes ~data ~payload);
-      deliver_page =
-        (fun ~vaddr ~bytes ~cacheable ->
-          if cacheable then
-            Option.iter (fun mc -> Message_cache.bind mc ~vpage:(vpage_of t vaddr)) t.mc;
-          Bus.dma t.bus ~dir:Bus.Dma_to_memory ~addr:vaddr ~bytes;
-          Stats.Counter.add t.s_rx_dma_bytes bytes;
-          t.host.invalidate_range ~addr:vaddr ~bytes)
-    }
-  in
-  ctx
+  {
+    ctx_node = t.node;
+    charge = on_charge;
+    reply =
+      (fun ~dst ~header ~body_bytes ~data ~payload ->
+        (* replies issued from protocol context: under AIH the board is
+           driven directly (no host cost); a host-resident handler pays its
+           kernel or ADC send path, charged through [on_charge] *)
+        if reply_host_cycles > 0 then on_charge reply_host_cycles;
+        submit t ~dst ~header ~body_bytes ~data ~payload);
+    deliver_page =
+      (fun ~vaddr ~bytes ~cacheable ->
+        if cacheable then
+          Option.iter (fun mc -> Message_cache.bind mc ~vpage:(vpage_of t vaddr)) t.mc;
+        Bus.dma t.bus ~dir:Bus.Dma_to_memory ~addr:vaddr ~bytes;
+        Stats.Counter.add t.s_rx_dma_bytes bytes;
+        t.host.invalidate_range ~addr:vaddr ~bytes)
+  }
+
+(* Protocol context on the host CPU: each charge occupies the interrupt
+   level and adds to [spent]. *)
+let host_ctx t ~spent ~reply_host_cycles =
+  make_ctx t ~reply_host_cycles ~on_charge:(fun n ->
+      let d = Params.cpu_cycles t.p n in
+      spent := Time.( + ) !spent d;
+      host_busy t d)
 
 (* Run a protocol handler on the host CPU, charging its time as host
    overhead and stealing the CPU from a computing application. *)
 let run_on_host t ~base ~reply_host_cycles handler pkt =
-  let p = t.p in
   let spent = ref base in
-  let ctx =
-    make_ctx t ~reply_host_cycles
-      ~on_charge:(fun n ->
-        let d = Params.cpu_cycles p n in
-        spent := Time.( + ) !spent d;
-        host_busy t d)
-  in
-  handler ctx pkt;
+  handler (host_ctx t ~spent ~reply_host_cycles) pkt;
   t.host.overhead !spent;
   if not (t.host.host_waiting ()) then t.host.steal !spent
+
+(* Control transfers into protocol code on the NIC processor: a dispatch,
+   then a context that charges at the NIC clock and replies free of host
+   cost. *)
+let board_ctx t =
+  nic_busy t (Params.nic_cycles t.p t.p.Params.handler_dispatch_nic_cycles);
+  make_ctx t ~reply_host_cycles:0 ~on_charge:(fun n -> nic_busy t (Params.nic_cycles t.p n))
 
 (* Host-initiated protocol action without an incoming packet: the local
    arrival of a NIC-resident collective, for instance, is the host posting a
@@ -510,33 +454,12 @@ let run_on_host t ~base ~reply_host_cycles handler pkt =
    — no interrupt is taken (the host initiated the action), but the work is
    still serialised with interrupt-level service and reported as overhead. *)
 let local_dispatch t f =
-  let p = t.p in
-  let enqueue_cycles =
-    match t.kind with
-    | `Cni _ | `Osiris _ -> p.Params.adc_enqueue_cycles
-    | `Standard -> p.Params.kernel_send_cycles
-  in
-  let cost = Params.cpu_cycles p enqueue_cycles in
-  t.host.overhead cost;
-  Engine.delay cost;
+  charge_post t;
   if aih_enabled t then
-    Engine.spawn t.eng ~name:"nic-local-dispatch" (fun () ->
-        nic_busy t (Params.nic_cycles p p.Params.handler_dispatch_nic_cycles);
-        let ctx =
-          make_ctx t ~reply_host_cycles:0
-            ~on_charge:(fun n -> nic_busy t (Params.nic_cycles p n))
-        in
-        f ctx)
+    Engine.spawn t.eng ~name:"nic-local-dispatch" (fun () -> f (board_ctx t))
   else begin
     let spent = ref Time.zero in
-    let ctx =
-      make_ctx t ~reply_host_cycles:enqueue_cycles
-        ~on_charge:(fun n ->
-          let d = Params.cpu_cycles p n in
-          spent := Time.( + ) !spent d;
-          host_busy t d)
-    in
-    f ctx;
+    f (host_ctx t ~spent ~reply_host_cycles:(post_cycles t));
     t.host.overhead !spent
   end
 
@@ -576,71 +499,44 @@ let send_ack t r ~dst ~seq =
          placeholder) *)
       nic_transmit t ~dst ~header ~body_bytes:0 ~data:No_data ~payload:(Obj.magic 0))
 
-(* An ack arrived: settle the matching pending entry. *)
+(* An ack arrived: settle the matching pending frame (if it is still
+   pending: the ack may name an already-settled (re)transmission). *)
 let handle_ack t (h : Wire.t) (pkt : 'a Fabric.packet) =
   match t.rel with
   | None -> () (* reliability off: stray ack, drop silently *)
-  | Some r -> (
+  | Some r ->
       Stats.Counter.incr r.r_acks_rx;
-      (match Hashtbl.find_opt r.r_pending (pkt.Fabric.src, h.Wire.obj) with
-      | Some e ->
-          e.e_acked <- true;
-          Hashtbl.remove r.r_pending (pkt.Fabric.src, h.Wire.obj)
-      | None -> () (* ack for an already-settled (re)transmission *));
-      discard_cost t)
+      ignore (Reliable.Sender.settle r.r_tx ~dst:pkt.Fabric.src ~tag:h.Wire.obj);
+      discard_cost t
 
 (* Duplicate suppression + acknowledgment for one decoded frame; [true] when
-   the frame is fresh and must be dispatched. Unsequenced frames (aux = 0:
-   traffic from a peer without reliability, or control frames) pass through
-   untouched. *)
+   the frame is fresh or unsequenced and must be dispatched. *)
 let rel_admit t (h : Wire.t) (pkt : 'a Fabric.packet) =
   match t.rel with
   | None -> true
-  | Some r ->
-      if h.Wire.aux = 0 then true
-      else begin
-        let epoch, seq = Reliable.split_aux h.Wire.aux in
-        let known = Option.value (Hashtbl.find_opt r.r_peer_epoch pkt.Fabric.src) ~default:0 in
-        if epoch < known then begin
-          (* a retransmission queued before the source's board crashed:
+  | Some r -> (
+      let src = pkt.Fabric.src and aux = h.Wire.aux in
+      match Reliable.Receiver.judge r.r_rx ~src ~aux with
+      | `Unsequenced -> true
+      | `Stale ->
+          (* a transmission queued before the source's board crashed:
              dropping it (unacked) keeps the pre-crash sequence space from
              bleeding into the new epoch's window *)
           Stats.Counter.incr (lcounter t "rx_stale_epoch");
-          if Trace.enabled_cat Trace.Nic then
-            Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-              ~label:"rx-stale-epoch" ~payload:h.Wire.aux;
+          trace t ~label:"rx-stale-epoch" ~payload:aux;
           discard_cost t;
           false
-        end
-        else begin
-        (* the source restarted: adopt its new epoch. The duplicate window
-           is deliberately NOT reset — the sender's sequence allocator is
-           host-resident and survives its board crash, so the window stays
-           valid, and it is what suppresses the post-restart re-send of a
-           frame whose pre-crash transmission already landed *)
-        if epoch > known then Hashtbl.replace r.r_peer_epoch pkt.Fabric.src epoch;
-        let w =
-          match Hashtbl.find_opt r.r_windows pkt.Fabric.src with
-          | Some w -> w
-          | None ->
-              let w = Reliable.Window.create () in
-              Hashtbl.replace r.r_windows pkt.Fabric.src w;
-              w
-        in
-        let fresh = Reliable.Window.observe w seq = `Fresh in
-        (* ack duplicates too: the retransmission usually means our previous
-           ack was lost *)
-        send_ack t r ~dst:pkt.Fabric.src ~seq:h.Wire.aux;
-        if not fresh then begin
+      | `Fresh ->
+          send_ack t r ~dst:src ~seq:aux;
+          true
+      | `Duplicate ->
+          (* ack duplicates too: the retransmission usually means our
+             previous ack was lost *)
+          send_ack t r ~dst:src ~seq:aux;
           Stats.Counter.incr r.r_rx_duplicates;
-          if Trace.enabled_cat Trace.Nic then
-            Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-              ~label:"rx-duplicate" ~payload:h.Wire.aux;
-          discard_cost t
-        end;
-        fresh
-        end
-      end
+          trace t ~label:"rx-duplicate" ~payload:aux;
+          discard_cost t;
+          false)
 
 (* ------------------------------------------------------------------ *)
 (* Receive wakeup policy                                              *)
@@ -719,9 +615,8 @@ let note_rx_arrival t =
           if next <> t.rx_mode_cur then begin
             t.rx_mode_cur <- next;
             Stats.Counter.incr t.s_rx_mode_switches;
-            if Trace.enabled_cat Trace.Nic then
-              Trace.emit ~t_ps:(Time.to_ps now) ~node:t.node Trace.Nic ~label:"rx-mode"
-                ~payload:(match next with `Interrupt -> 0 | `Hybrid -> 1 | `Poll -> 2)
+            trace t ~label:"rx-mode"
+              ~payload:(match next with `Interrupt -> 0 | `Hybrid -> 1 | `Poll -> 2)
           end)
 
 (* Charge one host wakeup in the given mode. Interrupt: the full interrupt
@@ -806,20 +701,19 @@ let receive t (pkt : 'a Fabric.packet) =
       t.restarted_at <- None
   | None -> ());
   Stats.Counter.incr t.s_rx_packets;
-  if Trace.enabled_cat Trace.Nic then
-    Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-      ~label:"rx" ~payload:pkt.Fabric.src;
+  trace t ~label:"rx" ~payload:pkt.Fabric.src;
   let cells = Fabric.packet_cells p pkt in
   (* SAR: reassembly work per cell on the NIC processor *)
   nic_busy t (Params.nic_cycles p (cells * p.Params.sar_cell_nic_cycles));
-  if not pkt.Fabric.crc_ok then begin
+  if not t.alive then
+    (* the crash landed during reassembly: the frame dies with the board *)
+    Stats.Counter.incr (lcounter t "crash_rx_drops")
+  else if not pkt.Fabric.crc_ok then begin
     (* the AAL5 CRC computed during reassembly does not match the trailer:
        the board discards the frame (a sequenced original will be
        retransmitted by its sender's timer) *)
     Stats.Counter.incr (lcounter t "rx_crc_errors");
-    if Trace.enabled_cat Trace.Nic then
-      Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-        ~label:"rx-crc-drop" ~payload:pkt.Fabric.src
+    trace t ~label:"rx-crc-drop" ~payload:pkt.Fabric.src
   end
   else
     match Wire.decode_opt pkt.Fabric.header with
@@ -827,9 +721,7 @@ let receive t (pkt : 'a Fabric.packet) =
         (* not a frame any pattern could classify: count and drop instead of
            tearing down the receive fiber *)
         Stats.Counter.incr (lcounter t "rx_undecodable");
-        if Trace.enabled_cat Trace.Nic then
-          Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-            ~label:"rx-undecodable" ~payload:pkt.Fabric.src
+        trace t ~label:"rx-undecodable" ~payload:pkt.Fabric.src
     | Some h when h.Wire.kind = Reliable.ack_kind && h.Wire.channel = Reliable.ack_channel ->
         handle_ack t h pkt
     | Some h when not (rel_admit t h pkt) -> ()
@@ -848,16 +740,10 @@ let receive t (pkt : 'a Fabric.packet) =
                is folded into the SAR term). *)
             Engine.delay (Time.ns p.Params.pathfinder_cell_ns);
             let handler = lookup_handler () in
-            if aih then begin
+            if aih then
               (* control transfers straight into the Application Interrupt
                  Handler on the NIC processor; the host is not involved *)
-              nic_busy t (Params.nic_cycles p p.Params.handler_dispatch_nic_cycles);
-              let ctx =
-                make_ctx t ~reply_host_cycles:0
-                  ~on_charge:(fun n -> nic_busy t (Params.nic_cycles p n))
-              in
-              handler ctx pkt
-            end
+              handler (board_ctx t) pkt
             else
               (* ADC delivery to host code: the wakeup policy (interrupt,
                  poll, hybrid or adaptive) decides how the host learns of the
@@ -887,6 +773,15 @@ let receive t (pkt : 'a Fabric.packet) =
               ~reply_host_cycles:p.Params.kernel_send_cycles handler pkt)
   end
 
+let sender t cfg ~counter ~transmit ~retransmit =
+  let s =
+    Reliable.Sender.create cfg t.eng ~node:t.node ~counter
+      ~peer_down:(fun dst -> Fabric.node_down t.fabric ~node:dst)
+      ~transmit ~retransmit
+  in
+  t.senders <- t.senders @ [ Sender s ];
+  s
+
 let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
   let p = Bus.params bus in
   (match kind with `Cni o -> check_cni_options o | `Osiris _ | `Standard -> ());
@@ -903,25 +798,6 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
     | Some reg -> Stats.Registry.counter reg ~node ~subsystem:"nic" name
     | None -> Stats.Counter.create name
   in
-  let rel =
-    Option.map
-      (fun cfg ->
-        Reliable.check_config cfg;
-        {
-          r_cfg = cfg;
-          r_next_seq = Hashtbl.create 8;
-          r_pending = Hashtbl.create 32;
-          r_parked = [];
-          r_windows = Hashtbl.create 8;
-          r_peer_epoch = Hashtbl.create 8;
-          r_retransmits = counter "retransmits";
-          r_acks_tx = counter "acks_tx";
-          r_acks_rx = counter "acks_rx";
-          r_rx_duplicates = counter "rx_duplicates";
-          r_rto_capped = counter "rto_capped";
-        })
-      reliability
-  in
   let t =
     {
       eng;
@@ -933,7 +809,8 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       mc;
       host;
       registry;
-      rel;
+      rel = None;
+      senders = [];
       nic_proc = Sync.Semaphore.create 1;
       tx_ring = Ring.create ?registry ~node ~slots:1 ();
       host_proc = Sync.Semaphore.create 1;
@@ -976,6 +853,16 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       s_mode_poll = counter "rx_mode_poll_pkts";
     }
   in
+  Option.iter
+    (fun cfg ->
+      let r_tx =
+        sender t cfg ~counter ~transmit:(transmit_frame t) ~retransmit:(retransmit_frame t)
+      in
+      t.rel <-
+        Some
+          { r_tx; r_rx = Reliable.Receiver.create (); r_acks_tx = counter "acks_tx";
+            r_acks_rx = counter "acks_rx"; r_rx_duplicates = counter "rx_duplicates" })
+    reliability;
   (* the snoopy interface: every bus write visits the buffer map *)
   Option.iter
     (fun mc ->
@@ -1029,7 +916,6 @@ let handler_code_bytes t = t.s_handler_code_bytes
 (* Crash / restart                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let alive t = t.alive
 let epoch t = t.epoch
 let recovery_latencies t = List.rev t.recovery_latencies
 
@@ -1037,24 +923,11 @@ let crash t ~scrub =
   if t.alive then begin
     t.alive <- false;
     Stats.Counter.incr (lcounter t "crashes");
-    if Trace.enabled_cat Trace.Nic then
-      Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-        ~label:(if scrub then "crash-scrub" else "crash") ~payload:t.epoch;
-    (* the board's retransmission timers die with it, but the descriptors
-       themselves live in the host-resident ADC rings: park every un-acked
-       entry (marking it acked kills its armed timer) for the restart to
-       re-stamp and re-send. The per-source duplicate windows, peer epochs
-       and sequence allocators are host-resident too and survive — they are
-       what keeps delivery exactly-once across the restart. *)
-    Option.iter
-      (fun r ->
-        Hashtbl.iter
-          (fun _ e ->
-            e.e_acked <- true;
-            r.r_parked <- e :: r.r_parked)
-          r.r_pending;
-        Hashtbl.reset r.r_pending)
-      t.rel;
+    trace t ~label:(if scrub then "crash-scrub" else "crash") ~payload:t.epoch;
+    (* un-acked frames park in the host-resident descriptor rings, their
+       timers dead; the sequence allocators, duplicate windows and peer
+       epochs are host-resident too and survive (see {!Reliable}) *)
+    List.iter (fun (Sender s) -> Reliable.Sender.park s) t.senders;
     (* classified-but-undelivered frames queued on the board are lost *)
     Queue.clear t.rx_queue;
     t.rx_wakeup_armed <- false;
@@ -1078,35 +951,10 @@ let restart t =
        keeps epoch 127, trading stale-frame rejection for monotonicity *)
     t.epoch <- min (t.epoch + 1) Reliable.max_epoch;
     Stats.Counter.incr (lcounter t "restarts");
-    if Trace.enabled_cat Trace.Nic then
-      Trace.emit ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-        ~label:"restart" ~payload:t.epoch;
-    (* End-to-end recovery of in-flight sends: every entry parked at the
-       crash is re-stamped under the new epoch — with its ORIGINAL bare
-       sequence number, since the allocator is host-resident and never
-       reset — and re-sent. A pre-crash transmission of the same frame that
-       did land is suppressed by the receiver's surviving duplicate window;
-       one still in flight under the old epoch is rejected as stale. Either
-       way the frame is delivered exactly once. *)
-    Option.iter
-      (fun r ->
-        let parked = r.r_parked in
-        r.r_parked <- [];
-        List.iter
-          (fun e ->
-            let aux = Reliable.aux_of ~epoch:t.epoch ~seq:e.e_seq in
-            e.e_aux <- aux;
-            e.e_header <- Wire.with_aux e.e_header aux;
-            e.e_acked <- false;
-            e.e_tries <- 1;
-            e.e_rto <- r.r_cfg.Reliable.timeout;
-            Hashtbl.replace r.r_pending (e.e_dst, aux) e;
-            arm_retransmit t r e;
-            Engine.spawn t.eng ~name:"nic-tx" (fun () ->
-                nic_transmit t ~dst:e.e_dst ~header:e.e_header
-                  ~body_bytes:e.e_body_bytes ~data:e.e_data ~payload:e.e_payload))
-          (List.rev parked))
-      t.rel;
+    trace t ~label:"restart" ~payload:t.epoch;
+    (* end-to-end recovery of in-flight sends: every parked frame goes out
+       again under the new epoch *)
+    List.iter (fun (Sender s) -> Reliable.Sender.resume s ~epoch:t.epoch) t.senders;
     t.restarted_at <- Some (Engine.now t.eng);
     if t.scrubbed then begin
       t.scrubbed <- false;

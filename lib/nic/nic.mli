@@ -291,9 +291,6 @@ val network_cache_hit_ratio_opt : 'a t -> float option
 (** The metrics registry handed to the constructor, if any. *)
 val registry : 'a t -> Cni_engine.Stats.Registry.t option
 
-(** The reliability configuration in force, if any. *)
-val reliability : 'a t -> Reliable.config option
-
 type stats = {
   tx_packets : int;  (** frames handed to the wire *)
   tx_data_packets : int;  (** of which carried bulk [Page] data *)
@@ -328,16 +325,18 @@ type rel_stats = {
   acks_tx : int;  (** acknowledgments generated (one per sequenced frame seen) *)
   acks_rx : int;  (** acknowledgments received *)
   rx_duplicates : int;  (** sequenced frames suppressed by the receive window *)
-  tx_unacked : int;  (** frames still awaiting an ack (0 after a clean run) *)
+  tx_unacked : int;
+      (** frames still awaiting an ack, parked ones included (0 after a
+          clean run) *)
   rto_capped : int;  (** retransmission arms clamped at [config.max_rto] *)
 }
 
 (** [None] when the interface was built without [reliability]. *)
 val rel_stats : 'a t -> rel_stats option
 
-(** Sequenced frames not yet acknowledged (0 with reliability off). A
-    sender can poll this to serialise on delivery without inventing an
-    application-level ack. *)
+(** Sequenced frames not yet acknowledged, parked ones included (0 with
+    reliability off). A sender can poll this to serialise on delivery
+    without inventing an application-level ack. *)
 val rel_pending_count : 'a t -> int
 
 (** Frames dropped on receive because the header failed {!Wire.decode_opt}
@@ -350,21 +349,27 @@ val rx_crc_errors : 'a t -> int
 
 (** {2 Crash / restart}
 
-    A board can {!crash} — its timers and queued deliveries die; frames to
-    or from it are dropped (counted as [crash_tx_drops]/[crash_rx_drops]) —
-    and later {!restart} under a new delivery {e epoch}. Because the ADC
-    descriptor rings are host-resident, un-acked transmit descriptors
-    survive the crash: they are parked, and {!restart} re-stamps each one
-    under the new epoch with its original bare sequence number, re-arms its
-    retransmit timer and re-sends it, so nothing entrusted to reliable
-    delivery is lost across a crash. Sequenced frames carry [(epoch, seq)]
-    in the Wire aux field (see {!Reliable.aux_of}); receivers reject frames
-    from an older epoch of a source than the newest seen, which kills the
-    stale pre-crash transmissions of those same payloads. The per-source
-    duplicate windows, peer epochs and sequence allocators are likewise
-    host-resident and survive — a pre-crash delivery of seq [s] suppresses
-    the post-restart re-send of seq [s], keeping delivery exactly-once
-    across a restart.
+    A board can {!crash} — its timers and queued deliveries die; frames
+    reaching it, or still in reassembly when the crash lands, are dropped
+    ([crash_rx_drops]) — and later {!restart} under a new delivery
+    {e epoch}.
+
+    Reliable delivery has one crash rule, {!Reliable.Sender}'s: the ADC
+    descriptor rings are host-resident, so the un-acked frames park, and so
+    does every sequenced frame posted while the board is down, by the host
+    or by a handler still finishing when the crash landed. {!restart}
+    re-stamps them under the new epoch with their original bare sequence
+    numbers and re-sends them, in parking order, for every table made with
+    {!sender}. Only an unsequenced frame (reliability off) posted to a dead
+    board is lost with it, counted as [crash_tx_drops] like a fabric loss;
+    that counter also records a transmission the crash caught in the
+    board's queue, whose sequenced original is parked.
+
+    Receivers reject frames from an older epoch of a source than the newest
+    seen ([rx_stale_epoch]). The duplicate windows, peer epochs and
+    sequence allocators are host-resident and survive, so a pre-crash
+    delivery of seq [s] suppresses the post-restart re-send of seq [s]:
+    delivery stays exactly-once across a restart.
 
     A crash with [scrub = true] additionally wipes board memory: installed
     handlers (and their firmware segments) and the Message Cache's bindings.
@@ -375,9 +380,6 @@ val rx_crc_errors : 'a t -> int
     closures obtained {e before} a scrubbed crash refer to the wiped
     segments and must not be reused. *)
 
-(** [false] between a {!crash} and the matching {!restart}. *)
-val alive : 'a t -> bool
-
 (** The board's restart epoch (0 at creation; saturates at
     {!Reliable.max_epoch}). *)
 val epoch : 'a t -> int
@@ -386,10 +388,22 @@ val epoch : 'a t -> int
     marking the node down on the fabric. *)
 val crash : 'a t -> scrub:bool -> unit
 
-(** Restart a crashed board; no-op if alive. Advances the epoch, re-stamps
-    and re-sends the parked un-acked transmit descriptors under it, and
-    replays the install log if the crash scrubbed board memory. *)
+(** Restart a crashed board; no-op if alive. Advances the epoch, re-sends
+    every parked frame of every sender table under it, and replays the
+    install log if the crash scrubbed board memory. *)
 val restart : 'a t -> unit
+
+(** A {!Reliable.Sender} table under this board's crash rule ({!crash}
+    parks it, {!restart} resumes it), raising [Peer_dead] when the fabric
+    reports the destination down. The closure layer's table is one; the
+    firmware endpoints ({!Reliable_ir}) make another. *)
+val sender :
+  'a t ->
+  Reliable.config ->
+  counter:(string -> Cni_engine.Stats.Counter.t) ->
+  transmit:('f Reliable.Sender.frame -> unit) ->
+  retransmit:('f Reliable.Sender.frame -> unit) ->
+  'f Reliable.Sender.t
 
 (** Per-restart recovery latencies, oldest first: the time from each
     {!restart} to the first frame the revived board received. A restart

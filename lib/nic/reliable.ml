@@ -1,4 +1,6 @@
+module Engine = Cni_engine.Engine
 module Time = Cni_engine.Time
+module Stats = Cni_engine.Stats
 
 type config = { timeout : Time.t; backoff : int; max_tries : int; max_rto : Time.t }
 
@@ -26,20 +28,20 @@ type failure = { node : int; dst : int; channel : int; seq : int; tries : int }
 exception Delivery_failed of failure
 exception Peer_dead of failure
 
-let failure_message f =
-  Printf.sprintf
-    "Delivery_failed: node %d -> %d, channel %d, seq %d undelivered after %d transmissions"
-    f.node f.dst f.channel f.seq f.tries
-
-let peer_dead_message f =
-  Printf.sprintf
-    "Peer_dead: node %d -> %d, channel %d, seq %d — destination crashed; gave up after %d transmissions"
-    f.node f.dst f.channel f.seq f.tries
-
 let () =
   Printexc.register_printer (function
-    | Delivery_failed f -> Some (failure_message f)
-    | Peer_dead f -> Some (peer_dead_message f)
+    | Delivery_failed f ->
+        Some
+          (Printf.sprintf
+             "Delivery_failed: node %d -> %d, channel %d, seq %d undelivered after %d \
+              transmissions"
+             f.node f.dst f.channel f.seq f.tries)
+    | Peer_dead f ->
+        Some
+          (Printf.sprintf
+             "Peer_dead: node %d -> %d, channel %d, seq %d — destination crashed; gave up \
+              after %d transmissions"
+             f.node f.dst f.channel f.seq f.tries)
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
@@ -60,8 +62,6 @@ let aux_of ~epoch ~seq =
   if seq < 1 || seq > seq_mask then invalid_arg "Reliable.aux_of: seq out of range";
   (epoch lsl epoch_shift) lor seq
 
-let split_aux aux = (aux lsr epoch_shift, aux land seq_mask)
-
 module Window = struct
   type t = { mutable floor : int; above : (int, unit) Hashtbl.t }
 
@@ -80,4 +80,183 @@ module Window = struct
       done;
       `Fresh
     end
+end
+
+(* ------------------------------------------------------------------ *)
+(* Sender table                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Sender = struct
+  type 'f frame = {
+    dst : int;
+    seq : int;
+    stamped : bool;  (* the table stamped (epoch, seq) into the header's aux *)
+    mutable tag : int;  (* what the ack names; the pending key with [dst] *)
+    mutable header : Bytes.t;
+    body : 'f;
+    mutable tries : int;  (* transmissions so far *)
+    mutable rto : Time.t;  (* next retransmission timeout *)
+    mutable live : bool;  (* pending with a timer armed; cleared by ack and park *)
+  }
+
+  type 'f t = {
+    cfg : config;
+    eng : Engine.t;
+    node : int;
+    peer_down : int -> bool;
+    transmit : 'f frame -> unit;
+    retransmit : 'f frame -> unit;
+    retransmits : Stats.Counter.t;
+    rto_capped : Stats.Counter.t;  (* arm events clamped at max_rto *)
+    next_seq : (int, int) Hashtbl.t;  (* last sequence number per destination *)
+    pending : (int * int, 'f frame) Hashtbl.t;  (* (dst, tag) *)
+    mutable parked : 'f frame list;
+        (* frames waiting out a board crash in the host-resident descriptor
+           rings, newest first; re-sent at restart *)
+    mutable up : bool;
+    mutable epoch : int;
+  }
+
+  let create cfg eng ~node ~counter ~peer_down ~transmit ~retransmit =
+    check_config cfg;
+    { cfg; eng; node; peer_down; transmit; retransmit;
+      retransmits = counter "retransmits"; rto_capped = counter "rto_capped";
+      next_seq = Hashtbl.create 8; pending = Hashtbl.create 32; parked = []; up = true;
+      epoch = 0 }
+
+  (* Arm (or re-arm) the retransmission timer of one pending frame.
+     Exhausting the budget kills the run with a structured error in place of
+     a silent hang; a crashed destination is a diagnosis, not a timeout. *)
+  let rec arm t e =
+    Engine.after t.eng e.rto (fun () ->
+        if e.live then
+          if e.tries >= t.cfg.max_tries then begin
+            Hashtbl.remove t.pending (e.dst, e.tag);
+            e.live <- false;
+            let channel = (Wire.decode e.header).Wire.channel in
+            let f = { node = t.node; dst = e.dst; channel; seq = e.seq; tries = e.tries } in
+            let exn = if t.peer_down e.dst then Peer_dead f else Delivery_failed f in
+            Engine.spawn t.eng ~name:"nic-delivery-failed" (fun () -> raise exn)
+          end
+          else begin
+            e.tries <- e.tries + 1;
+            let next_rto = Time.(e.rto * t.cfg.backoff) in
+            if next_rto > t.cfg.max_rto then begin
+              Stats.Counter.incr t.rto_capped;
+              e.rto <- t.cfg.max_rto
+            end
+            else e.rto <- next_rto;
+            Stats.Counter.incr t.retransmits;
+            t.retransmit e;
+            arm t e
+          end)
+
+  (* The one crash rule: on a live board a new frame is pending with its
+     timer armed (and sent when [send]); on a dead board it waits with the
+     parked frames, whoever posted it. *)
+  let enter t e ~send =
+    if t.up then begin
+      Hashtbl.replace t.pending (e.dst, e.tag) e;
+      arm t e;
+      if send then t.transmit e
+    end
+    else t.parked <- e :: t.parked
+
+  let post t ~dst ~header body =
+    let seq = 1 + Option.value (Hashtbl.find_opt t.next_seq dst) ~default:0 in
+    Hashtbl.replace t.next_seq dst seq;
+    let tag = aux_of ~epoch:t.epoch ~seq in
+    enter t ~send:true
+      { dst; seq; stamped = true; tag; header = Wire.with_aux header tag; body;
+        tries = 1; rto = t.cfg.timeout; live = t.up }
+
+  let track t ~dst ~seq ~header body =
+    enter t ~send:false
+      { dst; seq; stamped = false; tag = seq; header; body; tries = 1; rto = t.cfg.timeout;
+        live = t.up }
+
+  let find t ~dst ~tag = Hashtbl.find_opt t.pending (dst, tag)
+
+  let settle t ~dst ~tag =
+    match Hashtbl.find_opt t.pending (dst, tag) with
+    | Some e as found ->
+        e.live <- false;
+        Hashtbl.remove t.pending (dst, tag);
+        found
+    | None -> None
+
+  (* The board's timers die with it, but the descriptors live in the
+     host-resident rings: clearing [live] kills a parked frame's timer. *)
+  let park t =
+    t.up <- false;
+    Hashtbl.iter
+      (fun _ e ->
+        e.live <- false;
+        t.parked <- e :: t.parked)
+      t.pending;
+    Hashtbl.reset t.pending
+
+  (* A stamped frame keeps its ORIGINAL bare sequence number under the new
+     epoch: a pre-crash transmission that did land is suppressed by the
+     receiver's duplicate window, one still in flight under the old epoch
+     is rejected as stale, so the frame is delivered exactly once. *)
+  let resume t ~epoch =
+    t.up <- true;
+    t.epoch <- epoch;
+    let parked = List.rev t.parked in
+    t.parked <- [];
+    List.iter
+      (fun e ->
+        if e.stamped then begin
+          e.tag <- aux_of ~epoch ~seq:e.seq;
+          e.header <- Wire.with_aux e.header e.tag
+        end;
+        e.live <- true;
+        e.tries <- 1;
+        e.rto <- t.cfg.timeout;
+        enter t e ~send:true)
+      parked
+
+  let unacked t = Hashtbl.length t.pending + List.length t.parked
+  let retransmits t = Stats.Counter.value t.retransmits
+  let rto_capped t = Stats.Counter.value t.rto_capped
+end
+
+(* ------------------------------------------------------------------ *)
+(* Receiver verdict                                                    *)
+(* ------------------------------------------------------------------ *)
+
+module Receiver = struct
+  type t = {
+    windows : (int, Window.t) Hashtbl.t;  (* per-source dedup *)
+    peer_epoch : (int, int) Hashtbl.t;  (* newest epoch seen per source *)
+  }
+
+  type verdict = [ `Unsequenced | `Fresh | `Duplicate | `Stale ]
+
+  let create () = { windows = Hashtbl.create 8; peer_epoch = Hashtbl.create 8 }
+
+  (* runs on every received frame: Hashtbl.find, unlike find_opt, allocates nothing *)
+  let judge t ~src ~aux : verdict =
+    if aux = 0 then `Unsequenced
+    else
+      let epoch = aux lsr epoch_shift in
+      let known = match Hashtbl.find t.peer_epoch src with e -> e | exception Not_found -> 0 in
+      if epoch < known then `Stale
+      else begin
+        (* the source restarted: adopt its new epoch, but keep the window —
+           the sender's sequence allocator survives its board crash, and the
+           window is what suppresses the post-restart re-send of a frame
+           whose pre-crash transmission already landed *)
+        if epoch > known then Hashtbl.replace t.peer_epoch src epoch;
+        let w =
+          match Hashtbl.find t.windows src with
+          | w -> w
+          | exception Not_found ->
+              let w = Window.create () in
+              Hashtbl.replace t.windows src w;
+              w
+        in
+        (Window.observe w (aux land seq_mask) :> verdict)
+      end
 end

@@ -1,4 +1,4 @@
-(** Reliable-delivery support for the network interfaces.
+(** Reliable delivery: the protocol, in one place.
 
     The protocol is NIC-level stop-and-wait-with-window: every outgoing
     Wire frame is stamped with a per-destination sequence number (in the
@@ -14,8 +14,11 @@
     interface they live in the kernel, so every retransmission, duplicate
     and ack additionally costs the host an interrupt and a kernel path.
 
-    This module holds the pure state machines and constants; {!Nic} drives
-    them against the cost model. *)
+    This module holds the protocol: the {!Sender} table (sequence
+    allocation, un-acked frames, retransmit timer, crash rule) and the
+    {!Receiver} verdict. The closure layer in {!Nic} and the firmware
+    endpoints in {!Reliable_ir} both keep their frames in a {!Sender}
+    table and supply the transmissions and their costs. *)
 
 type config = {
   timeout : Cni_engine.Time.t;  (** initial retransmission timeout *)
@@ -32,10 +35,6 @@ type config = {
     transient link-down windows of a second or more. *)
 val default : config
 
-(** @raise Invalid_argument on a non-positive timeout, backoff < 1,
-    max_tries < 1 or max_rto < timeout. *)
-val check_config : config -> unit
-
 (** Wire [kind] / [channel] of acknowledgment frames ([obj] = acked seq).
     Intercepted by the receive path before classification. *)
 val ack_kind : int
@@ -51,9 +50,6 @@ exception Delivery_failed of failure
     its peer is dead rather than merely unreachable. A printer is
     registered. *)
 exception Peer_dead of failure
-
-val failure_message : failure -> string
-val peer_dead_message : failure -> string
 
 (** {2 Delivery epochs}
 
@@ -74,9 +70,6 @@ val max_epoch : int
     outside [1, 2^24 - 1]. *)
 val aux_of : epoch:int -> seq:int -> int
 
-(** [split_aux aux] is [(epoch, seq)]. *)
-val split_aux : int -> int * int
-
 (** Per-source receive window: duplicate suppression with a floor that
     advances over contiguously seen sequence numbers (senders allocate
     1, 2, 3, ... per destination). *)
@@ -89,4 +82,89 @@ module Window : sig
   val floor : t -> int
 
   val observe : t -> int -> [ `Fresh | `Duplicate ]
+end
+
+(** {2 Sender table}
+
+    One endpoint's un-acked frames on one board, keyed by destination and
+    the tag an ack names. The one crash rule: a frame is {e pending}, its
+    timer armed, while the board is up; every frame added while the board
+    is down — by the host, or by a handler still finishing when the crash
+    landed — {e parks} with those {!park} moved there, and {!resume}
+    re-sends them all in parking order. *)
+module Sender : sig
+  type 'f frame = private {
+    dst : int;
+    seq : int;  (** bare sequence number; stable across re-stamping *)
+    stamped : bool;  (** [true] for {!post}ed frames, [false] for {!track}ed *)
+    mutable tag : int;  (** the ack's key: [aux_of ~epoch ~seq], or [seq] if tracked *)
+    mutable header : Bytes.t;  (** as it goes on the wire *)
+    body : 'f;  (** the caller's rest of the frame *)
+    mutable tries : int;
+    mutable rto : Cni_engine.Time.t;  (** next retransmission timeout *)
+    mutable live : bool;  (** pending, timer armed *)
+  }
+
+  type 'f t
+
+  (** An empty table on a live board at epoch 0. [transmit] sends a frame
+      at {!post} and {!resume}, [retransmit] when its timer fires; both run
+      in event context. [counter] registers ["retransmits"] and
+      ["rto_capped"]; an exhausted budget raises {!Peer_dead} when
+      [peer_down dst], {!Delivery_failed} otherwise.
+      @raise Invalid_argument on an invalid [config]. *)
+  val create :
+    config ->
+    Cni_engine.Engine.t ->
+    node:int ->
+    counter:(string -> Cni_engine.Stats.Counter.t) ->
+    peer_down:(int -> bool) ->
+    transmit:('f frame -> unit) ->
+    retransmit:('f frame -> unit) ->
+    'f t
+
+  (** Allocate [dst]'s next sequence number, stamp [(epoch, seq)] into a
+      copy of [header]'s aux field, and send (or park) the frame. *)
+  val post : 'f t -> dst:int -> header:Bytes.t -> 'f -> unit
+
+  (** Take a frame numbered elsewhere (firmware), [header] as it is; the
+      caller sends it. Its tag is [seq], and {!resume} re-sends it as is. *)
+  val track : 'f t -> dst:int -> seq:int -> header:Bytes.t -> 'f -> unit
+
+  val find : 'f t -> dst:int -> tag:int -> 'f frame option
+
+  (** An ack arrived: the pending frame it names, if any, leaves the table. *)
+  val settle : 'f t -> dst:int -> tag:int -> 'f frame option
+
+  (** The board crashed: every pending frame parks, its timer dead. *)
+  val park : 'f t -> unit
+
+  (** The board restarted under [epoch]: re-stamp, re-arm and re-send every
+      parked frame. *)
+  val resume : 'f t -> epoch:int -> unit
+
+  (** Frames not yet acknowledged, parked ones included. *)
+  val unacked : 'f t -> int
+
+  val retransmits : 'f t -> int
+  val rto_capped : 'f t -> int
+end
+
+(** {2 Receiver verdict}
+
+    Per-source peer epochs and duplicate windows. Both are host-resident
+    and survive a board crash, which keeps delivery exactly-once across a
+    restart. *)
+module Receiver : sig
+  type t
+
+  (** [`Unsequenced]: aux 0. [`Stale]: an older epoch than the newest seen
+      from [src] — sent before its board crashed. Otherwise the source's
+      window judges the frame, after adopting a newer epoch. *)
+  type verdict = [ `Unsequenced | `Fresh | `Duplicate | `Stale ]
+
+  val create : unit -> t
+
+  (** Judge one received frame; allocates nothing. *)
+  val judge : t -> src:int -> aux:int -> verdict
 end

@@ -18,19 +18,19 @@
 
    - [tx_program] is an [Episode] stamp handler the host drives through
      {!Nic.local_dispatch}: it allocates the next per-destination sequence
-     number from its segment, wakes the host (which registers the pending
-     frame and arms the retransmit timer {e before} the frame is on the
-     wire) and then sends the data frame.
+     number from its segment, wakes the host (which puts the frame in its
+     sender table, timer armed, {e before} the frame is on the wire) and
+     then sends the data frame.
 
    The host side owns what the paper keeps off the board: payload bytes
-   (stashed per-activation and handed to [deliver]), the retransmit timers
-   (engine-driven, {!Reliable.config} backoff/cap semantics identical to
-   the closure layer) and the completion ivars senders block on. Counters
-   land in the registry under subsystem "reliable-ir" with the same names
-   as {!Nic.rel_stats} so the two implementations diff directly. *)
+   (stashed per-activation and handed to [deliver]), the un-acked frames
+   and their retransmit timers — a {!Reliable.Sender} table, the closure
+   layer's engine, so backoff, cap, retry budget and the crash rule are the
+   same code — and the completion ivars senders block on. Counters land in
+   the registry under subsystem "reliable-ir" with the same names as
+   {!Nic.rel_stats} so the two implementations diff directly. *)
 
 module Engine = Cni_engine.Engine
-module Time = Cni_engine.Time
 module Stats = Cni_engine.Stats
 module Sync = Cni_engine.Sync
 module Fabric = Cni_atm.Fabric
@@ -126,8 +126,8 @@ let rx_program ~size =
 
 (* Episode-kind transmit stamp: r0 = destination (host-supplied through
    local_dispatch, still proven in range before indexing the segment).
-   Wake first — the host must have the pending entry registered and the
-   timer armed before the frame can race it to the fabric. *)
+   Wake first — the host must have the frame in its sender table, timer
+   armed, before the frame can race it to the fabric. *)
 let tx_program ~size =
   let a = Ir.Asm.create () in
   let open Ir.Asm in
@@ -151,37 +151,22 @@ let tx_program ~size =
 (* Host endpoint                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type 'a staged = {
-  g_dst : int;
-  g_body_bytes : int;
-  g_payload : 'a;
-  g_done : unit Sync.Ivar.t;
-}
-
-type 'a pending = {
-  p_dst : int;
-  p_seq : int;
-  p_header : Bytes.t;
-  p_body_bytes : int;
-  p_payload : 'a;
-  p_done : unit Sync.Ivar.t;
-  mutable p_tries : int;
-  mutable p_rto : Time.t;
-}
+(* What the endpoint keeps of a data frame besides its header: staged by
+   {!send} until the stamp firmware numbers it, then the body of its
+   sender-table frame. *)
+type 'a staged = { g_body_bytes : int; g_payload : 'a; g_done : unit Sync.Ivar.t }
 
 type 'a t = {
   nic : 'a Nic.t;
-  eng : Engine.t;
   rank : int;
   size : int;
   deliver : src:int -> seq:int -> body_bytes:int -> payload:'a -> unit;
   rx_vh : 'a Nic.verified_handler;
   tx_vh : 'a Nic.verified_handler;
   staged : 'a staged Queue.t;
-  pending : (int * int, 'a pending) Hashtbl.t;  (** keyed [(dst, seq)] *)
+  tx : 'a staged Reliable.Sender.t;  (** un-acked data frames, keyed [(dst, seq)] *)
   mutable cur_pkt : (int * 'a) option;
       (** body_bytes/payload of the frame the rx firmware is streaming *)
-  s_retransmits : Stats.Counter.t;
   s_acks_tx : Stats.Counter.t;
   s_acks_rx : Stats.Counter.t;
   s_rx_duplicates : Stats.Counter.t;
@@ -191,7 +176,7 @@ type stats = { retransmits : int; acks_tx : int; acks_rx : int; rx_duplicates : 
 
 let stats t =
   {
-    retransmits = Stats.Counter.value t.s_retransmits;
+    retransmits = Reliable.Sender.retransmits t.tx;
     acks_tx = Stats.Counter.value t.s_acks_tx;
     acks_rx = Stats.Counter.value t.s_acks_rx;
     rx_duplicates = Stats.Counter.value t.s_rx_duplicates;
@@ -199,45 +184,16 @@ let stats t =
 
 let header t ~kind ~obj =
   Wire.encode
-    {
-      Wire.kind;
-      cacheable = false;
-      has_data = false;
-      src = t.rank;
-      channel = default_channel;
-      obj;
-      aux = 0;
-    }
+    { Wire.kind; cacheable = false; has_data = false; src = t.rank; channel = default_channel;
+      obj; aux = 0 }
 
-(* The closure layer's default timeouts, backoff and retry budget. *)
-let cfg = Reliable.default
-
-(* Retransmit timer, same shape as the closure layer's [arm_retransmit]:
-   doubling RTO under the cap, a structured failure when the budget runs
-   out. The resend goes back through {!Nic.send} from a fresh fiber — the
-   stamp already happened, so the frame reuses its sequence number. *)
-let rec arm t p =
-  Engine.after t.eng p.p_rto (fun () ->
-      if Hashtbl.mem t.pending (p.p_dst, p.p_seq) && Nic.alive t.nic then
-        if p.p_tries >= cfg.Reliable.max_tries then begin
-          Hashtbl.remove t.pending (p.p_dst, p.p_seq);
-          let f =
-            { Reliable.node = t.rank; dst = p.p_dst; channel = default_channel;
-              seq = p.p_seq; tries = p.p_tries }
-          in
-          Engine.spawn t.eng ~name:"relir-delivery-failed" (fun () ->
-              raise (Reliable.Delivery_failed f))
-        end
-        else begin
-          p.p_tries <- p.p_tries + 1;
-          let next_rto = Time.(p.p_rto * cfg.Reliable.backoff) in
-          p.p_rto <- Time.min next_rto cfg.Reliable.max_rto;
-          Stats.Counter.incr t.s_retransmits;
-          Engine.spawn t.eng ~name:"relir-retx" (fun () ->
-              Nic.send t.nic ~dst:p.p_dst ~header:p.p_header
-                ~body_bytes:p.p_body_bytes ~data:Nic.No_data ~payload:p.p_payload);
-          arm t p
-        end)
+(* The re-send of a data frame, for the retransmit timer and a restart
+   alike: back through {!Nic.send} from a fresh fiber. The stamp already
+   happened, so the frame keeps its sequence number. *)
+let resend eng nic (e : 'a staged Reliable.Sender.frame) =
+  Engine.spawn eng ~name:"relir-retx" (fun () ->
+      Nic.send nic ~dst:e.dst ~header:e.header ~body_bytes:e.body.g_body_bytes
+        ~data:Nic.No_data ~payload:e.body.g_payload)
 
 let on_send t ctx ~dst ~kind ~obj ~value:_ =
   if kind = k_ack then begin
@@ -246,11 +202,12 @@ let on_send t ctx ~dst ~kind ~obj ~value:_ =
       ~data:Nic.No_data ~payload:(Obj.magic 0)
   end
   else
-    (* data frame: the stamp wake just registered the pending entry *)
-    match Hashtbl.find_opt t.pending (dst, obj) with
-    | Some p ->
-        ctx.Nic.reply ~dst ~header:p.p_header ~body_bytes:p.p_body_bytes
-          ~data:Nic.No_data ~payload:p.p_payload
+    (* data frame: the stamp wake just put it in the sender table; one
+       parked there (its board is down) waits for the restart instead *)
+    match Reliable.Sender.find t.tx ~dst ~tag:obj with
+    | Some e ->
+        ctx.Nic.reply ~dst ~header:e.header ~body_bytes:e.body.g_body_bytes
+          ~data:Nic.No_data ~payload:e.body.g_payload
     | None -> ()
 
 let on_wake t ~seq ~value =
@@ -262,30 +219,14 @@ let on_wake t ~seq ~value =
     | None -> ())
   else if ev = ev_ack then begin
     Stats.Counter.incr t.s_acks_rx;
-    match Hashtbl.find_opt t.pending (peer, value) with
-    | Some p ->
-        Hashtbl.remove t.pending (peer, value);
-        Sync.Ivar.fill p.p_done ()
+    match Reliable.Sender.settle t.tx ~dst:peer ~tag:value with
+    | Some e -> Sync.Ivar.fill e.body.g_done ()
     | None -> () (* ack of an already-acked frame: a duplicate beat it *)
   end
   else if ev = ev_dup then Stats.Counter.incr t.s_rx_duplicates
-  else if ev = ev_stamp then begin
-    let g = Queue.pop t.staged in
-    let p =
-      {
-        p_dst = peer;
-        p_seq = value;
-        p_header = header t ~kind:k_data ~obj:value;
-        p_body_bytes = g.g_body_bytes;
-        p_payload = g.g_payload;
-        p_done = g.g_done;
-        p_tries = 1;
-        p_rto = cfg.Reliable.timeout;
-      }
-    in
-    Hashtbl.replace t.pending (peer, value) p;
-    arm t p
-  end
+  else if ev = ev_stamp then
+    Reliable.Sender.track t.tx ~dst:peer ~seq:value ~header:(header t ~kind:k_data ~obj:value)
+      (Queue.pop t.staged)
 
 let counter nic name =
   match Nic.registry nic with
@@ -301,29 +242,31 @@ let install ~engine ~size ~deliver nic =
     lazy
       {
         nic;
-        eng = engine;
         rank;
         size;
         deliver;
-        rx_vh = install_rx ();
-        tx_vh = install_tx ();
+        rx_vh =
+          install_program "rx" ~channel:default_channel ~program:(rx_program ~size)
+            ~entry:(fun pkt ->
+              (Lazy.force t).cur_pkt <- Some (pkt.Fabric.body_bytes, pkt.Fabric.payload);
+              [||]);
+        (* the stamp program is driven only through local_dispatch; its
+           pattern sits on the next channel, which never appears on the wire *)
+        tx_vh =
+          install_program "tx" ~channel:(default_channel + 1) ~program:(tx_program ~size)
+            ~entry:(fun _ -> [| 0 |]);
         staged = Queue.create ();
-        pending = Hashtbl.create 16;
+        tx =
+          Nic.sender nic Reliable.default ~counter:(counter nic)
+            ~transmit:(resend engine nic) ~retransmit:(resend engine nic);
         cur_pkt = None;
-        s_retransmits = counter nic "retransmits";
         s_acks_tx = counter nic "acks_tx";
         s_acks_rx = counter nic "acks_rx";
         s_rx_duplicates = counter nic "rx_duplicates";
       }
-  and install_rx () =
+  and install_program what ~channel ~program ~entry =
     match
-      Nic.install_handler_verified nic
-        ~pattern:(Wire.pattern_channel ~channel:default_channel)
-        ~program:(rx_program ~size)
-        ~entry:(fun pkt ->
-          (Lazy.force t).cur_pkt <-
-            Some (pkt.Fabric.body_bytes, pkt.Fabric.payload);
-          [||])
+      Nic.install_handler_verified nic ~pattern:(Wire.pattern_channel ~channel) ~program ~entry
         ~on_send:(fun ctx ~dst ~kind ~obj ~value ->
           on_send (Lazy.force t) ctx ~dst ~kind ~obj ~value)
         ~on_wake:(fun ~seq ~value -> on_wake (Lazy.force t) ~seq ~value)
@@ -331,24 +274,7 @@ let install ~engine ~size ~deliver nic =
     | Ok vh -> vh
     | Error rjs ->
         failwith
-          (Printf.sprintf "Reliable_ir.install: rx firmware rejected: %s"
-             (Cni_aih.Aih_verify.explain_all rjs))
-  and install_tx () =
-    (* the stamp program is driven only through local_dispatch; its pattern
-       sits on the next channel, which never appears on the wire *)
-    match
-      Nic.install_handler_verified nic
-        ~pattern:(Wire.pattern_channel ~channel:(default_channel + 1))
-        ~program:(tx_program ~size)
-        ~entry:(fun _ -> [| 0 |])
-        ~on_send:(fun ctx ~dst ~kind ~obj ~value ->
-          on_send (Lazy.force t) ctx ~dst ~kind ~obj ~value)
-        ~on_wake:(fun ~seq ~value -> on_wake (Lazy.force t) ~seq ~value)
-    with
-    | Ok vh -> vh
-    | Error rjs ->
-        failwith
-          (Printf.sprintf "Reliable_ir.install: tx firmware rejected: %s"
+          (Printf.sprintf "Reliable_ir.install: %s firmware rejected: %s" what
              (Cni_aih.Aih_verify.explain_all rjs))
   in
   Lazy.force t
@@ -357,8 +283,7 @@ let send t ~dst ~body_bytes ~payload =
   if dst < 0 || dst >= t.size then invalid_arg "Reliable_ir.send: bad destination";
   if dst = t.rank then invalid_arg "Reliable_ir.send: no self-delivery";
   let g_done = Sync.Ivar.create () in
-  Queue.push { g_dst = dst; g_body_bytes = body_bytes; g_payload = payload; g_done }
-    t.staged;
+  Queue.push { g_body_bytes = body_bytes; g_payload = payload; g_done } t.staged;
   Nic.local_dispatch t.nic (fun ctx -> t.tx_vh.Nic.vh_activate ctx [| dst |]);
   g_done
 

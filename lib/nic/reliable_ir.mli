@@ -17,15 +17,18 @@
     Both go through {!Nic.install_handler_verified}, so the protocol
     itself is subject to pointer-safety, WCET and line-rate admission —
     the paper's "verify whole protocols onto the NIC". Host-side state
-    is limited to payload staging, retransmit timers
-    ({!Reliable.config} semantics, {!Reliable.Delivery_failed} on an
-    exhausted budget) and completion ivars.
+    is payload staging, completion ivars and the un-acked frames, kept in
+    a {!Reliable.Sender} table made with {!Nic.sender}: the closure
+    layer's retransmission engine and crash rule. A crash of the board
+    parks those frames, and its restart re-sends them unchanged.
 
     Intended for clusters created with [~reliability_off:true]: the
     firmware endpoints replace the closure layer rather than stack on
     top of it. The receive window tracks at most {!window} frames
     beyond the floor (the closure layer's table is unbounded); frames
-    further out are dropped unacked and recovered by retransmission. *)
+    further out are dropped unacked and recovered by retransmission.
+    A scrub crash of a {e sender} is not survived: its sequence counter
+    lives in the board segment the scrub wipes, so it restarts at 1. *)
 
 (** Wire channel of data/ack frames (9); the transmit stamp program
     occupies [default_channel + 1] in the classifier but never appears on
@@ -69,9 +72,9 @@ val install :
 
 (** [send t ~dst ~body_bytes ~payload] stages the frame, drives the
     stamp firmware and returns the ivar filled when the ack comes back.
-    Must run in a fiber. Retransmission is automatic;
-    {!Reliable.Delivery_failed} surfaces through an engine fiber when
-    the retry budget is exhausted. *)
+    Must run in a fiber. Retransmission is automatic; when the retry
+    budget is exhausted {!Reliable.Peer_dead} (destination crashed) or
+    {!Reliable.Delivery_failed} surfaces through an engine fiber. *)
 val send :
   'a t -> dst:int -> body_bytes:int -> payload:'a -> unit Cni_engine.Sync.Ivar.t
 

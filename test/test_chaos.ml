@@ -13,6 +13,7 @@ module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
 module Collectives = Cni_mp.Collectives
 module Chaos = Cni_experiments.Chaos
+module Runner = Cni_experiments.Runner
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -65,6 +66,41 @@ let dsm_qcheck =
       if m.Chaos.completed then
         m.Chaos.outcome = "ok" && m.Chaos.checksum = Lazy.force dsm_clean_checksum
       else m.Chaos.outcome <> "ok")
+
+(* Cholesky on the small stiffness matrix (8 CNI procs): lock-heavy DSM
+   traffic, where a frame posted into the dead window — by the frozen
+   host's last send or a handler finishing on the dying board — must wait
+   for the restart, whichever node crashed *)
+let cholesky_small =
+  Runner.cholesky (lazy (Cni_apps.Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1))
+
+let cholesky_checksum schedule =
+  let faults = if schedule = [] then None else Some { Faults.none with Faults.schedule } in
+  (Runner.run ?faults ~kind:(Runner.cni ()) ~procs:8 cholesky_small).Runner.checksum
+
+let cholesky_clean_checksum = lazy (cholesky_checksum [])
+
+let crash_window ~node ~at_us ~down_us ~scrub =
+  [
+    { Faults.e_at = Time.us at_us; e_node = node; e_fault = Faults.Crash { scrub } };
+    { Faults.e_at = Time.us (at_us + down_us); e_node = node; e_fault = Faults.Restart };
+  ]
+
+let test_cholesky_recovers () =
+  List.iter
+    (fun node ->
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "node %d down 2000..2500 us: fault-free checksum" node)
+        (Lazy.force cholesky_clean_checksum)
+        (cholesky_checksum (crash_window ~node ~at_us:2000 ~down_us:500 ~scrub:false)))
+    [ 3; 0 ]
+
+let cholesky_qcheck =
+  QCheck.Test.make ~count:16 ~name:"cholesky: any single crash recovers exactly once"
+    QCheck.(quad (int_bound 7) (int_range 50 20_050) (int_range 50 3_050) (int_bound 3))
+    (fun (node, at_us, down_us, scrub) ->
+      cholesky_checksum (crash_window ~node ~at_us ~down_us ~scrub:(scrub = 0))
+      = Lazy.force cholesky_clean_checksum)
 
 (* open loop: the ring degrades by timing rounds out; duplicate delivery
    would inflate the checksum past the fault-free sum *)
@@ -281,6 +317,9 @@ let () =
           Alcotest.test_case "chaos metrics deterministic" `Quick test_chaos_deterministic;
           QCheck_alcotest.to_alcotest dsm_qcheck;
           QCheck_alcotest.to_alcotest ring_qcheck;
+          Alcotest.test_case "cholesky recovers from node 3 and node 0 crashes" `Quick
+            test_cholesky_recovers;
+          QCheck_alcotest.to_alcotest cholesky_qcheck;
         ] );
       ( "board state",
         [

@@ -263,19 +263,6 @@ let test_counter () =
   Stats.Counter.reset c;
   checki "reset" 0 (Stats.Counter.value c)
 
-let test_summary () =
-  let s = Stats.Summary.create "s" in
-  let checkio = check Alcotest.(option int) in
-  checkio "empty min" None (Stats.Summary.min s);
-  checkio "empty max" None (Stats.Summary.max s);
-  check (Alcotest.float 0.0) "empty mean" 0.0 (Stats.Summary.mean s);
-  List.iter (Stats.Summary.observe s) [ 5; 1; 9 ];
-  checki "count" 3 (Stats.Summary.count s);
-  checki "sum" 15 (Stats.Summary.sum s);
-  checkio "min" (Some 1) (Stats.Summary.min s);
-  checkio "max" (Some 9) (Stats.Summary.max s);
-  check (Alcotest.float 1e-9) "mean" 5.0 (Stats.Summary.mean s)
-
 (* registry histograms are the HDR type: quantiles stay within a bucket
    width of the sample, and snapshot, diff and JSON carry its buckets *)
 let test_histogram () =
@@ -314,8 +301,8 @@ let test_registry () =
   let c' = Stats.Registry.counter r ~node:0 ~subsystem:"nic" "tx_packets" in
   Stats.Counter.incr c';
   checki "shared instance" 6 (Stats.Counter.value c);
-  let s = Stats.Registry.summary r ~subsystem:"cluster" "lat" in
-  Stats.Summary.observe s 40;
+  let h = Stats.Registry.histogram r ~subsystem:"cluster" "lat" in
+  Stats.Histogram.observe h 40;
   checki "size" 2 (Stats.Registry.size r);
   let snap = Stats.Registry.snapshot r in
   check
@@ -332,7 +319,7 @@ let test_registry () =
   | Stats.Registry.Counter_v n -> checki "diff movement" 4 n
   | _ -> Alcotest.fail "expected a counter value");
   (* re-registering a name under a different metric type is an error *)
-  (match Stats.Registry.summary r ~node:0 ~subsystem:"nic" "tx_packets" with
+  (match Stats.Registry.histogram r ~node:0 ~subsystem:"nic" "tx_packets" with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument on type mismatch");
   let json = Stats.Registry.snapshot_to_json (Stats.Registry.snapshot r) in
@@ -344,7 +331,7 @@ let test_registry () =
   checkb "json names the counter" true (contains json "node0/nic/tx_packets");
   Stats.Registry.reset r;
   checki "reset counters" 0 (Stats.Counter.value c);
-  checki "reset summaries" 0 (Stats.Summary.count s)
+  checki "reset histograms" 0 (Stats.Histogram.count h)
 
 (* ------------------------------------------------------------------ *)
 (* Trace                                                               *)
@@ -633,29 +620,6 @@ let test_ivar_read_after_fill () =
       Sync.Ivar.fill iv 9;
       Engine.spawn eng (fun () -> checki "immediate" 9 (Sync.Ivar.read iv)))
 
-let test_channel_fifo () =
-  run_in_engine (fun eng ->
-      let ch = Sync.Channel.create () in
-      let got = ref [] in
-      Engine.spawn eng (fun () ->
-          for _ = 1 to 3 do
-            let v = Sync.Channel.recv ch in
-            got := v :: !got
-          done);
-      Engine.at eng (Time.ns 1) (fun () ->
-          Sync.Channel.send ch 1;
-          Sync.Channel.send ch 2;
-          Sync.Channel.send ch 3);
-      Engine.at eng (Time.ns 2) (fun () ->
-          check (Alcotest.list Alcotest.int) "order" [ 1; 2; 3 ] (List.rev !got)))
-
-let test_channel_buffered () =
-  let ch = Sync.Channel.create () in
-  Sync.Channel.send ch 7;
-  checki "length" 1 (Sync.Channel.length ch);
-  checkb "try_recv" true (Sync.Channel.try_recv ch = Some 7);
-  checkb "drained" true (Sync.Channel.try_recv ch = None)
-
 let test_semaphore () =
   run_in_engine (fun eng ->
       let sem = Sync.Semaphore.create 2 in
@@ -695,28 +659,6 @@ let test_semaphore_try () =
   Sync.Semaphore.release sem;
   checki "available" 1 (Sync.Semaphore.available sem)
 
-let test_mutex_exception_safe () =
-  run_in_engine (fun eng ->
-      let m = Sync.Mutex.create () in
-      Engine.spawn eng (fun () ->
-          (try Sync.Mutex.with_lock m (fun () -> failwith "inner") with Failure _ -> ());
-          (* must be reacquirable *)
-          Sync.Mutex.with_lock m (fun () -> ())))
-
-let test_condition () =
-  run_in_engine (fun eng ->
-      let c = Sync.Condition.create () in
-      let woke = ref 0 in
-      for _ = 1 to 4 do
-        Engine.spawn eng (fun () ->
-            Sync.Condition.await c;
-            incr woke)
-      done;
-      Engine.at eng (Time.ns 5) (fun () ->
-          checki "four waiting" 4 (Sync.Condition.waiting c);
-          Sync.Condition.signal_all c);
-      Engine.at eng (Time.ns 6) (fun () -> checki "all woke" 4 !woke))
-
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -754,7 +696,6 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counter" `Quick test_counter;
-          Alcotest.test_case "summary" `Quick test_summary;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "registry" `Quick test_registry;
         ] );
@@ -794,12 +735,8 @@ let () =
         [
           Alcotest.test_case "ivar" `Quick test_ivar;
           Alcotest.test_case "ivar read after fill" `Quick test_ivar_read_after_fill;
-          Alcotest.test_case "channel FIFO" `Quick test_channel_fifo;
-          Alcotest.test_case "channel buffering" `Quick test_channel_buffered;
           Alcotest.test_case "semaphore limits concurrency" `Quick test_semaphore;
           Alcotest.test_case "semaphore FIFO wakeup" `Quick test_semaphore_fifo;
           Alcotest.test_case "semaphore try/available" `Quick test_semaphore_try;
-          Alcotest.test_case "mutex exception safety" `Quick test_mutex_exception_safe;
-          Alcotest.test_case "condition broadcast" `Quick test_condition;
         ] );
     ]

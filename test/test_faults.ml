@@ -174,6 +174,75 @@ let test_window_dedup () =
   checkb "3 remembered as seen" true (Reliable.Window.observe w 3 = `Duplicate)
 
 (* ------------------------------------------------------------------ *)
+(* Sender table                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The sender table on a bare engine: no cluster, a recorded transmit path
+   and a destination whose liveness the test switches. *)
+let sender_table ~peer_down =
+  let eng = Engine.create () in
+  let sent = ref [] and resent = ref [] in
+  let record log (e : unit Reliable.Sender.frame) =
+    log := (e.Reliable.Sender.dst, e.Reliable.Sender.seq, e.Reliable.Sender.tag) :: !log
+  in
+  let cfg =
+    { Reliable.timeout = Time.us 10; backoff = 2; max_tries = 3; max_rto = Time.us 15 }
+  in
+  let s =
+    Reliable.Sender.create cfg eng ~node:0 ~counter:Cni_engine.Stats.Counter.create
+      ~peer_down:(fun _ -> !peer_down) ~transmit:(record sent) ~retransmit:(record resent)
+  in
+  (eng, s, sent, resent)
+
+let data_header =
+  Cni_nic.Wire.encode
+    { Cni_nic.Wire.kind = 1; cacheable = false; has_data = false; src = 0; channel = 3;
+      obj = 0; aux = 0 }
+
+let test_sender_table () =
+  let triples = Alcotest.(list (triple int int int)) in
+  let eng, s, sent, resent = sender_table ~peer_down:(ref false) in
+  let post dst = Reliable.Sender.post s ~dst ~header:data_header () in
+  post 1;
+  check triples "a live board sends at once" [ (1, 1, 1) ] !sent;
+  (* the board crashes: the un-acked frame parks, and so does every frame
+     posted while it is down *)
+  Reliable.Sender.park s;
+  post 2;
+  post 1;
+  checki "posts while down send nothing" 1 (List.length !sent);
+  checki "parked frames stay unacked" 3 (Reliable.Sender.unacked s);
+  sent := [];
+  Reliable.Sender.resume s ~epoch:1;
+  let aux seq = Reliable.aux_of ~epoch:1 ~seq in
+  check triples "restart re-sends in post order under the new epoch"
+    [ (1, 1, aux 1); (2, 1, aux 1); (1, 2, aux 2) ]
+    (List.rev !sent);
+  (match Reliable.Sender.find s ~dst:1 ~tag:(aux 2) with
+  | Some e ->
+      checki "the header carries the new stamp" (aux 2)
+        (Cni_nic.Wire.decode e.Reliable.Sender.header).Cni_nic.Wire.aux
+  | None -> Alcotest.fail "re-sent frame not pending");
+  (* an ack settles its frame: it leaves the table and never retransmits *)
+  checkb "ack settles" true (Reliable.Sender.settle s ~dst:2 ~tag:(aux 1) <> None);
+  checkb "second ack finds nothing" true (Reliable.Sender.settle s ~dst:2 ~tag:(aux 1) = None);
+  checki "two frames left" 2 (Reliable.Sender.unacked s);
+  (match Engine.run eng with
+  | () -> Alcotest.fail "expected the retry budget to run out"
+  | exception Engine.Fiber_failure (_, Reliable.Delivery_failed f) ->
+      checki "failure names the destination" 1 f.Reliable.dst;
+      checki "budget was fully spent" 3 f.Reliable.tries);
+  checkb "the settled frame never retransmitted" false
+    (List.exists (fun (dst, _, _) -> dst = 2) !resent);
+  (* the same exhaustion against a crashed destination is a diagnosis *)
+  let eng, s, _, _ = sender_table ~peer_down:(ref true) in
+  Reliable.Sender.post s ~dst:1 ~header:data_header ();
+  match Engine.run eng with
+  | () -> Alcotest.fail "expected Peer_dead"
+  | exception Engine.Fiber_failure (_, Reliable.Peer_dead f) ->
+      checki "peer-dead names the destination" 1 f.Reliable.dst
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end recovery                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -286,6 +355,8 @@ let () =
         ] );
       ( "window",
         [ Alcotest.test_case "duplicate suppression" `Quick test_window_dedup ] );
+      ( "sender",
+        [ Alcotest.test_case "park, resume, settle, budget" `Quick test_sender_table ] );
       ( "recovery",
         [
           Alcotest.test_case "survives cell loss (both NICs)" `Quick test_survives_cell_loss;

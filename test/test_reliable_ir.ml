@@ -132,33 +132,30 @@ let test_parity_qcheck =
       a.Flow.checksum = b.Flow.checksum)
 
 let test_parity_crash_restart () =
-  (* crash a receiver mid-flow without scrubbing the board: its window
-     state survives, frames sent into the dead window are lost unjudged
-     and a post-restart retransmission completes the flow. Sends ride a
+  (* crash one node mid-flow without scrubbing its board. Sends ride a
      40 us pacing grid so both implementations have the same frame in
      flight when the window opens, and the window edges sit mid-slot,
      hundreds of microseconds from the 1 ms retransmission grid. *)
+  let crash_cfg ~victim ~at_us ~down_us =
+    let schedule =
+      [
+        { Faults.e_at = Time.us at_us; e_node = victim; e_fault = Faults.Crash { scrub = false } };
+        { Faults.e_at = Time.us (at_us + down_us); e_node = victim; e_fault = Faults.Restart };
+      ]
+    in
+    {
+      Flow.default with
+      Flow.messages = 6;
+      pace = Some (Time.us 40);
+      faults = Some { Faults.none with Faults.seed = 5; schedule };
+    }
+  in
+  (* a crashed receiver: its window state survives, frames sent into the
+     dead window are lost unjudged and a post-restart retransmission
+     completes the flow *)
   List.iter
     (fun (name, victim, at_us, down_us) ->
-      let schedule =
-        [
-          {
-            Faults.e_at = Time.us at_us;
-            e_node = victim;
-            e_fault = Faults.Crash { scrub = false };
-          };
-          { Faults.e_at = Time.us (at_us + down_us); e_node = victim; e_fault = Faults.Restart };
-        ]
-      in
-      let cfg =
-        {
-          Flow.default with
-          Flow.messages = 6;
-          pace = Some (Time.us 40);
-          faults = Some { Faults.none with Faults.seed = 5; schedule };
-        }
-      in
-      let o = parity name cfg in
+      let o = parity name (crash_cfg ~victim ~at_us ~down_us) in
       (* not vacuous: the dead window really cost a frame *)
       let retx = Array.fold_left (fun acc c -> acc + c.Flow.retransmits) 0 o.Flow.per_node in
       checki (name ^ ": exactly one frame died in the window") 1 retx)
@@ -169,6 +166,20 @@ let test_parity_crash_restart () =
       ("crash rx node1 @70us/60us down", 1, 70, 60);
       (* node 0 receives node 1's flow over slots 240..440us *)
       ("crash rx node0 @310us/80us down", 0, 310, 80);
+    ];
+  (* a crashed sender: the frames it posts while down, and the un-acked
+     ones the crash caught, park and go out at the restart; both
+     implementations keep them in the same sender table *)
+  List.iter
+    (fun (name, victim, at_us, down_us) ->
+      let o = parity name (crash_cfg ~victim ~at_us ~down_us) in
+      checki (name ^ ": every message delivered exactly once") (2 * 6)
+        (List.length o.Flow.delivered))
+    [
+      ("crash tx node0 @100us/50us down", 0, 100, 50);
+      ("crash tx node0 @100us/1500us down", 0, 100, 1500);
+      ("crash tx node1 @330us/50us down", 1, 330, 50);
+      ("crash tx node1 @330us/1500us down", 1, 330, 1500);
     ]
 
 let test_retransmission_happens () =

@@ -351,6 +351,18 @@ let test_scenario_deterministic () =
   check (Alcotest.float 0.) "elapsed identical" a.Kv_serve.elapsed_us b.Kv_serve.elapsed_us;
   checki "interrupts identical" a.Kv_serve.host_interrupts b.Kv_serve.host_interrupts
 
+(* at seed 3 a frame is posted into the crashed node's dead window: it must
+   wait for the restart with the un-acked frames, or a client is stranded
+   and the run deadlocks *)
+let test_faulty_torus_answers_every_request () =
+  let p = Option.get (Scenario.find "burst-faulty-torus") in
+  let p =
+    { p with Scenario.seed = 3; faults = { p.Scenario.faults with Cni_atm.Faults.seed = 3 } }
+  in
+  let r = Scenario.run p in
+  checki "every request issued" 480 r.Kv_serve.requests;
+  checki "every request answered" 480 r.Kv_serve.responses
+
 let test_rx_policies_distinguished () =
   (* the acceptance bar: at high offered load the tail must tell the
      receive policies apart *)
@@ -394,5 +406,7 @@ let () =
           Alcotest.test_case "16-node smoke" `Quick test_serving_smoke;
           Alcotest.test_case "deterministic scenario run" `Quick test_scenario_deterministic;
           Alcotest.test_case "rx policies distinguished" `Quick test_rx_policies_distinguished;
+          Alcotest.test_case "faulty torus answers every request" `Quick
+            test_faulty_torus_answers_every_request;
         ] );
     ]
