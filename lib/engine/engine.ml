@@ -4,65 +4,138 @@ type run_stats = {
   past_clamps : int;
 }
 
+(* Two queues hold the pending events. Events due at a later time go on the
+   heap, ordered by (time, scheduling order). Events scheduled {e at} the
+   current time — spawns, fiber resumes, yields, clamped [at] calls — go on
+   the lane, a FIFO ring beside the heap, and never pay for a sift.
+
+   Dispatch still follows the exact (time, scheduling order) the heap alone
+   would give. The clock never runs backwards, so every heap event keyed
+   [now] was scheduled while the clock was still short of [now], before any
+   lane event (which was scheduled at [now]); and every lane event precedes
+   any heap event keyed later. So: first the heap events keyed [now], then
+   the lane, then the clock advances. *)
 type t = {
   mutable now : Time.t;
   q : (unit -> unit) Heap.t;
+  mutable lane : (unit -> unit) array;  (* ring buffer, power-of-two length *)
+  mutable lane_head : int;
+  mutable lane_len : int;
   mutable seq : int;
   mutable dispatched : int;
   mutable max_depth : int;
   mutable clamped : int;
+  (* A fiber performs [delay] or [yield] on every simulated step, so their
+     effect handlers are built once per engine, not once per perform or per
+     fiber. [delay_by] carries the performed duration to [on_delay], which
+     runs right after the fiber's [effc] returns it. *)
+  mutable delay_by : Time.t;
+  on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
 
 exception Fiber_failure of string * exn
 
-let create () =
-  { now = Time.zero; q = Heap.create (); seq = 0; dispatched = 0; max_depth = 0; clamped = 0 }
+(* what a vacated lane slot holds, so the ring never pins a run event *)
+let vacant () = ()
 
 let now t = t.now
+let pending t = Heap.length t.q + t.lane_len
 
 let run_stats t =
   { events_dispatched = t.dispatched; max_heap_depth = t.max_depth; past_clamps = t.clamped }
+
+let lane_push t f =
+  let cap = Array.length t.lane in
+  if t.lane_len = cap then begin
+    (* unroll the ring into a twice-as-long one, head first *)
+    let lane = Array.make (2 * cap) vacant in
+    let first = cap - t.lane_head in
+    Array.blit t.lane t.lane_head lane 0 first;
+    Array.blit t.lane 0 lane first t.lane_head;
+    t.lane <- lane;
+    t.lane_head <- 0
+  end;
+  let lane = t.lane in
+  lane.((t.lane_head + t.lane_len) land (Array.length lane - 1)) <- f;
+  t.lane_len <- t.lane_len + 1
+
+let lane_pop t =
+  let lane = t.lane and head = t.lane_head in
+  let f = lane.(head) in
+  lane.(head) <- vacant;
+  t.lane_head <- (head + 1) land (Array.length lane - 1);
+  t.lane_len <- t.lane_len - 1;
+  f
 
 let at t time f =
   (* Scheduling into the past is clamped to [now] so time never runs
      backwards, but silently losing the requested time hides protocol bugs:
      count every clamp and leave a trace record of how far back the caller
      aimed. *)
-  let time =
+  if time <= t.now then begin
     if time < t.now then begin
       t.clamped <- t.clamped + 1;
       if Trace.enabled_cat Trace.Engine then
         Trace.emit ~t_ps:(Time.to_ps t.now) ~node:(-1) Trace.Engine ~label:"past-clamp"
-          ~payload:(Time.to_ps t.now - Time.to_ps time);
-      t.now
-    end
-    else time
-  in
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  Heap.add t.q ~key:(Time.to_ps time) ~seq f;
-  let depth = Heap.length t.q in
+          ~payload:(Time.to_ps t.now - Time.to_ps time)
+    end;
+    lane_push t f
+  end
+  else begin
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    Heap.add t.q ~key:(Time.to_ps time) ~seq f
+  end;
+  let depth = pending t in
   if depth > t.max_depth then t.max_depth <- depth
 
 let after t d f = at t Time.(t.now + d) f
-let pending t = Heap.length t.q
+
+let create () =
+  let rec t =
+    {
+      now = Time.zero;
+      q = Heap.create ();
+      lane = Array.make 64 vacant;
+      lane_head = 0;
+      lane_len = 0;
+      seq = 0;
+      dispatched = 0;
+      max_depth = 0;
+      clamped = 0;
+      delay_by = Time.zero;
+      on_delay = Some (fun k -> after t t.delay_by (fun () -> Effect.Deep.continue k ()));
+      on_yield = Some (fun k -> at t t.now (fun () -> Effect.Deep.continue k ()));
+    }
+  in
+  t
+
+(* the time of the next event; [pending t > 0] *)
+let next_time t = if t.lane_len > 0 then Time.to_ps t.now else Heap.min_key t.q
 
 let step t =
-  let key = Heap.min_key t.q in
-  let f = Heap.pop_min_value t.q in
-  t.now <- Time.ps key;
+  let f =
+    if t.lane_len > 0 && (Heap.is_empty t.q || Heap.min_key t.q > Time.to_ps t.now) then
+      lane_pop t
+    else begin
+      t.now <- Time.ps (Heap.min_key t.q);
+      Heap.pop_min_value t.q
+    end
+  in
   t.dispatched <- t.dispatched + 1;
   if Trace.enabled_cat Trace.Engine then
-    Trace.emit ~t_ps:key ~node:(-1) Trace.Engine ~label:"event" ~payload:(Heap.length t.q);
+    Trace.emit ~t_ps:(Time.to_ps t.now) ~node:(-1) Trace.Engine ~label:"event"
+      ~payload:(pending t);
   f ()
 
 let run t =
-  while not (Heap.is_empty t.q) do
+  while pending t > 0 do
     step t
   done
 
 let run_until t limit =
-  while (not (Heap.is_empty t.q)) && Heap.min_key t.q <= Time.to_ps limit do
+  while pending t > 0 && next_time t <= Time.to_ps limit do
     step t
   done
 
@@ -81,8 +154,7 @@ let () =
 
 let run_watched t ~limit =
   run_until t limit;
-  if not (Heap.is_empty t.q) then
-    raise (Quiescence_timeout { limit; now = t.now; pending = Heap.length t.q })
+  if pending t > 0 then raise (Quiescence_timeout { limit; now = t.now; pending = pending t })
 
 (* ------------------------------------------------------------------ *)
 (* Fibers                                                             *)
@@ -111,11 +183,9 @@ let spawn t ?(name = "fiber") f =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
           | Delay d ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  after t d (fun () -> continue k ()))
-          | Yield ->
-              Some (fun (k : (a, unit) continuation) -> at t t.now (fun () -> continue k ()))
+              t.delay_by <- d;
+              (t.on_delay : ((a, unit) continuation -> unit) option)
+          | Yield -> (t.on_yield : ((a, unit) continuation -> unit) option)
           | Suspend register ->
               Some
                 (fun (k : (a, unit) continuation) ->

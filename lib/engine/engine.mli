@@ -1,11 +1,20 @@
 (** Deterministic discrete-event simulation engine.
 
-    The engine owns a virtual clock and a priority queue of events; ties are
-    broken in FIFO order so runs are fully deterministic. Simulated processes
-    ("fibers") are ordinary OCaml functions that perform effects ({!delay},
-    {!suspend}, {!yield}) handled by the engine — OCaml 5 effect handlers give
-    us cheap one-shot continuations, the same role Proteus' threads played in
-    the paper's evaluation. *)
+    The engine owns a virtual clock and dispatches events in (time,
+    scheduling order): ties are broken in FIFO order so runs are fully
+    deterministic. Simulated processes ("fibers") are ordinary OCaml
+    functions that perform effects ({!delay}, {!suspend}, {!yield}) handled
+    by the engine — OCaml 5 effect handlers give us cheap one-shot
+    continuations, the same role Proteus' threads played in the paper's
+    evaluation.
+
+    Pending events sit in two queues. Events due later than {!now} wait in
+    a {!Heap}. Events scheduled {e at} {!now} — spawns, fiber resumes,
+    yields and clamped {!at} calls — go to a FIFO {e lane} beside the heap
+    and skip its sift. The lane keeps the exact (time, scheduling order):
+    heap events keyed {!now} were all scheduled before the clock reached
+    {!now}, so they run first, then the lane, and only then does the clock
+    advance. *)
 
 type t
 
@@ -17,7 +26,9 @@ val now : t -> Time.t
 (** Counters accumulated over the engine's lifetime (never reset). *)
 type run_stats = {
   events_dispatched : int;  (** events popped and executed so far *)
-  max_heap_depth : int;  (** high-water mark of the pending-event queue *)
+  max_heap_depth : int;
+      (** high-water mark of the pending events, heap and same-instant lane
+          together (see {!pending}) *)
   past_clamps : int;
       (** [at] calls whose requested time lay in the past and was clamped to
           [now] — nonzero values usually indicate a protocol bug in the
@@ -36,19 +47,24 @@ val at : t -> Time.t -> (unit -> unit) -> unit
 (** [after t d f] schedules [f] to run [d] after the current time. *)
 val after : t -> Time.t -> (unit -> unit) -> unit
 
-(** Number of pending events (including suspended-fiber wakeups). *)
+(** Number of pending events (including suspended-fiber wakeups), in the
+    heap and the same-instant lane together. *)
 val pending : t -> int
 
 (** Run until the event queue is empty. *)
 val run : t -> unit
 
-(** Run all events with time <= [limit]; afterwards [now t >= limit] if any
-    event at or beyond the limit existed, else [now] is the last event time. *)
+(** Run all events with time <= [limit], and nothing later. The clock stays
+    at the last dispatched event: with events at 10, 20, 30 and 40 ns,
+    [run_until t (ns 25)] leaves [now t] at 20 ns, not at the limit. A limit
+    below [now t] dispatches nothing, not even events scheduled at [now t]. *)
 val run_until : t -> Time.t -> unit
 
 (** Raised by {!run_watched} when events remain past the limit: the
     simulation is still making "progress" (self-rearming timers, a livelocked
-    retry loop) but never drains. A printer is registered. *)
+    retry loop) but never drains. [now] is the last dispatched event's time
+    (see {!run_until}) and [pending] is {!pending}. A printer is
+    registered. *)
 exception
   Quiescence_timeout of { limit : Time.t; now : Time.t; pending : int }
 

@@ -1,11 +1,16 @@
-(** Structure-of-arrays binary min-heap, specialised to integer-pair keys.
+(** Binary min-heap on integer columns, specialised to integer-pair keys.
 
     Elements are ordered by [(key, seq)] lexicographically; [seq] is supplied
     by the caller to break ties deterministically (FIFO among equal keys).
 
-    The ordering pair lives in unboxed [int array]s and the payloads in a
-    parallel array, so {!add} and {!pop_min_value} allocate nothing — the
-    engine's per-event hot path stays off the minor heap entirely. *)
+    The heap keeps three [int] columns in heap order — key, seq and the
+    element's {e slot} — and stores each payload once, in a slot table, at
+    {!add}; a pop reads it back once. Sifting moves only integers, so no
+    level of a sift runs the write barrier or the float-array check, and
+    {!add} and {!pop_min_value} allocate nothing once the columns have
+    grown: the engine's per-event hot path stays off the minor heap. The
+    slot column doubles as the free list (positions past the length hold
+    the free slot ids). *)
 
 type 'a t
 

@@ -3,10 +3,16 @@
    Every branch out of a node compares one header field (offset/len/mask)
    against a value. Branches are grouped by their field *spec* — the
    (offset, len, mask) triple — and within a spec the children are indexed
-   by expected value in a hashtable. Classifying at a node therefore costs
-   one header read + one hash probe per distinct spec, independent of how
-   many sibling patterns hang off the node; with the common "many channels
-   on one field" layout that is O(pattern depth) instead of O(patterns).
+   by expected value in a sorted array. Classifying at a node therefore
+   costs one header read + one binary search per distinct spec, independent
+   of how many sibling patterns hang off the node; with the common "many
+   channels on one field" layout that is O(pattern depth) instead of
+   O(patterns).
+
+   The walk allocates nothing: a node's specs are an array scanned in
+   insertion order (a node has one to three), the header is read through
+   [Pattern.read_raw] without an option, and each accept entry carries its
+   [Some action] result, built once at [add].
 
    Removal is eager: the accept entry is deleted from its leaf node when the
    handle is removed, so the DAG holds live accepts only — no tombstone
@@ -14,19 +20,22 @@
    without bound under install/uninstall churn. Interior structure shared
    with live patterns is retained (as the hardware did). *)
 
-(* where/how a branch reads the header; branches with equal specs share one
-   value index *)
-type spec = { s_offset : int; s_len : int; s_mask : int }
+type 'a accept = { priority : int; handle : int; result : 'a option  (* Some action *) }
 
-let spec_of (f : Pattern.field) =
-  { s_offset = f.Pattern.offset; s_len = f.Pattern.len; s_mask = f.Pattern.mask }
+(* the branches of one node that read the header the same way: the field
+   spec, its expected values in ascending order, and the child each one
+   reaches *)
+type 'a spec = {
+  s_offset : int;
+  s_len : int;
+  s_mask : int;
+  mutable values : int array;
+  mutable children : 'a node array;  (* [children.(i)] is reached on [values.(i)] *)
+}
 
-type 'a node = {
-  mutable branches : (Pattern.field * 'a node) list;
-      (* insertion order; kept for [edges] and structural inspection *)
-  index : (spec, (int, 'a node) Hashtbl.t) Hashtbl.t;  (* spec -> value -> child *)
-  mutable accepts : (int * int * 'a) list;
-      (* (priority, handle, action), sorted by priority; live entries only *)
+and 'a node = {
+  mutable specs : 'a spec array;  (* insertion order *)
+  mutable accepts : 'a accept list;  (* sorted by priority; live entries only *)
 }
 
 type handle = int
@@ -45,6 +54,9 @@ type 'a t = {
   mutable next_priority : int;
   mutable next_handle : int;
   entries : (int, 'a entry) Hashtbl.t;  (* live handles *)
+  (* the walk's best accept so far; [None] between classifications *)
+  mutable best_priority : int;
+  mutable best : 'a option;
   mutable s_classifications : int;
   mutable s_matches : int;
   mutable s_probes : int;
@@ -52,7 +64,7 @@ type 'a t = {
 
 type stats = { classifications : int; matches : int; probes : int }
 
-let new_node () = { branches = []; index = Hashtbl.create 4; accepts = [] }
+let new_node () = { specs = [||]; accepts = [] }
 
 let create () =
   {
@@ -60,10 +72,53 @@ let create () =
     next_priority = 0;
     next_handle = 0;
     entries = Hashtbl.create 16;
+    best_priority = max_int;
+    best = None;
     s_classifications = 0;
     s_matches = 0;
     s_probes = 0;
   }
+
+(* index of [v] in [values.(lo .. hi - 1)] (sorted), or [-1 - p] where [p]
+   is the position it would be inserted at *)
+let rec search values v lo hi =
+  if lo >= hi then -1 - lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = Array.unsafe_get values mid in
+    if m = v then mid else if m < v then search values v (mid + 1) hi else search values v lo mid
+
+let insert_at a i x =
+  Array.init (Array.length a + 1) (fun j -> if j < i then a.(j) else if j = i then x else a.(j - 1))
+
+let spec_for node (f : Pattern.field) =
+  let matching s =
+    s.s_offset = f.Pattern.offset && s.s_len = f.Pattern.len && s.s_mask = f.Pattern.mask
+  in
+  match Array.find_opt matching node.specs with
+  | Some s -> s
+  | None ->
+      let s =
+        {
+          s_offset = f.Pattern.offset;
+          s_len = f.Pattern.len;
+          s_mask = f.Pattern.mask;
+          values = [||];
+          children = [||];
+        }
+      in
+      node.specs <- Array.append node.specs [| s |];
+      s
+
+let child_for spec value =
+  let i = search spec.values value 0 (Array.length spec.values) in
+  if i >= 0 then spec.children.(i)
+  else begin
+    let c = new_node () and p = -1 - i in
+    spec.values <- insert_at spec.values p value;
+    spec.children <- insert_at spec.children p c;
+    c
+  end
 
 let add t pattern action =
   let priority = t.next_priority in
@@ -74,30 +129,11 @@ let add t pattern action =
     | [] ->
         node.accepts <-
           List.merge
-            (fun (p1, _, _) (p2, _, _) -> compare p1 p2)
+            (fun a b -> compare a.priority b.priority)
             node.accepts
-            [ (priority, handle, action) ];
+            [ { priority; handle; result = Some action } ];
         node
-    | f :: rest ->
-        let spec = spec_of f in
-        let values =
-          match Hashtbl.find_opt node.index spec with
-          | Some v -> v
-          | None ->
-              let v = Hashtbl.create 4 in
-              Hashtbl.replace node.index spec v;
-              v
-        in
-        let child =
-          match Hashtbl.find_opt values f.Pattern.value with
-          | Some c -> c
-          | None ->
-              let c = new_node () in
-              Hashtbl.replace values f.Pattern.value c;
-              node.branches <- node.branches @ [ (f, c) ];
-              c
-        in
-        insert child rest
+    | f :: rest -> insert (child_for (spec_for node f) f.Pattern.value) rest
   in
   let leaf = insert t.root pattern in
   Hashtbl.replace t.entries handle
@@ -111,37 +147,37 @@ let remove t h =
   | None -> ()
   | Some e ->
       Hashtbl.remove t.entries h;
-      e.e_node.accepts <- List.filter (fun (_, h', _) -> h' <> h) e.e_node.accepts
+      e.e_node.accepts <- List.filter (fun a -> a.handle <> h) e.e_node.accepts
 
-(* Walk the DAG collecting the best (lowest priority number) accept. Every
-   accept stored is live, so no per-entry liveness check is needed. *)
+(* Walk the DAG keeping the best (lowest priority number) accept. Every
+   accept stored is live and each node's list is sorted, so only its head
+   can improve on the best. *)
+let rec walk t header node =
+  (match node.accepts with
+  | a :: _ when a.priority < t.best_priority ->
+      t.best_priority <- a.priority;
+      t.best <- a.result
+  | _ -> ());
+  let specs = node.specs in
+  for i = 0 to Array.length specs - 1 do
+    let s = Array.unsafe_get specs i in
+    t.s_probes <- t.s_probes + 1;
+    let v = Pattern.read_raw header ~offset:s.s_offset ~len:s.s_len ~mask:s.s_mask in
+    if v >= 0 then begin
+      let j = search s.values v 0 (Array.length s.values) in
+      if j >= 0 then walk t header (Array.unsafe_get s.children j)
+    end
+  done
+
 let classify t header =
   t.s_classifications <- t.s_classifications + 1;
-  let best = ref None in
-  let consider (prio, _h, action) =
-    match !best with
-    | Some (p, _) when p <= prio -> ()
-    | _ -> best := Some (prio, action)
-  in
-  let rec walk node =
-    List.iter consider node.accepts;
-    Hashtbl.iter
-      (fun spec values ->
-        t.s_probes <- t.s_probes + 1;
-        match
-          Pattern.read_masked header ~offset:spec.s_offset ~len:spec.s_len ~mask:spec.s_mask
-        with
-        | Some v -> (
-            match Hashtbl.find_opt values v with Some child -> walk child | None -> ())
-        | None -> ())
-      node.index
-  in
-  walk t.root;
-  match !best with
-  | Some (_, action) ->
-      t.s_matches <- t.s_matches + 1;
-      Some action
-  | None -> None
+  t.best_priority <- max_int;
+  walk t header t.root;
+  let best = t.best in
+  (* cleared so a removed pattern's action is not kept alive here *)
+  t.best <- None;
+  (match best with Some _ -> t.s_matches <- t.s_matches + 1 | None -> ());
+  best
 
 (* Reference semantics: scan every live pattern with the naive matcher and
    keep the lowest-priority match. Deliberately O(patterns); kept for
@@ -159,16 +195,17 @@ let classify_linear t header =
 
 let patterns t = Hashtbl.length t.entries
 
+(* [f] folded over every child edge of [node] *)
+let fold_children f acc node =
+  Array.fold_left (fun acc s -> Array.fold_left f acc s.children) acc node.specs
+
 let edges t =
-  let rec count node =
-    List.fold_left (fun acc (_, child) -> acc + 1 + count child) 0 node.branches
-  in
+  let rec count node = fold_children (fun acc child -> acc + 1 + count child) 0 node in
   count t.root
 
 let accept_entries t =
   let rec count node =
-    List.fold_left (fun acc (_, child) -> acc + count child) (List.length node.accepts)
-      node.branches
+    fold_children (fun acc child -> acc + count child) (List.length node.accepts) node
   in
   count t.root
 

@@ -6,15 +6,19 @@
     structure (node count vs. pattern count) can be observed.
 
     Out-edges of a node are grouped by field {e spec} — the (offset, len,
-    mask) triple — and within a spec indexed by expected value in a
-    hashtable, so classifying at a node costs one header read and one hash
-    probe per distinct spec rather than one comparison per sibling pattern.
-    With the common layout where many patterns differ only in one field's
-    value (e.g. one pattern per channel), classification is O(pattern depth)
-    instead of O(patterns). Patterns whose fields read different parts of the
-    header simply occupy different specs and are each probed once — the
-    wildcard/fallback case degrades gracefully to one probe per distinct
-    spec, never to one per pattern. *)
+    mask) triple — and within a spec indexed by expected value in a sorted
+    array, so classifying at a node costs one header read and one binary
+    search per distinct spec rather than one comparison per sibling
+    pattern. With the common layout where many patterns differ only in one
+    field's value (e.g. one pattern per channel), classification is
+    O(pattern depth) instead of O(patterns). Patterns whose fields read
+    different parts of the header simply occupy different specs and are
+    each probed once — the wildcard/fallback case degrades gracefully to one
+    probe per distinct spec, never to one per pattern.
+
+    {!classify} allocates nothing: a node's specs are scanned in insertion
+    order from an array, the header is read with {!Pattern.read_raw}, and
+    the returned option is the one built when the pattern was added. *)
 
 type 'a t
 
@@ -37,7 +41,9 @@ val add : 'a t -> Pattern.t -> 'a -> handle
 val remove : 'a t -> handle -> unit
 
 (** [classify t header] is the action of the highest-priority live matching
-    pattern, if any. *)
+    pattern, if any. Allocation-free: a match returns the [Some action]
+    value {!add} built, so repeated matches of one pattern return the same
+    (physically equal) option. *)
 val classify : 'a t -> Bytes.t -> 'a option
 
 (** [classify_linear t header] — reference semantics: a priority-ordered

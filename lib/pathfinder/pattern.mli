@@ -8,7 +8,7 @@
 
 type field = {
   offset : int;  (** byte offset into the header *)
-  len : int;  (** 1..8 bytes, read big-endian *)
+  len : int;  (** 1..7 bytes, read big-endian *)
   mask : int;  (** applied to the read value *)
   value : int;  (** expected masked value *)
 }
@@ -16,8 +16,10 @@ type field = {
 type t = field list
 
 (** [field ~offset ~len ?mask value] builds one comparison; [mask] defaults
-    to all-ones over [len] bytes.
-    @raise Invalid_argument if [len] is not within 1..8 or [offset] < 0. *)
+    to all-ones over [len] bytes. A field is at most 7 bytes wide, so its
+    big-endian value always fits in an OCaml [int] (an 8-byte read would
+    need 64 bits and lose the top bit of its first byte).
+    @raise Invalid_argument if [len] is not within 1..7 or [offset] < 0. *)
 val field : offset:int -> len:int -> ?mask:int -> int -> field
 
 (** [matches t header] — reference (linear) matcher, used for testing the
@@ -29,11 +31,15 @@ val matches : t -> Bytes.t -> bool
 val read_field : Bytes.t -> field -> int option
 
 (** [read_masked header ~offset ~len ~mask] reads [len] bytes big-endian at
-    [offset] and applies [mask], without needing a {!field} record. This is
-    the primitive the indexed classifier uses to probe one field {e spec}
-    shared by many sibling branches. [None] if the range falls outside the
-    header. *)
+    [offset] and applies [mask], without needing a {!field} record. [None]
+    if [len] is not within 1..7 or the range falls outside the header. *)
 val read_masked : Bytes.t -> offset:int -> len:int -> mask:int -> int option
+
+(** [read_raw] is {!read_masked} without the option: the masked value,
+    which is never negative, or [-1] where {!read_masked} is [None]. This
+    is the allocation-free primitive the indexed classifier uses to probe
+    one field {e spec} shared by many sibling branches. *)
+val read_raw : Bytes.t -> offset:int -> len:int -> mask:int -> int
 
 (** Prints one field as [[offset:len & mask = value]]. *)
 val pp_field : Format.formatter -> field -> unit

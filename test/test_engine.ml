@@ -198,6 +198,26 @@ let test_heap_hot_path_no_alloc () =
      epsilon absorbs the Gc.minor_words float boxes themselves *)
   if words > 256. then Alcotest.failf "steady-state add/pop allocated %.0f minor words" words
 
+(* a fiber's [delay] on a warm engine: the effect, its continuation and the
+   closure of the event that resumes it are all that may allocate (9 minor
+   words); a handler closure built on every perform would add 7 *)
+let test_fiber_delay_alloc () =
+  let eng = Engine.create () in
+  let n = 10_000 in
+  let fiber () =
+    for _ = 1 to n do
+      Engine.delay (Time.ns 1)
+    done
+  in
+  Engine.spawn eng fiber;
+  Engine.run eng;
+  let before = Gc.minor_words () in
+  Engine.spawn eng fiber;
+  Engine.run eng;
+  let per_event = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_event > 10. then
+    Alcotest.failf "fiber delay allocated %.1f minor words per event (limit 10)" per_event
+
 let test_heap_pop_min_value () =
   let h = Heap.create () in
   List.iteri (fun i k -> Heap.add h ~key:k ~seq:i (k * 10)) [ 5; 1; 4 ];
@@ -448,8 +468,26 @@ let test_run_until () =
   Engine.run_until eng (Time.ns 25);
   checki "two fired" 2 !fired;
   checki "two pending" 2 (Engine.pending eng);
+  (* the clock stays at the last dispatched event, not at the limit *)
+  checki "now at the last dispatched event" (Time.to_ps (Time.ns 20))
+    (Time.to_ps (Engine.now eng));
   Engine.run eng;
   checki "all fired" 4 !fired
+
+(* an event scheduled at [now] between two [run_until]s waits in the
+   same-instant lane; a limit below [now] must not dispatch it *)
+let test_run_until_below_now () =
+  let eng = Engine.create () in
+  let fired = ref 0 in
+  Engine.at eng (Time.ns 10) (fun () -> ());
+  Engine.run_until eng (Time.ns 15);
+  Engine.at eng (Engine.now eng) (fun () -> incr fired);
+  Engine.run_until eng (Time.ns 5);
+  checki "not dispatched below now" 0 !fired;
+  checki "still pending" 1 (Engine.pending eng);
+  Engine.run_until eng (Time.ns 10);
+  checki "dispatched at now" 1 !fired;
+  checki "drained" 0 (Engine.pending eng)
 
 let test_fiber_delay () =
   let eng = Engine.create () in
@@ -584,6 +622,135 @@ let test_determinism () =
   in
   checks "identical runs" (run ()) (run ())
 
+(* Model test of dispatch order. A random program schedules events whose
+   children land at [now], a little later, or in the past (clamped), and
+   spawns fibers that delay, yield, and suspend until an event resumes them.
+   The reference is the definition of the engine's order: every event gets
+   a label (time, scheduling order) when it is scheduled, and each dispatch
+   must be the least label still pending, at that label's time. Offsets are
+   a few picoseconds, so equal times — heap events keyed [now] next to
+   same-instant ones — occur constantly. The program runs in [run_until]
+   slices, which must never dispatch past their limit. *)
+type prog_event =
+  | Event of int * prog_event list  (* at now + offset, then schedule the children *)
+  | Fiber of prog_step list
+
+and prog_step =
+  | Sleep of int  (* delay *)
+  | Yield_now
+  | Wait of int  (* suspend; an event at now + offset resumes the fiber *)
+  | Fork of prog_event
+
+let rec show_event = function
+  | Event (off, cs) -> Printf.sprintf "Event(%d,[%s])" off (String.concat ";" (List.map show_event cs))
+  | Fiber ss -> Printf.sprintf "Fiber[%s]" (String.concat ";" (List.map show_step ss))
+
+and show_step = function
+  | Sleep d -> Printf.sprintf "Sleep %d" d
+  | Yield_now -> "Yield"
+  | Wait off -> Printf.sprintf "Wait %d" off
+  | Fork e -> "Fork " ^ show_event e
+
+let rec gen_event depth =
+  let open QCheck.Gen in
+  let children = if depth = 0 then return [] else list_size (int_bound 3) (gen_event (depth - 1)) in
+  frequency
+    [
+      (3, map2 (fun off cs -> Event (off, cs)) (int_range (-3) 6) children);
+      (1, map (fun ss -> Fiber ss) (list_size (int_bound 4) (gen_step depth)));
+    ]
+
+and gen_step depth =
+  let open QCheck.Gen in
+  frequency
+    [
+      (3, map (fun d -> Sleep d) (int_bound 6));
+      (2, return Yield_now);
+      (2, map (fun off -> Wait off) (int_range (-2) 6));
+      (1, if depth = 0 then return Yield_now else map (fun e -> Fork e) (gen_event (depth - 1)));
+    ]
+
+let run_program (roots, slices) =
+  let eng = Engine.create () in
+  let ok = ref true in
+  let fail () = ok := false in
+  let next_seq = ref 0 in
+  let pending = ref [] (* labels (time, seq) scheduled, not yet dispatched *) in
+  let max_pending = ref 0 in
+  let limit = ref max_int in
+  let now () = Time.to_ps (Engine.now eng) in
+  (* called just before the engine call that schedules the event *)
+  let label time =
+    let l = (max time (now ()), !next_seq) in
+    incr next_seq;
+    pending := l :: !pending;
+    max_pending := max !max_pending (List.length !pending);
+    l
+  in
+  let dispatched l =
+    let least = List.fold_left min (max_int, max_int) !pending in
+    if l <> least || fst l <> now () || now () > !limit then fail ();
+    if Engine.pending eng <> List.length !pending - 1 then fail ();
+    pending := List.filter (fun l' -> l' <> l) !pending
+  in
+  let rec schedule = function
+    | Event (off, children) ->
+        let l = label (now () + off) in
+        Engine.at eng (Time.ps (now () + off)) (fun () ->
+            dispatched l;
+            List.iter schedule children)
+    | Fiber steps ->
+        let l = label (now ()) in
+        Engine.spawn eng (fun () ->
+            dispatched l;
+            List.iter step steps)
+  and step = function
+    | Sleep d ->
+        let l = label (now () + d) in
+        Engine.delay (Time.ps d);
+        dispatched l
+    | Yield_now ->
+        let l = label (now ()) in
+        Engine.yield ();
+        dispatched l
+    | Wait off ->
+        let resume = ref ignore and woken = ref (0, 0) in
+        let l = label (now () + off) in
+        Engine.at eng (Time.ps (now () + off)) (fun () ->
+            dispatched l;
+            woken := label (now ());
+            !resume ());
+        Engine.suspend (fun r -> resume := r);
+        dispatched !woken
+    | Fork e -> schedule e
+  in
+  List.iter schedule roots;
+  List.iter
+    (fun s ->
+      limit := s;
+      Engine.run_until eng (Time.ps s))
+    slices;
+  limit := max_int;
+  Engine.run eng;
+  !ok && !pending = []
+  && (Engine.run_stats eng).Engine.events_dispatched = !next_seq
+  && (Engine.run_stats eng).Engine.max_heap_depth = !max_pending
+
+let engine_dispatch_model =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 6) (gen_event 3))
+        (map (List.sort compare) (list_size (int_bound 4) (int_bound 30))))
+  in
+  let print (roots, slices) =
+    Printf.sprintf "roots=[%s] slices=[%s]"
+      (String.concat "; " (List.map show_event roots))
+      (String.concat ";" (List.map string_of_int slices))
+  in
+  QCheck.Test.make ~name:"dispatch order = (time, scheduling order) reference" ~count:500
+    (QCheck.make ~print gen) run_program
+
 (* ------------------------------------------------------------------ *)
 (* Sync                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -716,12 +883,15 @@ let () =
           Alcotest.test_case "FIFO at equal time" `Quick test_fifo_same_time;
           Alcotest.test_case "run_until" `Quick test_run_until;
           Alcotest.test_case "run_until inclusive boundary" `Quick test_run_until_boundary;
+          Alcotest.test_case "run_until below now dispatches nothing" `Quick
+            test_run_until_below_now;
           Alcotest.test_case "spawn starts at now" `Quick test_spawn_starts_at_now;
           Alcotest.test_case "past events clamp to now" `Quick test_at_in_the_past_clamped;
           Alcotest.test_case "run_stats counters" `Quick test_run_stats;
           Alcotest.test_case "past clamp emits an Engine trace record" `Quick
             test_clamp_emits_trace;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          qc engine_dispatch_model;
         ] );
       ( "fibers",
         [
@@ -730,6 +900,8 @@ let () =
           Alcotest.test_case "double resume raises" `Quick test_double_resume_raises;
           Alcotest.test_case "exceptions annotated" `Quick test_fiber_exception_annotated;
           Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
+          Alcotest.test_case "delay allocates at most 10 words per event" `Quick
+            test_fiber_delay_alloc;
         ] );
       ( "sync",
         [

@@ -22,9 +22,9 @@ let header_of_string s =
 (* ------------------------------------------------------------------ *)
 
 let test_field_validation () =
-  Alcotest.check_raises "len 0" (Invalid_argument "Pattern.field: len must be within 1..8")
+  Alcotest.check_raises "len 0" (Invalid_argument "Pattern.field: len must be within 1..7")
     (fun () -> ignore (Pattern.field ~offset:0 ~len:0 1));
-  Alcotest.check_raises "len 9" (Invalid_argument "Pattern.field: len must be within 1..8")
+  Alcotest.check_raises "len 9" (Invalid_argument "Pattern.field: len must be within 1..7")
     (fun () -> ignore (Pattern.field ~offset:0 ~len:9 1));
   Alcotest.check_raises "negative offset" (Invalid_argument "Pattern.field: negative offset")
     (fun () -> ignore (Pattern.field ~offset:(-1) ~len:1 1))
@@ -45,6 +45,27 @@ let test_field_matching () =
     (Pattern.matches
        [ Pattern.field ~offset:0 ~len:1 0x12; Pattern.field ~offset:3 ~len:1 0x79 ]
        h)
+
+(* an 8-byte big-endian value needs 64 bits: a 63-bit int would drop the top
+   bit of the first byte, so [0x80 00 ..] would read 0 and match value 0 *)
+let test_field_len_8_rejected () =
+  Alcotest.check_raises "len 8" (Invalid_argument "Pattern.field: len must be within 1..7")
+    (fun () -> ignore (Pattern.field ~offset:0 ~len:8 0));
+  checkb "read_masked refuses len 8" true
+    (Pattern.read_masked (header_of_string "\x80") ~offset:0 ~len:8 ~mask:(-1) = None)
+
+let test_field_len_7_top_bit () =
+  let h = header_of_string "\x80\x00\x00\x00\x00\x00\x01" in
+  let f = Pattern.field ~offset:0 ~len:7 0x80_0000_0000_0001 in
+  checkb "7-byte read keeps the first byte's top bit" true
+    (Pattern.read_field h f = Some 0x80_0000_0000_0001);
+  checkb "matches its exact value" true (Pattern.matches [ f ] h);
+  checkb "zero does not match 0x80..." false
+    (Pattern.matches [ Pattern.field ~offset:0 ~len:7 0 ] h);
+  let c = Classifier.create () in
+  ignore (Classifier.add c [ Pattern.field ~offset:0 ~len:7 0 ] "zero");
+  ignore (Classifier.add c [ f ] "top");
+  checkb "classifier routes on the full 7 bytes" true (Classifier.classify c h = Some "top")
 
 let test_field_out_of_range () =
   let h = Bytes.make 4 'x' in
@@ -180,6 +201,33 @@ let test_classifier_indexed_probes () =
   checkb "classifies" true (Classifier.classify c (header_of_string "\x00\xC8\x01") = Some 0xC8);
   let probes = (Classifier.stats c).Classifier.probes - before in
   checkb (Printf.sprintf "probes bounded by depth (%d <= 4)" probes) true (probes <= 4)
+
+(* the classification hot path's allocation contract: over the message
+   layer's channel patterns, a warm classifier allocates nothing per lookup,
+   matched or not *)
+let test_classifier_no_alloc () =
+  let module Wire = Cni_nic.Wire in
+  let c = Classifier.create () in
+  for channel = 0 to 63 do
+    ignore (Classifier.add c (Wire.pattern_channel ~channel) channel)
+  done;
+  let header channel =
+    Wire.encode
+      { Wire.kind = 1; cacheable = false; has_data = false; src = 3; channel; obj = 0; aux = 0 }
+  in
+  (* channels 64..79 have no pattern *)
+  let headers = Array.init 80 header in
+  Array.iter (fun h -> ignore (Classifier.classify c h)) headers;
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    ignore (Classifier.classify c headers.(i mod 80))
+  done;
+  let words = Gc.minor_words () -. before in
+  (* a per-lookup allocation would cost >= 10k words; the epsilon absorbs
+     the Gc.minor_words float boxes themselves *)
+  if words > 64. then Alcotest.failf "10k warm classifications allocated %.0f minor words" words;
+  checkb "still classifies" true (Classifier.classify c (header 42) = Some 42);
+  checkb "unmatched channel" true (Classifier.classify c (header 70) = None)
 
 (* property: the DAG classifier agrees with the naive linear matcher *)
 let classifier_vs_naive =
@@ -333,6 +381,8 @@ let () =
           Alcotest.test_case "field validation" `Quick test_field_validation;
           Alcotest.test_case "matching semantics" `Quick test_field_matching;
           Alcotest.test_case "out-of-range reads" `Quick test_field_out_of_range;
+          Alcotest.test_case "len 8 rejected" `Quick test_field_len_8_rejected;
+          Alcotest.test_case "len 7 reads the top bit exactly" `Quick test_field_len_7_top_bit;
         ] );
       ( "classifier",
         [
@@ -347,6 +397,7 @@ let () =
           Alcotest.test_case "remove keeps siblings" `Quick test_classifier_remove_keeps_siblings;
           Alcotest.test_case "tombstone sweep" `Quick test_classifier_tombstone_sweep;
           Alcotest.test_case "indexed probe count" `Quick test_classifier_indexed_probes;
+          Alcotest.test_case "warm classify is allocation-free" `Quick test_classifier_no_alloc;
           qc classifier_vs_naive;
           qc classifier_vs_linear_ops;
         ] );
