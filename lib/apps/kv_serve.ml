@@ -139,13 +139,7 @@ let run ?faults ?topology ?(watchdog = Time.s 2) ~nic_kind c =
       end);
   let elapsed = Cluster.elapsed cluster in
   let f = Fabric.stats (Cluster.fabric cluster) in
-  let sum_nic field =
-    let acc = ref 0 in
-    for n = 0 to nodes - 1 do
-      acc := !acc + field (Nic.stats (Node.nic (Cluster.node cluster n)))
-    done;
-    !acc
-  in
+  let sum_nic field = Cluster.sum cluster (fun n -> field (Nic.stats (Node.nic n))) in
   let q p = float_of_int (Hist.quantile hist p) /. 1e3 in
   {
     requests = c.clients * c.requests_per_client;
@@ -163,12 +157,7 @@ let run ?faults ?topology ?(watchdog = Time.s 2) ~nic_kind c =
     max_us = float_of_int (Hist.max_value hist) /. 1e3;
     retransmits = Cluster.retransmits cluster;
     fault_drops =
-      (let fab = Cluster.fabric cluster in
-       let acc = ref 0 in
-       for n = 0 to nodes - 1 do
-         acc := !acc + Fabric.fault_drops fab ~node:n
-       done;
-       !acc);
+      Cluster.sum cluster (fun n -> Fabric.fault_drops (Cluster.fabric cluster) ~node:(Node.id n));
     hop_waits = f.Fabric.hop_waits;
     host_interrupts = sum_nic (fun s -> s.Nic.interrupts);
     polls = sum_nic (fun s -> s.Nic.polls);

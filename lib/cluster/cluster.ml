@@ -102,13 +102,11 @@ let node t i = t.nodes.(i)
 let nodes t = t.nodes
 let is_cni t = match t.kind with `Cni _ -> true | `Osiris _ | `Standard -> false
 
+let sum t f = Array.fold_left (fun acc n -> acc + f n) 0 t.nodes
+
 let retransmits t =
-  Array.fold_left
-    (fun acc n ->
-      match Nic.rel_stats (Node.nic n) with
-      | Some rs -> acc + rs.Nic.retransmits
-      | None -> acc)
-    0 t.nodes
+  sum t (fun n ->
+      match Nic.rel_stats (Node.nic n) with Some rs -> rs.Nic.retransmits | None -> 0)
 
 exception Deadlock of { unfinished : int list; crashed : int list }
 

@@ -40,6 +40,10 @@ val create :
   unit ->
   'a t
 
+(** [sum t f] is [f node] summed over the nodes, for a cluster-wide total
+    of a per-node NIC or fabric counter. *)
+val sum : 'a t -> ('a Node.t -> int) -> int
+
 (** Sum of NIC retransmissions over all nodes (0 when reliability is off). *)
 val retransmits : 'a t -> int
 

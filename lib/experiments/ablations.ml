@@ -1,114 +1,62 @@
 module Time = Cni_engine.Time
+module Params = Cni_machine.Params
 module Nic = Cni_nic.Nic
+
+(* Each ablation is a table of rows, one run per row. The rows go through a
+   few shared pieces: [run], the cell printers below, [cross] for tables that
+   pair every application with every configuration, and [on_off] for the
+   paper's own method of running one application with a mechanism on, then
+   off, against a standard board. *)
 
 let cholesky = Runner.cholesky Runner.bcsstk14
 let water = Runner.water ~molecules:216
 let jacobi = Runner.jacobi ~n:512 ~iterations:12
+let apps = [ ("Jacobi 512", jacobi); ("Water 216", water); ("Cholesky bcsstk14-like", cholesky) ]
+let apps8 = List.map (fun (name, app) -> (name ^ " (8 procs)", app)) apps
 
-let row name kind app =
-  let r = Runner.run ~kind ~procs:8 app in
-  [ name; Format.asprintf "%a" Time.pp r.Runner.elapsed; Report.f1 r.Runner.hit_ratio ]
+(* one application run on 8 processors unless the row says otherwise *)
+let run ?params ?faults ?reliability ?topology ?barrier_impl ?(procs = 8) kind app =
+  Runner.run ?params ?faults ?reliability ?topology ?barrier_impl ~kind ~procs app
 
-let columns = [ "configuration"; "elapsed"; "cache-hit-%" ]
+let elapsed r = Format.asprintf "%a" Time.pp r.Runner.elapsed
+let hit r = Report.f1 r.Runner.hit_ratio
+let count = string_of_int
+let checksum r = Printf.sprintf "%.10g" r.Runner.checksum
+let ratio a b = Report.f2 (Time.to_s_float a /. Time.to_s_float b)
 
-let message_cache () =
-  Report.make ~id:"ablation-mc"
-    ~title:"Message Cache contribution (8-processor Cholesky bcsstk14-like)"
-    ~columns
-    ~notes:[ "ADC+AIH retained; only the Message Cache is removed" ]
-    [
-      row "CNI" (Runner.cni ()) cholesky;
-      row "CNI, no Message Cache" (Runner.cni ~mc_bytes:0 ()) cholesky;
-      row "standard" Runner.standard cholesky;
-    ]
+(* [f x y] for every [x] of [xs] and, within it, every [y] of [ys] *)
+let cross xs ys f = List.concat_map (fun x -> List.map (f x) ys) xs
 
-let aih () =
-  Report.make ~id:"ablation-aih"
-    ~title:"Application Interrupt Handler contribution (8-processor Water 216)"
-    ~columns
-    ~notes:[ "without AIH, protocol handlers run on the host behind the polling hybrid" ]
-    [
-      row "CNI" (Runner.cni ()) water;
-      row "CNI, host handlers" (Runner.cni ~aih:false ()) water;
-      row "standard" Runner.standard water;
-    ]
+(* [rows] are (configuration, machine parameters, NIC kind) *)
+let on_off ~id ~title ~note app rows =
+  ( id,
+    fun () ->
+      Report.make ~id ~title ~columns:[ "configuration"; "elapsed"; "cache-hit-%" ] ~notes:[ note ]
+        (List.map
+           (fun (name, params, kind) ->
+             let r = run ~params kind app in
+             [ name; elapsed r; hit r ])
+           rows) )
 
-let hybrid_receive () =
-  Report.make ~id:"ablation-hybrid"
-    ~title:"Polling/interrupt hybrid contribution (8-processor Water 216, host handlers)"
-    ~columns
-    ~notes:[ "interrupt-only reception reintroduces the per-message interrupt cost" ]
-    [
-      row "CNI, host handlers, hybrid" (Runner.cni ~aih:false ()) water;
-      row "CNI, host handlers, interrupt-only"
-        (Runner.cni ~aih:false ~rx_policy:Nic.Rx_interrupt ())
-        water;
-    ]
+let write_policy policy = { Params.default with Params.cache_policy = policy }
 
 (* The receive wakeup policy, measured two ways: a synthetic arrival-rate
    sweep where a computing host receives paced frames (isolating the wakeup
    cost of each policy at a known rate), then the three applications, whose
    checksums double as proof the policy changes timing only. *)
-let rx_policies = List.map (fun (name, rx) -> (name, Scenario.to_rx_policy rx)) Scenario.rx_names
-
 let rx_policy () =
-  let synth_row name ?(rx_batch = 1) ~gap ~count (pname, policy) =
-    let p = Microbench.rx_policy_sweep ~policy ~gap ~count ~rx_batch () in
+  let policies =
+    List.map (fun (name, rx) -> (name, Scenario.to_rx_policy rx)) Scenario.rx_names
+  in
+  let synthetic (label, gap, frames, rx_batch) (pname, policy) =
+    let p = Microbench.rx_policy_sweep ~policy ~gap ~count:frames ~rx_batch () in
     [
-      name;
-      pname;
-      string_of_int p.Microbench.rx_interrupts;
-      string_of_int p.Microbench.rx_polls;
-      string_of_int p.Microbench.rx_wasted;
-      string_of_int p.Microbench.rx_coalesced;
-      Report.f1 p.Microbench.rx_latency_us;
-      "-";
+      "synthetic, " ^ label; pname; count p.Microbench.rx_interrupts; count p.Microbench.rx_polls;
+      count p.Microbench.rx_wasted; count p.Microbench.rx_coalesced;
+      Report.f1 p.Microbench.rx_latency_us; "-";
     ]
   in
-  let synth_rows =
-    List.concat_map
-      (fun (rate, gap, count) ->
-        List.map
-          (synth_row (Printf.sprintf "synthetic, %s arrivals" rate) ~gap ~count)
-          rx_policies)
-      [
-        ("hot (2us)", Time.us 2, 200);
-        ("medium (50us)", Time.us 50, 120);
-        ("idle (1ms)", Time.ms 1, 40);
-      ]
-  in
-  let batch_rows =
-    List.map
-      (fun rx_batch ->
-        synth_row
-          (Printf.sprintf "synthetic, hot arrivals, batch %d" rx_batch)
-          ~rx_batch ~gap:(Time.us 2) ~count:200
-          ("adaptive", Nic.Rx_adaptive Nic.default_rx_adaptive))
-      [ 4; 8 ]
-  in
-  let app_rows =
-    List.concat_map
-      (fun (aname, app) ->
-        List.map
-          (fun (pname, policy) ->
-            let r = Runner.run ~kind:(Runner.cni ~aih:false ~rx_policy:policy ()) ~procs:8 app in
-            [
-              aname;
-              pname;
-              string_of_int r.Runner.host_interrupts;
-              string_of_int r.Runner.polls;
-              string_of_int r.Runner.wasted_polls;
-              "-";
-              Format.asprintf "%a" Time.pp r.Runner.elapsed;
-              Printf.sprintf "%.10g" r.Runner.checksum;
-            ])
-          rx_policies)
-      [
-        ("Jacobi 512 (8 procs)", jacobi);
-        ("Water 216 (8 procs)", water);
-        ("Cholesky bcsstk14-like (8 procs)", cholesky);
-      ]
-  in
+  let hot batch = (Printf.sprintf "hot arrivals, batch %d" batch, Time.us 2, 200, batch) in
   Report.make ~id:"ablation-rxpolicy"
     ~title:"Receive wakeup policy: interrupt vs poll vs hybrid vs adaptive (host handlers)"
     ~columns:
@@ -129,23 +77,24 @@ let rx_policy () =
         "application rows (AIH off, so every DSM message crosses the host path): identical \
          checksums across policies — the policy moves time, never data";
       ]
-    (synth_rows @ batch_rows @ app_rows)
+    (cross
+       [
+         ("hot (2us) arrivals", Time.us 2, 200, 1);
+         ("medium (50us) arrivals", Time.us 50, 120, 1);
+         ("idle (1ms) arrivals", Time.ms 1, 40, 1);
+       ]
+       policies synthetic
+    @ cross [ hot 4; hot 8 ] [ ("adaptive", Nic.Rx_adaptive Nic.default_rx_adaptive) ] synthetic
+    @ cross apps8 policies (fun (aname, app) (pname, rx_policy) ->
+          let r = run (Runner.cni ~aih:false ~rx_policy ()) app in
+          [
+            aname; pname; count r.Runner.host_interrupts; count r.Runner.polls;
+            count r.Runner.wasted_polls; "-"; elapsed r; checksum r;
+          ]))
 
 (* wall-clock cost of the simulator's classification step as patterns grow:
    the indexed DAG should be flat where the linear reference scan is O(n) *)
 let classifier_bench () =
-  let rows =
-    List.map
-      (fun n ->
-        let p = Microbench.classifier_ops ~patterns:n () in
-        [
-          string_of_int n;
-          Report.f1 p.Microbench.indexed_ns;
-          Report.f1 p.Microbench.linear_ns;
-          Report.f2 p.Microbench.cls_speedup;
-        ])
-      [ 1; 16; 256 ]
-  in
   Report.make ~id:"microbench-classifier"
     ~title:"PATHFINDER classification dispatch (wall-clock, one pattern per channel)"
     ~columns:[ "patterns"; "indexed-ns/op"; "linear-ns/op"; "speedup" ]
@@ -155,40 +104,20 @@ let classifier_bench () =
          value — O(pattern depth); linear: priority-ordered scan of every live pattern, \
          the reference semantics the property tests hold the DAG to";
       ]
-    rows
-
-let snoop_mode () =
-  Report.make ~id:"ablation-snoop"
-    ~title:"Write-update vs invalidate snooping (8-processor Jacobi 512)"
-    ~columns
-    ~notes:
-      [
-        "invalidate snooping drops a board buffer on every host write-back, so rewritten pages \
-         always miss";
-      ]
-    [
-      row "CNI, write-update snoop" (Runner.cni ()) jacobi;
-      row "CNI, invalidate snoop" (Runner.cni ~mc_mode:Cni_nic.Message_cache.Invalidate ()) jacobi;
-    ]
+    (List.map
+       (fun n ->
+         let p = Microbench.classifier_ops ~patterns:n () in
+         [
+           count n;
+           Report.f1 p.Microbench.indexed_ns;
+           Report.f1 p.Microbench.linear_ns;
+           Report.f2 p.Microbench.cls_speedup;
+         ])
+       [ 1; 16; 256 ])
 
 (* how much of the standard interface's deficit is the interrupt cost?
    (Table 1's garbled row motivates checking the sensitivity) *)
 let interrupt_sensitivity () =
-  let module Params = Cni_machine.Params in
-  let rows =
-    List.map
-      (fun us ->
-        let params = { Params.default with Params.interrupt_latency = Time.us us } in
-        let rc = Runner.run ~params ~kind:(Runner.cni ()) ~procs:8 cholesky in
-        let rs = Runner.run ~params ~kind:Runner.standard ~procs:8 cholesky in
-        [
-          string_of_int us;
-          Format.asprintf "%a" Time.pp rc.Runner.elapsed;
-          Format.asprintf "%a" Time.pp rs.Runner.elapsed;
-          Report.f2 (Time.to_s_float rs.Runner.elapsed /. Time.to_s_float rc.Runner.elapsed);
-        ])
-      [ 10; 20; 40; 80 ]
-  in
   Report.make ~id:"ablation-interrupt"
     ~title:"Interrupt-latency sensitivity (8-processor Cholesky bcsstk14-like)"
     ~columns:[ "interrupt-us"; "cni"; "standard"; "std/cni" ]
@@ -197,66 +126,22 @@ let interrupt_sensitivity () =
         "the CNI barely notices (its handlers run on the board); the standard interface \
          degrades with every microsecond of interrupt cost";
       ]
-    rows
-
-(* write-back vs write-through host caches: the paper evaluates write-back
-   (the hard case, needing pre-transfer flushes) and notes write-through
-   keeps the board trivially consistent -- at the cost of putting every
-   store on the bus *)
-let cache_policy () =
-  let module Params = Cni_machine.Params in
-  let row name policy kind =
-    let params = { Params.default with Params.cache_policy = policy } in
-    let r = Runner.run ~params ~kind ~procs:8 jacobi in
-    [ name; Format.asprintf "%a" Time.pp r.Runner.elapsed; Report.f1 r.Runner.hit_ratio ]
-  in
-  Report.make ~id:"ablation-writepolicy"
-    ~title:"Host cache policy (8-processor Jacobi 512)"
-    ~columns
-    ~notes:
-      [
-        "write-through keeps the Message Cache consistent without flushes but floods the \
-         memory bus with store traffic";
-      ]
-    [
-      row "CNI, write-back" Params.Write_back (Runner.cni ());
-      row "CNI, write-through" Params.Write_through (Runner.cni ());
-      row "standard, write-back" Params.Write_back Runner.standard;
-      row "standard, write-through" Params.Write_through Runner.standard;
-    ]
+    (List.map
+       (fun us ->
+         let params = { Params.default with Params.interrupt_latency = Time.us us } in
+         let rc = run ~params (Runner.cni ()) cholesky in
+         let rs = run ~params Runner.standard cholesky in
+         [ count us; elapsed rc; elapsed rs; ratio rs.Runner.elapsed rc.Runner.elapsed ])
+       [ 10; 20; 40; 80 ])
 
 (* the three generations in one table: standard -> OSIRIS (user-level ADC,
-   software demux, interrupt-only) -> CNI (PATHFINDER + MC + AIH) *)
+   software demux, interrupt-only) -> CNI (PATHFINDER + MC + AIH); the
+   latency rows use host-side delivery on every interface *)
 let interface_evolution () =
-  let interfaces =
-    [ ("standard", Runner.standard); ("OSIRIS", Runner.osiris); ("CNI", Runner.cni ()) ]
+  let interfaces ~aih =
+    [ ("standard", Runner.standard); ("OSIRIS", Runner.osiris); ("CNI", Runner.cni ~aih ()) ]
   in
-  let latency_rows =
-    List.map
-      (fun (iface, kind) ->
-        (* messaging uses host-side delivery on every interface *)
-        let kind = match kind with `Cni o -> `Cni { o with Cni_nic.Nic.aih = false } | k -> k in
-        let t = Microbench.latency ~kind ~bytes:2048 () in
-        [ "2KB one-way latency"; iface; Format.asprintf "%a" Cni_engine.Time.pp t; "-" ])
-      interfaces
-  in
-  let app_rows =
-    List.concat_map
-      (fun (name, app) ->
-        List.map
-          (fun (iface, kind) ->
-            let r = Runner.run ~kind ~procs:8 app in
-            [
-              name;
-              iface;
-              Format.asprintf "%a" Time.pp r.Runner.elapsed;
-              Report.f1 r.Runner.hit_ratio;
-            ])
-          interfaces)
-      [ ("Water 216 (8 procs)", water); ("Cholesky bcsstk14-like (8 procs)", cholesky) ]
-  in
-  Report.make ~id:"ablation-evolution"
-    ~title:"Interface evolution: standard -> OSIRIS -> CNI"
+  Report.make ~id:"ablation-evolution" ~title:"Interface evolution: standard -> OSIRIS -> CNI"
     ~columns:[ "workload"; "interface"; "elapsed"; "cache-hit-%" ]
     ~notes:
       [
@@ -264,7 +149,17 @@ let interface_evolution () =
          still interrupts per packet, so its DSM runs stay near the standard board — the \
          classifier, Message Cache and on-board handlers are what move the applications";
       ]
-    (latency_rows @ app_rows)
+    (List.map
+       (fun (iface, kind) ->
+         let t = Microbench.latency ~kind ~bytes:2048 () in
+         [ "2KB one-way latency"; iface; Format.asprintf "%a" Time.pp t; "-" ])
+       (interfaces ~aih:false)
+    @ cross
+        [ ("Water 216 (8 procs)", water); ("Cholesky bcsstk14-like (8 procs)", cholesky) ]
+        (interfaces ~aih:true)
+        (fun (name, app) (iface, kind) ->
+          let r = run kind app in
+          [ name; iface; elapsed r; hit r ]))
 
 (* ordering matters: fill-in drives both the flop count and the page
    traffic; RCM recovers most of what a bad ordering loses *)
@@ -273,20 +168,15 @@ let ordering () =
   let a = Sparse.stiffness_like ~n:600 ~dofs:3 ~seed:21 in
   let scrambled = Sparse.permute a ~perm:(Array.init 600 (fun i -> (i * 389) mod 600)) in
   let rcm = Sparse.permute scrambled ~perm:(Sparse.rcm scrambled) in
-  let row name m =
-    let r = Runner.run ~kind:(Runner.cni ()) ~procs:8 (Runner.cholesky (Lazy.from_val m)) in
-    [
-      name;
-      string_of_int (Sparse.nnz (Sparse.symbolic m));
-      string_of_int (Sparse.bandwidth m);
-      Format.asprintf "%a" Time.pp r.Runner.elapsed;
-    ]
-  in
   Report.make ~id:"ablation-ordering"
     ~title:"Elimination ordering (8-processor CNI Cholesky, n=600 stiffness-like)"
     ~columns:[ "ordering"; "nnz(L)"; "bandwidth"; "elapsed" ]
     ~notes:[ "fill-in controls both the flop count and the migrating pages" ]
-    [ row "natural (banded)" a; row "scrambled" scrambled; row "RCM of scrambled" rcm ]
+    (List.map
+       (fun (name, m) ->
+         let r = run (Runner.cni ()) (Runner.cholesky (Lazy.from_val m)) in
+         [ name; count (Sparse.nnz (Sparse.symbolic m)); count (Sparse.bandwidth m); elapsed r ])
+       [ ("natural (banded)", a); ("scrambled", scrambled); ("RCM of scrambled", rcm) ])
 
 (* graceful degradation on a lossy fabric: sweep the per-cell loss rate with
    the reliability protocol on (also at zero loss, so the ack traffic is in
@@ -297,46 +187,29 @@ let ordering () =
 let faults () =
   let module Faults = Cni_atm.Faults in
   let module Reliable = Cni_nic.Reliable in
-  let losses = [ 0.; 1e-6; 1e-5; 1e-4; 1e-3 ] in
-  let fmt_loss l = if l = 0. then "0" else Printf.sprintf "%.0e" l in
-  let rows =
-    List.concat_map
-      (fun (aname, app) ->
-        List.concat_map
-          (fun (kname, kind) ->
-            let base = ref None in
-            List.map
-              (fun loss ->
-                let faults =
-                  if loss > 0. then Some { Faults.none with Faults.cell_loss = loss } else None
-                in
-                match Runner.run ?faults ~reliability:Reliable.default ~kind ~procs:8 app with
-                | r ->
-                    if loss = 0. then base := Some r.Runner.elapsed;
-                    let slowdown =
-                      match !base with
-                      | Some b ->
-                          Report.f2 (Time.to_s_float r.Runner.elapsed /. Time.to_s_float b)
-                      | None -> "-"
-                    in
-                    [
-                      aname;
-                      kname;
-                      fmt_loss loss;
-                      "ok";
-                      Format.asprintf "%a" Time.pp r.Runner.elapsed;
-                      string_of_int r.Runner.retransmits;
-                      slowdown;
-                    ]
-                | exception Cni_engine.Engine.Fiber_failure (_, Reliable.Delivery_failed _) ->
-                    [ aname; kname; fmt_loss loss; "failed"; "-"; "-"; "-" ])
-              losses)
-          [ ("cni", Runner.cni ()); ("standard", Runner.standard) ])
-      [
-        ("Jacobi 512", jacobi);
-        ("Water 216", water);
-        ("Cholesky bcsstk14-like", cholesky);
-      ]
+  let sweep (aname, app) (kname, kind) =
+    let base = ref None in
+    List.map
+      (fun loss ->
+        let faults =
+          if loss > 0. then Some { Faults.none with Faults.cell_loss = loss } else None
+        in
+        let cell = if loss = 0. then "0" else Printf.sprintf "%.0e" loss in
+        match run ?faults ~reliability:Reliable.default kind app with
+        | r ->
+            if loss = 0. then base := Some r.Runner.elapsed;
+            [
+              aname;
+              kname;
+              cell;
+              "ok";
+              elapsed r;
+              count r.Runner.retransmits;
+              Option.fold ~none:"-" ~some:(ratio r.Runner.elapsed) !base;
+            ]
+        | exception Cni_engine.Engine.Fiber_failure (_, Reliable.Delivery_failed _) ->
+            [ aname; kname; cell; "failed"; "-"; "-"; "-" ])
+      [ 0.; 1e-6; 1e-5; 1e-4; 1e-3 ]
   in
   Report.make ~id:"ablation-faults"
     ~title:"Graceful degradation under cell loss (8 processors, reliable delivery)"
@@ -349,7 +222,7 @@ let faults () =
          interrupt + kernel path, where the CNI recovers in board firmware; at high loss \
          the retransmit timeout stalling the critical path dominates both";
       ]
-    rows
+    (List.concat (cross apps [ ("cni", Runner.cni ()); ("standard", Runner.standard) ] sweep))
 
 (* Node crash/restart chaos: seeded fault schedules against a closed-loop
    DSM application (expected to recover and finish with the fault-free
@@ -357,43 +230,19 @@ let faults () =
    out rounds, never to hang). Every row is deterministic in the seed, so
    the CI smoke can diff two invocations. *)
 let chaos () =
-  let fmt_ck ck = if Float.is_nan ck then "-" else Report.f2 ck in
   let row name m =
     [
-      name;
-      string_of_int m.Chaos.crashes;
-      m.Chaos.outcome;
-      Report.f1 m.Chaos.elapsed_us;
-      string_of_int m.Chaos.retransmits;
-      string_of_int m.Chaos.crash_drops;
-      string_of_int m.Chaos.recoveries;
-      Report.f1 m.Chaos.mean_recovery_us;
-      string_of_int m.Chaos.rx_timeouts;
-      fmt_ck m.Chaos.checksum;
+      name; count m.Chaos.crashes; m.Chaos.outcome; Report.f1 m.Chaos.elapsed_us;
+      count m.Chaos.retransmits; count m.Chaos.crash_drops; count m.Chaos.recoveries;
+      Report.f1 m.Chaos.mean_recovery_us; count m.Chaos.rx_timeouts;
+      (if Float.is_nan m.Chaos.checksum then "-" else Report.f2 m.Chaos.checksum);
     ]
   in
-  let sweep = [ (0, Time.us 0, "-"); (1, Time.us 150, "150us"); (2, Time.us 400, "400us") ] in
-  let dsm_rows =
+  let sweep workload f =
     List.map
       (fun (crashes, down, dname) ->
-        let down = if crashes = 0 then Time.us 150 else down in
-        row
-          (Printf.sprintf "Jacobi 128 DSM, %d crash(es), down %s" crashes dname)
-          (Chaos.run_dsm ~crashes ~down ()))
-      sweep
-  in
-  let scrub_row =
-    row "Jacobi 128 DSM, 2 scrub crashes, down 400us"
-      (Chaos.run_dsm ~scrub:true ~crashes:2 ~down:(Time.us 400) ())
-  in
-  let ring_rows =
-    List.map
-      (fun (crashes, down, dname) ->
-        let down = if crashes = 0 then Time.us 150 else down in
-        row
-          (Printf.sprintf "Mp ring 8x24, %d crash(es), down %s" crashes dname)
-          (Chaos.run_ring ~crashes ~down ()))
-      sweep
+        row (Printf.sprintf "%s, %d crash(es), down %s" workload crashes dname) (f ~crashes ~down))
+      [ (0, Time.us 150, "-"); (1, Time.us 150, "150us"); (2, Time.us 400, "400us") ]
   in
   Report.make ~id:"ablation-chaos"
     ~title:"Crash/restart chaos: recovery (closed loop) and degradation (open loop)"
@@ -412,56 +261,18 @@ let chaos () =
          timed-out rounds (degradation), never a hang; the watchdog converts any \
          residual hang into a structured failure row";
       ]
-    (dsm_rows @ [ scrub_row ] @ ring_rows)
+    (sweep "Jacobi 128 DSM" (fun ~crashes ~down -> Chaos.run_dsm ~crashes ~down ())
+    @ [
+        row "Jacobi 128 DSM, 2 scrub crashes, down 400us"
+          (Chaos.run_dsm ~scrub:true ~crashes:2 ~down:(Time.us 400) ());
+      ]
+    @ sweep "Mp ring 8x24" (fun ~crashes ~down -> Chaos.run_ring ~crashes ~down ()))
 
 (* NIC-resident collectives (the combining tree as AIH code) against the
    host-driven implementations: raw barrier / allreduce latency as the node
    count grows, then the three applications with the DSM barrier switched
    between the centralised node-0 manager and the tree. *)
 let collectives () =
-  let latency_rows =
-    List.concat_map
-      (fun nodes ->
-        List.map
-          (fun (name, kind, nic) ->
-            let p = Microbench.collective_latency ~kind ~nodes ~nic () in
-            [
-              Printf.sprintf "barrier+allreduce (%d nodes)" nodes;
-              name;
-              Report.f1 p.Microbench.barrier_us;
-              Report.f1 p.Microbench.allreduce_us;
-              "-";
-              string_of_int p.Microbench.interrupts;
-            ])
-          [
-            ("CNI, host-driven", Runner.cni (), false);
-            ("CNI, NIC tree", Runner.cni (), true);
-            ("standard, host-driven", Runner.standard, false);
-            ("standard, NIC tree", Runner.standard, true);
-          ])
-      [ 2; 4; 8; 16 ]
-  in
-  let app_rows =
-    List.concat_map
-      (fun (aname, app) ->
-        List.map
-          (fun (bname, barrier_impl) ->
-            let r = Runner.run ~barrier_impl ~kind:(Runner.cni ()) ~procs:8 app in
-            [
-              aname;
-              bname;
-              "-";
-              "-";
-              Format.asprintf "%a" Time.pp r.Runner.elapsed;
-              string_of_int r.Runner.host_interrupts;
-            ])
-          [ ("CNI, centralised barrier", `Centralised); ("CNI, NIC-tree barrier", `Nic_collective) ])
-      [
-        ("Jacobi 512 (8 procs)", jacobi);
-        ("Water 216 (8 procs)", water);
-        ("Cholesky bcsstk14-like (8 procs)", cholesky);
-      ]
-  in
   Report.make ~id:"ablation-collectives"
     ~title:"NIC-resident collectives: combining tree vs host-driven"
     ~columns:
@@ -473,64 +284,48 @@ let collectives () =
         "application rows switch the DSM barrier between the centralised node-0 manager and \
          the tree allreduce of (vector clock, write notices)";
       ]
-    (latency_rows @ app_rows)
+    (cross [ 2; 4; 8; 16 ]
+       [
+         ("CNI, host-driven", Runner.cni (), false);
+         ("CNI, NIC tree", Runner.cni (), true);
+         ("standard, host-driven", Runner.standard, false);
+         ("standard, NIC tree", Runner.standard, true);
+       ]
+       (fun nodes (name, kind, nic) ->
+         let p = Microbench.collective_latency ~kind ~nodes ~nic () in
+         [
+           Printf.sprintf "barrier+allreduce (%d nodes)" nodes;
+           name;
+           Report.f1 p.Microbench.barrier_us;
+           Report.f1 p.Microbench.allreduce_us;
+           "-";
+           count p.Microbench.interrupts;
+         ])
+    @ cross apps8
+        [ ("CNI, centralised barrier", `Centralised); ("CNI, NIC-tree barrier", `Nic_collective) ]
+        (fun (aname, app) (bname, barrier_impl) ->
+          let r = run ~barrier_impl (Runner.cni ()) app in
+          [ aname; bname; "-"; "-"; elapsed r; count r.Runner.host_interrupts ]))
 
 (* Fabric topology x combining-tree fanout: the collectives' tree latency
    under each fabric shape at 64 nodes, then Jacobi at 256 processors per
-   topology.  The checksum column is the seed-equivalence witness: routing
+   topology. The checksum column is the seed-equivalence witness: routing
    frames through a fat-tree or torus reshuffles timing (hop-waits,
    conflicts) but must not change any numeric result. *)
 let topology () =
   let module Topology = Cni_atm.Topology in
   let topologies =
     [
-      ("single switch", Topology.Single);
-      ("fat-tree", Topology.Fat_tree { leaf_radix = 16 });
-      ("3d-torus", Topology.Torus { dims = None });
+      ("single switch", "single", Topology.Single);
+      ("fat-tree", "fat-tree", Topology.Fat_tree { leaf_radix = 16 });
+      ("3d-torus", "torus", Topology.Torus { dims = None });
     ]
   in
-  let fanout_rows =
-    List.concat_map
-      (fun (tname, topology) ->
-        List.map
-          (fun fanout ->
-            let p =
-              Microbench.collective_latency ~kind:(Runner.cni ()) ~topology ~fanout
-                ~nodes:64 ~nic:true ()
-            in
-            [
-              "barrier+allreduce (64 nodes, NIC tree)";
-              Printf.sprintf "%s, fanout %d" tname fanout;
-              Report.f1 p.Microbench.barrier_us;
-              Report.f1 p.Microbench.allreduce_us;
-              "-";
-              "-";
-              "-";
-              "-";
-            ])
-          [ 2; 4; 8 ])
-      topologies
-  in
-  let app_runs =
+  let runs =
     List.map
-      (fun (tname, topology) ->
-        (tname, topology, Runner.run ~topology ~kind:(Runner.cni ()) ~procs:256 jacobi))
+      (fun (tname, slug, topology) ->
+        (tname, slug, run ~topology ~procs:256 (Runner.cni ()) jacobi))
       topologies
-  in
-  let app_rows =
-    List.map
-      (fun (tname, _, r) ->
-        [
-          "Jacobi 512 (256 procs)";
-          tname;
-          "-";
-          "-";
-          Format.asprintf "%a" Time.pp r.Runner.elapsed;
-          string_of_int r.Runner.hop_waits;
-          string_of_int r.Runner.banyan_conflicts;
-          Printf.sprintf "%.10g" r.Runner.checksum;
-        ])
-      app_runs
   in
   (* all deterministic, so the BENCH compare gate pins them exactly: the
      checksums must stay equal across topologies (routing moves time, never
@@ -538,33 +333,22 @@ let topology () =
      counted, not charged — the seed-equivalence contract) *)
   let metrics =
     List.concat_map
-      (fun (_, topology, r) ->
-        let slug =
-          match topology with
-          | Cni_atm.Topology.Single -> "single"
-          | Cni_atm.Topology.Fat_tree _ -> "fat-tree"
-          | Cni_atm.Topology.Torus _ -> "torus"
-        in
+      (fun (_, slug, r) ->
+        let key k = "jacobi256-" ^ slug ^ "-" ^ k in
         [
-          ("jacobi256-" ^ slug ^ "-checksum", r.Runner.checksum);
-          ("jacobi256-" ^ slug ^ "-hop-waits", float_of_int r.Runner.hop_waits);
-          ("jacobi256-" ^ slug ^ "-conflicts", float_of_int r.Runner.banyan_conflicts);
+          (key "checksum", r.Runner.checksum);
+          (key "hop-waits", float_of_int r.Runner.hop_waits);
+          (key "conflicts", float_of_int r.Runner.banyan_conflicts);
         ])
-      app_runs
+      runs
   in
   Report.make ~id:"ablation-topology"
     ~title:"Fabric topology x combining-tree fanout (per-hop contention model)"
     ~metrics
     ~columns:
       [
-        "workload";
-        "configuration";
-        "barrier-us";
-        "allreduce-us";
-        "elapsed";
-        "hop-waits";
-        "conflicts";
-        "checksum";
+        "workload"; "configuration"; "barrier-us"; "allreduce-us"; "elapsed"; "hop-waits";
+        "conflicts"; "checksum";
       ]
     ~notes:
       [
@@ -576,7 +360,31 @@ let topology () =
          hop-waits counts hops serialised behind a busy output port, conflicts the internal \
          banyan-stage collisions";
       ]
-    (fanout_rows @ app_rows)
+    (cross topologies [ 2; 4; 8 ] (fun (tname, _, topology) fanout ->
+         let p =
+           Microbench.collective_latency ~kind:(Runner.cni ()) ~topology ~fanout ~nodes:64
+             ~nic:true ()
+         in
+         [
+           "barrier+allreduce (64 nodes, NIC tree)";
+           Printf.sprintf "%s, fanout %d" tname fanout;
+           Report.f1 p.Microbench.barrier_us;
+           Report.f1 p.Microbench.allreduce_us;
+           "-"; "-"; "-"; "-";
+         ])
+    @ List.map
+        (fun (tname, _, r) ->
+          [
+            "Jacobi 512 (256 procs)";
+            tname;
+            "-";
+            "-";
+            elapsed r;
+            count r.Runner.hop_waits;
+            count r.Runner.banyan_conflicts;
+            checksum r;
+          ])
+        runs)
 
 (* Open-loop serving tails: offered load x receive policy x topology, on a
    lossy fabric (the PR 2 fault model, so the reliability layer is live).
@@ -585,63 +393,37 @@ let topology () =
    sweep is deterministic, so every quantile is pinned as a metric. *)
 let serving () =
   let module Topology = Cni_atm.Topology in
-  let module Faults = Cni_atm.Faults in
+  let module Kv = Cni_apps.Kv_serve in
   let requests = if !Figures.quick then 30 else 80 in
-  let loads = [ ("moderate", 20_000.); ("high", 60_000.) ] in
-  let topologies = [ ("single", Topology.Single); ("torus", Topology.Torus { dims = None }) ] in
   let runs =
     List.concat_map
       (fun (tname, topology) ->
-        List.concat_map
-          (fun (lname, rate) ->
-            List.map
-              (fun (pname, rx_policy) ->
-                let profile =
-                  {
-                    Scenario.default with
-                    Scenario.name = "ablation-serving";
-                    requests_per_client = requests;
-                    arrival = Arrival.Poisson { rate_per_s = rate };
-                    aih = false;
-                    rx_policy;
-                    topology;
-                    faults = Faults.with_loss ~seed:11 1e-4;
-                  }
-                in
-                (tname, lname, pname, Scenario.run profile))
-              Scenario.rx_names)
-          loads)
-      topologies
+        cross [ ("moderate", 20_000.); ("high", 60_000.) ] Scenario.rx_names
+          (fun (lname, rate) (pname, rx_policy) ->
+            let profile =
+              {
+                Scenario.default with
+                Scenario.name = "ablation-serving";
+                requests_per_client = requests;
+                arrival = Arrival.Poisson { rate_per_s = rate };
+                aih = false;
+                rx_policy;
+                topology;
+                faults = Cni_atm.Faults.with_loss ~seed:11 1e-4;
+              }
+            in
+            ([ tname; lname; pname ], Scenario.run profile)))
+      [ ("single", Topology.Single); ("torus", Topology.Torus { dims = None }) ]
   in
-  let rows =
-    List.map
-      (fun (tname, lname, pname, r) ->
-        [
-          tname;
-          lname;
-          pname;
-          Printf.sprintf "%.3f" r.Cni_apps.Kv_serve.p50_us;
-          Printf.sprintf "%.3f" r.Cni_apps.Kv_serve.p99_us;
-          Printf.sprintf "%.3f" r.Cni_apps.Kv_serve.p999_us;
-          Printf.sprintf "%.3f" r.Cni_apps.Kv_serve.max_us;
-          string_of_int r.Cni_apps.Kv_serve.retransmits;
-        ])
-      runs
-  in
-  let metrics =
-    List.concat_map
-      (fun (tname, lname, pname, r) ->
-        let key q = Printf.sprintf "serving-%s-%s-%s-%s" tname lname pname q in
-        [
-          (key "p50us", r.Cni_apps.Kv_serve.p50_us);
-          (key "p99us", r.Cni_apps.Kv_serve.p99_us);
-          (key "p999us", r.Cni_apps.Kv_serve.p999_us);
-        ])
-      runs
-  in
+  let us = Printf.sprintf "%.3f" in
   Report.make ~id:"ablation-serving"
     ~title:"Open-loop serving tails: offered load x rx policy x topology (lossy fabric)"
-    ~metrics
+    ~metrics:
+      (List.concat_map
+         (fun (labels, r) ->
+           let key q = String.concat "-" (("serving" :: labels) @ [ q ]) in
+           [ (key "p50us", r.Kv.p50_us); (key "p99us", r.Kv.p99_us); (key "p999us", r.Kv.p999_us) ])
+         runs)
     ~columns:[ "topology"; "load"; "rx-policy"; "p50-us"; "p99-us"; "p999-us"; "max-us"; "retx" ]
     ~notes:
       [
@@ -651,7 +433,11 @@ let serving () =
         "latency is measured from each request's scheduled generation time, so queueing \
          delay (including coordinated-omission stalls) is charged to the tail";
       ]
-    rows
+    (List.map
+       (fun (labels, r) ->
+         labels @ List.map us [ r.Kv.p50_us; r.Kv.p99_us; r.Kv.p999_us; r.Kv.max_us ]
+         @ [ count r.Kv.retransmits ])
+       runs)
 
 (* Reliable delivery compiled onto the NIC: the closure reliability layer
    against the streaming-firmware endpoints (Reliable_ir), on both
@@ -660,90 +446,46 @@ let serving () =
    verdicts; the parity column shows behavioural equality, and the
    deterministic firmware checksums are pinned as metrics. *)
 let reliable_firmware () =
-  let module Faults = Cni_atm.Faults in
   let module Flow = Reliable_flow in
-  let cases =
-    [
-      ("cni", Runner.cni (), "clean", None);
-      ( "cni",
-        Runner.cni (),
-        "loss 3e-2",
-        Some { Faults.none with Faults.seed = 2; Faults.cell_loss = 3e-2 } );
-      ("standard", Runner.standard, "clean", None);
-      ( "standard",
-        Runner.standard,
-        "loss 3e-2",
-        Some { Faults.none with Faults.seed = 2; Faults.cell_loss = 3e-2 } );
-    ]
-  in
+  let module Faults = Cni_atm.Faults in
   let runs =
-    List.map
-      (fun (iname, nic, lname, faults) ->
+    cross [ ("cni", Runner.cni ()); ("standard", Runner.standard) ]
+      [
+        ("clean", "clean", None);
+        ("loss 3e-2", "lossy", Some { Faults.none with Faults.seed = 2; cell_loss = 3e-2 });
+      ]
+      (fun (iname, nic) (lname, slug, faults) ->
         let cfg = { Flow.default with Flow.nic; messages = 10; faults } in
-        (iname, lname, Flow.run Flow.Closure cfg, Flow.run Flow.Firmware cfg))
-      cases
+        (iname, lname, iname ^ "-" ^ slug, Flow.run Flow.Closure cfg, Flow.run Flow.Firmware cfg))
   in
-  let totals (o : Flow.outcome) =
-    Array.fold_left
-      (fun (r, d) c -> (r + c.Flow.retransmits, d + c.Flow.rx_duplicates))
-      (0, 0) o.Flow.per_node
-  in
-  let flow_rows =
-    List.concat_map
-      (fun (iname, lname, a, b) ->
-        let impl_row impl (o : Flow.outcome) parity =
-          let retx, dups = totals o in
-          [
-            iname;
-            lname;
-            impl;
-            Report.f1 (float_of_int o.Flow.elapsed_ps /. 1e6);
-            string_of_int retx;
-            string_of_int dups;
-            string_of_int o.Flow.checksum;
-            parity;
-          ]
-        in
-        [
-          impl_row "closure" a "-";
-          impl_row "firmware" b (if a.Flow.checksum = b.Flow.checksum then "ok" else "MISMATCH");
-        ])
-      runs
+  let parity (_, _, _, a, b) = a.Flow.checksum = b.Flow.checksum in
+  let row iname lname impl (o : Flow.outcome) parity =
+    let retx, dups =
+      Array.fold_left
+        (fun (r, d) c -> (r + c.Flow.retransmits, d + c.Flow.rx_duplicates))
+        (0, 0) o.Flow.per_node
+    in
+    [
+      iname; lname; impl; Report.f1 (float_of_int o.Flow.elapsed_ps /. 1e6); count retx;
+      count dups; count o.Flow.checksum; parity;
+    ]
   in
   let p = Microbench.reliable_firmware_activation () in
-  let bench_row =
-    [
-      "cni";
-      "per-message cost";
-      "closure vs firmware";
-      Printf.sprintf "%s vs %s"
-        (Report.f1 p.Microbench.rel_closure_us)
-        (Report.f1 p.Microbench.rel_firmware_us);
-      "-";
-      "-";
-      Printf.sprintf "wcet %d cyc, %d mcyc/B" p.Microbench.rel_wcet_nic_cycles
-        p.Microbench.rel_wcet_per_byte_milli;
-      "-";
-    ]
-  in
-  let metrics =
-    List.concat_map
-      (fun (iname, lname, a, b) ->
-        let slug = iname ^ "-" ^ (if lname = "clean" then "clean" else "lossy") in
-        [
-          ("reliable-fw-" ^ slug ^ "-checksum", float_of_int b.Flow.checksum);
-          ( "reliable-fw-" ^ slug ^ "-parity",
-            if a.Flow.checksum = b.Flow.checksum then 1. else 0. );
-        ])
-      runs
-    @ [
-        ("reliable-fw-rx-wcet-cycles", float_of_int p.Microbench.rel_wcet_nic_cycles);
-        ("reliable-fw-rx-wcet-perbyte-milli", float_of_int p.Microbench.rel_wcet_per_byte_milli);
-      ]
-  in
   Report.make ~id:"ablation-reliable-fw"
     ~title:"Reliable delivery: closure layer vs streaming firmware (lockstep parity ring)"
-    ~metrics
+    ~metrics:
+      (List.concat_map
+         (fun ((_, _, slug, _, b) as run) ->
+           [
+             ("reliable-fw-" ^ slug ^ "-checksum", float_of_int b.Flow.checksum);
+             ("reliable-fw-" ^ slug ^ "-parity", if parity run then 1. else 0.);
+           ])
+         runs
+      @ [
+          ("reliable-fw-rx-wcet-cycles", float_of_int p.Microbench.rel_wcet_nic_cycles);
+          ( "reliable-fw-rx-wcet-perbyte-milli",
+            float_of_int p.Microbench.rel_wcet_per_byte_milli );
+        ])
     ~columns:
       [ "interface"; "fabric"; "impl"; "elapsed-us"; "retx"; "dups"; "checksum"; "parity" ]
     ~notes:
@@ -757,44 +499,31 @@ let reliable_firmware () =
          cost per delivered message, with the streaming rx certificate that admitted the \
          firmware (per-activation and per-byte WCET)";
       ]
-    (flow_rows @ [ bench_row ])
+    (List.concat_map
+       (fun ((iname, lname, _, a, b) as run) ->
+         [
+           row iname lname "closure" a "-";
+           row iname lname "firmware" b (if parity run then "ok" else "MISMATCH");
+         ])
+       runs
+    @ [
+        [
+          "cni";
+          "per-message cost";
+          "closure vs firmware";
+          Printf.sprintf "%s vs %s"
+            (Report.f1 p.Microbench.rel_closure_us)
+            (Report.f1 p.Microbench.rel_firmware_us);
+          "-";
+          "-";
+          Printf.sprintf "wcet %d cyc, %d mcyc/B" p.Microbench.rel_wcet_nic_cycles
+            p.Microbench.rel_wcet_per_byte_milli;
+          "-";
+        ];
+      ])
 
 let aih_bench () =
   let v = Microbench.verifier_throughput () in
-  let verifier_row =
-    [
-      "verifier throughput";
-      Printf.sprintf "%d-program corpus" v.Microbench.vp_programs;
-      Report.f2 v.Microbench.vp_us_per_program;
-      Printf.sprintf "%.0f" v.Microbench.vp_verifies_per_sec;
-      "-";
-      "-";
-    ]
-  in
-  let activation_rows =
-    List.concat_map
-      (fun nodes ->
-        let p = Microbench.aih_activation ~nodes () in
-        [
-          [
-            Printf.sprintf "barrier (%d nodes)" nodes;
-            "closure vs verified IR";
-            Report.f1 p.Microbench.act_closure_barrier_us;
-            Report.f1 p.Microbench.act_ir_barrier_us;
-            string_of_int p.Microbench.act_wcet_nic_cycles;
-            string_of_int p.Microbench.act_code_bytes;
-          ];
-          [
-            Printf.sprintf "allreduce (%d nodes)" nodes;
-            "closure vs verified IR";
-            Report.f1 p.Microbench.act_closure_allreduce_us;
-            Report.f1 p.Microbench.act_ir_allreduce_us;
-            string_of_int p.Microbench.act_wcet_nic_cycles;
-            string_of_int p.Microbench.act_code_bytes;
-          ];
-        ])
-      [ 2; 8; 16 ]
-  in
   Report.make ~id:"microbench-aih"
     ~title:"AIH admission: verifier throughput and verified-firmware activation cost"
     ~columns:[ "benchmark"; "configuration"; "us-a"; "us-b"; "wcet-cycles"; "code-bytes" ]
@@ -806,18 +535,93 @@ let aih_bench () =
          charge), us-b = with verified IR firmware charged per executed instruction; the \
          certificate columns are rank 0's";
       ]
-    (verifier_row :: activation_rows)
+    ([
+       "verifier throughput";
+       Printf.sprintf "%d-program corpus" v.Microbench.vp_programs;
+       Report.f2 v.Microbench.vp_us_per_program;
+       Printf.sprintf "%.0f" v.Microbench.vp_verifies_per_sec;
+       "-";
+       "-";
+     ]
+    :: List.concat_map
+         (fun nodes ->
+           let p = Microbench.aih_activation ~nodes () in
+           List.map
+             (fun (op, closure_us, ir_us) ->
+               [
+                 Printf.sprintf "%s (%d nodes)" op nodes;
+                 "closure vs verified IR";
+                 Report.f1 closure_us;
+                 Report.f1 ir_us;
+                 count p.Microbench.act_wcet_nic_cycles;
+                 count p.Microbench.act_code_bytes;
+               ])
+             [
+               ("barrier", p.Microbench.act_closure_barrier_us, p.Microbench.act_ir_barrier_us);
+               ( "allreduce",
+                 p.Microbench.act_closure_allreduce_us,
+                 p.Microbench.act_ir_allreduce_us );
+             ])
+         [ 2; 8; 16 ])
 
 let all =
+  let d = Params.default in
   [
-    ("ablation-mc", message_cache);
-    ("ablation-aih", aih);
-    ("ablation-hybrid", hybrid_receive);
+    on_off ~id:"ablation-mc"
+      ~title:"Message Cache contribution (8-processor Cholesky bcsstk14-like)"
+      ~note:"ADC+AIH retained; only the Message Cache is removed" cholesky
+      [
+        ("CNI", d, Runner.cni ());
+        ("CNI, no Message Cache", d, Runner.cni ~mc_bytes:0 ());
+        ("standard", d, Runner.standard);
+      ];
+    on_off ~id:"ablation-aih"
+      ~title:"Application Interrupt Handler contribution (8-processor Water 216)"
+      ~note:"without AIH, protocol handlers run on the host behind the polling hybrid" water
+      [
+        ("CNI", d, Runner.cni ());
+        ("CNI, host handlers", d, Runner.cni ~aih:false ());
+        ("standard", d, Runner.standard);
+      ];
+    on_off ~id:"ablation-hybrid"
+      ~title:"Polling/interrupt hybrid contribution (8-processor Water 216, host handlers)"
+      ~note:"interrupt-only reception reintroduces the per-message interrupt cost" water
+      [
+        ("CNI, host handlers, hybrid", d, Runner.cni ~aih:false ());
+        ( "CNI, host handlers, interrupt-only",
+          d,
+          Runner.cni ~aih:false ~rx_policy:Nic.Rx_interrupt () );
+      ];
     ("ablation-rxpolicy", rx_policy);
     ("microbench-classifier", classifier_bench);
-    ("ablation-snoop", snoop_mode);
+    on_off ~id:"ablation-snoop"
+      ~title:"Write-update vs invalidate snooping (8-processor Jacobi 512)"
+      ~note:
+        "invalidate snooping drops a board buffer on every host write-back, so rewritten pages \
+         always miss"
+      jacobi
+      [
+        ("CNI, write-update snoop", d, Runner.cni ());
+        ( "CNI, invalidate snoop",
+          d,
+          Runner.cni ~mc_mode:Cni_nic.Message_cache.Invalidate () );
+      ];
     ("ablation-interrupt", interrupt_sensitivity);
-    ("ablation-writepolicy", cache_policy);
+    (* write-back vs write-through host caches: the paper evaluates
+       write-back (the hard case, needing pre-transfer flushes) and notes
+       write-through keeps the board trivially consistent -- at the cost of
+       putting every store on the bus *)
+    on_off ~id:"ablation-writepolicy" ~title:"Host cache policy (8-processor Jacobi 512)"
+      ~note:
+        "write-through keeps the Message Cache consistent without flushes but floods the \
+         memory bus with store traffic"
+      jacobi
+      [
+        ("CNI, write-back", write_policy Params.Write_back, Runner.cni ());
+        ("CNI, write-through", write_policy Params.Write_through, Runner.cni ());
+        ("standard, write-back", write_policy Params.Write_back, Runner.standard);
+        ("standard, write-through", write_policy Params.Write_through, Runner.standard);
+      ];
     ("ablation-evolution", interface_evolution);
     ("ablation-ordering", ordering);
     ("ablation-faults", faults);

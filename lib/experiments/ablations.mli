@@ -1,71 +1,9 @@
 (** Ablation benchmarks isolating the contribution of each CNI mechanism
-    (DESIGN.md section 7): Message Cache, Application Interrupt Handlers,
-    the polling/interrupt hybrid, and write-update vs invalidate snooping. *)
+    (DESIGN.md section 7): the Message Cache, Application Interrupt
+    Handlers, the polling/interrupt hybrid and write-update snooping, each
+    switched off against a standard board, plus the receive-policy, fault,
+    crash, collective, topology and serving sweeps and two wall-clock
+    microbenchmarks. Each report is a table of rows, one run per row. *)
 
-val message_cache : unit -> Report.t
-val aih : unit -> Report.t
-val hybrid_receive : unit -> Report.t
-val snoop_mode : unit -> Report.t
-
-(** Receive wakeup policy (interrupt / poll / hybrid / adaptive): a
-    synthetic arrival-rate sweep against a computing host, coalescing rows,
-    and the three applications with host handlers — whose checksums double
-    as proof the policy changes timing only. *)
-val rx_policy : unit -> Report.t
-
-(** Wall-clock cost of the simulator's classification step (indexed DAG vs
-    the linear reference scan) at 1/16/256 installed patterns. *)
-val classifier_bench : unit -> Report.t
-
+(** Every ablation and microbenchmark, in report order: [(id, run)]. *)
 val all : (string * (unit -> Report.t)) list
-
-(** Sensitivity of both interfaces to the host interrupt cost. *)
-val interrupt_sensitivity : unit -> Report.t
-
-(** Write-back vs write-through host caches (section 2.2's discussion). *)
-val cache_policy : unit -> Report.t
-
-(** standard vs OSIRIS vs CNI on the three applications. *)
-val interface_evolution : unit -> Report.t
-
-(** Elimination-ordering sensitivity of the Cholesky benchmark. *)
-val ordering : unit -> Report.t
-
-(** Graceful degradation: cell-loss sweep (0 .. 1e-3) for the three
-    applications on both interfaces, with the reliable-delivery protocol
-    recovering lost frames. Reports completion, retransmissions and slowdown
-    relative to the zero-loss run. *)
-val faults : unit -> Report.t
-
-(** Node crash/restart chaos ({!Chaos}): seeded fault schedules against a
-    closed-loop DSM run (expected to recover and reproduce the fault-free
-    checksum) and an open-loop message ring (expected to degrade by timing
-    out rounds, never to hang). Deterministic in the seed. *)
-val chaos : unit -> Report.t
-
-(** NIC-resident collectives: barrier/allreduce latency of the boards'
-    combining tree ({!Cni_mp.Collectives}) against the host-driven paths as
-    the node count grows, and the three applications with the DSM barrier
-    switched between the centralised manager and the tree. *)
-val collectives : unit -> Report.t
-
-(** Fabric topology x combining-tree fanout ({!Cni_atm.Topology}): NIC-tree
-    barrier/allreduce latency at 64 nodes under single-switch, fat-tree and
-    3D-torus fabrics for fanouts 2/4/8, then Jacobi at 256 processors per
-    topology. Identical checksums across topologies witness that the per-hop
-    contention model changes timing only. *)
-val topology : unit -> Report.t
-
-(** Open-loop serving tails ({!Scenario} over {!Cni_apps.Kv_serve}):
-    offered load x receive policy x topology at 16 nodes on a lossy
-    fabric, with host-resident delivery so the receive policy is on the
-    hot path. Reports p50/p99/p999/max response latency; every quantile is
-    deterministic and pinned as a metric. *)
-val serving : unit -> Report.t
-
-(** Reliable delivery as closure handlers vs streaming firmware
-    ({!Cni_nic.Reliable_ir}) over both interfaces, clean and lossy: the
-    {!Reliable_flow} lockstep parity ring, with the firmware checksums and
-    the streaming rx certificate pinned as metrics, plus the
-    [reliable_firmware_activation] per-message cost microbench. *)
-val reliable_firmware : unit -> Report.t

@@ -59,14 +59,11 @@ let schedule ~seed ~nodes ~crashes ~start ~slot ~down ~scrub =
 let watchdog = Time.s 1
 
 let collect ?(rx_timeouts = 0) ~outcome ~completed ~checksum ~sched cluster =
-  let n = Cluster.size cluster in
-  let fab = Cluster.fabric cluster in
-  let crash_drops = ref 0 in
-  for i = 0 to n - 1 do
-    crash_drops := !crash_drops + Fabric.crash_drops fab ~node:i
-  done;
+  let crash_drops =
+    Cluster.sum cluster (fun n -> Fabric.crash_drops (Cluster.fabric cluster) ~node:(Node.id n))
+  in
   let recs = ref [] in
-  for i = 0 to n - 1 do
+  for i = 0 to Cluster.size cluster - 1 do
     recs :=
       List.rev_append (Nic.recovery_latencies (Node.nic (Cluster.node cluster i))) !recs
   done;
@@ -90,7 +87,7 @@ let collect ?(rx_timeouts = 0) ~outcome ~completed ~checksum ~sched cluster =
     crashes;
     restarts = List.length sched - crashes;
     retransmits = Cluster.retransmits cluster;
-    crash_drops = !crash_drops;
+    crash_drops;
     recoveries;
     mean_recovery_us;
     rx_timeouts;

@@ -6,26 +6,8 @@
     for bcsstk15) for faster turnaround; shapes are preserved. *)
 val quick : bool ref
 
-val proc_counts : int list
-
+(** Table 1: the simulated machine's parameters. *)
 val table1 : unit -> Report.t
-val fig2 : unit -> Report.t
-val fig3 : unit -> Report.t
-val fig4 : unit -> Report.t
-val fig5 : unit -> Report.t
-val table2 : unit -> Report.t
-val fig6 : unit -> Report.t
-val fig7 : unit -> Report.t
-val fig8 : unit -> Report.t
-val fig9 : unit -> Report.t
-val table3 : unit -> Report.t
-val fig10 : unit -> Report.t
-val fig11 : unit -> Report.t
-val fig12 : unit -> Report.t
-val table4 : unit -> Report.t
-val fig13 : unit -> Report.t
-val fig14 : unit -> Report.t
-val table5 : unit -> Report.t
 
 (** All experiments in paper order: [(id, run)]. *)
 val all : (string * (unit -> Report.t)) list

@@ -114,11 +114,8 @@ let collective_latency ?(reps = 8) ?topology ?fanout ~kind ~nodes ~nic () =
       ~barrier:(fun r -> Mp.barrier eps.(r))
       ~allreduce:(fun r -> ignore (Mp.allreduce eps.(r) ~op:( + ) ~bytes:8 r))
   in
-  let interrupts = ref 0 in
-  for n = 0 to nodes - 1 do
-    interrupts := !interrupts + (Nic.stats (Node.nic (Cluster.node cluster n))).Nic.interrupts
-  done;
-  { barrier_us; allreduce_us; interrupts = !interrupts }
+  let interrupts = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.interrupts) in
+  { barrier_us; allreduce_us; interrupts }
 
 (* Receive-policy behaviour at a controlled arrival rate. Node 0 paces
    [count] frames [gap] apart; node 1's application computes throughout (it

@@ -3,6 +3,7 @@ module Params = Cni_machine.Params
 module Fabric = Cni_atm.Fabric
 module Nic = Cni_nic.Nic
 module Cluster = Cni_cluster.Cluster
+module Node = Cni_cluster.Node
 module Space = Cni_dsm.Space
 module Lrc = Cni_dsm.Lrc
 
@@ -70,7 +71,7 @@ let build ?(params = Params.default) ?faults ?reliability ?topology ?barrier_imp
       (cluster, Lrc.install cluster space ?barrier_impl ()))
 
 let exec (cluster, lrcs) app =
-  let params = Cluster.params cluster and procs = Cluster.size cluster in
+  let params = Cluster.params cluster in
   let checksum = app cluster lrcs in
   let o = Cluster.overheads cluster in
   let f = Fabric.stats (Cluster.fabric cluster) in
@@ -99,33 +100,11 @@ let exec (cluster, lrcs) app =
     message_mix = List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) mix []);
     retransmits = Cluster.retransmits cluster;
     fault_drops =
-      (let fab = Cluster.fabric cluster in
-       let acc = ref 0 in
-       for n = 0 to procs - 1 do
-         acc := !acc + Fabric.fault_drops fab ~node:n
-       done;
-       !acc);
-    host_interrupts =
-      (let acc = ref 0 in
-       for n = 0 to procs - 1 do
-         acc :=
-           !acc + (Nic.stats (Cni_cluster.Node.nic (Cluster.node cluster n))).Nic.interrupts
-       done;
-       !acc);
-    polls =
-      (let acc = ref 0 in
-       for n = 0 to procs - 1 do
-         acc := !acc + (Nic.stats (Cni_cluster.Node.nic (Cluster.node cluster n))).Nic.polls
-       done;
-       !acc);
-    wasted_polls =
-      (let acc = ref 0 in
-       for n = 0 to procs - 1 do
-         acc :=
-           !acc
-           + (Nic.stats (Cni_cluster.Node.nic (Cluster.node cluster n))).Nic.wasted_polls
-       done;
-       !acc);
+      Cluster.sum cluster (fun n ->
+          Fabric.fault_drops (Cluster.fabric cluster) ~node:(Node.id n));
+    host_interrupts = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.interrupts);
+    polls = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.polls);
+    wasted_polls = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.wasted_polls);
     checksum;
     metrics = Cluster.metrics_snapshot cluster;
   }

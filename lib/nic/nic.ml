@@ -438,6 +438,15 @@ let run_on_host t ~base ~reply_host_cycles handler pkt =
   t.host.overhead !spent;
   if not (t.host.host_waiting ()) then t.host.steal !spent
 
+(* One per-packet interrupt delivery (OSIRIS, standard): count the
+   interrupt, occupy the interrupt level for [cost], then run the handler on
+   the host with [cost] as its base, which run_on_host charges once as
+   overhead and steals once from a computing application. *)
+let interrupt_host t ~cost ~reply_host_cycles handler pkt =
+  Stats.Counter.incr t.s_interrupts;
+  host_busy t cost;
+  run_on_host t ~base:cost ~reply_host_cycles handler pkt
+
 (* Control transfers into protocol code on the NIC processor: a dispatch,
    then a context that charges at the NIC clock and replies free of host
    cost. *)
@@ -726,7 +735,11 @@ let receive t (pkt : 'a Fabric.packet) =
         handle_ack t h pkt
     | Some h when not (rel_admit t h pkt) -> ()
     | Some _ -> (
-        let lookup_handler () =
+        (* classify the moment the frame is admitted: under reliable
+           delivery its ack is already on the way, so the sender will never
+           resend it, and it must reach its handler even if a scrub wipes
+           the classifier while the lookup's cost is still being paid *)
+        let handler =
           match Classifier.classify t.classifier pkt.Fabric.header with
           | Some (f, _code) -> f
           | None ->
@@ -739,7 +752,6 @@ let receive t (pkt : 'a Fabric.packet) =
                continuation cells follow the remembered VC binding (their cost
                is folded into the SAR term). *)
             Engine.delay (Time.ns p.Params.pathfinder_cell_ns);
-            let handler = lookup_handler () in
             if aih then
               (* control transfers straight into the Application Interrupt
                  Handler on the NIC processor; the host is not involved *)
@@ -754,22 +766,14 @@ let receive t (pkt : 'a Fabric.packet) =
                on the board processor and the host is interrupted for every
                packet (section 2.1's two differences from the CNI) *)
             nic_busy t (Params.nic_cycles p software_classify_nic_cycles);
-            let handler = lookup_handler () in
-            Stats.Counter.incr t.s_interrupts;
-            host_busy t p.Params.interrupt_latency;
-            if not (t.host.host_waiting ()) then t.host.steal p.Params.interrupt_latency;
-            run_on_host t ~base:p.Params.interrupt_latency
+            interrupt_host t ~cost:p.Params.interrupt_latency
               ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt
         | `Standard ->
             (* the standard board interrupts the host for every packet; the
                kernel demultiplexes in software and runs the handler on the
                host CPU *)
-            Stats.Counter.incr t.s_interrupts;
-            let handler = lookup_handler () in
             let kernel = Params.cpu_cycles p p.Params.kernel_recv_cycles in
-            host_busy t Time.(p.Params.interrupt_latency + kernel);
-            run_on_host t
-              ~base:Time.(p.Params.interrupt_latency + kernel)
+            interrupt_host t ~cost:Time.(p.Params.interrupt_latency + kernel)
               ~reply_host_cycles:p.Params.kernel_send_cycles handler pkt)
   end
 
@@ -928,9 +932,9 @@ let crash t ~scrub =
        timers dead; the sequence allocators, duplicate windows and peer
        epochs are host-resident too and survive (see {!Reliable}) *)
     List.iter (fun (Sender s) -> Reliable.Sender.park s) t.senders;
-    (* classified-but-undelivered frames queued on the board are lost *)
-    Queue.clear t.rx_queue;
-    t.rx_wakeup_armed <- false;
+    (* the receive-coalescing queue is the ADC receive ring, host-resident
+       like the descriptor rings; its frames were admitted (and acked) before
+       the crash, so it and the wakeup that drains it survive *)
     t.restarted_at <- None;
     if scrub then begin
       t.scrubbed <- true;

@@ -349,10 +349,17 @@ val rx_crc_errors : 'a t -> int
 
 (** {2 Crash / restart}
 
-    A board can {!crash} — its timers and queued deliveries die; frames
-    reaching it, or still in reassembly when the crash lands, are dropped
-    ([crash_rx_drops]) — and later {!restart} under a new delivery
-    {e epoch}.
+    A board can {!crash} — its timers die; frames reaching it, or still in
+    reassembly when the crash lands, are dropped ([crash_rx_drops]) — and
+    later {!restart} under a new delivery {e epoch}.
+
+    A frame the board has acked reaches its handler whatever crash follows,
+    since its sender will never resend it. The board classifies a fresh
+    frame as soon as it admits it, before paying the lookup's cost, so a
+    scrub during that wait cannot misroute it. The receive-coalescing queue
+    ([rx_batch] > 1) is the ADC receive ring, host-resident like the
+    descriptor rings: it survives the crash, and so does the wakeup that
+    drains it.
 
     Reliable delivery has one crash rule, {!Reliable.Sender}'s: the ADC
     descriptor rings are host-resident, so the un-acked frames park, and so

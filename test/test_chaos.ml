@@ -74,9 +74,9 @@ let dsm_qcheck =
 let cholesky_small =
   Runner.cholesky (lazy (Cni_apps.Sparse.stiffness_like ~n:300 ~dofs:3 ~seed:1))
 
-let cholesky_checksum schedule =
+let cholesky_checksum ?(kind = Runner.cni ()) schedule =
   let faults = if schedule = [] then None else Some { Faults.none with Faults.schedule } in
-  (Runner.run ?faults ~kind:(Runner.cni ()) ~procs:8 cholesky_small).Runner.checksum
+  (Runner.run ?faults ~kind ~procs:8 cholesky_small).Runner.checksum
 
 let cholesky_clean_checksum = lazy (cholesky_checksum [])
 
@@ -95,10 +95,51 @@ let test_cholesky_recovers () =
         (cholesky_checksum (crash_window ~node ~at_us:2000 ~down_us:500 ~scrub:false)))
     [ 3; 0 ]
 
+(* A frame a board has acked must reach its handler whatever crash
+   follows: the sender will never resend it. Node 4 acks a diff-reply at
+   3008.9 us and a scrub at 3009 us empties its classifier while PATHFINDER's
+   300 ns lookup is still being paid; with receive coalescing, node 1 crashes
+   while acked frames wait in the queue for their batched host wakeup. *)
+let acked_frame_survives kind ~node ~at_us ~down_us ~scrub () =
+  check (Alcotest.float 0.0) "fault-free checksum"
+    (Lazy.force cholesky_clean_checksum)
+    (cholesky_checksum ~kind (crash_window ~node ~at_us ~down_us ~scrub))
+
+let coalescing = Runner.cni ~aih:false ~rx_batch:8 ()
+
+(* The schedule ranges of the qcheck below: node, crash time (us), time
+   down (us), scrub draw (0 scrubs). QCheck's int shrinker moves toward 0,
+   below [int_range 50 _], to schedules the fault model rejects; [toward]
+   shrinks each value toward its range's lower bound and never past it.
+   [int_range 0 n] draws exactly what [int_bound n] does, so each seed still
+   draws the same schedules. *)
+let crash_ranges = ((0, 7), (50, 20_050), (50, 3_050), (0, 3))
+
+let toward lo x = QCheck.Iter.map (( + ) lo) (QCheck.Shrink.int (x - lo))
+
+let crash_schedule =
+  let (n0, n1), (a0, a1), (d0, d1), (s0, s1) = crash_ranges in
+  QCheck.(
+    set_shrink
+      (Shrink.quad (toward n0) (toward a0) (toward d0) (toward s0))
+      (quad (int_range n0 n1) (int_range a0 a1) (int_range d0 d1) (int_range s0 s1)))
+
+let in_ranges (n, a, d, s) =
+  let inside (lo, hi) x = lo <= x && x <= hi in
+  let rn, ra, rd, rs = crash_ranges in
+  inside rn n && inside ra a && inside rd d && inside rs s
+
+let shrink_in_range_qcheck =
+  QCheck.Test.make ~count:500 ~name:"crash schedule shrinks stay in range" crash_schedule
+    (fun t ->
+      let ok = ref true in
+      Option.iter (fun shrink -> shrink t (fun c -> ok := !ok && in_ranges c))
+        crash_schedule.QCheck.shrink;
+      !ok)
+
 let cholesky_qcheck =
   QCheck.Test.make ~count:16 ~name:"cholesky: any single crash recovers exactly once"
-    QCheck.(quad (int_bound 7) (int_range 50 20_050) (int_range 50 3_050) (int_bound 3))
-    (fun (node, at_us, down_us, scrub) ->
+    crash_schedule (fun (node, at_us, down_us, scrub) ->
       cholesky_checksum (crash_window ~node ~at_us ~down_us ~scrub:(scrub = 0))
       = Lazy.force cholesky_clean_checksum)
 
@@ -320,6 +361,13 @@ let () =
           Alcotest.test_case "cholesky recovers from node 3 and node 0 crashes" `Quick
             test_cholesky_recovers;
           QCheck_alcotest.to_alcotest cholesky_qcheck;
+          QCheck_alcotest.to_alcotest shrink_in_range_qcheck;
+          Alcotest.test_case "scrub mid-classify: acked frame delivered" `Quick
+            (acked_frame_survives (Runner.cni ()) ~node:4 ~at_us:3009 ~down_us:2791 ~scrub:true);
+          Alcotest.test_case "crash, rx batch: acked frames delivered" `Quick
+            (acked_frame_survives coalescing ~node:1 ~at_us:2593 ~down_us:2335 ~scrub:false);
+          Alcotest.test_case "scrub, rx batch: acked frames delivered" `Quick
+            (acked_frame_survives coalescing ~node:1 ~at_us:2593 ~down_us:2335 ~scrub:true);
         ] );
       ( "board state",
         [

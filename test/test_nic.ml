@@ -611,6 +611,48 @@ let test_osiris_cheaper_than_standard () =
   let o = one (`Osiris Nic.default_osiris_options) and s = one `Standard in
   checkb "user-level send beats kernel path" true (Time.to_ps o < Time.to_ps s)
 
+(* Host time a computing receiver loses to [paced_frames] frames: node 0
+   paces them 100 us apart at node 1, whose application computes throughout
+   and whose handler charges nothing, so everything in its overhead category
+   was stolen by the receive path. *)
+let paced_frames = 20
+
+let stolen_host_ps kind =
+  let frames = paced_frames in
+  let cluster : unit Cluster.t = Cluster.create ~nic_kind:kind ~nodes:2 () in
+  let got = ref 0 in
+  ignore
+    (Nic.install_handler
+       (Node.nic (Cluster.node cluster 1))
+       ~pattern:(Wire.pattern_channel ~channel) ~code_bytes:64
+       (fun _ _ -> incr got));
+  Cluster.run_app cluster (fun node ->
+      if Node.id node = 0 then
+        for _ = 1 to frames do
+          Nic.send (Node.nic node) ~dst:1 ~header:(header ~src:0 ~cacheable:false ~has_data:false)
+            ~body_bytes:0 ~data:Nic.No_data ~payload:();
+          Engine.delay (Time.us 100)
+        done
+      else
+        while !got < frames do
+          Node.work node 2_000;
+          Node.overhead_time node Time.zero
+        done);
+  checki "every frame delivered" frames !got;
+  Time.to_ps (Node.report (Cluster.node cluster 1)).Node.synch_overhead
+
+let test_one_interrupt_per_frame () =
+  let p = Params.default in
+  let interrupt = Time.to_ps p.Params.interrupt_latency in
+  checki "OSIRIS: one interrupt latency per frame" (paced_frames * interrupt)
+    (stolen_host_ps (`Osiris Nic.default_osiris_options));
+  checki "CNI, interrupt-only host handlers: the same" (paced_frames * interrupt)
+    (stolen_host_ps
+       (`Cni { Nic.default_cni_options with Nic.aih = false; rx_policy = Nic.Rx_interrupt }));
+  checki "standard: the interrupt plus its kernel demux"
+    (paced_frames * (interrupt + Time.to_ps (Params.cpu_cycles p p.Params.kernel_recv_cycles)))
+    (stolen_host_ps `Standard)
+
 let test_mc_hit_ratio_empty () =
   let mc = Mc.create ~page_bytes:2048 ~capacity_bytes:4096 ~mode:Mc.Update () in
   check (Alcotest.float 0.001) "no traffic = 0%" 0.0 (Mc.hit_ratio mc);
@@ -850,6 +892,8 @@ let () =
           Alcotest.test_case "AIH reply path" `Quick test_nic_reply_path;
           Alcotest.test_case "OSIRIS profile" `Quick test_osiris_profile;
           Alcotest.test_case "OSIRIS beats standard send" `Quick test_osiris_cheaper_than_standard;
+          Alcotest.test_case "one interrupt per frame on a computing host" `Quick
+            test_one_interrupt_per_frame;
           Alcotest.test_case "MC hit ratio on empty" `Quick test_mc_hit_ratio_empty;
         ] );
       ( "adc",
