@@ -120,6 +120,50 @@ let substrate_tests () =
            let target = Bytes.copy twin in
            Cni_dsm.Diff.apply d target))
   in
+  (* the per-frame board and wire pipeline: a host fiber posts 1k frames on
+     one CNI board (AIH off, no faults), and each crosses the fabric to a
+     counting handler on the other board through the host wakeup path *)
+  let nic_frames =
+    let module Nic = Cni_nic.Nic in
+    let p = Cni_machine.Params.default in
+    let header =
+      Cni_nic.Wire.encode
+        {
+          Cni_nic.Wire.kind = 0;
+          cacheable = false;
+          has_data = false;
+          src = 0;
+          channel = 7;
+          obj = 0;
+          aux = 0;
+        }
+    in
+    let host =
+      {
+        Nic.host_waiting = (fun () -> false);
+        steal = ignore;
+        invalidate_range = (fun ~addr:_ ~bytes:_ -> ());
+        overhead = ignore;
+      }
+    in
+    let kind = `Cni { Nic.default_cni_options with Nic.aih = false } in
+    Test.make ~name:"nic: 1k frames between two CNI boards"
+      (Staged.stage (fun () ->
+           let eng = Cni_engine.Engine.create () in
+           let fabric = Cni_atm.Fabric.create eng p ~nodes:2 in
+           let board node = Nic.create ~kind eng (Cni_machine.Bus.create eng p) fabric ~node ~host in
+           let tx = board 0 and rx = board 1 in
+           let got = ref 0 in
+           ignore
+             (Nic.install_handler rx ~pattern:(Cni_nic.Wire.pattern_channel ~channel:7)
+                (fun _ _ -> incr got));
+           Cni_engine.Engine.spawn eng (fun () ->
+               for _ = 1 to 1000 do
+                 Nic.send tx ~dst:1 ~header ~body_bytes:64 ~data:Nic.No_data ~payload:()
+               done);
+           Cni_engine.Engine.run eng;
+           if !got <> 1000 then failwith "nic kernel: frames lost"))
+  in
   (* the zero-allocation contract of the disabled trace hot path: emit takes
      only immediates and unboxed labels, and builds no record unless the
      category check passes — minor words/run must stay at 0 *)
@@ -150,6 +194,7 @@ let substrate_tests () =
     classifier;
     aal5;
     diff;
+    nic_frames;
     trace_disabled;
     trace_enabled;
   ]

@@ -257,9 +257,11 @@ let traverse t ~now ~ser pkt =
       let start = Time.max earliest (Time.max out_gate !wire_gate) in
       if start > earliest then begin
         t.s_hop_waits <- t.s_hop_waits + 1;
-        emit t ~node:pkt.src
-          ~label:(Printf.sprintf "hop-wait sw=%d out=%d" h_switch h_out)
-          ~payload:(Time.to_ps Time.(start - earliest))
+        (* the label is built only when it will be written *)
+        if Trace.enabled_cat Trace.Atm then
+          emit t ~node:pkt.src
+            ~label:(Printf.sprintf "hop-wait sw=%d out=%d" h_switch h_out)
+            ~payload:(Time.to_ps Time.(start - earliest))
       end;
       if !internal_gate > earliest then
         t.s_banyan_conflicts <- t.s_banyan_conflicts + 1;
@@ -269,6 +271,83 @@ let traverse t ~now ~ser pkt =
       last := finish)
     hops;
   Time.(!last + t.p.Params.link_latency)
+
+(* A frame dies at [node]'s end when that node is down, or its link is
+   inside a down window at [at]: count and trace the loss (against [peer],
+   the frame's other end) and say so. *)
+let lost t ~node ~peer ~at =
+  if t.down.(node) then begin
+    Stats.Counter.incr (counter t ~node "crash_drops");
+    emit t ~node ~label:"crash-drop" ~payload:peer;
+    true
+  end
+  else if match t.faults with Some f -> Faults.link_down f ~node ~now:at | None -> false then begin
+    Stats.Counter.incr (counter t ~node "link_down_drops");
+    emit t ~node ~label:"link-down-drop" ~payload:peer;
+    true
+  end
+  else false
+
+(* A frame's life past injection, as engine callbacks: serialisation on the
+   source's egress link, the switch walk, then reception at the
+   destination's ingress port. *)
+let transit t pkt ~cells ~wire ~ser verdict =
+  let egress = t.egress.(pkt.src) in
+  Sync.Semaphore.acquire_then t.eng egress (fun () ->
+      Engine.after t.eng ser (fun () ->
+          Sync.Semaphore.release egress;
+          (* last bit has left the source; it reaches the destination after
+             the switch(es) and links. Cut-through reception: the ingress
+             port was receiving while we were serialising, unless it was
+             busy. *)
+          let now = Engine.now t.eng in
+          let eta =
+            if t.single then begin
+              let eta =
+                Time.(now + t.p.Params.switch_latency + (t.p.Params.link_latency * 2))
+              in
+              count_single_conflicts t ~eta ~ser pkt;
+              eta
+            end
+            else traverse t ~now ~ser pkt
+          in
+          (* checked when the last bit arrives: a node that crashed while the
+             frame was in flight loses it at its dead ingress port *)
+          if not (lost t ~node:pkt.dst ~peer:pkt.src ~at:eta) then
+            match verdict with
+            | Faults.Drop ->
+                Stats.Counter.incr (counter t ~node:pkt.src "fault_frame_drops");
+                emit t ~node:pkt.src ~label:"fault-drop" ~payload:pkt.dst
+            | Faults.Lose_cells n ->
+                (* an incomplete frame never completes AAL5 reassembly at the
+                   receiver; it dies without occupying the ingress port *)
+                Stats.Counter.add (counter t ~node:pkt.src "fault_cells_lost") n;
+                Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_lost");
+                emit t ~node:pkt.src ~label:"fault-cell-loss" ~payload:n
+            | (Faults.Pass | Faults.Corrupt _) as v ->
+                let pkt =
+                  match v with
+                  | Faults.Corrupt n ->
+                      Stats.Counter.add (counter t ~node:pkt.src "fault_cells_corrupted") n;
+                      Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_corrupted");
+                      emit t ~node:pkt.src ~label:"fault-corrupt" ~payload:n;
+                      { pkt with crc_ok = false }
+                  | _ -> pkt
+                in
+                let start_recv = Time.max Time.(eta - ser) t.ingress_free.(pkt.dst) in
+                let finish = Time.(start_recv + ser) in
+                t.ingress_free.(pkt.dst) <- finish;
+                Engine.after t.eng Time.(finish - now) (fun () ->
+                    (* re-check liveness at delivery time: when the ingress
+                       port was busy, [finish > eta] and the node may have
+                       crashed (or its link gone down) while the frame
+                       queued — it must not be delivered then *)
+                    if not (lost t ~node:pkt.dst ~peer:pkt.src ~at:finish) then begin
+                      t.s_delivered_packets <- t.s_delivered_packets + 1;
+                      t.s_delivered_cells <- t.s_delivered_cells + cells;
+                      t.s_delivered_wire_bytes <- t.s_delivered_wire_bytes + wire;
+                      t.receivers.(pkt.dst) pkt
+                    end)))
 
 let send t pkt =
   if pkt.src < 0 || pkt.src >= t.n then invalid_arg "Fabric.send: src out of range";
@@ -282,112 +361,19 @@ let send t pkt =
   t.s_offered_wire_bytes <- t.s_offered_wire_bytes + wire;
   (* the frame's fate is drawn synchronously at injection time: the random
      stream then depends only on the (deterministic) order of send calls,
-     never on fiber interleaving *)
+     never on how events interleave *)
   let verdict =
     match t.faults with None -> Faults.Pass | Some f -> Faults.judge f ~cells
   in
-  let src_down =
-    match t.faults with
-    | Some f -> Faults.link_down f ~node:pkt.src ~now:(Engine.now t.eng)
-    | None -> false
-  in
-  if t.down.(pkt.src) then begin
-    (* a crashed node's pending DMA never makes it onto the wire *)
-    Stats.Counter.incr (counter t ~node:pkt.src "crash_drops");
-    emit t ~node:pkt.src ~label:"crash-drop" ~payload:pkt.dst
-  end
-  else if src_down then begin
-    Stats.Counter.incr (counter t ~node:pkt.src "link_down_drops");
-    emit t ~node:pkt.src ~label:"link-down-drop" ~payload:pkt.dst
-  end
-  else begin
+  (* a crashed node's pending DMA never makes it onto the wire *)
+  if not (lost t ~node:pkt.src ~peer:pkt.dst ~at:(Engine.now t.eng)) then begin
     (* past the source-side drop gates: these bytes do go onto the wire *)
     t.s_packets <- t.s_packets + 1;
     t.s_cells <- t.s_cells + cells;
     t.s_wire_bytes <- t.s_wire_bytes + wire;
     let ser = serialize_time t.p ~wire in
-    Engine.spawn t.eng ~name:"fabric-send" (fun () ->
-        Sync.Semaphore.acquire t.egress.(pkt.src);
-        Engine.delay ser;
-        Sync.Semaphore.release t.egress.(pkt.src);
-        (* last bit has left the source; it reaches the destination after
-           the switch(es) and links. Cut-through reception: the ingress
-           port was receiving while we were serialising, unless it was
-           busy. *)
-        let now = Engine.now t.eng in
-        let eta =
-          if t.single then begin
-            let eta =
-              Time.(now + t.p.Params.switch_latency + (t.p.Params.link_latency * 2))
-            in
-            count_single_conflicts t ~eta ~ser pkt;
-            eta
-          end
-          else traverse t ~now ~ser pkt
-        in
-        let dst_down =
-          match t.faults with
-          | Some f -> Faults.link_down f ~node:pkt.dst ~now:eta
-          | None -> false
-        in
-        if t.down.(pkt.dst) then begin
-          (* checked when the last bit arrives: a node that crashed while
-             the frame was in flight loses it at its dead ingress port *)
-          Stats.Counter.incr (counter t ~node:pkt.dst "crash_drops");
-          emit t ~node:pkt.dst ~label:"crash-drop" ~payload:pkt.src
-        end
-        else if dst_down then begin
-          Stats.Counter.incr (counter t ~node:pkt.dst "link_down_drops");
-          emit t ~node:pkt.dst ~label:"link-down-drop" ~payload:pkt.src
-        end
-        else
-          match verdict with
-          | Faults.Drop ->
-              Stats.Counter.incr (counter t ~node:pkt.src "fault_frame_drops");
-              emit t ~node:pkt.src ~label:"fault-drop" ~payload:pkt.dst
-          | Faults.Lose_cells n ->
-              (* an incomplete frame never completes AAL5 reassembly at the
-                 receiver; it dies without occupying the ingress port *)
-              Stats.Counter.add (counter t ~node:pkt.src "fault_cells_lost") n;
-              Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_lost");
-              emit t ~node:pkt.src ~label:"fault-cell-loss" ~payload:n
-          | (Faults.Pass | Faults.Corrupt _) as v ->
-              let pkt =
-                match v with
-                | Faults.Corrupt n ->
-                    Stats.Counter.add (counter t ~node:pkt.src "fault_cells_corrupted") n;
-                    Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_corrupted");
-                    emit t ~node:pkt.src ~label:"fault-corrupt" ~payload:n;
-                    { pkt with crc_ok = false }
-                | _ -> pkt
-              in
-              let start_recv = Time.max Time.(eta - ser) t.ingress_free.(pkt.dst) in
-              let finish = Time.(start_recv + ser) in
-              t.ingress_free.(pkt.dst) <- finish;
-              Engine.delay Time.(finish - now);
-              (* re-check liveness at delivery time: when the ingress port
-                 was busy, [finish > eta] and the node may have crashed (or
-                 its link gone down) while the frame queued — it must not
-                 be delivered then *)
-              let dst_down_late =
-                match t.faults with
-                | Some f -> Faults.link_down f ~node:pkt.dst ~now:finish
-                | None -> false
-              in
-              if t.down.(pkt.dst) then begin
-                Stats.Counter.incr (counter t ~node:pkt.dst "crash_drops");
-                emit t ~node:pkt.dst ~label:"crash-drop" ~payload:pkt.src
-              end
-              else if dst_down_late then begin
-                Stats.Counter.incr (counter t ~node:pkt.dst "link_down_drops");
-                emit t ~node:pkt.dst ~label:"link-down-drop" ~payload:pkt.src
-              end
-              else begin
-                t.s_delivered_packets <- t.s_delivered_packets + 1;
-                t.s_delivered_cells <- t.s_delivered_cells + cells;
-                t.s_delivered_wire_bytes <- t.s_delivered_wire_bytes + wire;
-                t.receivers.(pkt.dst) pkt
-              end)
+    (* the transit starts in an event of its own, at this instant *)
+    Engine.at t.eng (Engine.now t.eng) (fun () -> transit t pkt ~cells ~wire ~ser verdict)
   end
 
 let stats t =

@@ -70,7 +70,9 @@ val params : 'a t -> Cni_machine.Params.t
 val topology : 'a t -> Topology.t
 
 (** Replace the delivery callback for a node (default: drop + count). The
-    callback runs inside a fabric fiber; it may block. *)
+    callback runs inside the event that delivers the frame's last bit, and
+    must not block: it schedules whatever work follows (see
+    {!Cni_engine.Engine.start} for running a fiber from it). *)
 val set_receiver : 'a t -> node:int -> ('a packet -> unit) -> unit
 
 (** The active fault configuration, if any. *)

@@ -163,41 +163,50 @@ let run_watched t ~limit =
 type _ Effect.t +=
   | Delay : Time.t -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Await : (t -> ('a -> unit) -> unit) -> 'a Effect.t
   | Yield : unit Effect.t
 
 let delay d = Effect.perform (Delay d)
 let suspend register = Effect.perform (Suspend register)
+let await begin_ = Effect.perform (Await begin_)
 let yield () = Effect.perform Yield
 
-let spawn t ?(name = "fiber") f =
+let handler t name =
   let open Effect.Deep in
-  let handler =
-    {
-      retc = (fun () -> ());
-      exnc =
-        (fun e ->
-          match e with
-          | Fiber_failure _ -> raise e
-          | _ -> raise (Fiber_failure (name ^ ": " ^ Printexc.to_string e, e)));
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Delay d ->
-              t.delay_by <- d;
-              (t.on_delay : ((a, unit) continuation -> unit) option)
-          | Yield -> (t.on_yield : ((a, unit) continuation -> unit) option)
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  let resumed = ref false in
-                  let resume v =
-                    if !resumed then
-                      invalid_arg (Printf.sprintf "Engine: fiber %S resumed twice" name);
-                    resumed := true;
-                    at t t.now (fun () -> continue k v)
-                  in
-                  register resume)
-          | _ -> None);
-    }
-  in
-  at t t.now (fun () -> match_with f () handler)
+  {
+    retc = (fun () -> ());
+    exnc =
+      (fun e ->
+        match e with
+        | Fiber_failure _ -> raise e
+        | _ -> raise (Fiber_failure (name ^ ": " ^ Printexc.to_string e, e)));
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Delay d ->
+            t.delay_by <- d;
+            (t.on_delay : ((a, unit) continuation -> unit) option)
+        | Yield -> (t.on_yield : ((a, unit) continuation -> unit) option)
+        | Await begin_ ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                (* resumed inside the event that completes the operation *)
+                let resumed = ref false in
+                try begin_ t (fun v -> resumed := true; continue k v)
+                with e when not !resumed -> discontinue k e)
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                let resumed = ref false in
+                let resume v =
+                  if !resumed then
+                    invalid_arg (Printf.sprintf "Engine: fiber %S resumed twice" name);
+                  resumed := true;
+                  at t t.now (fun () -> continue k v)
+                in
+                register resume)
+        | _ -> None);
+  }
+
+let start t ?(name = "fiber") f = Effect.Deep.match_with f () (handler t name)
+let spawn t ?name f = at t t.now (fun () -> start t ?name f)

@@ -3,10 +3,10 @@
     The engine owns a virtual clock and dispatches events in (time,
     scheduling order): ties are broken in FIFO order so runs are fully
     deterministic. Simulated processes ("fibers") are ordinary OCaml
-    functions that perform effects ({!delay}, {!suspend}, {!yield}) handled
-    by the engine — OCaml 5 effect handlers give us cheap one-shot
-    continuations, the same role Proteus' threads played in the paper's
-    evaluation.
+    functions that perform effects ({!delay}, {!suspend}, {!await},
+    {!yield}) handled by the engine — OCaml 5 effect handlers give us cheap
+    one-shot continuations, the same role Proteus' threads played in the
+    paper's evaluation.
 
     Pending events sit in two queues. Events due later than {!now} wait in
     a {!Heap}. Events scheduled {e at} {!now} — spawns, fiber resumes,
@@ -86,6 +86,11 @@ val run_watched : t -> limit:Time.t -> unit
     simulation (it propagates out of {!run}), annotated with the fiber name. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
+(** [start t f] runs [f] as a fiber inside the current event, until it first
+    waits or returns, where {!spawn} schedules an event to begin it.
+    Exceptions escaping [f] are annotated as for {!spawn}. *)
+val start : t -> ?name:string -> (unit -> unit) -> unit
+
 (** Advance this fiber's virtual time by the given duration. *)
 val delay : Time.t -> unit
 
@@ -94,6 +99,14 @@ val delay : Time.t -> unit
     reschedules the fiber at the then-current simulated time with the given
     value. Calling [resume] twice raises [Invalid_argument]. *)
 val suspend : (('a -> unit) -> unit) -> 'a
+
+(** [await begin_] blocks the calling fiber on an operation in callback
+    form (an acquire, a DMA): [begin_ eng resume] starts it, and it calls
+    [resume v] from the event that completes it. The fiber continues right
+    there, with no event of its own (unlike {!suspend}), so a fiber form
+    over a callback form dispatches the same events. An exception [begin_]
+    raises before resuming is raised in the fiber. *)
+val await : (t -> ('a -> unit) -> unit) -> 'a
 
 (** Reschedule the calling fiber at the current time, behind already-pending
     events. *)

@@ -28,10 +28,6 @@ module Semaphore = struct
     if count < 0 then invalid_arg "Semaphore.create: negative count";
     { count; waiters = Queue.create () }
 
-  let acquire t =
-    if t.count > 0 then t.count <- t.count - 1
-    else Engine.suspend (fun resume -> Queue.add resume t.waiters)
-
   let try_acquire t =
     if t.count > 0 then begin
       t.count <- t.count - 1;
@@ -39,9 +35,15 @@ module Semaphore = struct
     end
     else false
 
+  let acquire_then eng t k =
+    if try_acquire t then k ()
+    else Queue.add (fun () -> Engine.at eng (Engine.now eng) k) t.waiters
+
+  let acquire t = Engine.await (fun eng k -> acquire_then eng t k)
+
   let release t =
     match Queue.take_opt t.waiters with
-    | Some resume -> resume ()
+    | Some wake -> wake ()
     | None -> t.count <- t.count + 1
 
   let available t = t.count

@@ -1,8 +1,8 @@
 (** Synchronisation primitives for simulated fibers.
 
     All blocking operations must run inside a fiber ({!Engine.spawn}).
-    Non-blocking operations ([fill], [release], ...) may be called
-    from any event context. *)
+    Callback forms and non-blocking operations ([fill], [release], ...) may
+    be called from any event context. *)
 
 module Ivar : sig
   (** Write-once cell. *)
@@ -26,6 +26,11 @@ module Semaphore : sig
   type t
 
   val create : int -> t
+
+  (** The callback form of {!acquire}: runs [k] at once when the count is
+      positive, else in an event of its own at the {!release} that hands
+      over the unit, where a blocked fiber would resume. *)
+  val acquire_then : Engine.t -> t -> (unit -> unit) -> unit
 
   (** Blocks while the count is zero; decrements. *)
   val acquire : t -> unit

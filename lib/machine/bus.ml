@@ -49,16 +49,19 @@ let writeback_line t la =
 
 let dma_time t ~bytes = Params.bus_transfer t.p ~bytes
 
-let dma t ~dir ~addr ~bytes =
+let dma_then t ~dir ~addr ~bytes k =
   (match dir with
   | Dma_to_memory | Dma_from_memory -> ()
   | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction");
-  Sync.Semaphore.acquire t.sem;
-  Engine.delay (dma_time t ~bytes);
-  t.s_dma_transfers <- t.s_dma_transfers + 1;
-  t.s_dma_bytes <- t.s_dma_bytes + bytes;
-  notify t.snoopers ~dir ~addr ~bytes;
-  Sync.Semaphore.release t.sem
+  Sync.Semaphore.acquire_then t.eng t.sem (fun () ->
+      Engine.after t.eng (dma_time t ~bytes) (fun () ->
+          t.s_dma_transfers <- t.s_dma_transfers + 1;
+          t.s_dma_bytes <- t.s_dma_bytes + bytes;
+          notify t.snoopers ~dir ~addr ~bytes;
+          Sync.Semaphore.release t.sem;
+          k ()))
+
+let dma t ~dir ~addr ~bytes = Engine.await (fun _ k -> dma_then t ~dir ~addr ~bytes k)
 
 let stats t =
   {

@@ -31,9 +31,11 @@ val register_snooper : t -> (dir:dir -> addr:int -> bytes:int -> unit) -> unit
     occupancy to charge to the CPU's clock. Allocates nothing. *)
 val writeback_line : t -> int -> Cni_engine.Time.t
 
-(** [dma t ~dir ~addr ~bytes] performs a DMA transfer from inside a fiber:
-    acquires the bus, holds it for the transfer time, releases it, and
-    notifies snoopers. [dir] must be [Dma_to_memory] or [Dma_from_memory]. *)
+(** [dma_then t ~dir ~addr ~bytes k] performs a DMA transfer, then runs [k]
+    (any event context): acquires the bus, holds it for the transfer time,
+    notifies snoopers and releases it. [dma] is the same from inside a
+    fiber. [dir] must be [Dma_to_memory] or [Dma_from_memory]. *)
+val dma_then : t -> dir:dir -> addr:int -> bytes:int -> (unit -> unit) -> unit
 val dma : t -> dir:dir -> addr:int -> bytes:int -> unit
 
 (** Pure transfer-time of a DMA of [bytes] (no queueing). *)

@@ -251,93 +251,105 @@ let rel_stats t =
 let rel_pending_count t =
   match t.rel with Some r -> Reliable.Sender.unacked r.r_tx | None -> 0
 
-(* Occupy the board's processor for a bounded burst of work. Concurrent
-   transmissions, receptions and handler activations on one board serialise
-   here; a handler that blocks (e.g. a server-side fault) releases the
-   processor between bursts, so reply processing can still run. *)
-let occupy proc d =
-  if d > Time.zero then begin
-    Sync.Semaphore.acquire proc;
-    Engine.delay d;
-    Sync.Semaphore.release proc
-  end
+(* Occupy the board's processor for a bounded burst of work, then [k].
+   Concurrent transmissions, receptions and handler activations on one board
+   serialise here; a handler that blocks (e.g. a server-side fault) releases
+   the processor between bursts, so reply processing can still run. *)
+let occupy_then eng proc d k =
+  if d > Time.zero then
+    Sync.Semaphore.acquire_then eng proc (fun () ->
+        Engine.after eng d (fun () ->
+            Sync.Semaphore.release proc;
+            k ()))
+  else k ()
 
-let nic_busy t d = occupy t.nic_proc d
+let occupy eng proc d = Engine.await (fun _ k -> occupy_then eng proc d k)
+let nic_busy_then t d k = occupy_then t.eng t.nic_proc d k
 
 (* Same for interrupt-level work on the host CPU: two packets arriving at a
    standard board do not get their kernel service in parallel. Held only per
    bounded burst, so a protocol handler that blocks lets later interrupts
    through (nested service, as a real kernel would). *)
-let host_busy t d = occupy t.host_proc d
+let host_busy_then t d k = occupy_then t.eng t.host_proc d k
 
 (* Kernel work performed on the host without an application fiber to bill:
    occupy the interrupt level, report it as service and steal the CPU from a
-   computing application (mirrors run_on_host's accounting). *)
-let host_kernel_burst t d =
-  host_busy t d;
-  t.host.overhead d;
-  if not (t.host.host_waiting ()) then t.host.steal d
+   computing application (mirrors run_on_host's accounting), then run [k]. *)
+let host_kernel_burst t d k =
+  host_busy_then t d (fun () ->
+      t.host.overhead d;
+      if not (t.host.host_waiting ()) then t.host.steal d;
+      k ())
+
+(* A frame's fixed stages on the board are engine callbacks; [stage] begins
+   one in an event of its own at this instant. A protocol handler is a
+   fiber, started inside the event that reaches it and named after the
+   fabric delivery it serves. *)
+let stage t f = Engine.at t.eng (Engine.now t.eng) f
+let start_handler t f = Engine.start t.eng ~name:"fabric-send" f
+
+(* a control transfer into board code: a descriptor pickup or a handler *)
+let dispatch_time t = Params.nic_cycles t.p t.p.Params.handler_dispatch_nic_cycles
 
 (* ------------------------------------------------------------------ *)
 (* Transmit                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* NIC-side half of a transmission; runs in its own fiber. The board picks
-   the descriptor off the transmit queue, resolves the data buffer (Message
-   Cache on CNI), segments the frame and hands the cells to the wire. *)
+(* Resolve a descriptor's data buffer, then [k]: on a Message Cache hit the
+   board already holds a consistent copy, and no host-memory DMA is needed. *)
+let fetch_data t data k =
+  match data with
+  | No_data -> k ()
+  | Page { vaddr; bytes; cacheable } -> (
+      Stats.Counter.incr t.s_tx_data_packets;
+      let dma k =
+        Bus.dma_then t.bus ~dir:Bus.Dma_from_memory ~addr:vaddr ~bytes (fun () ->
+            Stats.Counter.add t.s_tx_dma_bytes bytes;
+            k ())
+      in
+      match t.mc with
+      | Some mc when Message_cache.lookup mc ~vpage:(vpage_of t vaddr) -> k ()
+      | Some mc ->
+          dma (fun () ->
+              if cacheable then Message_cache.bind mc ~vpage:(vpage_of t vaddr);
+              k ())
+      | None -> dma k)
+
+(* NIC-side half of a transmission. The board picks the descriptor off the
+   transmit queue, resolves the data buffer (Message Cache on CNI), segments
+   the frame and hands the cells to the wire. *)
 let nic_transmit t ~dst ~header ~body_bytes ~data ~payload =
   let p = t.p in
-  if not t.alive then begin
+  if not t.alive then
     (* a descriptor reaching a dead board is lost with it (a sequenced
        original stays pending and retransmits after the restart) *)
     Stats.Counter.incr (lcounter t "crash_tx_drops")
-  end
-  else begin
-  (* the board works its transmit queue one descriptor at a time: a pipelined
-     resend of a buffer must observe the Message Cache binding its
-     predecessor created *)
-  Ring.push t.tx_ring ();
-  if Trace.enabled_cat Trace.Nic then
-    Trace.span_begin ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-      ~label:"tx" ~payload:dst;
-  nic_busy t (Params.nic_cycles p p.Params.handler_dispatch_nic_cycles);
-  (match data with
-  | No_data -> ()
-  | Page { vaddr; bytes; cacheable } -> (
-      Stats.Counter.incr t.s_tx_data_packets;
-      match t.kind with
-      | `Cni _ -> (
-          match t.mc with
-          | Some mc when Message_cache.lookup mc ~vpage:(vpage_of t vaddr) ->
-              (* transmit caching hit: the board already holds a consistent
-                 copy; no host-memory DMA *)
-              ()
-          | Some mc ->
-              Bus.dma t.bus ~dir:Bus.Dma_from_memory ~addr:vaddr ~bytes;
-              Stats.Counter.add t.s_tx_dma_bytes bytes;
-              if cacheable then Message_cache.bind mc ~vpage:(vpage_of t vaddr)
-          | None ->
-              Bus.dma t.bus ~dir:Bus.Dma_from_memory ~addr:vaddr ~bytes;
-              Stats.Counter.add t.s_tx_dma_bytes bytes)
-      | `Osiris _ | `Standard ->
-          Bus.dma t.bus ~dir:Bus.Dma_from_memory ~addr:vaddr ~bytes;
-          Stats.Counter.add t.s_tx_dma_bytes bytes));
-  (* bulk data rides in the same frame: it must be counted in the wire size
-     (cells, serialisation) exactly like inline body bytes *)
-  let data_bytes = match data with No_data -> 0 | Page { bytes; _ } -> bytes in
-  let pkt =
-    { Fabric.src = t.node; dst; vci = t.node; header; body_bytes = body_bytes + data_bytes;
-      payload; crc_ok = true }
-  in
-  let cells = Fabric.packet_cells p pkt in
-  nic_busy t (Params.nic_cycles p (cells * p.Params.sar_cell_nic_cycles));
-  Stats.Counter.incr t.s_tx_packets;
-  if Trace.enabled_cat Trace.Nic then
-    Trace.span_end ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
-      ~label:"tx" ~payload:dst;
-  ignore (Ring.pop t.tx_ring : unit);
-  Fabric.send t.fabric pkt
-  end
+  else
+    (* the board works its transmit queue one descriptor at a time: a
+       pipelined resend of a buffer must observe the Message Cache binding
+       its predecessor created *)
+    Ring.push_then t.eng t.tx_ring () (fun () ->
+        if Trace.enabled_cat Trace.Nic then
+          Trace.span_begin ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node Trace.Nic
+            ~label:"tx" ~payload:dst;
+        nic_busy_then t (dispatch_time t) (fun () ->
+            fetch_data t data (fun () ->
+                (* bulk data rides in the same frame: it must be counted in
+                   the wire size (cells, serialisation) exactly like inline
+                   body bytes *)
+                let data_bytes = match data with No_data -> 0 | Page { bytes; _ } -> bytes in
+                let pkt =
+                  { Fabric.src = t.node; dst; vci = t.node; header;
+                    body_bytes = body_bytes + data_bytes; payload; crc_ok = true }
+                in
+                let cells = Fabric.packet_cells p pkt in
+                nic_busy_then t (Params.nic_cycles p (cells * p.Params.sar_cell_nic_cycles))
+                  (fun () ->
+                    Stats.Counter.incr t.s_tx_packets;
+                    if Trace.enabled_cat Trace.Nic then
+                      Trace.span_end ~t_ps:(Time.to_ps (Engine.now t.eng)) ~node:t.node
+                        Trace.Nic ~label:"tx" ~payload:dst;
+                    Ring.pop_then t.eng t.tx_ring (fun () -> Fabric.send t.fabric pkt)))))
 
 (* The closure layer's transmissions of a sequenced frame. On the CNI/OSIRIS
    boards the retransmission timer and the resend run in board firmware; the
@@ -345,21 +357,23 @@ let nic_transmit t ~dst ~header ~body_bytes ~data ~payload =
    host an interrupt plus the kernel send path. *)
 let transmit_frame t (e : 'a tx Reliable.Sender.frame) =
   let header = e.header and { body_bytes; data; payload } = e.body in
-  Engine.spawn t.eng ~name:"nic-tx" (fun () ->
-      nic_transmit t ~dst:e.dst ~header ~body_bytes ~data ~payload)
+  stage t (fun () -> nic_transmit t ~dst:e.dst ~header ~body_bytes ~data ~payload)
 
 let retransmit_frame t (e : 'a tx Reliable.Sender.frame) =
   trace t ~label:"retransmit" ~payload:e.seq;
-  Engine.spawn t.eng ~name:"nic-retransmit" (fun () ->
-      (match t.kind with
-      | `Cni _ | `Osiris _ -> ()
+  stage t (fun () ->
+      let resend () =
+        nic_transmit t ~dst:e.dst ~header:e.header ~body_bytes:e.body.body_bytes
+          ~data:e.body.data ~payload:e.body.payload
+      in
+      match t.kind with
+      | `Cni _ | `Osiris _ -> resend ()
       | `Standard ->
           Stats.Counter.incr t.s_interrupts;
           host_kernel_burst t
             Time.(t.p.Params.interrupt_latency
-                  + Params.cpu_cycles t.p t.p.Params.kernel_send_cycles));
-      nic_transmit t ~dst:e.dst ~header:e.header ~body_bytes:e.body.body_bytes
-        ~data:e.body.data ~payload:e.body.payload)
+                  + Params.cpu_cycles t.p t.p.Params.kernel_send_cycles)
+            resend)
 
 (* Queue a frame for transmission. With reliability enabled, every Wire
    frame goes into the sender table, which stamps it with a per-destination
@@ -369,9 +383,7 @@ let retransmit_frame t (e : 'a tx Reliable.Sender.frame) =
    with the board, as a fabric loss would. *)
 let submit t ~dst ~header ~body_bytes ~data ~payload =
   let plain () =
-    if t.alive then
-      Engine.spawn t.eng ~name:"nic-tx" (fun () ->
-          nic_transmit t ~dst ~header ~body_bytes ~data ~payload)
+    if t.alive then stage t (fun () -> nic_transmit t ~dst ~header ~body_bytes ~data ~payload)
     else Stats.Counter.incr (lcounter t "crash_tx_drops")
   in
   match t.rel with
@@ -428,7 +440,7 @@ let host_ctx t ~spent ~reply_host_cycles =
   make_ctx t ~reply_host_cycles ~on_charge:(fun n ->
       let d = Params.cpu_cycles t.p n in
       spent := Time.( + ) !spent d;
-      host_busy t d)
+      occupy t.eng t.host_proc d)
 
 (* Run a protocol handler on the host CPU, charging its time as host
    overhead and stealing the CPU from a computing application. *)
@@ -444,15 +456,14 @@ let run_on_host t ~base ~reply_host_cycles handler pkt =
    overhead and steals once from a computing application. *)
 let interrupt_host t ~cost ~reply_host_cycles handler pkt =
   Stats.Counter.incr t.s_interrupts;
-  host_busy t cost;
-  run_on_host t ~base:cost ~reply_host_cycles handler pkt
+  host_busy_then t cost (fun () ->
+      start_handler t (fun () -> run_on_host t ~base:cost ~reply_host_cycles handler pkt))
 
-(* Control transfers into protocol code on the NIC processor: a dispatch,
-   then a context that charges at the NIC clock and replies free of host
-   cost. *)
+(* Protocol code on the NIC processor, entered after a dispatch, gets a
+   context that charges at the NIC clock and replies free of host cost. *)
 let board_ctx t =
-  nic_busy t (Params.nic_cycles t.p t.p.Params.handler_dispatch_nic_cycles);
-  make_ctx t ~reply_host_cycles:0 ~on_charge:(fun n -> nic_busy t (Params.nic_cycles t.p n))
+  make_ctx t ~reply_host_cycles:0 ~on_charge:(fun n ->
+      occupy t.eng t.nic_proc (Params.nic_cycles t.p n))
 
 (* Host-initiated protocol action without an incoming packet: the local
    arrival of a NIC-resident collective, for instance, is the host posting a
@@ -465,7 +476,9 @@ let board_ctx t =
 let local_dispatch t f =
   charge_post t;
   if aih_enabled t then
-    Engine.spawn t.eng ~name:"nic-local-dispatch" (fun () -> f (board_ctx t))
+    Engine.spawn t.eng ~name:"nic-local-dispatch" (fun () ->
+        occupy t.eng t.nic_proc (dispatch_time t);
+        f (board_ctx t))
   else begin
     let spent = ref Time.zero in
     f (host_ctx t ~spent ~reply_host_cycles:(post_cycles t));
@@ -475,18 +488,19 @@ let local_dispatch t f =
 (* The classification-stage cost of looking at one frame and discarding it
    (a duplicate the window caught): hardware lookup on the CNI, software
    demux on OSIRIS, a full interrupt + kernel demux on the standard board. *)
-let discard_cost t =
+let discard t =
   let p = t.p in
   match t.kind with
   | `Cni _ ->
-      Engine.delay (Time.ns p.Params.pathfinder_cell_ns);
-      nic_busy t (Params.nic_cycles p p.Params.handler_dispatch_nic_cycles)
+      Engine.after t.eng (Time.ns p.Params.pathfinder_cell_ns) (fun () ->
+          nic_busy_then t (dispatch_time t) ignore)
   | `Osiris { software_classify_nic_cycles } ->
-      nic_busy t (Params.nic_cycles p software_classify_nic_cycles)
+      nic_busy_then t (Params.nic_cycles p software_classify_nic_cycles) ignore
   | `Standard ->
       Stats.Counter.incr t.s_interrupts;
       host_kernel_burst t
         Time.(p.Params.interrupt_latency + Params.cpu_cycles p p.Params.kernel_recv_cycles)
+        ignore
 
 (* Acknowledge a sequenced frame. The CNI/OSIRIS boards generate the ack in
    firmware (its transmit cost is the usual board dispatch + SAR inside
@@ -498,15 +512,16 @@ let send_ack t r ~dst ~seq =
       { Wire.kind = Reliable.ack_kind; cacheable = false; has_data = false;
         src = t.node; channel = Reliable.ack_channel; obj = seq; aux = 0 }
   in
-  Engine.spawn t.eng ~name:"nic-ack" (fun () ->
-      (match t.kind with
-      | `Cni _ | `Osiris _ -> ()
-      | `Standard ->
-          host_kernel_burst t (Params.cpu_cycles t.p t.p.Params.kernel_send_cycles));
+  stage t (fun () ->
       (* acks carry no payload and are intercepted before classification at
          the far end, so the placeholder is never read (cf. Mp's barrier
          placeholder) *)
-      nic_transmit t ~dst ~header ~body_bytes:0 ~data:No_data ~payload:(Obj.magic 0))
+      let ack () =
+        nic_transmit t ~dst ~header ~body_bytes:0 ~data:No_data ~payload:(Obj.magic 0)
+      in
+      match t.kind with
+      | `Cni _ | `Osiris _ -> ack ()
+      | `Standard -> host_kernel_burst t (Params.cpu_cycles t.p t.p.Params.kernel_send_cycles) ack)
 
 (* An ack arrived: settle the matching pending frame (if it is still
    pending: the ack may name an already-settled (re)transmission). *)
@@ -516,7 +531,7 @@ let handle_ack t (h : Wire.t) (pkt : 'a Fabric.packet) =
   | Some r ->
       Stats.Counter.incr r.r_acks_rx;
       ignore (Reliable.Sender.settle r.r_tx ~dst:pkt.Fabric.src ~tag:h.Wire.obj);
-      discard_cost t
+      discard t
 
 (* Duplicate suppression + acknowledgment for one decoded frame; [true] when
    the frame is fresh or unsequenced and must be dispatched. *)
@@ -533,7 +548,7 @@ let rel_admit t (h : Wire.t) (pkt : 'a Fabric.packet) =
              bleeding into the new epoch's window *)
           Stats.Counter.incr (lcounter t "rx_stale_epoch");
           trace t ~label:"rx-stale-epoch" ~payload:aux;
-          discard_cost t;
+          discard t;
           false
       | `Fresh ->
           send_ack t r ~dst:src ~seq:aux;
@@ -544,7 +559,7 @@ let rel_admit t (h : Wire.t) (pkt : 'a Fabric.packet) =
           send_ack t r ~dst:src ~seq:aux;
           Stats.Counter.incr r.r_rx_duplicates;
           trace t ~label:"rx-duplicate" ~payload:aux;
-          discard_cost t;
+          discard t;
           false)
 
 (* ------------------------------------------------------------------ *)
@@ -628,13 +643,14 @@ let note_rx_arrival t =
               ~payload:(match next with `Interrupt -> 0 | `Hybrid -> 1 | `Poll -> 2)
           end)
 
-(* Charge one host wakeup in the given mode. Interrupt: the full interrupt
-   latency, stolen from a computing application. Poll: the host's next ring
-   check picks the frame up for a few cycles (stolen too when the host was
-   computing — unlike the hybrid, a fixed polling host checks the ring even
-   while it has useful work). Hybrid (the paper's section 2.1 policy): poll
-   when the host is already waiting on the network, interrupt otherwise. *)
-let charge_wakeup t (mode : rx_mode) =
+(* Charge one host wakeup in the given mode, then [k]. Interrupt: the full
+   interrupt latency, stolen from a computing application. Poll: the host's
+   next ring check picks the frame up for a few cycles (stolen too when the
+   host was computing — unlike the hybrid, a fixed polling host checks the
+   ring even while it has useful work). Hybrid (the paper's section 2.1
+   policy): poll when the host is already waiting on the network, interrupt
+   otherwise. *)
+let charge_wakeup t (mode : rx_mode) k =
   let p = t.p in
   (match mode with
   | `Interrupt -> Stats.Counter.incr t.s_mode_interrupt
@@ -642,17 +658,19 @@ let charge_wakeup t (mode : rx_mode) =
   | `Poll -> Stats.Counter.incr t.s_mode_poll);
   let interrupt () =
     Stats.Counter.incr t.s_interrupts;
-    host_busy t p.Params.interrupt_latency;
-    if not (t.host.host_waiting ()) then t.host.steal p.Params.interrupt_latency
+    host_busy_then t p.Params.interrupt_latency (fun () ->
+        if not (t.host.host_waiting ()) then t.host.steal p.Params.interrupt_latency;
+        k ())
   in
   let poll () =
     Stats.Counter.incr t.s_polls;
     let d = Params.cpu_cycles p p.Params.poll_check_cycles in
-    Engine.delay d;
-    if not (t.host.host_waiting ()) then begin
-      t.host.overhead d;
-      t.host.steal d
-    end
+    Engine.after t.eng d (fun () ->
+        if not (t.host.host_waiting ()) then begin
+          t.host.overhead d;
+          t.host.steal d
+        end;
+        k ())
   in
   match mode with
   | `Interrupt -> interrupt ()
@@ -661,59 +679,42 @@ let charge_wakeup t (mode : rx_mode) =
 
 (* ADC delivery of one classified frame to host code. With [rx_batch = 1]
    each frame pays its own wakeup (the seed behaviour). With coalescing,
-   frames are queued on the board and a single wakeup fiber drains up to
+   frames are queued on the board and a single wakeup drains up to
    [rx_batch] of them: frames arriving while the wakeup cost is still being
    charged (e.g. during the 40 us interrupt latency) ride along for free.
-   Each drained frame runs its handler in its own fiber, matching the
-   fabric's per-packet delivery fibers, so a handler that blocks (a DSM
-   server fault) cannot stall the rest of the batch. *)
+   Each drained frame runs its handler in its own fiber, so a handler that
+   blocks (a DSM server fault) cannot stall the rest of the batch. *)
 let rec rx_drain t =
-  charge_wakeup t (effective_mode t);
-  let n = ref 0 in
-  while !n < t.rx_batch && not (Queue.is_empty t.rx_queue) do
-    let handler, pkt = Queue.pop t.rx_queue in
-    if !n > 0 then Stats.Counter.incr t.s_rx_coalesced;
-    incr n;
-    Engine.spawn t.eng ~name:"nic-rx-deliver" (fun () ->
-        run_on_host t ~base:Time.zero ~reply_host_cycles:t.p.Params.adc_enqueue_cycles
-          handler pkt)
-  done;
-  if Queue.is_empty t.rx_queue then t.rx_wakeup_armed <- false else rx_drain t
+  charge_wakeup t (effective_mode t) (fun () ->
+      let n = ref 0 in
+      while !n < t.rx_batch && not (Queue.is_empty t.rx_queue) do
+        let handler, pkt = Queue.pop t.rx_queue in
+        if !n > 0 then Stats.Counter.incr t.s_rx_coalesced;
+        incr n;
+        Engine.spawn t.eng ~name:"nic-rx-deliver" (fun () ->
+            run_on_host t ~base:Time.zero ~reply_host_cycles:t.p.Params.adc_enqueue_cycles
+              handler pkt)
+      done;
+      if Queue.is_empty t.rx_queue then t.rx_wakeup_armed <- false else rx_drain t)
 
 let deliver_host t handler pkt =
   note_rx_arrival t;
-  if t.rx_batch <= 1 then begin
-    charge_wakeup t (effective_mode t);
-    run_on_host t ~base:Time.zero ~reply_host_cycles:t.p.Params.adc_enqueue_cycles
-      handler pkt
-  end
+  if t.rx_batch <= 1 then
+    charge_wakeup t (effective_mode t) (fun () ->
+        start_handler t (fun () ->
+            run_on_host t ~base:Time.zero ~reply_host_cycles:t.p.Params.adc_enqueue_cycles
+              handler pkt))
   else begin
     Queue.push (handler, pkt) t.rx_queue;
     if not t.rx_wakeup_armed then begin
       t.rx_wakeup_armed <- true;
-      Engine.spawn t.eng ~name:"nic-rx-wakeup" (fun () -> rx_drain t)
+      stage t (fun () -> rx_drain t)
     end
   end
 
-let receive t (pkt : 'a Fabric.packet) =
+(* The receive stages after reassembly, up to the frame's handler. *)
+let reassembled t (pkt : 'a Fabric.packet) =
   let p = t.p in
-  if not t.alive then
-    (* the fabric drops frames for down nodes itself; this guards deliveries
-       already in flight inside a fabric fiber when the crash landed *)
-    Stats.Counter.incr (lcounter t "crash_rx_drops")
-  else begin
-  (match t.restarted_at with
-  | Some r ->
-      (* first frame the restarted board sees: the peer-visible recovery
-         latency of this crash/restart cycle *)
-      t.recovery_latencies <- Time.(Engine.now t.eng - r) :: t.recovery_latencies;
-      t.restarted_at <- None
-  | None -> ());
-  Stats.Counter.incr t.s_rx_packets;
-  trace t ~label:"rx" ~payload:pkt.Fabric.src;
-  let cells = Fabric.packet_cells p pkt in
-  (* SAR: reassembly work per cell on the NIC processor *)
-  nic_busy t (Params.nic_cycles p (cells * p.Params.sar_cell_nic_cycles));
   if not t.alive then
     (* the crash landed during reassembly: the frame dies with the board *)
     Stats.Counter.incr (lcounter t "crash_rx_drops")
@@ -727,8 +728,7 @@ let receive t (pkt : 'a Fabric.packet) =
   else
     match Wire.decode_opt pkt.Fabric.header with
     | None ->
-        (* not a frame any pattern could classify: count and drop instead of
-           tearing down the receive fiber *)
+        (* not a frame any pattern could classify: count and drop *)
         Stats.Counter.incr (lcounter t "rx_undecodable");
         trace t ~label:"rx-undecodable" ~payload:pkt.Fabric.src
     | Some h when h.Wire.kind = Reliable.ack_kind && h.Wire.channel = Reliable.ack_channel ->
@@ -751,23 +751,24 @@ let receive t (pkt : 'a Fabric.packet) =
             (* PATHFINDER classifies the first cell in dedicated hardware;
                continuation cells follow the remembered VC binding (their cost
                is folded into the SAR term). *)
-            Engine.delay (Time.ns p.Params.pathfinder_cell_ns);
-            if aih then
-              (* control transfers straight into the Application Interrupt
-                 Handler on the NIC processor; the host is not involved *)
-              handler (board_ctx t) pkt
-            else
-              (* ADC delivery to host code: the wakeup policy (interrupt,
-                 poll, hybrid or adaptive) decides how the host learns of the
-                 frame *)
-              deliver_host t handler pkt
+            Engine.after t.eng (Time.ns p.Params.pathfinder_cell_ns) (fun () ->
+                if aih then
+                  (* control transfers straight into the Application Interrupt
+                     Handler on the NIC processor; the host is not involved *)
+                  nic_busy_then t (dispatch_time t) (fun () ->
+                      start_handler t (fun () -> handler (board_ctx t) pkt))
+                else
+                  (* ADC delivery to host code: the wakeup policy (interrupt,
+                     poll, hybrid or adaptive) decides how the host learns of
+                     the frame *)
+                  deliver_host t handler pkt)
         | `Osiris { software_classify_nic_cycles } ->
             (* the base board: ADC queues exist, but demultiplexing is software
                on the board processor and the host is interrupted for every
                packet (section 2.1's two differences from the CNI) *)
-            nic_busy t (Params.nic_cycles p software_classify_nic_cycles);
-            interrupt_host t ~cost:p.Params.interrupt_latency
-              ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt
+            nic_busy_then t (Params.nic_cycles p software_classify_nic_cycles) (fun () ->
+                interrupt_host t ~cost:p.Params.interrupt_latency
+                  ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt)
         | `Standard ->
             (* the standard board interrupts the host for every packet; the
                kernel demultiplexes in software and runs the handler on the
@@ -775,6 +776,27 @@ let receive t (pkt : 'a Fabric.packet) =
             let kernel = Params.cpu_cycles p p.Params.kernel_recv_cycles in
             interrupt_host t ~cost:Time.(p.Params.interrupt_latency + kernel)
               ~reply_host_cycles:p.Params.kernel_send_cycles handler pkt)
+
+let receive t (pkt : 'a Fabric.packet) =
+  let p = t.p in
+  if not t.alive then
+    (* the fabric drops frames for down nodes itself; this guards deliveries
+       already under way when the crash landed *)
+    Stats.Counter.incr (lcounter t "crash_rx_drops")
+  else begin
+    (match t.restarted_at with
+    | Some r ->
+        (* first frame the restarted board sees: the peer-visible recovery
+           latency of this crash/restart cycle *)
+        t.recovery_latencies <- Time.(Engine.now t.eng - r) :: t.recovery_latencies;
+        t.restarted_at <- None
+    | None -> ());
+    Stats.Counter.incr t.s_rx_packets;
+    trace t ~label:"rx" ~payload:pkt.Fabric.src;
+    let cells = Fabric.packet_cells p pkt in
+    (* SAR: reassembly work per cell on the NIC processor *)
+    nic_busy_then t (Params.nic_cycles p (cells * p.Params.sar_cell_nic_cycles)) (fun () ->
+        reassembled t pkt)
   end
 
 let sender t cfg ~counter ~transmit ~retransmit =

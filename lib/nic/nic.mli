@@ -18,9 +18,10 @@
       no AIH — the intermediate design point.
 
     Time accounting: host-side costs are charged with [Engine.delay] in the
-    calling fiber and reported through [host.overhead]; NIC-side costs are
-    charged inside internal fibers at the NIC clock; bus transfers go through
-    the shared {!Cni_machine.Bus} (whose snooper feeds the Message Cache). *)
+    calling fiber and reported through [host.overhead]; a frame's NIC-side
+    costs are charged at the NIC clock by engine callbacks, up to the fiber
+    that runs its handler; bus transfers go through the shared
+    {!Cni_machine.Bus} (whose snooper feeds the Message Cache). *)
 
 (** Bulk data attached to a message. [vaddr] is the host virtual address of
     the source (transmit) or destination (deliver) buffer; [cacheable] is the

@@ -69,7 +69,12 @@ module Window = struct
   let floor t = t.floor
 
   let observe t seq =
-    if seq <= t.floor || Hashtbl.mem t.above seq then `Duplicate
+    if seq = t.floor + 1 && Hashtbl.length t.above = 0 then begin
+      (* the next frame in order, nothing above the floor: no table op *)
+      t.floor <- seq;
+      `Fresh
+    end
+    else if seq <= t.floor || Hashtbl.mem t.above seq then `Duplicate
     else begin
       Hashtbl.replace t.above seq ();
       (* advance the floor over any now-contiguous prefix so the out-of-order

@@ -1,3 +1,4 @@
+module Engine = Cni_engine.Engine
 module Sync = Cni_engine.Sync
 module Stats = Cni_engine.Stats
 
@@ -55,20 +56,24 @@ let try_pop t =
   end
   else None
 
-let push t v =
+let push_then eng t v k =
   if Sync.Semaphore.available t.space = 0 then Stats.Counter.incr t.s_full_stalls;
-  Sync.Semaphore.acquire t.space;
-  Queue.add v t.q;
-  Stats.Counter.incr t.s_pushes;
-  Sync.Semaphore.release t.items
+  Sync.Semaphore.acquire_then eng t.space (fun () ->
+      Queue.add v t.q;
+      Stats.Counter.incr t.s_pushes;
+      Sync.Semaphore.release t.items;
+      k ())
 
-let pop t =
+let pop_then eng t k =
   if Sync.Semaphore.available t.items = 0 then Stats.Counter.incr t.s_empty_stalls;
-  Sync.Semaphore.acquire t.items;
-  let v = Queue.take t.q in
-  Stats.Counter.incr t.s_pops;
-  Sync.Semaphore.release t.space;
-  v
+  Sync.Semaphore.acquire_then eng t.items (fun () ->
+      let v = Queue.take t.q in
+      Stats.Counter.incr t.s_pops;
+      Sync.Semaphore.release t.space;
+      k v)
+
+let push t v = Engine.await (fun eng k -> push_then eng t v k)
+let pop t = Engine.await (fun eng k -> pop_then eng t k)
 
 let stats t =
   {

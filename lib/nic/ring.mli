@@ -4,9 +4,9 @@
     the adaptor's dual-ported memory, shared between application and board
     (section 2.1). Manipulation is lock-free in the real design, relying only
     on the atomicity of loads and stores; here a bounded single-producer /
-    single-consumer queue with blocking variants for fibers models the same
-    behaviour (a full transmit ring stalls the producer exactly as the real
-    board would). *)
+    single-consumer queue with blocking variants models the same behaviour
+    (a full transmit ring stalls the producer exactly as the real board
+    would). *)
 
 type 'a t
 
@@ -30,6 +30,11 @@ val try_push : 'a t -> 'a -> bool
 
 (** Non-blocking; [None] when empty. *)
 val try_pop : 'a t -> 'a option
+
+(** Blocking variants in callback form (any event context): [push_then]
+    runs [k] once [v] is queued, [pop_then] passes [k] the oldest entry. *)
+val push_then : Cni_engine.Engine.t -> 'a t -> 'a -> (unit -> unit) -> unit
+val pop_then : Cni_engine.Engine.t -> 'a t -> ('a -> unit) -> unit
 
 (** Blocking variants (fiber context). *)
 val push : 'a t -> 'a -> unit

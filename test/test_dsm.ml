@@ -2,6 +2,7 @@
    small clusters. *)
 
 module Time = Cni_engine.Time
+module Engine = Cni_engine.Engine
 module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
 module Nic = Cni_nic.Nic
@@ -606,16 +607,26 @@ let test_message_mix () =
 (* Pinned runs                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Completion time and protocol counters of two small CNI runs, pinned
-   exactly. They move if the host cache model, the LRC page-state tables or
-   the order pending diffs are requested in (a Hashtbl fold) changes — a
-   change that must be deliberate. *)
-let pinned_run app ~elapsed_ps ~counters =
-  let cluster = Cluster.create ~nic_kind:(`Cni Nic.default_cni_options) ~nodes:4 () in
+(* Completion time, engine totals and protocol counters of two small CNI
+   runs, pinned exactly. They move if the host cache model, the LRC
+   page-state tables or the order pending diffs are requested in (a Hashtbl
+   fold) changes — a change that must be deliberate. [events_dispatched]
+   and [max_heap_depth] move only when the simulator schedules a different
+   set of events: reorganising how a frame crosses the board keeps them. *)
+let cluster4 ?faults ?topology nic_kind =
+  let cluster = Cluster.create ?faults ?topology ~nic_kind ~nodes:4 () in
   let space = Space.create ~nprocs:4 ~page_bytes:(Cluster.params cluster).page_bytes in
-  let lrcs = Lrc.install cluster space () in
+  (cluster, Lrc.install cluster space ())
+
+let engine_totals cluster =
+  let s = Engine.run_stats (Cluster.engine cluster) in
+  [ ("events", s.Engine.events_dispatched); ("max_heap_depth", s.Engine.max_heap_depth) ]
+
+let pinned_run app ~elapsed_ps ~engine ~counters =
+  let cluster, lrcs = cluster4 (`Cni Nic.default_cni_options) in
   app cluster lrcs;
   checki "elapsed ps" elapsed_ps (Time.to_ps (Cluster.elapsed cluster));
+  check Alcotest.(list (pair string int)) "engine totals" engine (engine_totals cluster);
   let sum f = Array.fold_left (fun acc l -> acc + f (Lrc.stats l)) 0 lrcs in
   check
     Alcotest.(list (pair string int))
@@ -640,6 +651,7 @@ let test_pinned_jacobi () =
         (Cni_apps.Jacobi.run cluster lrcs
            { Cni_apps.Jacobi.default_config with Cni_apps.Jacobi.n = 128; iterations = 3 }))
     ~elapsed_ps:6_283_577_373
+    ~engine:[ ("events", 1_586); ("max_heap_depth", 4) ]
     ~counters:
       [
         ("faults", 16);
@@ -654,11 +666,16 @@ let test_pinned_jacobi () =
         ("evictions", 0);
       ]
 
+let pinned_matrix () = Cni_apps.Sparse.stiffness_like ~n:120 ~dofs:3 ~seed:5
+
+let run_cholesky cluster lrcs =
+  Cni_apps.Cholesky.run cluster lrcs (Cni_apps.Cholesky.default_config (pinned_matrix ()))
+
 let test_pinned_cholesky () =
-  let a = Cni_apps.Sparse.stiffness_like ~n:120 ~dofs:3 ~seed:5 in
   pinned_run
-    (fun cluster lrcs -> ignore (Cni_apps.Cholesky.run cluster lrcs (Cni_apps.Cholesky.default_config a)))
+    (fun cluster lrcs -> ignore (run_cholesky cluster lrcs))
     ~elapsed_ps:53_309_604_564
+    ~engine:[ ("events", 33_279); ("max_heap_depth", 7) ]
     ~counters:
       [
         ("faults", 422);
@@ -672,6 +689,80 @@ let test_pinned_cholesky () =
         ("barriers", 8);
         ("evictions", 0);
       ]
+
+(* The same 4-node Cholesky down the datapath branches the runs above skip,
+   one row each: the host receive path under two wakeup policies, the OSIRIS
+   and standard boards, reliable delivery over a lossy and corrupting
+   fabric, a scrubbed crash, and a multi-switch fabric. Besides the engine
+   totals, each row pins the counters that show its branch was taken, in
+   the order of [datapath_columns]. *)
+type datapath_row = {
+  row : string;
+  kind : Nic.kind;
+  faults : Cni_atm.Faults.config option;
+  topology : Cni_atm.Topology.kind option;
+  expect : int list;
+}
+
+let datapath_columns =
+  [ "elapsed_ps"; "events"; "max_heap_depth"; "interrupts"; "polls"; "coalesced";
+    "retransmits"; "crash_drops"; "hop_waits" ]
+
+let no_aih = { Nic.default_cni_options with Nic.aih = false }
+
+let datapath_rows =
+  let crash =
+    {
+      Cni_atm.Faults.none with
+      Cni_atm.Faults.schedule =
+        [
+          { Cni_atm.Faults.e_at = Time.us 9_000; e_node = 2;
+            e_fault = Cni_atm.Faults.Crash { scrub = true } };
+          { Cni_atm.Faults.e_at = Time.us 9_600; e_node = 2; e_fault = Cni_atm.Faults.Restart };
+        ];
+    }
+  in
+  let lossy = { Cni_atm.Faults.none with Cni_atm.Faults.cell_loss = 2e-4; cell_corrupt = 2e-4 } in
+  let row ?faults ?topology row kind expect = { row; kind; faults; topology; expect } in
+  [
+    row "AIH off, hybrid wakeup" (`Cni no_aih)
+      [ 65_953_760_301; 32_865; 9; 836; 1_396; 0; 0; 0; 0 ];
+    row "AIH off, adaptive wakeup, rx_batch 8"
+      (`Cni { no_aih with Nic.rx_policy = Nic.Rx_adaptive Nic.default_rx_adaptive; rx_batch = 8 })
+      [ 70_287_828_360; 38_477; 9; 1_264; 772; 327; 0; 0; 0 ];
+    row "OSIRIS board" (`Osiris Nic.default_osiris_options)
+      [ 90_506_282_350; 37_150; 9; 2_392; 0; 0; 0; 0; 0 ];
+    row "standard board" `Standard
+      [ 98_029_180_716; 33_155; 9; 2_322; 0; 0; 0; 0; 0 ];
+    row "reliable delivery, loss + corruption" ~faults:lossy (`Cni Nic.default_cni_options)
+      [ 54_729_007_076; 63_005; 85; 0; 0; 0; 6; 0; 0 ];
+    row "scrubbed crash of node 2" ~faults:crash (`Cni Nic.default_cni_options)
+      [ 54_858_566_207; 62_438; 84; 0; 0; 0; 2; 2; 0 ];
+    row "3D torus" ~topology:(Cni_atm.Topology.Torus { dims = None })
+      (`Cni Nic.default_cni_options)
+      [ 52_671_302_938; 32_913; 7; 0; 0; 0; 0; 0; 191 ];
+  ]
+
+let test_datapath_row r () =
+  let cluster, lrcs = cluster4 ?faults:r.faults ?topology:r.topology r.kind in
+  ignore (run_cholesky cluster lrcs);
+  let nic f = Cluster.sum cluster (fun n -> f (Nic.stats (Node.nic n))) in
+  let fabric = Cluster.fabric cluster in
+  check
+    Alcotest.(list (pair string int))
+    r.row
+    (List.combine datapath_columns r.expect)
+    ([ ("elapsed_ps", Time.to_ps (Cluster.elapsed cluster)) ]
+    @ engine_totals cluster
+    @ [
+        ("interrupts", nic (fun s -> s.Nic.interrupts));
+        ("polls", nic (fun s -> s.Nic.polls));
+        ("coalesced", nic (fun s -> s.Nic.coalesced));
+        ("retransmits", Cluster.retransmits cluster);
+        ("crash_drops",
+          Cluster.sum cluster (fun n -> Cni_atm.Fabric.crash_drops fabric ~node:(Node.id n)));
+        ("hop_waits", (Cni_atm.Fabric.stats fabric).Cni_atm.Fabric.hop_waits);
+      ])
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -732,5 +823,8 @@ let () =
         [
           Alcotest.test_case "4-node Jacobi elapsed + LRC stats" `Quick test_pinned_jacobi;
           Alcotest.test_case "4-node Cholesky elapsed + LRC stats" `Quick test_pinned_cholesky;
-        ] );
+        ]
+        @ List.map
+            (fun r -> Alcotest.test_case ("4-node Cholesky, " ^ r.row) `Quick (test_datapath_row r))
+            datapath_rows );
     ]

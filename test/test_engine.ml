@@ -826,6 +826,154 @@ let test_semaphore_try () =
   Sync.Semaphore.release sem;
   checki "available" 1 (Sync.Semaphore.available sem)
 
+(* ------------------------------------------------------------------ *)
+(* Fiber waits and callback waits                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Programs of resource holds on shared semaphores. The board's per-frame
+   stages are callback chains, and handler code waits as fibers on the same
+   resources: each program runs as fibers that wait through effects and as
+   callback chains, and both must dispatch the same events in the same
+   order. A third run waits through a semaphore built on [Engine.suspend]
+   alone, the reference, so a change that moves both production forms at
+   once is caught too. *)
+type wait_prog = { label : int; steps : wait_step list }
+
+and wait_step =
+  | Hold of int * int  (* acquire semaphore i, hold it d ps, release *)
+  | Pause of int
+  | Yield_step
+  | Spawn_prog of wait_prog  (* a new program in an event of its own *)
+  | Start_prog of wait_prog  (* a new program begun inside the current event *)
+
+let rec show_wait_prog p =
+  Printf.sprintf "%d:[%s]" p.label (String.concat ";" (List.map show_wait_step p.steps))
+
+and show_wait_step = function
+  | Hold (i, d) -> Printf.sprintf "Hold(%d,%d)" i d
+  | Pause d -> Printf.sprintf "Pause %d" d
+  | Yield_step -> "Yield"
+  | Spawn_prog p -> "Spawn " ^ show_wait_prog p
+  | Start_prog p -> "Start " ^ show_wait_prog p
+
+let rec gen_wait_prog depth =
+  let open QCheck.Gen in
+  let sub f = if depth = 0 then return Yield_step else map f (gen_wait_prog (depth - 1)) in
+  map
+    (fun steps -> { label = 0; steps })
+    (list_size (int_bound 4)
+       (frequency
+          [
+            (4, map2 (fun i d -> Hold (i, d)) (int_bound 1) (int_bound 5));
+            (1, map (fun d -> Pause d) (int_bound 5));
+            (1, return Yield_step);
+            (1, sub (fun p -> Spawn_prog p));
+            (1, sub (fun p -> Start_prog p));
+          ]))
+
+(* number the programs in preorder, so every log line names its program *)
+let label_progs progs =
+  let next = ref 0 in
+  let rec prog p =
+    let label = !next in
+    incr next;
+    { label; steps = List.map step p.steps }
+  and step = function
+    | Spawn_prog p -> Spawn_prog (prog p)
+    | Start_prog p -> Start_prog (prog p)
+    | (Hold _ | Pause _ | Yield_step) as s -> s
+  in
+  List.map prog progs
+
+module Suspend_semaphore = struct
+  type t = { mutable count : int; waiters : (unit -> unit) Queue.t }
+
+  let create count = { count; waiters = Queue.create () }
+
+  let acquire t =
+    if t.count > 0 then t.count <- t.count - 1
+    else Engine.suspend (fun resume -> Queue.add resume t.waiters)
+
+  let release t =
+    match Queue.take_opt t.waiters with Some resume -> resume () | None -> t.count <- t.count + 1
+end
+
+type wait_mode = Suspend_waits | Fiber_waits | Callback_waits
+
+let run_waits mode (progs, counts) =
+  let eng = Engine.create () in
+  let log = ref [] in
+  let note label = log := (Time.to_ps (Engine.now eng), label) :: !log in
+  let old_sems = Array.map Suspend_semaphore.create counts in
+  let sems = Array.map Sync.Semaphore.create counts in
+  let rec fiber p =
+    note p.label;
+    List.iter
+      (fun s ->
+        (match s with
+        | Hold (i, d) ->
+            if mode = Suspend_waits then Suspend_semaphore.acquire old_sems.(i)
+            else Sync.Semaphore.acquire sems.(i);
+            Engine.delay (Time.ps d);
+            if mode = Suspend_waits then Suspend_semaphore.release old_sems.(i)
+            else Sync.Semaphore.release sems.(i)
+        | Pause d -> Engine.delay (Time.ps d)
+        | Yield_step -> Engine.yield ()
+        | Spawn_prog c -> Engine.spawn eng (fun () -> fiber c)
+        | Start_prog c -> Engine.start eng (fun () -> fiber c));
+        note p.label)
+      p.steps
+  in
+  let rec chain label = function
+    | [] -> ()
+    | s :: rest -> (
+        let next () =
+          note label;
+          chain label rest
+        in
+        match s with
+        | Hold (i, d) ->
+            Sync.Semaphore.acquire_then eng sems.(i) (fun () ->
+                Engine.after eng (Time.ps d) (fun () ->
+                    Sync.Semaphore.release sems.(i);
+                    next ()))
+        | Pause d -> Engine.after eng (Time.ps d) next
+        | Yield_step -> Engine.at eng (Engine.now eng) next
+        | Spawn_prog c ->
+            Engine.at eng (Engine.now eng) (fun () -> callbacks c);
+            next ()
+        | Start_prog c ->
+            callbacks c;
+            next ())
+  and callbacks p =
+    note p.label;
+    chain p.label p.steps
+  in
+  List.iter
+    (fun p ->
+      if mode = Callback_waits then Engine.at eng (Engine.now eng) (fun () -> callbacks p)
+      else Engine.spawn eng (fun () -> fiber p))
+    progs;
+  Engine.run eng;
+  let s = Engine.run_stats eng in
+  (List.rev !log, s.Engine.events_dispatched, s.Engine.max_heap_depth)
+
+let waits_schedule_the_same_events =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (map label_progs (list_size (int_range 1 4) (gen_wait_prog 2)))
+        (map (fun (a, b) -> [| a; b |]) (pair (int_range 1 2) (int_range 1 2))))
+  in
+  let print (progs, counts) =
+    Printf.sprintf "counts=(%d,%d) %s" counts.(0) counts.(1)
+      (String.concat " " (List.map show_wait_prog progs))
+  in
+  QCheck.Test.make ~name:"fiber and callback waits dispatch the same events" ~count:500
+    (QCheck.make ~print gen) (fun prog ->
+      let reference = run_waits Suspend_waits prog in
+      run_waits Fiber_waits prog = reference && run_waits Callback_waits prog = reference)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -910,5 +1058,6 @@ let () =
           Alcotest.test_case "semaphore limits concurrency" `Quick test_semaphore;
           Alcotest.test_case "semaphore FIFO wakeup" `Quick test_semaphore_fifo;
           Alcotest.test_case "semaphore try/available" `Quick test_semaphore_try;
+          qc waits_schedule_the_same_events;
         ] );
     ]

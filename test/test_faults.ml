@@ -173,6 +173,55 @@ let test_window_dedup () =
   checkb "2 now below the floor" true (Reliable.Window.observe w 2 = `Duplicate);
   checkb "3 remembered as seen" true (Reliable.Window.observe w 3 = `Duplicate)
 
+(* The window against a set of every sequence number seen: a number is
+   fresh exactly when the set lacks it, and the floor is the longest run
+   1..n inside the set. The stream mixes the next number in order, repeats,
+   numbers below the floor and numbers ahead of it. *)
+type window_op = Next | Repeat of int | Old of int | Ahead of int
+
+let window_matches_a_seen_set =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_bound 60)
+        (frequency
+           [
+             (6, return Next);
+             (2, map (fun i -> Repeat i) nat);
+             (1, map (fun i -> Old i) nat);
+             (2, map (fun k -> Ahead k) (int_range 1 5));
+           ]))
+  in
+  let print ops =
+    String.concat " "
+      (List.map
+         (function
+           | Next -> "next" | Repeat i -> Printf.sprintf "repeat%d" i
+           | Old i -> Printf.sprintf "old%d" i | Ahead k -> Printf.sprintf "ahead%d" k)
+         ops)
+  in
+  QCheck.Test.make ~name:"window agrees with a set of seen numbers" ~count:500
+    (QCheck.make ~print gen) (fun ops ->
+      let module S = Set.Make (Int) in
+      let w = Reliable.Window.create () in
+      let seen = ref S.empty in
+      let rec floor n = if S.mem (n + 1) !seen then floor (n + 1) else n in
+      List.for_all
+        (fun op ->
+          let f = floor 0 in
+          let seq =
+            match op with
+            | Next -> f + 1
+            | Repeat i when not (S.is_empty !seen) ->
+                List.nth (S.elements !seen) (i mod S.cardinal !seen)
+            | Repeat _ -> 1
+            | Old i -> if f = 0 then 1 else 1 + (i mod f)
+            | Ahead k -> f + 1 + k
+          in
+          let expect = if S.mem seq !seen then `Duplicate else `Fresh in
+          seen := S.add seq !seen;
+          Reliable.Window.observe w seq = expect && Reliable.Window.floor w = floor 0)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Sender table                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -354,7 +403,10 @@ let () =
           Alcotest.test_case "validate collects errors" `Quick test_validate_collects_errors;
         ] );
       ( "window",
-        [ Alcotest.test_case "duplicate suppression" `Quick test_window_dedup ] );
+        [
+          Alcotest.test_case "duplicate suppression" `Quick test_window_dedup;
+          QCheck_alcotest.to_alcotest window_matches_a_seen_set;
+        ] );
       ( "sender",
         [ Alcotest.test_case "park, resume, settle, budget" `Quick test_sender_table ] );
       ( "recovery",
