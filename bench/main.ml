@@ -19,6 +19,22 @@ module Baseline = Cni_experiments.Bench_baseline
 
 let experiments = Figures.all @ Ablations.all
 
+(* Every report's rows, pinned in the JSON baseline as one more metric (not
+   printed), so --compare sees each cell and not only the headline scalars.
+   Reports whose cells hold wall-clock time are left out. The digest keeps
+   48 bits: exact in a JSON double, and no two digests fall within the
+   1e-9 relative tolerance by accident. *)
+let undigested = [ "microbench-classifier"; "microbench-aih" ]
+
+let rows_digest (r : Report.t) =
+  let text = String.concat "\n" (List.map (String.concat "\t") r.Report.rows) in
+  let d = Bytes.unsafe_of_string (Digest.string text) in
+  float_of_int (Int64.to_int (Bytes.get_int64_le d 0) land 0xFFFF_FFFF_FFFF)
+
+let baseline_metrics id (r : Report.t) =
+  if List.mem id undigested then r.Report.metrics
+  else r.Report.metrics @ [ ("rows_digest", rows_digest r) ]
+
 (* ------------------------------------------------------------------ *)
 (* Substrate microbenchmarks (Bechamel)                                *)
 (* ------------------------------------------------------------------ *)
@@ -314,7 +330,7 @@ let () =
           !csv_dir;
         let wall_s = Unix.gettimeofday () -. t0 in
         Printf.printf "  [%s finished in %.1fs]\n\n%!" id wall_s;
-        (id, { Baseline.wall_s; metrics = report.Report.metrics }))
+        (id, { Baseline.wall_s; metrics = baseline_metrics id report }))
       selected
   in
   let substrate_results = if substrate_selected then run_substrate () else [] in

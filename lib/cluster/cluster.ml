@@ -100,7 +100,7 @@ let fabric t = t.fabric
 let size t = Array.length t.nodes
 let node t i = t.nodes.(i)
 let nodes t = t.nodes
-let is_cni t = match t.kind with `Cni _ -> true | `Osiris _ | `Standard -> false
+let is_cni t = match t.kind with `Cni _ -> true | `Osiris | `Standard -> false
 
 let sum t f = Array.fold_left (fun acc n -> acc + f n) 0 t.nodes
 

@@ -6,7 +6,7 @@ type run_stats = {
 
 (* Two queues hold the pending events. Events due at a later time go on the
    heap, ordered by (time, scheduling order). Events scheduled {e at} the
-   current time — spawns, fiber resumes, yields, clamped [at] calls — go on
+   current time — spawns, fiber resumes, clamped [at] calls — go on
    the lane, a FIFO ring beside the heap, and never pay for a sift.
 
    Dispatch still follows the exact (time, scheduling order) the heap alone
@@ -25,13 +25,13 @@ type t = {
   mutable dispatched : int;
   mutable max_depth : int;
   mutable clamped : int;
-  (* A fiber performs [delay] or [yield] on every simulated step, so their
-     effect handlers are built once per engine, not once per perform or per
-     fiber. [delay_by] carries the performed duration to [on_delay], which
-     runs right after the fiber's [effc] returns it. *)
+  (* A fiber performs [delay] on most simulated steps, so its effect
+     handler is built once per engine, not once per perform or per fiber.
+     [delay_by] carries the performed duration to [on_delay], which runs
+     right after the fiber's [effc] returns it. *)
   mutable delay_by : Time.t;
   on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
-  on_yield : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  mutable awaiting : string;  (* the fiber whose [await] is beginning *)
 }
 
 exception Fiber_failure of string * exn
@@ -106,7 +106,7 @@ let create () =
       clamped = 0;
       delay_by = Time.zero;
       on_delay = Some (fun k -> after t t.delay_by (fun () -> Effect.Deep.continue k ()));
-      on_yield = Some (fun k -> at t t.now (fun () -> Effect.Deep.continue k ()));
+      awaiting = "";
     }
   in
   t
@@ -162,14 +162,19 @@ let run_watched t ~limit =
 
 type _ Effect.t +=
   | Delay : Time.t -> unit Effect.t
-  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Await : (t -> ('a -> unit) -> unit) -> 'a Effect.t
-  | Yield : unit Effect.t
 
 let delay d = Effect.perform (Delay d)
-let suspend register = Effect.perform (Suspend register)
 let await begin_ = Effect.perform (Await begin_)
-let yield () = Effect.perform Yield
+
+(* the resume goes through the lane: the fiber continues in an event of its own *)
+let suspend register =
+  await (fun t continue_ ->
+      let name = t.awaiting and resumed = ref false in
+      register (fun v ->
+          if !resumed then invalid_arg (Printf.sprintf "Engine: fiber %S resumed twice" name);
+          resumed := true;
+          at t t.now (fun () -> continue_ v)))
 
 let handler t name =
   let open Effect.Deep in
@@ -186,25 +191,14 @@ let handler t name =
         | Delay d ->
             t.delay_by <- d;
             (t.on_delay : ((a, unit) continuation -> unit) option)
-        | Yield -> (t.on_yield : ((a, unit) continuation -> unit) option)
         | Await begin_ ->
             Some
               (fun (k : (a, unit) continuation) ->
                 (* resumed inside the event that completes the operation *)
                 let resumed = ref false in
+                t.awaiting <- name;
                 try begin_ t (fun v -> resumed := true; continue k v)
                 with e when not !resumed -> discontinue k e)
-        | Suspend register ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let resumed = ref false in
-                let resume v =
-                  if !resumed then
-                    invalid_arg (Printf.sprintf "Engine: fiber %S resumed twice" name);
-                  resumed := true;
-                  at t t.now (fun () -> continue k v)
-                in
-                register resume)
         | _ -> None);
   }
 

@@ -3,14 +3,14 @@
     The engine owns a virtual clock and dispatches events in (time,
     scheduling order): ties are broken in FIFO order so runs are fully
     deterministic. Simulated processes ("fibers") are ordinary OCaml
-    functions that perform effects ({!delay}, {!suspend}, {!await},
-    {!yield}) handled by the engine — OCaml 5 effect handlers give us cheap
-    one-shot continuations, the same role Proteus' threads played in the
-    paper's evaluation.
+    functions that perform two effects, {!delay} and {!await}, handled by
+    the engine ({!suspend} is built on {!await}) — OCaml 5 effect handlers
+    give us cheap one-shot continuations, the same role Proteus' threads
+    played in the paper's evaluation.
 
     Pending events sit in two queues. Events due later than {!now} wait in
-    a {!Heap}. Events scheduled {e at} {!now} — spawns, fiber resumes,
-    yields and clamped {!at} calls — go to a FIFO {e lane} beside the heap
+    a {!Heap}. Events scheduled {e at} {!now} — spawns, fiber resumes and
+    clamped {!at} calls — go to a FIFO {e lane} beside the heap
     and skip its sift. The lane keeps the exact (time, scheduling order):
     heap events keyed {!now} were all scheduled before the clock reached
     {!now}, so they run first, then the lane, and only then does the clock
@@ -107,10 +107,6 @@ val suspend : (('a -> unit) -> unit) -> 'a
     over a callback form dispatches the same events. An exception [begin_]
     raises before resuming is raised in the fiber. *)
 val await : (t -> ('a -> unit) -> unit) -> 'a
-
-(** Reschedule the calling fiber at the current time, behind already-pending
-    events. *)
-val yield : unit -> unit
 
 (** Exception escaping a fiber, annotated with the fiber name. *)
 exception Fiber_failure of string * exn

@@ -46,6 +46,14 @@ module Semaphore = struct
     | Some wake -> wake ()
     | None -> t.count <- t.count + 1
 
+  let hold_then eng t d k =
+    if d > Time.zero then
+      acquire_then eng t (fun () ->
+          Engine.after eng d (fun () ->
+              release t;
+              k ()))
+    else k ()
+
   let available t = t.count
   let waiting t = Queue.length t.waiters
 end

@@ -37,6 +37,10 @@ module Semaphore : sig
 
   val try_acquire : t -> bool
   val release : t -> unit
+
+  (** [hold_then eng t d k] holds one unit (acquired as by {!acquire_then})
+      for [d], then runs [k]; a zero [d] runs [k] at once, leaving [t]. *)
+  val hold_then : Engine.t -> t -> Time.t -> (unit -> unit) -> unit
   val available : t -> int
   val waiting : t -> int
 end

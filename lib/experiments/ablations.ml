@@ -50,10 +50,10 @@ let rx_policy () =
   in
   let synthetic (label, gap, frames, rx_batch) (pname, policy) =
     let p = Microbench.rx_policy_sweep ~policy ~gap ~count:frames ~rx_batch () in
+    let s = p.Microbench.rx_stats in
     [
-      "synthetic, " ^ label; pname; count p.Microbench.rx_interrupts; count p.Microbench.rx_polls;
-      count p.Microbench.rx_wasted; count p.Microbench.rx_coalesced;
-      Report.f1 p.Microbench.rx_latency_us; "-";
+      "synthetic, " ^ label; pname; count s.Nic.interrupts; count s.Nic.polls;
+      count s.Nic.wasted_polls; count s.Nic.coalesced; Report.f1 p.Microbench.rx_latency_us; "-";
     ]
   in
   let hot batch = (Printf.sprintf "hot arrivals, batch %d" batch, Time.us 2, 200, batch) in

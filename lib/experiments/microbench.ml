@@ -124,14 +124,7 @@ let collective_latency ?(reps = 8) ?topology ?fanout ~kind ~nodes ~nic () =
    ring check, or — for the adaptive policy — whatever mode the measured
    rate selects. AIH is off: this exercises the ADC host-delivery path the
    policies govern. *)
-type rx_point = {
-  rx_interrupts : int;
-  rx_polls : int;
-  rx_wasted : int;
-  rx_coalesced : int;
-  rx_mode_switches : int;
-  rx_latency_us : float;  (* mean send-to-handler latency *)
-}
+type rx_point = { rx_stats : Nic.stats; rx_latency_us : float (* mean send-to-handler *) }
 
 let rx_policy_sweep ?(count = 200) ?(rx_batch = 1) ~policy ~gap () =
   let kind =
@@ -158,15 +151,8 @@ let rx_policy_sweep ?(count = 200) ?(rx_batch = 1) ~policy ~gap () =
           Node.work node 2_000;
           Node.overhead_time node Time.zero (* flush, so simulated time advances *)
         done);
-  let s = Nic.stats receiver_nic in
-  {
-    rx_interrupts = s.Nic.interrupts;
-    rx_polls = s.Nic.polls;
-    rx_wasted = s.Nic.wasted_polls;
-    rx_coalesced = s.Nic.coalesced;
-    rx_mode_switches = s.Nic.mode_switches;
-    rx_latency_us = Time.to_us_float !lat_sum /. float_of_int count;
-  }
+  { rx_stats = Nic.stats receiver_nic;
+    rx_latency_us = Time.to_us_float !lat_sum /. float_of_int count }
 
 (* Wall-clock cost of the simulator's own classification step — the one data
    structure on the per-packet hot path — comparing the indexed DAG walk

@@ -53,11 +53,7 @@ val collective_latency :
 (** {2 Receive-policy behaviour at a controlled arrival rate} *)
 
 type rx_point = {
-  rx_interrupts : int;  (** host interrupts the receiving board took *)
-  rx_polls : int;  (** wakeups delivered to a host ring check *)
-  rx_wasted : int;  (** ring checks that found nothing (poll mode) *)
-  rx_coalesced : int;  (** frames that rode along on another frame's wakeup *)
-  rx_mode_switches : int;  (** adaptive-policy mode transitions *)
+  rx_stats : Cni_nic.Nic.stats;  (** the receiving board's counters *)
   rx_latency_us : float;  (** mean send-to-handler latency *)
 }
 

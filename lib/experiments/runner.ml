@@ -59,7 +59,7 @@ let cni ?mc_bytes ?mc_mode ?aih ?rx_policy ?rx_batch () =
     }
 
 let standard = `Standard
-let osiris = `Osiris Nic.default_osiris_options
+let osiris = `Osiris
 
 let build ?(params = Params.default) ?faults ?reliability ?topology ?barrier_impl ~kind ~procs
     () =

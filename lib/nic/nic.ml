@@ -11,11 +11,9 @@ module Pattern = Cni_pathfinder.Pattern
 
 type data = No_data | Page of { vaddr : int; bytes : int; cacheable : bool }
 
-type host = {
-  host_waiting : unit -> bool;
-  steal : Time.t -> unit;
-  invalidate_range : addr:int -> bytes:int -> unit;
-  overhead : Time.t -> unit;
+type host = Rx.host = {
+  host_waiting : unit -> bool; steal : Time.t -> unit;
+  invalidate_range : addr:int -> bytes:int -> unit; overhead : Time.t -> unit;
 }
 
 type 'a ctx = {
@@ -25,25 +23,14 @@ type 'a ctx = {
   deliver_page : vaddr:int -> bytes:int -> cacheable:bool -> unit;
 }
 
-(* Parameters of the adaptive receive engine: an EWMA over packet
-   interarrival gaps picks one of three wakeup modes, with hysteresis so a
-   single outlier gap does not flap the mode. *)
-type rx_adaptive = {
-  ra_alpha : float;
-  ra_poll_gap : Time.t;
-  ra_interrupt_gap : Time.t;
-  ra_hysteresis : float;
+type rx_adaptive = Rx.adaptive = {
+  ra_alpha : float; ra_poll_gap : Time.t; ra_interrupt_gap : Time.t; ra_hysteresis : float;
 }
 
-let default_rx_adaptive =
-  { ra_alpha = 0.25;
-    ra_poll_gap = Time.us 20;
-    ra_interrupt_gap = Time.us 160;
-    ra_hysteresis = 2.0 }
+let default_rx_adaptive = Rx.default_adaptive
 
-type rx_policy = Rx_interrupt | Rx_poll | Rx_hybrid | Rx_adaptive of rx_adaptive
-
-type rx_mode = [ `Interrupt | `Hybrid | `Poll ]
+type rx_policy = Rx.policy = Rx_interrupt | Rx_poll | Rx_hybrid | Rx_adaptive of rx_adaptive
+type rx_mode = Rx.mode
 
 type cni_options = {
   mc_bytes : int;
@@ -60,27 +47,11 @@ let default_cni_options =
     rx_policy = Rx_hybrid;
     rx_batch = 1 }
 
-let check_cni_options o =
-  if o.rx_batch < 1 then invalid_arg "Nic: rx_batch must be >= 1";
-  match o.rx_policy with
-  | Rx_adaptive a ->
-      if not (a.ra_alpha > 0. && a.ra_alpha <= 1.) then
-        invalid_arg "Nic: ra_alpha must be within (0, 1]";
-      if a.ra_hysteresis < 1. then invalid_arg "Nic: ra_hysteresis must be >= 1";
-      if a.ra_poll_gap >= a.ra_interrupt_gap then
-        invalid_arg "Nic: ra_poll_gap must be below ra_interrupt_gap"
-  | Rx_interrupt | Rx_poll | Rx_hybrid -> ()
+(* OSIRIS's per-packet software demultiplexing on the board processor; the
+   paper's ATOMIC experience: expensive, worse under i-cache pressure *)
+let osiris_classify_nic_cycles = 120
 
-type osiris_options = {
-  software_classify_nic_cycles : int;
-      (* per-packet software demultiplexing on the board processor; the
-         paper's ATOMIC experience: expensive, and worse under i-cache
-         pressure from resident handlers *)
-}
-
-let default_osiris_options = { software_classify_nic_cycles = 120 }
-
-type kind = [ `Cni of cni_options | `Osiris of osiris_options | `Standard ]
+type kind = [ `Cni of cni_options | `Osiris | `Standard ]
 
 type 'a handler_fn = 'a ctx -> 'a Fabric.packet -> unit
 
@@ -125,7 +96,8 @@ type 'a t = {
                              single-slot descriptor ring whose full_stalls
                              counter exposes transmit-queue contention *)
   host_proc : Sync.Semaphore.t;  (* interrupt-level protocol work on the host
-                                    serialises as well *)
+                                    serialises as well, [rx]'s included *)
+  rx : ('a handler_fn, 'a Fabric.packet) Rx.t;  (* host delivery (CNI, AIH off) *)
   classifier : ('a handler_fn * int) Classifier.t;
   handler_sizes : (Classifier.handle, int) Hashtbl.t;
   mutable default_handler : 'a handler_fn;
@@ -137,14 +109,6 @@ type 'a t = {
   mutable install_log : install_entry list;  (* newest first *)
   mutable restarted_at : Time.t option;  (* pending recovery-latency measurement *)
   mutable recovery_latencies : Time.t list;  (* newest first *)
-  (* receive engine state (CNI, host delivery path) *)
-  rx_policy : rx_policy;
-  rx_batch : int;
-  rx_queue : ('a handler_fn * 'a Fabric.packet) Queue.t;
-  mutable rx_wakeup_armed : bool;
-  mutable rx_last_arrival : Time.t option;
-  mutable rx_gap_ewma : float option;  (* mean interarrival gap, ps *)
-  mutable rx_mode_cur : rx_mode;  (* adaptive policy's current mode *)
   (* error-path counters, registered on first increment so clean runs leave
      the metrics snapshot untouched *)
   lazy_counters : (string, Stats.Counter.t) Hashtbl.t;
@@ -155,13 +119,6 @@ type 'a t = {
   s_rx_packets : Stats.Counter.t;
   s_rx_dma_bytes : Stats.Counter.t;
   s_interrupts : Stats.Counter.t;
-  s_polls : Stats.Counter.t;
-  s_wasted_polls : Stats.Counter.t;
-  s_rx_coalesced : Stats.Counter.t;
-  s_rx_mode_switches : Stats.Counter.t;
-  s_mode_interrupt : Stats.Counter.t;
-  s_mode_hybrid : Stats.Counter.t;
-  s_mode_poll : Stats.Counter.t;
 }
 
 type stats = {
@@ -192,8 +149,8 @@ type rel_stats = {
 
 let node t = t.node
 let params t = t.p
-let is_cni t = match t.kind with `Cni _ -> true | `Osiris _ | `Standard -> false
-let aih_enabled t = match t.kind with `Cni { aih; _ } -> aih | `Osiris _ | `Standard -> false
+let is_cni t = match t.kind with `Cni _ -> true | `Osiris | `Standard -> false
+let aih_enabled t = match t.kind with `Cni { aih; _ } -> aih | `Osiris | `Standard -> false
 let message_cache t = t.mc
 
 let network_cache_hit_ratio t =
@@ -255,22 +212,14 @@ let rel_pending_count t =
    Concurrent transmissions, receptions and handler activations on one board
    serialise here; a handler that blocks (e.g. a server-side fault) releases
    the processor between bursts, so reply processing can still run. *)
-let occupy_then eng proc d k =
-  if d > Time.zero then
-    Sync.Semaphore.acquire_then eng proc (fun () ->
-        Engine.after eng d (fun () ->
-            Sync.Semaphore.release proc;
-            k ()))
-  else k ()
-
-let occupy eng proc d = Engine.await (fun _ k -> occupy_then eng proc d k)
-let nic_busy_then t d k = occupy_then t.eng t.nic_proc d k
+let occupy eng proc d = Engine.await (fun _ k -> Sync.Semaphore.hold_then eng proc d k)
+let nic_busy_then t d k = Sync.Semaphore.hold_then t.eng t.nic_proc d k
 
 (* Same for interrupt-level work on the host CPU: two packets arriving at a
    standard board do not get their kernel service in parallel. Held only per
    bounded burst, so a protocol handler that blocks lets later interrupts
    through (nested service, as a real kernel would). *)
-let host_busy_then t d k = occupy_then t.eng t.host_proc d k
+let host_busy_then t d k = Sync.Semaphore.hold_then t.eng t.host_proc d k
 
 (* Kernel work performed on the host without an application fiber to bill:
    occupy the interrupt level, report it as service and steal the CPU from a
@@ -367,7 +316,7 @@ let retransmit_frame t (e : 'a tx Reliable.Sender.frame) =
           ~data:e.body.data ~payload:e.body.payload
       in
       match t.kind with
-      | `Cni _ | `Osiris _ -> resend ()
+      | `Cni _ | `Osiris -> resend ()
       | `Standard ->
           Stats.Counter.incr t.s_interrupts;
           host_kernel_burst t
@@ -397,7 +346,7 @@ let submit t ~dst ~header ~body_bytes ~data ~payload =
    CNI/OSIRIS, a kernel entry on the standard board. *)
 let post_cycles t =
   match t.kind with
-  | `Cni _ | `Osiris _ -> t.p.Params.adc_enqueue_cycles
+  | `Cni _ | `Osiris -> t.p.Params.adc_enqueue_cycles
   | `Standard -> t.p.Params.kernel_send_cycles
 
 let charge_post t =
@@ -494,8 +443,7 @@ let discard t =
   | `Cni _ ->
       Engine.after t.eng (Time.ns p.Params.pathfinder_cell_ns) (fun () ->
           nic_busy_then t (dispatch_time t) ignore)
-  | `Osiris { software_classify_nic_cycles } ->
-      nic_busy_then t (Params.nic_cycles p software_classify_nic_cycles) ignore
+  | `Osiris -> nic_busy_then t (Params.nic_cycles p osiris_classify_nic_cycles) ignore
   | `Standard ->
       Stats.Counter.incr t.s_interrupts;
       host_kernel_burst t
@@ -520,7 +468,7 @@ let send_ack t r ~dst ~seq =
         nic_transmit t ~dst ~header ~body_bytes:0 ~data:No_data ~payload:(Obj.magic 0)
       in
       match t.kind with
-      | `Cni _ | `Osiris _ -> ack ()
+      | `Cni _ | `Osiris -> ack ()
       | `Standard -> host_kernel_burst t (Params.cpu_cycles t.p t.p.Params.kernel_send_cycles) ack)
 
 (* An ack arrived: settle the matching pending frame (if it is still
@@ -561,156 +509,6 @@ let rel_admit t (h : Wire.t) (pkt : 'a Fabric.packet) =
           trace t ~label:"rx-duplicate" ~payload:aux;
           discard t;
           false)
-
-(* ------------------------------------------------------------------ *)
-(* Receive wakeup policy                                              *)
-(* ------------------------------------------------------------------ *)
-
-(* How often a polling host checks the receive ring: the unit of the
-   wasted-poll cost [Rx_poll] (and the adaptive policy's poll mode) pays
-   when traffic is slower than this. *)
-let rx_poll_period = Time.us 5
-
-(* The mode a host wakeup will use right now. Fixed policies are their own
-   mode; the adaptive policy follows its estimator. *)
-let effective_mode t : rx_mode =
-  match t.rx_policy with
-  | Rx_interrupt -> `Interrupt
-  | Rx_poll -> `Poll
-  | Rx_hybrid -> `Hybrid
-  | Rx_adaptive _ -> t.rx_mode_cur
-
-(* Per-arrival bookkeeping, run before the wakeup is charged so it observes
-   the mode that was in force during the gap being closed:
-
-   - while the board was in poll mode, the host checked the receive ring
-     every [rx_poll_period] and found nothing; those empty checks are the
-     cost polling pays for its low latency, counted and charged here in one
-     batch (the simulator has no reason to schedule each empty check as its
-     own event);
-   - the adaptive estimator folds the new gap into its EWMA and moves
-     between modes with hysteresis: leaving a mode needs the estimate to
-     cross the threshold by [ra_hysteresis], so one outlier gap does not
-     flap the mode. *)
-let note_rx_arrival t =
-  let p = t.p in
-  let now = Engine.now t.eng in
-  let gap_ps =
-    match t.rx_last_arrival with
-    | Some last -> Some (Time.to_ps now - Time.to_ps last)
-    | None -> None
-  in
-  t.rx_last_arrival <- Some now;
-  (match (gap_ps, effective_mode t) with
-  | Some gap, `Poll when gap > 0 ->
-      let period = Time.to_ps rx_poll_period in
-      let wasted = max 0 ((gap / period) - 1) in
-      if wasted > 0 then begin
-        Stats.Counter.add t.s_wasted_polls wasted;
-        let d = Params.cpu_cycles p (wasted * p.Params.poll_check_cycles) in
-        t.host.overhead d;
-        if not (t.host.host_waiting ()) then t.host.steal d
-      end
-  | _ -> ());
-  match t.rx_policy with
-  | Rx_interrupt | Rx_poll | Rx_hybrid -> ()
-  | Rx_adaptive cfg -> (
-      match gap_ps with
-      | None -> ()
-      | Some gap ->
-          let g = float_of_int gap in
-          let e =
-            match t.rx_gap_ewma with
-            | None -> g
-            | Some e -> (cfg.ra_alpha *. g) +. ((1. -. cfg.ra_alpha) *. e)
-          in
-          t.rx_gap_ewma <- Some e;
-          let pg = float_of_int (Time.to_ps cfg.ra_poll_gap) in
-          let ig = float_of_int (Time.to_ps cfg.ra_interrupt_gap) in
-          let h = cfg.ra_hysteresis in
-          let next : rx_mode =
-            match t.rx_mode_cur with
-            | `Poll ->
-                if e > pg *. h then if e >= ig then `Interrupt else `Hybrid else `Poll
-            | `Interrupt ->
-                if e < ig /. h then if e <= pg then `Poll else `Hybrid else `Interrupt
-            | `Hybrid -> if e <= pg then `Poll else if e >= ig then `Interrupt else `Hybrid
-          in
-          if next <> t.rx_mode_cur then begin
-            t.rx_mode_cur <- next;
-            Stats.Counter.incr t.s_rx_mode_switches;
-            trace t ~label:"rx-mode"
-              ~payload:(match next with `Interrupt -> 0 | `Hybrid -> 1 | `Poll -> 2)
-          end)
-
-(* Charge one host wakeup in the given mode, then [k]. Interrupt: the full
-   interrupt latency, stolen from a computing application. Poll: the host's
-   next ring check picks the frame up for a few cycles (stolen too when the
-   host was computing — unlike the hybrid, a fixed polling host checks the
-   ring even while it has useful work). Hybrid (the paper's section 2.1
-   policy): poll when the host is already waiting on the network, interrupt
-   otherwise. *)
-let charge_wakeup t (mode : rx_mode) k =
-  let p = t.p in
-  (match mode with
-  | `Interrupt -> Stats.Counter.incr t.s_mode_interrupt
-  | `Hybrid -> Stats.Counter.incr t.s_mode_hybrid
-  | `Poll -> Stats.Counter.incr t.s_mode_poll);
-  let interrupt () =
-    Stats.Counter.incr t.s_interrupts;
-    host_busy_then t p.Params.interrupt_latency (fun () ->
-        if not (t.host.host_waiting ()) then t.host.steal p.Params.interrupt_latency;
-        k ())
-  in
-  let poll () =
-    Stats.Counter.incr t.s_polls;
-    let d = Params.cpu_cycles p p.Params.poll_check_cycles in
-    Engine.after t.eng d (fun () ->
-        if not (t.host.host_waiting ()) then begin
-          t.host.overhead d;
-          t.host.steal d
-        end;
-        k ())
-  in
-  match mode with
-  | `Interrupt -> interrupt ()
-  | `Poll -> poll ()
-  | `Hybrid -> if t.host.host_waiting () then poll () else interrupt ()
-
-(* ADC delivery of one classified frame to host code. With [rx_batch = 1]
-   each frame pays its own wakeup (the seed behaviour). With coalescing,
-   frames are queued on the board and a single wakeup drains up to
-   [rx_batch] of them: frames arriving while the wakeup cost is still being
-   charged (e.g. during the 40 us interrupt latency) ride along for free.
-   Each drained frame runs its handler in its own fiber, so a handler that
-   blocks (a DSM server fault) cannot stall the rest of the batch. *)
-let rec rx_drain t =
-  charge_wakeup t (effective_mode t) (fun () ->
-      let n = ref 0 in
-      while !n < t.rx_batch && not (Queue.is_empty t.rx_queue) do
-        let handler, pkt = Queue.pop t.rx_queue in
-        if !n > 0 then Stats.Counter.incr t.s_rx_coalesced;
-        incr n;
-        Engine.spawn t.eng ~name:"nic-rx-deliver" (fun () ->
-            run_on_host t ~base:Time.zero ~reply_host_cycles:t.p.Params.adc_enqueue_cycles
-              handler pkt)
-      done;
-      if Queue.is_empty t.rx_queue then t.rx_wakeup_armed <- false else rx_drain t)
-
-let deliver_host t handler pkt =
-  note_rx_arrival t;
-  if t.rx_batch <= 1 then
-    charge_wakeup t (effective_mode t) (fun () ->
-        start_handler t (fun () ->
-            run_on_host t ~base:Time.zero ~reply_host_cycles:t.p.Params.adc_enqueue_cycles
-              handler pkt))
-  else begin
-    Queue.push (handler, pkt) t.rx_queue;
-    if not t.rx_wakeup_armed then begin
-      t.rx_wakeup_armed <- true;
-      stage t (fun () -> rx_drain t)
-    end
-  end
 
 (* The receive stages after reassembly, up to the frame's handler. *)
 let reassembled t (pkt : 'a Fabric.packet) =
@@ -758,15 +556,14 @@ let reassembled t (pkt : 'a Fabric.packet) =
                   nic_busy_then t (dispatch_time t) (fun () ->
                       start_handler t (fun () -> handler (board_ctx t) pkt))
                 else
-                  (* ADC delivery to host code: the wakeup policy (interrupt,
-                     poll, hybrid or adaptive) decides how the host learns of
-                     the frame *)
-                  deliver_host t handler pkt)
-        | `Osiris { software_classify_nic_cycles } ->
+                  (* ADC delivery to host code: the receive engine decides
+                     how the host learns of the frame *)
+                  Rx.deliver t.rx handler pkt)
+        | `Osiris ->
             (* the base board: ADC queues exist, but demultiplexing is software
                on the board processor and the host is interrupted for every
                packet (section 2.1's two differences from the CNI) *)
-            nic_busy_then t (Params.nic_cycles p software_classify_nic_cycles) (fun () ->
+            nic_busy_then t (Params.nic_cycles p osiris_classify_nic_cycles) (fun () ->
                 interrupt_host t ~cost:p.Params.interrupt_latency
                   ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt)
         | `Standard ->
@@ -810,22 +607,29 @@ let sender t cfg ~counter ~transmit ~retransmit =
 
 let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
   let p = Bus.params bus in
-  (match kind with `Cni o -> check_cni_options o | `Osiris _ | `Standard -> ());
+  let policy, batch =
+    match kind with
+    | `Cni { rx_policy; rx_batch; _ } -> (rx_policy, rx_batch)
+    | `Osiris | `Standard -> (Rx_interrupt, 1)
+  in
   let mc =
     match kind with
     | `Cni { mc_bytes; mc_mode; _ } when mc_bytes > 0 ->
         Some
           (Message_cache.create ?registry ~node ~page_bytes:p.Params.page_bytes
              ~capacity_bytes:mc_bytes ~mode:mc_mode ())
-    | `Cni _ | `Osiris _ | `Standard -> None
+    | `Cni _ | `Osiris | `Standard -> None
   in
   let counter name =
     match registry with
     | Some reg -> Stats.Registry.counter reg ~node ~subsystem:"nic" name
     | None -> Stats.Counter.create name
   in
-  let t =
-    {
+  let host_proc = Sync.Semaphore.create 1 and s_interrupts = counter "interrupts" in
+  (* the receive engine runs each frame it delivers in this board's host
+     context, so the board and its engine are built together *)
+  let rec board =
+    lazy {
       eng;
       bus;
       fabric;
@@ -839,7 +643,12 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       senders = [];
       nic_proc = Sync.Semaphore.create 1;
       tx_ring = Ring.create ?registry ~node ~slots:1 ();
-      host_proc = Sync.Semaphore.create 1;
+      host_proc;
+      rx =
+        Rx.create eng p ~node ~host ~host_proc ~interrupts:s_interrupts ~counter ~policy ~batch
+          ~run:(fun handler pkt ->
+            run_on_host (Lazy.force board) ~base:Time.zero
+              ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt);
       classifier = Classifier.create ();
       handler_sizes = Hashtbl.create 16;
       default_handler = (fun _ _ -> ());
@@ -850,18 +659,6 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       install_log = [];
       restarted_at = None;
       recovery_latencies = [];
-      rx_policy =
-        (match kind with
-        | `Cni { rx_policy; _ } -> rx_policy
-        | `Osiris _ | `Standard -> Rx_interrupt);
-      rx_batch = (match kind with `Cni { rx_batch; _ } -> rx_batch | `Osiris _ | `Standard -> 1);
-      rx_queue = Queue.create ();
-      rx_wakeup_armed = false;
-      rx_last_arrival = None;
-      rx_gap_ewma = None;
-      (* the adaptive policy starts conservatively: interrupts until traffic
-         proves hot *)
-      rx_mode_cur = `Interrupt;
       lazy_counters = Hashtbl.create 8;
       s_unmatched = counter "unmatched";
       s_tx_packets = counter "tx_packets";
@@ -869,16 +666,10 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       s_tx_dma_bytes = counter "tx_dma_bytes";
       s_rx_packets = counter "rx_packets";
       s_rx_dma_bytes = counter "rx_dma_bytes";
-      s_interrupts = counter "interrupts";
-      s_polls = counter "polls";
-      s_wasted_polls = counter "wasted_polls";
-      s_rx_coalesced = counter "rx_coalesced";
-      s_rx_mode_switches = counter "rx_mode_switches";
-      s_mode_interrupt = counter "rx_mode_interrupt_pkts";
-      s_mode_hybrid = counter "rx_mode_hybrid_pkts";
-      s_mode_poll = counter "rx_mode_poll_pkts";
+      s_interrupts;
     }
   in
+  let t = Lazy.force board in
   Option.iter
     (fun cfg ->
       let r_tx =
@@ -905,7 +696,7 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
 let install_raw t ~pattern ~code_bytes f =
   if code_bytes <= 0 then invalid_arg "Nic.install_handler: code_bytes must be positive";
   let mc_bytes =
-    match t.kind with `Cni { mc_bytes; _ } -> mc_bytes | `Osiris _ | `Standard -> 0
+    match t.kind with `Cni { mc_bytes; _ } -> mc_bytes | `Osiris | `Standard -> 0
   in
   let free = t.p.Params.nic_memory_bytes - mc_bytes - t.s_handler_code_bytes in
   if code_bytes > free then
@@ -954,9 +745,8 @@ let crash t ~scrub =
        timers dead; the sequence allocators, duplicate windows and peer
        epochs are host-resident too and survive (see {!Reliable}) *)
     List.iter (fun (Sender s) -> Reliable.Sender.park s) t.senders;
-    (* the receive-coalescing queue is the ADC receive ring, host-resident
-       like the descriptor rings; its frames were admitted (and acked) before
-       the crash, so it and the wakeup that drains it survive *)
+    (* [rx]'s coalescing queue is the host-resident ADC receive ring: its
+       frames were admitted and acked, so it and its wakeup survive *)
     t.restarted_at <- None;
     if scrub then begin
       t.scrubbed <- true;
@@ -1094,6 +884,7 @@ let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_w
 let aih_verify_rejects t = lvalue t "aih_verify_rejects"
 
 let stats t =
+  let r = Rx.stats t.rx in
   {
     tx_packets = Stats.Counter.value t.s_tx_packets;
     tx_data_packets = Stats.Counter.value t.s_tx_data_packets;
@@ -1101,16 +892,10 @@ let stats t =
     rx_packets = Stats.Counter.value t.s_rx_packets;
     rx_dma_bytes = Stats.Counter.value t.s_rx_dma_bytes;
     interrupts = Stats.Counter.value t.s_interrupts;
-    polls = Stats.Counter.value t.s_polls;
-    wasted_polls = Stats.Counter.value t.s_wasted_polls;
-    coalesced = Stats.Counter.value t.s_rx_coalesced;
-    mode_switches = Stats.Counter.value t.s_rx_mode_switches;
-    mode_interrupt = Stats.Counter.value t.s_mode_interrupt;
-    mode_hybrid = Stats.Counter.value t.s_mode_hybrid;
-    mode_poll = Stats.Counter.value t.s_mode_poll;
+    polls = r.Rx.polls; wasted_polls = r.Rx.wasted_polls; coalesced = r.Rx.coalesced;
+    mode_switches = r.Rx.mode_switches; mode_interrupt = r.Rx.mode_interrupt;
+    mode_hybrid = r.Rx.mode_hybrid; mode_poll = r.Rx.mode_poll;
     unmatched = Stats.Counter.value t.s_unmatched;
   }
 
-(* the wakeup mode a frame arriving now would be delivered with *)
-let rx_mode t : rx_mode =
-  match t.kind with `Cni _ -> effective_mode t | `Osiris _ | `Standard -> `Interrupt
+let rx_mode t = Rx.mode t.rx

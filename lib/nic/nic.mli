@@ -28,17 +28,10 @@
     header bit that asks the Message Cache to retain a binding. *)
 type data = No_data | Page of { vaddr : int; bytes : int; cacheable : bool }
 
-(** Callbacks into the owning node. *)
-type host = {
-  host_waiting : unit -> bool;
-      (** is the host application blocked on the network (polling)? *)
-  steal : Cni_engine.Time.t -> unit;
-      (** preempt the host CPU for this long (protocol service while the
-          application computes) *)
-  invalidate_range : addr:int -> bytes:int -> unit;
-      (** drop host cache lines overwritten by an incoming DMA *)
-  overhead : Cni_engine.Time.t -> unit;
-      (** account host-side protocol overhead *)
+(** Callbacks into the owning node (see {!Rx.host}). *)
+type host = Rx.host = {
+  host_waiting : unit -> bool; steal : Cni_engine.Time.t -> unit;
+  invalidate_range : addr:int -> bytes:int -> unit; overhead : Cni_engine.Time.t -> unit;
 }
 
 (** Context handed to the protocol handler for an incoming packet. *)
@@ -56,49 +49,16 @@ type 'a ctx = {
 
 type 'a t
 
-(** Tuning of the adaptive receive policy. The board tracks the mean packet
-    interarrival gap with an exponentially weighted moving average and picks
-    the wakeup mode from it: poll below [ra_poll_gap], interrupt above
-    [ra_interrupt_gap], the paper's hybrid in between. *)
-type rx_adaptive = {
-  ra_alpha : float;
-      (** EWMA weight of the newest gap, within (0, 1]; larger = faster
-          reaction, smaller = smoother estimate *)
-  ra_poll_gap : Cni_engine.Time.t;
-      (** mean gap at or below which the board selects poll mode (traffic is
-          hot; empty checks are rare) *)
-  ra_interrupt_gap : Cni_engine.Time.t;
-      (** mean gap at or above which the board selects interrupt mode (the
-          link is idle; polling would be all waste) *)
-  ra_hysteresis : float;
-      (** >= 1. Leaving a mode requires the estimate to cross its threshold
-          by this factor (e.g. 2.0: poll mode is left only once the mean gap
-          exceeds [2 * ra_poll_gap]), so one outlier gap cannot flap the
-          mode *)
+(** The receive engine's types; {!Rx} documents the wakeup policies. *)
+type rx_adaptive = Rx.adaptive = {
+  ra_alpha : float; ra_poll_gap : Cni_engine.Time.t;
+  ra_interrupt_gap : Cni_engine.Time.t; ra_hysteresis : float;
 }
 
-(** [alpha = 0.25], poll below a 20 us mean gap, interrupt above 160 us,
-    hysteresis 2.0. *)
 val default_rx_adaptive : rx_adaptive
 
-(** How the host learns of an incoming frame on the CNI's ADC delivery path
-    (host-resident handlers, i.e. [aih = false]; under AIH the host is not
-    woken at all and the policy is moot).
-
-    - [Rx_interrupt]: an interrupt per wakeup, whatever the host is doing —
-      the standard board's behaviour, kept as an ablation.
-    - [Rx_poll]: the host checks the receive ring every 5 us; cheap per
-      check, but checks that find nothing ({e wasted polls}) burn host
-      cycles whenever traffic is slower than that period.
-    - [Rx_hybrid]: the paper's section 2.1 policy — poll when the host is
-      already waiting on the network, interrupt when it is computing.
-    - [Rx_adaptive]: pick interrupt / hybrid / poll from the measured
-      arrival rate (see {!rx_adaptive}), approximating interrupt-cost
-      flatness under load without paying for polling when idle. *)
-type rx_policy = Rx_interrupt | Rx_poll | Rx_hybrid | Rx_adaptive of rx_adaptive
-
-(** The wakeup mode in force at one instant ({!rx_mode} reports it). *)
-type rx_mode = [ `Interrupt | `Hybrid | `Poll ]
+type rx_policy = Rx.policy = Rx_interrupt | Rx_poll | Rx_hybrid | Rx_adaptive of rx_adaptive
+type rx_mode = Rx.mode
 
 type cni_options = {
   mc_bytes : int;  (** Message Cache capacity; 0 disables it *)
@@ -109,27 +69,20 @@ type cni_options = {
       (** receive wakeup policy for host-resident handlers; default
           [Rx_hybrid] (the paper's design) *)
   rx_batch : int;
-      (** receive coalescing: one host wakeup drains up to this many queued
-          frames (frames arriving while the wakeup cost is still being
-          charged ride along). 1 (default) = one wakeup per frame *)
+      (** receive coalescing: the frames one host wakeup drains (see
+          {!Rx.deliver}); 1 (default) = one wakeup per frame *)
 }
 
 (** AIH on, full-size Message Cache in update mode, [Rx_hybrid] with no
     coalescing — the paper's CNI. *)
 val default_cni_options : cni_options
 
-type osiris_options = {
-  software_classify_nic_cycles : int;
-      (** per-packet software demultiplexing cost on the board processor *)
-}
-
-val default_osiris_options : osiris_options
-
 (** Which board a node carries: the paper's CNI, the OSIRIS base board it
     extends (section 2.1: Application Device Channels at user level, but
-    software demultiplexing on the board and an interrupt per packet towards
-    the host; no Message Cache, no AIH), or the standard interface. *)
-type kind = [ `Cni of cni_options | `Osiris of osiris_options | `Standard ]
+    software demultiplexing on the board — 120 NIC cycles a packet — and an
+    interrupt per packet towards the host; no Message Cache, no AIH), or
+    the standard interface. *)
+type kind = [ `Cni of cni_options | `Osiris | `Standard ]
 
 (** [create ~kind eng bus fabric ~node ~host] builds the interface of board
     [node] and attaches it to the fabric as that node's receiver.
@@ -148,8 +101,8 @@ type kind = [ `Cni of cni_options | `Osiris of osiris_options | `Standard ]
     With [reliability] absent the interface behaves exactly as before —
     the zero-loss fast path carries no cost.
 
-    @raise Invalid_argument on inconsistent {!cni_options} ([rx_batch < 1],
-    an adaptive policy whose thresholds or weights are out of range). *)
+    @raise Invalid_argument on inconsistent {!cni_options} (see
+    {!Rx.create}). *)
 val create :
   ?registry:Cni_engine.Stats.Registry.t ->
   ?reliability:Reliable.config ->
@@ -317,8 +270,7 @@ type stats = {
 val stats : 'a t -> stats
 
 (** The receive wakeup mode a frame arriving now would be delivered with:
-    the adaptive policy's current mode on a CNI board, the fixed policy's
-    mode otherwise ([`Interrupt] for OSIRIS/standard). *)
+    {!Rx.mode}, always [`Interrupt] on OSIRIS and standard boards. *)
 val rx_mode : 'a t -> rx_mode
 
 type rel_stats = {
@@ -357,10 +309,8 @@ val rx_crc_errors : 'a t -> int
     A frame the board has acked reaches its handler whatever crash follows,
     since its sender will never resend it. The board classifies a fresh
     frame as soon as it admits it, before paying the lookup's cost, so a
-    scrub during that wait cannot misroute it. The receive-coalescing queue
-    ([rx_batch] > 1) is the ADC receive ring, host-resident like the
-    descriptor rings: it survives the crash, and so does the wakeup that
-    drains it.
+    scrub during that wait cannot misroute it, and the receive engine's
+    coalescing queue survives the crash ({!Rx.deliver}).
 
     Reliable delivery has one crash rule, {!Reliable.Sender}'s: the ADC
     descriptor rings are host-resident, so the un-acked frames park, and so

@@ -101,7 +101,7 @@ module Sender = struct
     body : 'f;
     mutable tries : int;  (* transmissions so far *)
     mutable rto : Time.t;  (* next retransmission timeout *)
-    mutable live : bool;  (* pending with a timer armed; cleared by ack and park *)
+    mutable timer : int;  (* generation of the one timer that may act *)
   }
 
   type 'f t = {
@@ -131,13 +131,15 @@ module Sender = struct
 
   (* Arm (or re-arm) the retransmission timer of one pending frame.
      Exhausting the budget kills the run with a structured error in place of
-     a silent hang; a crashed destination is a diagnosis, not a timeout. *)
+     a silent hang; a crashed destination is a diagnosis, not a timeout.
+     Only the newest arm's timer acts: acks and parks move [timer] on too. *)
   let rec arm t e =
+    e.timer <- e.timer + 1;
+    let gen = e.timer in
     Engine.after t.eng e.rto (fun () ->
-        if e.live then
+        if e.timer = gen then
           if e.tries >= t.cfg.max_tries then begin
             Hashtbl.remove t.pending (e.dst, e.tag);
-            e.live <- false;
             let channel = (Wire.decode e.header).Wire.channel in
             let f = { node = t.node; dst = e.dst; channel; seq = e.seq; tries = e.tries } in
             let exn = if t.peer_down e.dst then Peer_dead f else Delivery_failed f in
@@ -173,30 +175,30 @@ module Sender = struct
     let tag = aux_of ~epoch:t.epoch ~seq in
     enter t ~send:true
       { dst; seq; stamped = true; tag; header = Wire.with_aux header tag; body;
-        tries = 1; rto = t.cfg.timeout; live = t.up }
+        tries = 1; rto = t.cfg.timeout; timer = 0 }
 
   let track t ~dst ~seq ~header body =
     enter t ~send:false
       { dst; seq; stamped = false; tag = seq; header; body; tries = 1; rto = t.cfg.timeout;
-        live = t.up }
+        timer = 0 }
 
   let find t ~dst ~tag = Hashtbl.find_opt t.pending (dst, tag)
 
   let settle t ~dst ~tag =
     match Hashtbl.find_opt t.pending (dst, tag) with
     | Some e as found ->
-        e.live <- false;
+        e.timer <- e.timer + 1;
         Hashtbl.remove t.pending (dst, tag);
         found
     | None -> None
 
-  (* The board's timers die with it, but the descriptors live in the
-     host-resident rings: clearing [live] kills a parked frame's timer. *)
+  (* The board's timers die with it (even one that fires after the restart
+     armed the next), but the descriptors live in the host-resident rings. *)
   let park t =
     t.up <- false;
     Hashtbl.iter
       (fun _ e ->
-        e.live <- false;
+        e.timer <- e.timer + 1;
         t.parked <- e :: t.parked)
       t.pending;
     Hashtbl.reset t.pending
@@ -216,7 +218,6 @@ module Sender = struct
           e.tag <- aux_of ~epoch ~seq:e.seq;
           e.header <- Wire.with_aux e.header e.tag
         end;
-        e.live <- true;
         e.tries <- 1;
         e.rto <- t.cfg.timeout;
         enter t e ~send:true)

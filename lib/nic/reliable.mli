@@ -102,7 +102,8 @@ module Sender : sig
     body : 'f;  (** the caller's rest of the frame *)
     mutable tries : int;
     mutable rto : Cni_engine.Time.t;  (** next retransmission timeout *)
-    mutable live : bool;  (** pending, timer armed *)
+    mutable timer : int;
+        (** the one timer that may act; each arm, ack and park moves it on *)
   }
 
   type 'f t

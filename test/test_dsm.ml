@@ -730,7 +730,7 @@ let datapath_rows =
     row "AIH off, adaptive wakeup, rx_batch 8"
       (`Cni { no_aih with Nic.rx_policy = Nic.Rx_adaptive Nic.default_rx_adaptive; rx_batch = 8 })
       [ 70_287_828_360; 38_477; 9; 1_264; 772; 327; 0; 0; 0 ];
-    row "OSIRIS board" (`Osiris Nic.default_osiris_options)
+    row "OSIRIS board" `Osiris
       [ 90_506_282_350; 37_150; 9; 2_392; 0; 0; 0; 0; 0 ];
     row "standard board" `Standard
       [ 98_029_180_716; 33_155; 9; 2_322; 0; 0; 0; 0; 0 ];

@@ -527,24 +527,22 @@ let test_fiber_exception_annotated () =
       checkb "name mentions fiber" true (String.length name >= 3 && String.sub name 0 3 = "bad")
   | exception e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
 
-let test_yield_interleaves () =
+(* [suspend]'s resume is lane-pushed: the fiber continues in an event of its
+   own, after the resuming event has finished, where an [await] would have
+   continued inside it *)
+let test_suspend_resumes_in_own_event () =
   let eng = Engine.create () in
-  let log = ref [] in
-  let fiber tag =
-    Engine.spawn eng (fun () ->
-        for i = 1 to 2 do
-          log := (tag, i) :: !log;
-          Engine.yield ()
-        done)
-  in
-  fiber "a";
-  fiber "b";
+  let resumer = ref ignore and resumer_done = ref false and seen = ref None in
+  Engine.spawn eng (fun () ->
+      Engine.suspend (fun r -> resumer := r);
+      seen := Some (!resumer_done, (Engine.run_stats eng).Engine.events_dispatched));
+  Engine.at eng (Time.ns 10) (fun () ->
+      !resumer ();
+      resumer_done := true);
   Engine.run eng;
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "round-robin"
-    [ ("a", 1); ("b", 1); ("a", 2); ("b", 2) ]
-    (List.rev !log)
+  (* events: the spawn, the resuming event, the resume *)
+  check Alcotest.(option (pair bool int)) "after its resumer, as the third event"
+    (Some (true, 3)) !seen
 
 let test_at_in_the_past_clamped () =
   let eng = Engine.create () in
@@ -624,7 +622,7 @@ let test_determinism () =
 
 (* Model test of dispatch order. A random program schedules events whose
    children land at [now], a little later, or in the past (clamped), and
-   spawns fibers that delay, yield, and suspend until an event resumes them.
+   spawns fibers that delay and suspend until an event resumes them.
    The reference is the definition of the engine's order: every event gets
    a label (time, scheduling order) when it is scheduled, and each dispatch
    must be the least label still pending, at that label's time. Offsets are
@@ -637,7 +635,6 @@ type prog_event =
 
 and prog_step =
   | Sleep of int  (* delay *)
-  | Yield_now
   | Wait of int  (* suspend; an event at now + offset resumes the fiber *)
   | Fork of prog_event
 
@@ -647,7 +644,6 @@ let rec show_event = function
 
 and show_step = function
   | Sleep d -> Printf.sprintf "Sleep %d" d
-  | Yield_now -> "Yield"
   | Wait off -> Printf.sprintf "Wait %d" off
   | Fork e -> "Fork " ^ show_event e
 
@@ -665,9 +661,8 @@ and gen_step depth =
   frequency
     [
       (3, map (fun d -> Sleep d) (int_bound 6));
-      (2, return Yield_now);
       (2, map (fun off -> Wait off) (int_range (-2) 6));
-      (1, if depth = 0 then return Yield_now else map (fun e -> Fork e) (gen_event (depth - 1)));
+      (1, if depth = 0 then return (Sleep 0) else map (fun e -> Fork e) (gen_event (depth - 1)));
     ]
 
 let run_program (roots, slices) =
@@ -708,10 +703,6 @@ let run_program (roots, slices) =
     | Sleep d ->
         let l = label (now () + d) in
         Engine.delay (Time.ps d);
-        dispatched l
-    | Yield_now ->
-        let l = label (now ()) in
-        Engine.yield ();
         dispatched l
     | Wait off ->
         let resume = ref ignore and woken = ref (0, 0) in
@@ -842,7 +833,6 @@ type wait_prog = { label : int; steps : wait_step list }
 and wait_step =
   | Hold of int * int  (* acquire semaphore i, hold it d ps, release *)
   | Pause of int
-  | Yield_step
   | Spawn_prog of wait_prog  (* a new program in an event of its own *)
   | Start_prog of wait_prog  (* a new program begun inside the current event *)
 
@@ -852,13 +842,12 @@ let rec show_wait_prog p =
 and show_wait_step = function
   | Hold (i, d) -> Printf.sprintf "Hold(%d,%d)" i d
   | Pause d -> Printf.sprintf "Pause %d" d
-  | Yield_step -> "Yield"
   | Spawn_prog p -> "Spawn " ^ show_wait_prog p
   | Start_prog p -> "Start " ^ show_wait_prog p
 
 let rec gen_wait_prog depth =
   let open QCheck.Gen in
-  let sub f = if depth = 0 then return Yield_step else map f (gen_wait_prog (depth - 1)) in
+  let sub f = if depth = 0 then return (Pause 0) else map f (gen_wait_prog (depth - 1)) in
   map
     (fun steps -> { label = 0; steps })
     (list_size (int_bound 4)
@@ -866,7 +855,6 @@ let rec gen_wait_prog depth =
           [
             (4, map2 (fun i d -> Hold (i, d)) (int_bound 1) (int_bound 5));
             (1, map (fun d -> Pause d) (int_bound 5));
-            (1, return Yield_step);
             (1, sub (fun p -> Spawn_prog p));
             (1, sub (fun p -> Start_prog p));
           ]))
@@ -881,7 +869,7 @@ let label_progs progs =
   and step = function
     | Spawn_prog p -> Spawn_prog (prog p)
     | Start_prog p -> Start_prog (prog p)
-    | (Hold _ | Pause _ | Yield_step) as s -> s
+    | (Hold _ | Pause _) as s -> s
   in
   List.map prog progs
 
@@ -918,7 +906,6 @@ let run_waits mode (progs, counts) =
             if mode = Suspend_waits then Suspend_semaphore.release old_sems.(i)
             else Sync.Semaphore.release sems.(i)
         | Pause d -> Engine.delay (Time.ps d)
-        | Yield_step -> Engine.yield ()
         | Spawn_prog c -> Engine.spawn eng (fun () -> fiber c)
         | Start_prog c -> Engine.start eng (fun () -> fiber c));
         note p.label)
@@ -938,7 +925,6 @@ let run_waits mode (progs, counts) =
                     Sync.Semaphore.release sems.(i);
                     next ()))
         | Pause d -> Engine.after eng (Time.ps d) next
-        | Yield_step -> Engine.at eng (Engine.now eng) next
         | Spawn_prog c ->
             Engine.at eng (Engine.now eng) (fun () -> callbacks c);
             next ()
@@ -1047,7 +1033,8 @@ let () =
           Alcotest.test_case "suspend/resume" `Quick test_fiber_suspend_resume;
           Alcotest.test_case "double resume raises" `Quick test_double_resume_raises;
           Alcotest.test_case "exceptions annotated" `Quick test_fiber_exception_annotated;
-          Alcotest.test_case "yield interleaves" `Quick test_yield_interleaves;
+          Alcotest.test_case "suspend resumes in an event of its own" `Quick
+            test_suspend_resumes_in_own_event;
           Alcotest.test_case "delay allocates at most 10 words per event" `Quick
             test_fiber_delay_alloc;
         ] );

@@ -363,6 +363,37 @@ let test_link_down_recovery () =
   checki "message arrived after the outage" 99 !got;
   checkb "delivery needed retransmissions" true (Cluster.retransmits cluster > 0)
 
+(* A retransmit timer armed before a crash never fires after the restart.
+   Node 1 is down from 1 to 3000 us, so the frame node 0 posts at t = 0
+   needs two retransmissions. When node 0 itself crashes from 50 to 300 us,
+   the restart re-sends the frame and arms a fresh timer; the pre-crash
+   timer, still queued, must not start a second retransmission chain that
+   spends the same retry budget. *)
+let test_timer_dies_with_its_crash () =
+  let down ~node ~from_us ~upto_us =
+    [
+      { Faults.e_at = Time.us from_us; e_node = node; e_fault = Faults.Crash { scrub = false } };
+      { Faults.e_at = Time.us upto_us; e_node = node; e_fault = Faults.Restart };
+    ]
+  in
+  let receiver_down = down ~node:1 ~from_us:1 ~upto_us:3_000 in
+  List.iter
+    (fun (label, schedule) ->
+      let faults = { Faults.none with Faults.schedule } in
+      let cluster : int Mp.envelope Cluster.t = Cluster.create ~faults ~nic_kind:cni ~nodes:2 () in
+      let eps = Mp.install cluster in
+      let got = ref [] in
+      Cluster.run_app cluster (fun node ->
+          let ep = eps.(Node.id node) in
+          if Mp.rank ep = 0 then Mp.send ep ~dst:1 ~tag:1 99
+          else got := (Mp.recv ep ~tag:1 ()).Mp.value :: !got);
+      check Alcotest.(list int) (label ^ ": delivered exactly once") [ 99 ] !got;
+      checki (label ^ ": retransmissions") 2 (Cluster.retransmits cluster))
+    [
+      ("receiver down", receiver_down);
+      ("sender crashed meanwhile", receiver_down @ down ~node:0 ~from_us:50 ~upto_us:300);
+    ]
+
 let test_permanent_outage_fails_structurally () =
   (* a link that never comes back: the sender must surface Delivery_failed
      once its retry budget is exhausted, not hang the simulation *)
@@ -418,6 +449,8 @@ let () =
           Alcotest.test_case "zero-fault path costs nothing" `Quick
             test_zero_fault_path_costs_nothing;
           Alcotest.test_case "link-down recovery" `Quick test_link_down_recovery;
+          Alcotest.test_case "a timer armed before a crash stays dead" `Quick
+            test_timer_dies_with_its_crash;
           Alcotest.test_case "permanent outage fails structurally" `Quick
             test_permanent_outage_fails_structurally;
         ] );

@@ -591,7 +591,7 @@ let test_nic_board_memory_reclamation () =
 let test_osiris_profile () =
   (* OSIRIS: user-level sends (no kernel), but an interrupt per packet and a
      DMA for every transfer *)
-  let cluster, lat = run_sends ~kind:(`Osiris Nic.default_osiris_options) ~bytes:2048 ~count:3 in
+  let cluster, lat = run_sends ~kind:`Osiris ~bytes:2048 ~count:3 in
   (match lat with
   | [ l1; l2; l3 ] ->
       checki "no warm-up effect (no Message Cache)" (Time.to_ps l1) (Time.to_ps l2);
@@ -608,7 +608,7 @@ let test_osiris_cheaper_than_standard () =
     let _, lat = run_sends ~kind ~bytes:512 ~count:1 in
     List.hd lat
   in
-  let o = one (`Osiris Nic.default_osiris_options) and s = one `Standard in
+  let o = one `Osiris and s = one `Standard in
   checkb "user-level send beats kernel path" true (Time.to_ps o < Time.to_ps s)
 
 (* Host time a computing receiver loses to [paced_frames] frames: node 0
@@ -645,7 +645,7 @@ let test_one_interrupt_per_frame () =
   let p = Params.default in
   let interrupt = Time.to_ps p.Params.interrupt_latency in
   checki "OSIRIS: one interrupt latency per frame" (paced_frames * interrupt)
-    (stolen_host_ps (`Osiris Nic.default_osiris_options));
+    (stolen_host_ps `Osiris);
   checki "CNI, interrupt-only host handlers: the same" (paced_frames * interrupt)
     (stolen_host_ps
        (`Cni { Nic.default_cni_options with Nic.aih = false; rx_policy = Nic.Rx_interrupt }));
@@ -837,6 +837,121 @@ let test_adc_board_memory () =
   Adc.close ch;
   checki "close reclaims the segment" before (Nic.handler_code_bytes nic)
 
+(* ------------------------------------------------------------------ *)
+(* Receive engine decisions, without a cluster, engine or fiber         *)
+(* ------------------------------------------------------------------ *)
+
+module Rx = Cni_nic.Rx
+
+(* The policy as DESIGN.md section 3a states it, transcribed apart from Rx:
+   the estimate e <- alpha*g + (1-alpha)*e, starting at the first gap;
+   poll when e <= the poll gap, interrupt when e >= the interrupt gap,
+   hybrid between, except that poll mode is left only above poll gap * h
+   and interrupt mode only below interrupt gap / h; floor(g / 5 us) - 1
+   wasted polls, in poll mode only; a hybrid wake polls exactly when the
+   host waits. *)
+module Design_3a = struct
+  let ewma (a : Rx.adaptive) prev g =
+    match prev with None -> g | Some e -> (a.Rx.ra_alpha *. g) +. ((1. -. a.Rx.ra_alpha) *. e)
+
+  let mode (a : Rx.adaptive) (cur : Rx.mode) e : Rx.mode =
+    let pg = float_of_int (Time.to_ps a.Rx.ra_poll_gap)
+    and ig = float_of_int (Time.to_ps a.Rx.ra_interrupt_gap)
+    and h = a.Rx.ra_hysteresis in
+    match cur with
+    | `Poll when e <= pg *. h -> `Poll
+    | `Interrupt when e >= ig /. h -> `Interrupt
+    | _ -> if e <= pg then `Poll else if e >= ig then `Interrupt else `Hybrid
+
+  let wasted (cur : Rx.mode) g = if cur = `Poll then max 0 ((g / Time.to_ps (Time.us 5)) - 1) else 0
+
+  let wake (cur : Rx.mode) waiting =
+    match cur with
+    | `Hybrid -> if waiting then `Poll else `Interrupt
+    | (`Poll | `Interrupt) as m -> m
+end
+
+let modes : Rx.mode list = [ `Interrupt; `Hybrid; `Poll ]
+
+let show_mode = function `Interrupt -> "interrupt" | `Hybrid -> "hybrid" | `Poll -> "poll"
+
+let gen_adaptive =
+  QCheck.Gen.(
+    map4
+      (fun ra_alpha poll_us span_us ra_hysteresis ->
+        { Rx.ra_alpha; ra_poll_gap = Time.us poll_us;
+          ra_interrupt_gap = Time.us (poll_us + span_us); ra_hysteresis })
+      (oneof [ return 1.0; float_range 0.01 1.0 ])
+      (int_range 1 100) (int_range 1 400)
+      (oneof [ return 1.0; float_range 1.0 4.0 ]))
+
+(* a gap in ps: zero, 1 ns to 2 ms (log-uniform), or an outlier up to 1 s *)
+let gen_gap =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return 0);
+        (8, map (fun x -> int_of_float (1e3 *. (2e6 ** x))) (float_bound_inclusive 1.0));
+        (1, int_range 2_000_000_000 1_000_000_000_000);
+      ])
+
+let show_adaptive (a : Rx.adaptive) =
+  Printf.sprintf "alpha=%g poll=%dps interrupt=%dps h=%g" a.Rx.ra_alpha
+    (Time.to_ps a.Rx.ra_poll_gap) (Time.to_ps a.Rx.ra_interrupt_gap) a.Rx.ra_hysteresis
+
+(* Streams of steady phases (one gap repeated) move the estimate through
+   every regime; each step checks every decision against the reference. *)
+let rx_decisions_follow_design =
+  let gen =
+    QCheck.Gen.(
+      pair gen_adaptive
+        (map List.concat
+           (list_size (int_range 1 12)
+              (map2 (fun g n -> List.init n (fun _ -> g)) gen_gap (int_range 1 12)))))
+  in
+  let print (a, gaps) =
+    Printf.sprintf "%s gaps=[%s]" (show_adaptive a)
+      (String.concat ";" (List.map string_of_int gaps))
+  in
+  QCheck.Test.make ~name:"rx decisions follow DESIGN 3a" ~count:500 (QCheck.make ~print gen)
+    (fun (a, gaps) ->
+      let step (mode, est, ok) g =
+        let e = Rx.ewma a est ~gap_ps:g in
+        let next = Rx.next_mode a mode e in
+        let agree =
+          e = Design_3a.ewma a est (float_of_int g)
+          && next = Design_3a.mode a mode e
+          && List.for_all
+               (fun m ->
+                 let w = Rx.wasted_polls m ~gap_ps:g in
+                 w >= 0 && w = Design_3a.wasted m g
+                 && List.for_all
+                      (fun waiting -> Rx.wake_kind m ~waiting = Design_3a.wake m waiting)
+                      [ true; false ])
+               modes
+        in
+        (next, Some e, ok && agree)
+      in
+      let _, _, ok = List.fold_left step (`Interrupt, None, true) gaps in
+      ok)
+
+let rx_constant_gap_switches_once =
+  let print (a, g) = Printf.sprintf "%s gap=%dps" (show_adaptive a) g in
+  QCheck.Test.make ~name:"rx mode under a constant gap switches at most once" ~count:500
+    (QCheck.make ~print QCheck.Gen.(pair gen_adaptive gen_gap))
+    (fun (a, g) ->
+      let rec go n mode est trail =
+        if n = 0 then
+          List.length trail <= 2
+          || QCheck.Test.fail_reportf "modes %s"
+               (String.concat " -> " (List.rev_map show_mode trail))
+        else
+          let e = Rx.ewma a est ~gap_ps:g in
+          let next = Rx.next_mode a mode e in
+          go (n - 1) next (Some e) (if next <> mode then next :: trail else trail)
+      in
+      go 300 `Interrupt None [ `Interrupt ])
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "nic"
@@ -896,6 +1011,7 @@ let () =
             test_one_interrupt_per_frame;
           Alcotest.test_case "MC hit ratio on empty" `Quick test_mc_hit_ratio_empty;
         ] );
+      ("rx", [ qc rx_decisions_follow_design; qc rx_constant_gap_switches_once ]);
       ( "adc",
         [
           Alcotest.test_case "roundtrip in order" `Quick test_adc_roundtrip;
