@@ -47,17 +47,25 @@ let zero_alloc_contract = [ "trace: 10k emit (disabled)"; "cache: 10k line acces
 
 let substrate_tests () =
   let open Bechamel in
-  (* fixed-instruction-count integer spin: pure ALU work whose time depends
-     only on the machine's speed, used by --compare to rescale a baseline
-     recorded on a different machine (Bench_baseline.calibration_name) *)
+  (* the machine-speed anchor --compare rescales a baseline by
+     (Bench_baseline.calibration_name): hash-table updates and short-lived
+     list cells, the same mix of memory traffic and minor-heap allocation as
+     the simulator, so a machine that slows the simulator slows the anchor
+     with it (a pure integer spin barely moves when the simulator slows by
+     2x) *)
   let calibration =
     Test.make ~name:Baseline.calibration_name
       (Staged.stage (fun () ->
-           let acc = ref 0 in
-           for i = 1 to 1_000_000 do
-             acc := (!acc + i) * 0x9E3779B1 land max_int
+           let h = Hashtbl.create 4096 in
+           for i = 1 to 200_000 do
+             Hashtbl.replace h (i * 7919 land 4095) i
            done;
-           ignore (Sys.opaque_identity !acc)))
+           let rec cells n acc = if n = 0 then acc else cells (n - 1) (n :: acc) in
+           let total = ref 0 in
+           for _ = 1 to 100_000 do
+             total := !total + List.length (Sys.opaque_identity (cells 10 []))
+           done;
+           ignore (Sys.opaque_identity (Hashtbl.length h + !total))))
   in
   let engine_events =
     Test.make ~name:"engine: 10k timer events"

@@ -39,6 +39,7 @@ type 'a t = {
   (* one banyan model per switch (pow2-rounded internals), with mutable
      occupancy state the timing walk updates synchronously: *)
   models : Switch.t array;
+  walk : Topology.Walk.t;  (* the one route cursor; a walk runs within one event *)
   out_free : Time.t array array;  (* per switch, per output port *)
   wire_free : Time.t array array;  (* per switch, [stage * ports + wire] *)
   single : bool;  (* one switch: take the literal seed timing path *)
@@ -133,6 +134,7 @@ let create ?registry ?faults ?(topology = Topology.Single) eng p ~nodes =
       n = nodes;
       topo;
       models;
+      walk = Topology.Walk.create topo;
       out_free =
         Array.init switches (fun i -> Array.make (Topology.switch_ports topo i) Time.zero);
       wire_free =
@@ -205,20 +207,20 @@ let path_latency t ~src ~dst ~bytes =
 let count_single_conflicts t ~eta ~ser pkt =
   let m = t.models.(0) in
   let ports = Switch.ports m in
-  let wires = Switch.route m ~src:pkt.src ~dst:pkt.dst in
   let wf = t.wire_free.(0) in
   let enter = Time.(eta - ser) in
-  let last_stage = Array.length wires - 1 in
+  let last_stage = Switch.stages m - 1 in
   let conflicted = ref false in
-  Array.iteri
-    (fun stage w ->
-      let idx = (stage * ports) + w in
-      (* the final stage's wire is the output port itself: contention there
-         is ingress-port queueing, which the seed model already charges —
-         only earlier stages are internal banyan blocking *)
-      if stage < last_stage && wf.(idx) > enter then conflicted := true;
-      wf.(idx) <- eta)
-    wires;
+  let w = ref pkt.src in
+  for stage = 0 to last_stage do
+    w := Switch.next_wire m ~stage ~wire:!w ~dst:pkt.dst;
+    let idx = (stage * ports) + !w in
+    (* the final stage's wire is the output port itself: contention there
+       is ingress-port queueing, which the seed model already charges —
+       only earlier stages are internal banyan blocking *)
+    if stage < last_stage && wf.(idx) > enter then conflicted := true;
+    wf.(idx) <- eta
+  done;
   if !conflicted then t.s_banyan_conflicts <- t.s_banyan_conflicts + 1
 
 (* Multi-switch path: walk the route hop by hop with cut-through at every
@@ -230,46 +232,54 @@ let count_single_conflicts t ~eta ~ser pkt =
    compounds into every later hop. Returns the last-bit arrival time at the
    destination NIC. *)
 let traverse t ~now ~ser pkt =
-  let hops = Topology.route t.topo ~src:pkt.src ~dst:pkt.dst in
+  let walk = t.walk in
+  Topology.Walk.start walk ~src:pkt.src ~dst:pkt.dst;
   let last = ref now in
-  Array.iter
-    (fun { Topology.h_switch; h_in; h_out } ->
-      let arrive = Time.(!last + t.p.Params.link_latency + t.p.Params.switch_latency) in
-      let earliest = Time.(arrive - ser) in
-      let m = t.models.(h_switch) in
-      let ports = Switch.ports m in
-      let wires = Switch.route m ~src:h_in ~dst:h_out in
-      let wf = t.wire_free.(h_switch) in
-      let last_stage = Array.length wires - 1 in
-      (* split the gates: the final stage's wire is the output port itself,
-         so wires before it measure internal banyan blocking while the port
-         (+ its wire) measures output contention *)
-      let internal_gate = ref Time.zero in
-      let wire_gate = ref Time.zero in
-      Array.iteri
-        (fun stage w ->
-          let idx = (stage * ports) + w in
-          if wf.(idx) > !wire_gate then wire_gate := wf.(idx);
-          if stage < last_stage && wf.(idx) > !internal_gate then
-            internal_gate := wf.(idx))
-        wires;
-      let out_gate = t.out_free.(h_switch).(h_out) in
-      let start = Time.max earliest (Time.max out_gate !wire_gate) in
-      if start > earliest then begin
-        t.s_hop_waits <- t.s_hop_waits + 1;
-        (* the label is built only when it will be written *)
-        if Trace.enabled_cat Trace.Atm then
-          emit t ~node:pkt.src
-            ~label:(Printf.sprintf "hop-wait sw=%d out=%d" h_switch h_out)
-            ~payload:(Time.to_ps Time.(start - earliest))
-      end;
-      if !internal_gate > earliest then
-        t.s_banyan_conflicts <- t.s_banyan_conflicts + 1;
-      let finish = Time.(start + ser) in
-      t.out_free.(h_switch).(h_out) <- finish;
-      Array.iteri (fun stage w -> wf.((stage * ports) + w) <- finish) wires;
-      last := finish)
-    hops;
+  let more = ref true in
+  while !more do
+    let h_switch = Topology.Walk.switch walk
+    and h_in = Topology.Walk.in_port walk
+    and h_out = Topology.Walk.out_port walk in
+    let arrive = Time.(!last + t.p.Params.link_latency + t.p.Params.switch_latency) in
+    let earliest = Time.(arrive - ser) in
+    let m = t.models.(h_switch) in
+    let ports = Switch.ports m in
+    let wf = t.wire_free.(h_switch) in
+    let last_stage = Switch.stages m - 1 in
+    (* split the gates: the final stage's wire is the output port itself,
+       so wires before it measure internal banyan blocking while the port
+       (+ its wire) measures output contention *)
+    let internal_gate = ref Time.zero in
+    let wire_gate = ref Time.zero in
+    let w = ref h_in in
+    for stage = 0 to last_stage do
+      w := Switch.next_wire m ~stage ~wire:!w ~dst:h_out;
+      let busy = wf.((stage * ports) + !w) in
+      if busy > !wire_gate then wire_gate := busy;
+      if stage < last_stage && busy > !internal_gate then internal_gate := busy
+    done;
+    let out_gate = t.out_free.(h_switch).(h_out) in
+    let start = Time.max earliest (Time.max out_gate !wire_gate) in
+    if start > earliest then begin
+      t.s_hop_waits <- t.s_hop_waits + 1;
+      (* the label is built only when it will be written *)
+      if Trace.enabled_cat Trace.Atm then
+        emit t ~node:pkt.src
+          ~label:(Printf.sprintf "hop-wait sw=%d out=%d" h_switch h_out)
+          ~payload:(Time.to_ps Time.(start - earliest))
+    end;
+    if !internal_gate > earliest then t.s_banyan_conflicts <- t.s_banyan_conflicts + 1;
+    let finish = Time.(start + ser) in
+    t.out_free.(h_switch).(h_out) <- finish;
+    (* the same wires again, now held until the last bit is through *)
+    w := h_in;
+    for stage = 0 to last_stage do
+      w := Switch.next_wire m ~stage ~wire:!w ~dst:h_out;
+      wf.((stage * ports) + !w) <- finish
+    done;
+    last := finish;
+    more := Topology.Walk.next walk
+  done;
   Time.(!last + t.p.Params.link_latency)
 
 (* A frame dies at [node]'s end when that node is down, or its link is
@@ -293,61 +303,61 @@ let lost t ~node ~peer ~at =
    destination's ingress port. *)
 let transit t pkt ~cells ~wire ~ser verdict =
   let egress = t.egress.(pkt.src) in
-  Sync.Semaphore.acquire_then t.eng egress (fun () ->
-      Engine.after t.eng ser (fun () ->
-          Sync.Semaphore.release egress;
-          (* last bit has left the source; it reaches the destination after
-             the switch(es) and links. Cut-through reception: the ingress
-             port was receiving while we were serialising, unless it was
-             busy. *)
-          let now = Engine.now t.eng in
-          let eta =
-            if t.single then begin
-              let eta =
-                Time.(now + t.p.Params.switch_latency + (t.p.Params.link_latency * 2))
-              in
-              count_single_conflicts t ~eta ~ser pkt;
-              eta
-            end
-            else traverse t ~now ~ser pkt
+  let serialised () =
+    Sync.Semaphore.release egress;
+    (* last bit has left the source; it reaches the destination after the
+       switch(es) and links. Cut-through reception: the ingress port was
+       receiving while we were serialising, unless it was busy. *)
+    let now = Engine.now t.eng in
+    let eta =
+      if t.single then begin
+        let eta = Time.(now + t.p.Params.switch_latency + (t.p.Params.link_latency * 2)) in
+        count_single_conflicts t ~eta ~ser pkt;
+        eta
+      end
+      else traverse t ~now ~ser pkt
+    in
+    (* checked when the last bit arrives: a node that crashed while the
+       frame was in flight loses it at its dead ingress port *)
+    if not (lost t ~node:pkt.dst ~peer:pkt.src ~at:eta) then
+      match verdict with
+      | Faults.Drop ->
+          Stats.Counter.incr (counter t ~node:pkt.src "fault_frame_drops");
+          emit t ~node:pkt.src ~label:"fault-drop" ~payload:pkt.dst
+      | Faults.Lose_cells n ->
+          (* an incomplete frame never completes AAL5 reassembly at the
+             receiver; it dies without occupying the ingress port *)
+          Stats.Counter.add (counter t ~node:pkt.src "fault_cells_lost") n;
+          Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_lost");
+          emit t ~node:pkt.src ~label:"fault-cell-loss" ~payload:n
+      | (Faults.Pass | Faults.Corrupt _) as v ->
+          let pkt =
+            match v with
+            | Faults.Corrupt n ->
+                Stats.Counter.add (counter t ~node:pkt.src "fault_cells_corrupted") n;
+                Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_corrupted");
+                emit t ~node:pkt.src ~label:"fault-corrupt" ~payload:n;
+                { pkt with crc_ok = false }
+            | _ -> pkt
           in
-          (* checked when the last bit arrives: a node that crashed while the
-             frame was in flight loses it at its dead ingress port *)
-          if not (lost t ~node:pkt.dst ~peer:pkt.src ~at:eta) then
-            match verdict with
-            | Faults.Drop ->
-                Stats.Counter.incr (counter t ~node:pkt.src "fault_frame_drops");
-                emit t ~node:pkt.src ~label:"fault-drop" ~payload:pkt.dst
-            | Faults.Lose_cells n ->
-                (* an incomplete frame never completes AAL5 reassembly at the
-                   receiver; it dies without occupying the ingress port *)
-                Stats.Counter.add (counter t ~node:pkt.src "fault_cells_lost") n;
-                Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_lost");
-                emit t ~node:pkt.src ~label:"fault-cell-loss" ~payload:n
-            | (Faults.Pass | Faults.Corrupt _) as v ->
-                let pkt =
-                  match v with
-                  | Faults.Corrupt n ->
-                      Stats.Counter.add (counter t ~node:pkt.src "fault_cells_corrupted") n;
-                      Stats.Counter.incr (counter t ~node:pkt.src "fault_frames_corrupted");
-                      emit t ~node:pkt.src ~label:"fault-corrupt" ~payload:n;
-                      { pkt with crc_ok = false }
-                  | _ -> pkt
-                in
-                let start_recv = Time.max Time.(eta - ser) t.ingress_free.(pkt.dst) in
-                let finish = Time.(start_recv + ser) in
-                t.ingress_free.(pkt.dst) <- finish;
-                Engine.after t.eng Time.(finish - now) (fun () ->
-                    (* re-check liveness at delivery time: when the ingress
-                       port was busy, [finish > eta] and the node may have
-                       crashed (or its link gone down) while the frame
-                       queued — it must not be delivered then *)
-                    if not (lost t ~node:pkt.dst ~peer:pkt.src ~at:finish) then begin
-                      t.s_delivered_packets <- t.s_delivered_packets + 1;
-                      t.s_delivered_cells <- t.s_delivered_cells + cells;
-                      t.s_delivered_wire_bytes <- t.s_delivered_wire_bytes + wire;
-                      t.receivers.(pkt.dst) pkt
-                    end)))
+          let start_recv = Time.max Time.(eta - ser) t.ingress_free.(pkt.dst) in
+          let finish = Time.(start_recv + ser) in
+          t.ingress_free.(pkt.dst) <- finish;
+          Engine.after t.eng Time.(finish - now) (fun () ->
+              (* re-check liveness at delivery time: when the ingress port
+                 was busy, [finish > eta] and the node may have crashed (or
+                 its link gone down) while the frame queued — it must not be
+                 delivered then *)
+              if not (lost t ~node:pkt.dst ~peer:pkt.src ~at:finish) then begin
+                t.s_delivered_packets <- t.s_delivered_packets + 1;
+                t.s_delivered_cells <- t.s_delivered_cells + cells;
+                t.s_delivered_wire_bytes <- t.s_delivered_wire_bytes + wire;
+                t.receivers.(pkt.dst) pkt
+              end)
+  in
+  (* a free egress link starts serialising here, with no acquire closure *)
+  if Sync.Semaphore.try_acquire egress then Engine.after t.eng ser serialised
+  else Sync.Semaphore.acquire_then t.eng egress (fun () -> Engine.after t.eng ser serialised)
 
 let send t pkt =
   if pkt.src < 0 || pkt.src >= t.n then invalid_arg "Fabric.send: src out of range";

@@ -82,8 +82,15 @@ let judge t ~cells =
         | n when n > 0 -> Corrupt n
         | _ -> Pass)
 
-let link_down t ~node ~now =
-  List.exists (fun w -> w.w_node = node && now >= w.w_from && now < w.w_upto) t.windows
+(* a plain recursion, not [List.exists]: the fabric asks on every frame,
+   and a closure over [node] and [now] would be allocated each time *)
+let rec down_in windows ~node ~now =
+  match windows with
+  | [] -> false
+  | w :: rest ->
+      (w.w_node = node && now >= w.w_from && now < w.w_upto) || down_in rest ~node ~now
+
+let link_down t ~node ~now = down_in t.windows ~node ~now
 
 (* ------------------------------------------------------------------ *)
 (* Node-fault schedule                                                 *)

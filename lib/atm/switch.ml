@@ -10,17 +10,18 @@ let create ~ports =
 let ports t = t.ports
 let stages t = t.stages
 
+(* perfect shuffle then exchange on destination bit (k-1-stage) *)
+let next_wire t ~stage ~wire ~dst =
+  let k = t.stages in
+  let shuffled = ((wire lsl 1) lor (wire lsr (k - 1))) land (t.ports - 1) in
+  shuffled land lnot 1 lor ((dst lsr (k - 1 - stage)) land 1)
+
 let route t ~src ~dst =
   if src < 0 || src >= t.ports then invalid_arg "Switch.route: src out of range";
   if dst < 0 || dst >= t.ports then invalid_arg "Switch.route: dst out of range";
-  let k = t.stages in
-  let mask = t.ports - 1 in
   let w = ref src in
-  Array.init k (fun s ->
-      (* perfect shuffle then exchange on destination bit (k-1-s) *)
-      let shuffled = ((!w lsl 1) lor (!w lsr (k - 1))) land mask in
-      let bit = (dst lsr (k - 1 - s)) land 1 in
-      w := shuffled land lnot 1 lor bit;
+  Array.init t.stages (fun stage ->
+      w := next_wire t ~stage ~wire:!w ~dst;
       !w)
 
 let conflict t (s1, d1) (s2, d2) =

@@ -20,6 +20,12 @@ val stages : t -> int
     @raise Invalid_argument if [src] or [dst] is out of range. *)
 val route : t -> src:int -> dst:int -> int array
 
+(** [next_wire t ~stage ~wire ~dst] is the wire occupied after [stage],
+    entered on [wire] (the source port for stage 0): element [i] of
+    {!route}'s array, by the same formula, for walking the stages without
+    allocating. Inputs are not checked. *)
+val next_wire : t -> stage:int -> wire:int -> dst:int -> int
+
 (** [conflict t (s1, d1) (s2, d2)] is [true] when the two routes contend for
     the same output wire of some internal element (the classic banyan
     blocking condition). Distinct destinations can still conflict. *)

@@ -20,6 +20,7 @@ type t = {
   models : Switch.t array;  (* banyan internals, pow2-rounded, per switch *)
   link_count : int;
   max_hops : int;
+  coords : int array;  (* torus: router [i]'s coordinate in [dim] at [3 * i + dim] *)
 }
 
 let kind t = t.kind
@@ -110,6 +111,7 @@ let single ~nodes =
     models = models_of [| nodes |];
     link_count = nodes;
     max_hops = 1;
+    coords = [||];
   }
 
 let fat_tree ?(leaf_radix = 16) ~nodes () =
@@ -126,6 +128,7 @@ let fat_tree ?(leaf_radix = 16) ~nodes () =
       models = models_of [| nodes |];
       link_count = nodes;
       max_hops = 1;
+      coords = [||];
     }
   else begin
     let spines = d in
@@ -142,6 +145,7 @@ let fat_tree ?(leaf_radix = 16) ~nodes () =
       models = models_of ports;
       link_count = nodes + (leaves * spines);
       max_hops = 3;
+      coords = [||];
     }
   end
 
@@ -161,6 +165,10 @@ let torus ?dims ~nodes () =
     models = models_of ports;
     link_count = nodes + ring_links dx + ring_links dy + ring_links dz;
     max_hops = 1 + (dx / 2) + (dy / 2) + (dz / 2);
+    coords =
+      Array.init (3 * nodes) (fun j ->
+          let i = j / 3 in
+          match j mod 3 with 0 -> i mod dx | 1 -> i / dx mod dy | _ -> i / (dx * dy));
   }
 
 let of_kind kind ~nodes =
@@ -228,6 +236,138 @@ let route t ~src ~dst =
       Array.of_list (List.rev !acc)
 
 let hops t ~src ~dst = Array.length (route t ~src ~dst)
+
+(* The same routes as [route], one hop at a time and allocating nothing:
+   the fabric walks every frame's route through here. A torus hop moves
+   one step along a ring by a coordinate-table lookup and a stride, with no
+   division. *)
+module Walk = struct
+  type topo = t
+
+  type t = {
+    topo : topo;
+    mutable switch : int;
+    mutable in_port : int;
+    mutable out_port : int;
+    mutable last : bool;  (* the current hop is the route's final one *)
+    mutable dst : int;
+    (* torus: the ring being walked, its direction and the steps left on it
+       after this hop; fat-tree: [dim] counts the hops taken and [left] is
+       the destination's leaf *)
+    mutable dim : int;
+    mutable plus : bool;
+    mutable left : int;
+  }
+
+  let create topo =
+    { topo; switch = 0; in_port = 0; out_port = 0; last = true; dst = 0; dim = 0;
+      plus = true; left = 0 }
+
+  let switch w = w.switch
+  let in_port w = w.in_port
+  let out_port w = w.out_port
+
+  let size w dim =
+    match w.topo.shape with
+    | S_torus { dx; dy; dz } -> if dim = 0 then dx else if dim = 1 then dy else dz
+    | S_single | S_fat_tree _ -> 1
+
+  let stride w dim =
+    match w.topo.shape with
+    | S_torus { dx; dy; _ } -> if dim = 0 then 1 else if dim = 1 then dx else dx * dy
+    | S_single | S_fat_tree _ -> 1
+
+  (* from router [w.switch], the first ring at or after [dim] on which the
+     frame is not yet at [dst]'s coordinate; past the last, the exit hop *)
+  let rec seek w dim =
+    if dim > 2 then begin
+      w.out_port <- 0;
+      w.last <- true
+    end
+    else begin
+      let s = size w dim in
+      let coords = w.topo.coords in
+      let c = coords.((3 * w.switch) + dim) and e = coords.((3 * w.dst) + dim) in
+      let fwd = if e >= c then e - c else e - c + s in
+      if fwd = 0 then seek w (dim + 1)
+      else begin
+        (* shorter way around the ring; ties take the plus direction *)
+        let plus = fwd <= s - fwd in
+        w.dim <- dim;
+        w.plus <- plus;
+        w.left <- (if plus then fwd else s - fwd);
+        w.out_port <- (if plus then port_plus dim else port_minus dim)
+      end
+    end
+
+  let start w ~src ~dst =
+    let t = w.topo in
+    if src < 0 || src >= t.nodes then invalid_arg "Topology.Walk.start: src out of range";
+    if dst < 0 || dst >= t.nodes then invalid_arg "Topology.Walk.start: dst out of range";
+    if src = dst then invalid_arg "Topology.Walk.start: src = dst";
+    w.dst <- dst;
+    w.last <- false;
+    match t.shape with
+    | S_single ->
+        w.switch <- 0;
+        w.in_port <- src;
+        w.out_port <- dst;
+        w.last <- true
+    | S_fat_tree { d; _ } ->
+        let sl = src / d and dl = dst / d in
+        w.switch <- sl;
+        w.in_port <- src - (sl * d);
+        if sl = dl then begin
+          w.out_port <- dst - (dl * d);
+          w.last <- true
+        end
+        else begin
+          w.out_port <- d + (dst - (dl * d));
+          w.dim <- 0;
+          w.left <- dl
+        end
+    | S_torus _ ->
+        w.switch <- src;
+        w.in_port <- 0;
+        seek w 0
+
+  let next w =
+    if w.last then false
+    else begin
+      (match w.topo.shape with
+      | S_single -> ()
+      | S_fat_tree { d; leaves } ->
+          (* [left] is the destination's leaf, and its port there picks the spine *)
+          let port = w.dst - (w.left * d) in
+          if w.dim = 0 then begin
+            w.in_port <- w.switch;
+            w.switch <- leaves + port;
+            w.out_port <- w.left;
+            w.dim <- 1
+          end
+          else begin
+            w.switch <- w.left;
+            w.in_port <- d + port;
+            w.out_port <- port;
+            w.last <- true
+          end
+      | S_torus _ ->
+          let dim = w.dim and cur = w.switch in
+          let s = size w dim and stride = stride w dim in
+          let c = w.topo.coords.((3 * cur) + dim) in
+          if w.plus then begin
+            w.switch <- (if c = s - 1 then cur - ((s - 1) * stride) else cur + stride);
+            w.in_port <- port_minus dim
+          end
+          else begin
+            w.switch <- (if c = 0 then cur + ((s - 1) * stride) else cur - stride);
+            w.in_port <- port_plus dim
+          end;
+          w.left <- w.left - 1;
+          if w.left = 0 then seek w (dim + 1));
+      true
+    end
+end
 
 (* ------------------------------------------------------------------ *)
 (* Names                                                               *)

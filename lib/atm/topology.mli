@@ -72,12 +72,41 @@ val switch_model : t -> int -> Switch.t
     link in each dimension is counted once). *)
 val link_count : t -> int
 
-(** @raise Invalid_argument on out-of-range or equal endpoints. *)
+(** The route as a hop array: the reference that {!hops}, the fabric's
+    [path_latency] and the tests use. The fabric walks frames with {!Walk}
+    instead, which visits the same hops without allocating.
+    @raise Invalid_argument on out-of-range or equal endpoints. *)
 val route : t -> src:int -> dst:int -> hop array
 
 (** [Array.length (route t ~src ~dst)] without building the array twice at
     call sites that only need the count. *)
 val hops : t -> src:int -> dst:int -> int
+
+(** A cursor over one route's hops at a time, allocation-free: it visits
+    exactly {!route}'s hops, in order. A torus hop is a coordinate-table
+    lookup and a stride (the table holds 3 ints per router), with no
+    division. One cursor serves any number of routes, one at a time. *)
+module Walk : sig
+  type topo := t
+  type t
+
+  val create : topo -> t
+
+  (** Position the cursor on the first hop of the route from [src] to
+      [dst].
+      @raise Invalid_argument on out-of-range or equal endpoints. *)
+  val start : t -> src:int -> dst:int -> unit
+
+  (** Move to the next hop; [false], leaving the cursor where it is, when
+      the current hop was the last. *)
+  val next : t -> bool
+
+  (** The current hop, as {!hop}'s fields. *)
+  val switch : t -> int
+
+  val in_port : t -> int
+  val out_port : t -> int
+end
 
 (** Switch hops on the longest route (the topology diameter). *)
 val max_hops : t -> int

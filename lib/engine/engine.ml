@@ -4,20 +4,20 @@ type run_stats = {
   past_clamps : int;
 }
 
-(* Two queues hold the pending events. Events due at a later time go on the
-   heap, ordered by (time, scheduling order). Events scheduled {e at} the
-   current time — spawns, fiber resumes, clamped [at] calls — go on
-   the lane, a FIFO ring beside the heap, and never pay for a sift.
+(* Two queues hold the pending events. Events due at a later time go in
+   the calendar queue, ordered by (time, scheduling order). Events
+   scheduled {e at} the current time — spawns, fiber resumes, clamped [at]
+   calls — go on the lane, a FIFO ring beside it.
 
-   Dispatch still follows the exact (time, scheduling order) the heap alone
-   would give. The clock never runs backwards, so every heap event keyed
-   [now] was scheduled while the clock was still short of [now], before any
-   lane event (which was scheduled at [now]); and every lane event precedes
-   any heap event keyed later. So: first the heap events keyed [now], then
-   the lane, then the clock advances. *)
+   Dispatch still follows the exact (time, scheduling order) the calendar
+   alone would give. The clock never runs backwards, so every queued event
+   keyed [now] was scheduled while the clock was still short of [now],
+   before any lane event (which was scheduled at [now]); and every lane
+   event precedes any queued event keyed later. So: first the queued
+   events keyed [now], then the lane, then the clock advances. *)
 type t = {
   mutable now : Time.t;
-  q : (unit -> unit) Heap.t;
+  q : (unit -> unit) Calendar.t;
   mutable lane : (unit -> unit) array;  (* ring buffer, power-of-two length *)
   mutable lane_head : int;
   mutable lane_len : int;
@@ -40,7 +40,7 @@ exception Fiber_failure of string * exn
 let vacant () = ()
 
 let now t = t.now
-let pending t = Heap.length t.q + t.lane_len
+let pending t = Calendar.length t.q + t.lane_len
 
 let run_stats t =
   { events_dispatched = t.dispatched; max_heap_depth = t.max_depth; past_clamps = t.clamped }
@@ -85,7 +85,7 @@ let at t time f =
   else begin
     let seq = t.seq in
     t.seq <- seq + 1;
-    Heap.add t.q ~key:(Time.to_ps time) ~seq f
+    Calendar.add t.q ~key:(Time.to_ps time) ~seq f
   end;
   let depth = pending t in
   if depth > t.max_depth then t.max_depth <- depth
@@ -96,7 +96,7 @@ let create () =
   let rec t =
     {
       now = Time.zero;
-      q = Heap.create ();
+      q = Calendar.create ();
       lane = Array.make 64 vacant;
       lane_head = 0;
       lane_len = 0;
@@ -112,15 +112,15 @@ let create () =
   t
 
 (* the time of the next event; [pending t > 0] *)
-let next_time t = if t.lane_len > 0 then Time.to_ps t.now else Heap.min_key t.q
+let next_time t = if t.lane_len > 0 then Time.to_ps t.now else Calendar.min_key t.q
 
 let step t =
   let f =
-    if t.lane_len > 0 && (Heap.is_empty t.q || Heap.min_key t.q > Time.to_ps t.now) then
+    if t.lane_len > 0 && not (Calendar.has_key_at_most t.q (Time.to_ps t.now)) then
       lane_pop t
     else begin
-      t.now <- Time.ps (Heap.min_key t.q);
-      Heap.pop_min_value t.q
+      t.now <- Time.ps (Calendar.min_key t.q);
+      Calendar.pop_min_value t.q
     end
   in
   t.dispatched <- t.dispatched + 1;

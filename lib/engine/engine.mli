@@ -9,12 +9,11 @@
     played in the paper's evaluation.
 
     Pending events sit in two queues. Events due later than {!now} wait in
-    a {!Heap}. Events scheduled {e at} {!now} — spawns, fiber resumes and
-    clamped {!at} calls — go to a FIFO {e lane} beside the heap
-    and skip its sift. The lane keeps the exact (time, scheduling order):
-    heap events keyed {!now} were all scheduled before the clock reached
-    {!now}, so they run first, then the lane, and only then does the clock
-    advance. *)
+    a {!Calendar} queue. Events scheduled {e at} {!now} — spawns, fiber
+    resumes and clamped {!at} calls — go to a FIFO {e lane} beside it. The
+    lane keeps the exact (time, scheduling order): queued events keyed
+    {!now} were all scheduled before the clock reached {!now}, so they run
+    first, then the lane, and only then does the clock advance. *)
 
 type t
 
@@ -27,7 +26,7 @@ val now : t -> Time.t
 type run_stats = {
   events_dispatched : int;  (** events popped and executed so far *)
   max_heap_depth : int;
-      (** high-water mark of the pending events, heap and same-instant lane
+      (** high-water mark of the pending events, queued and same-instant lane
           together (see {!pending}) *)
   past_clamps : int;
       (** [at] calls whose requested time lay in the past and was clamped to
@@ -48,7 +47,7 @@ val at : t -> Time.t -> (unit -> unit) -> unit
 val after : t -> Time.t -> (unit -> unit) -> unit
 
 (** Number of pending events (including suspended-fiber wakeups), in the
-    heap and the same-instant lane together. *)
+    calendar queue and the same-instant lane together. *)
 val pending : t -> int
 
 (** Run until the event queue is empty. *)

@@ -2,8 +2,8 @@
    triple held in three [int array]s in heap order; its payload lives in a
    separate slot table, written once at [add] and read once at pop. The sift
    loops therefore move only immediates: no level of a sift runs the write
-   barrier or the float-array check that a polymorphic payload store costs,
-   and every simulated event passes through here exactly once.
+   barrier or the float-array check that a polymorphic payload store costs.
+   The calendar queue keeps its far and dense-bucket events here.
 
    The slot column doubles as the free list: positions >= [len] hold the ids
    of the free payload slots, so [slots] is always a permutation of
@@ -124,6 +124,7 @@ let pop_min h =
   (key, seq, v)
 
 let min_key h = if h.len = 0 then raise Not_found else h.keys.(0)
+let min_seq h = if h.len = 0 then raise Not_found else h.seqs.(0)
 
 (* Large heaps drop their backing stores outright; small ones null the whole
    slot table (free slots already hold the dummy). Any permutation of slot

@@ -8,7 +8,7 @@
     {!add}; a pop reads it back once. Sifting moves only integers, so no
     level of a sift runs the write barrier or the float-array check, and
     {!add} and {!pop_min_value} allocate nothing once the columns have
-    grown: the engine's per-event hot path stays off the minor heap. The
+    grown: the calendar queue's far events stay off the minor heap. The
     slot column doubles as the free list (positions past the length hold
     the free slot ids). *)
 
@@ -33,5 +33,9 @@ val pop_min_value : 'a t -> 'a
 (** [min_key h] is the key of the minimum element without removing it.
     @raise Not_found if the heap is empty. *)
 val min_key : 'a t -> int
+
+(** [min_seq h] is the seq of the minimum element, as {!min_key} its key.
+    @raise Not_found if the heap is empty. *)
+val min_seq : 'a t -> int
 
 val clear : 'a t -> unit

@@ -46,12 +46,16 @@ module Semaphore = struct
     | Some wake -> wake ()
     | None -> t.count <- t.count + 1
 
+  (* a free unit is taken inline: only the release closure is built *)
   let hold_then eng t d k =
-    if d > Time.zero then
-      acquire_then eng t (fun () ->
-          Engine.after eng d (fun () ->
-              release t;
-              k ()))
+    if d > Time.zero then begin
+      let held () =
+        release t;
+        k ()
+      in
+      if try_acquire t then Engine.after eng d held
+      else acquire_then eng t (fun () -> Engine.after eng d held)
+    end
     else k ()
 
   let available t = t.count

@@ -11,7 +11,7 @@ type t = {
 }
 
 let schema_version = 1
-let calibration_name = "calibration: 1M integer hash"
+let calibration_name = "calibration: 200k Hashtbl updates + 1M list cells"
 
 let make ~label ~quick ?(zero_alloc = []) ~substrate ~experiments () =
   { schema = schema_version; label; quick; zero_alloc; substrate; experiments }
@@ -343,7 +343,7 @@ let compare ~baseline ~current ?(threshold = 0.15) ?(wall_threshold = default_wa
   let imp fmt = Printf.ksprintf (fun s -> improvements := s :: !improvements) fmt in
   let note fmt = Printf.ksprintf (fun s -> notes := s :: !notes) fmt in
   (* machine-speed normalisation: when both runs measured the calibration
-     spin loop, the ratio of the two estimates is the relative speed of the
+     kernel, the ratio of the two estimates is the relative speed of the
      two machines, and baseline times are rescaled by it *)
   let scale =
     match

@@ -35,10 +35,13 @@ type t = {
 val schema_version : int
 
 (** Name of the substrate benchmark used as the machine-speed anchor: a
-    fixed-instruction-count integer spin loop. When both baselines carry it,
-    {!compare} rescales the baseline's times by the two anchors' ratio, so a
-    committed baseline from one machine gates runs on another without
-    flagging the machines' raw speed difference. *)
+    fixed workload of hash-table updates and short-lived list cells, which
+    slows with the simulator when a machine does (a plain integer loop
+    does not). When both baselines carry it, {!compare} rescales the
+    baseline's times by the two anchors' ratio, so a committed baseline
+    from one machine gates runs on another without flagging the machines'
+    raw speed difference. A baseline recorded with an earlier anchor, under
+    another name, is not rescaled. *)
 val calibration_name : string
 
 val make :

@@ -4,13 +4,18 @@ type mode = Update | Invalidate
 
 type slot = { mutable vpage : int (* -1 = free *); mutable referenced : bool }
 
+(* The buffer map is probed on every snooped write-back line; an int-keyed
+   table skips the polymorphic hash and compare. It is never iterated
+   ([bound_pages] reads the slots), so its order shows nowhere. *)
+module Page_map = Hashtbl.Make (Int)
+
 type t = {
-  page_bytes : int;
+  page_shift : int;  (* page size = 1 lsl page_shift *)
   capacity : int;
   cache_mode : mode;
   phys_to_vpage : int -> int;  (* the snooper's RTLB (reverse TLB) *)
   slots : slot array;
-  map : (int, int) Hashtbl.t; (* vpage -> slot index: the buffer map *)
+  map : int Page_map.t; (* vpage -> slot index: the buffer map *)
   mutable hand : int; (* clock hand *)
   s_hits : Stats.Counter.t;
   s_misses : Stats.Counter.t;
@@ -32,6 +37,12 @@ type stats = {
 let subsystem = "message-cache"
 
 let create ?registry ?node ?phys_to_vpage ~page_bytes ~capacity_bytes ~mode () =
+  if page_bytes < 1 || page_bytes land (page_bytes - 1) <> 0 then
+    invalid_arg "Message_cache.create: page_bytes must be a power of two";
+  let page_shift =
+    let rec log2 n = if n = 1 then 0 else 1 + log2 (n lsr 1) in
+    log2 page_bytes
+  in
   let capacity = max 1 (capacity_bytes / page_bytes) in
   let counter name =
     match registry with
@@ -39,15 +50,15 @@ let create ?registry ?node ?phys_to_vpage ~page_bytes ~capacity_bytes ~mode () =
     | None -> Stats.Counter.create name
   in
   {
-    page_bytes;
+    page_shift;
     capacity;
     cache_mode = mode;
     phys_to_vpage =
       (match phys_to_vpage with
       | Some f -> f
-      | None -> fun addr -> addr / page_bytes);
+      | None -> fun addr -> addr lsr page_shift);
     slots = Array.init capacity (fun _ -> { vpage = -1; referenced = false });
-    map = Hashtbl.create (capacity * 2);
+    map = Page_map.create (capacity * 2);
     hand = 0;
     s_hits = counter "hits";
     s_misses = counter "misses";
@@ -59,10 +70,10 @@ let create ?registry ?node ?phys_to_vpage ~page_bytes ~capacity_bytes ~mode () =
 
 let capacity_pages t = t.capacity
 let mode t = t.cache_mode
-let contains t ~vpage = Hashtbl.mem t.map vpage
+let contains t ~vpage = Page_map.mem t.map vpage
 
 let lookup t ~vpage =
-  match Hashtbl.find_opt t.map vpage with
+  match Page_map.find_opt t.map vpage with
   | Some i ->
       t.slots.(i).referenced <- true;
       Stats.Counter.incr t.s_hits;
@@ -74,7 +85,7 @@ let lookup t ~vpage =
 let drop_slot t i =
   let s = t.slots.(i) in
   if s.vpage >= 0 then begin
-    Hashtbl.remove t.map s.vpage;
+    Page_map.remove t.map s.vpage;
     s.vpage <- -1;
     s.referenced <- false
   end
@@ -100,26 +111,26 @@ let claim_slot t =
   go (2 * t.capacity)
 
 let bind t ~vpage =
-  match Hashtbl.find_opt t.map vpage with
+  match Page_map.find_opt t.map vpage with
   | Some i -> t.slots.(i).referenced <- true
   | None ->
       let i = claim_slot t in
       t.slots.(i).vpage <- vpage;
       t.slots.(i).referenced <- true;
-      Hashtbl.replace t.map vpage i;
+      Page_map.replace t.map vpage i;
       Stats.Counter.incr t.s_binds
 
 let unbind t ~vpage =
-  match Hashtbl.find_opt t.map vpage with Some i -> drop_slot t i | None -> ()
+  match Page_map.find_opt t.map vpage with Some i -> drop_slot t i | None -> ()
 
 let snoop t ~addr ~bytes =
   if bytes > 0 then begin
-    let first = addr / t.page_bytes and last = (addr + bytes - 1) / t.page_bytes in
+    let first = addr lsr t.page_shift and last = (addr + bytes - 1) lsr t.page_shift in
     for ppage = first to last do
       (* each covered physical page goes through the RTLB before the buffer
          map is consulted: the map is keyed by virtual page *)
-      let vpage = t.phys_to_vpage (ppage * t.page_bytes) in
-      match Hashtbl.find_opt t.map vpage with
+      let vpage = t.phys_to_vpage (ppage lsl t.page_shift) in
+      match Page_map.find_opt t.map vpage with
       | Some i -> (
           match t.cache_mode with
           | Update ->

@@ -24,7 +24,8 @@ type t
     (physical address / page size), which is only correct while host buffers
     are identity-mapped — the configuration every current client uses. A
     system with real virtual memory must supply the translation, or snooped
-    writes would update/invalidate the wrong binding. *)
+    writes would update/invalidate the wrong binding.
+    @raise Invalid_argument unless [page_bytes] is a power of two. *)
 val create :
   ?registry:Cni_engine.Stats.Registry.t ->
   ?node:int ->

@@ -120,6 +120,7 @@ module Sender = struct
            rings, newest first; re-sent at restart *)
     mutable up : bool;
     mutable epoch : int;
+    mutable timers : int;  (* timers armed so far: the next timer's generation *)
   }
 
   let create cfg eng ~node ~counter ~peer_down ~transmit ~retransmit =
@@ -127,36 +128,49 @@ module Sender = struct
     { cfg; eng; node; peer_down; transmit; retransmit;
       retransmits = counter "retransmits"; rto_capped = counter "rto_capped";
       next_seq = Hashtbl.create 8; pending = Hashtbl.create 32; parked = []; up = true;
-      epoch = 0 }
+      epoch = 0; timers = 0 }
 
   (* Arm (or re-arm) the retransmission timer of one pending frame.
      Exhausting the budget kills the run with a structured error in place of
      a silent hang; a crashed destination is a diagnosis, not a timeout.
-     Only the newest arm's timer acts: acks and parks move [timer] on too. *)
+
+     The timer names its frame — (dst, tag) and a generation — and finds it
+     in [pending] when it fires; it does not hold it. An ack settles a frame
+     within tens of us, long before the RTO, and the acked frame is then
+     free to go. Generations come from the table's own counter, so they are
+     unique: only the newest arm's timer acts, and never on another frame
+     that reuses (dst, tag) after a settle or a park. *)
   let rec arm t e =
-    e.timer <- e.timer + 1;
-    let gen = e.timer in
-    Engine.after t.eng e.rto (fun () ->
-        if e.timer = gen then
-          if e.tries >= t.cfg.max_tries then begin
-            Hashtbl.remove t.pending (e.dst, e.tag);
-            let channel = (Wire.decode e.header).Wire.channel in
-            let f = { node = t.node; dst = e.dst; channel; seq = e.seq; tries = e.tries } in
-            let exn = if t.peer_down e.dst then Peer_dead f else Delivery_failed f in
-            Engine.spawn t.eng ~name:"nic-delivery-failed" (fun () -> raise exn)
+    t.timers <- t.timers + 1;
+    e.timer <- t.timers;
+    let dst = e.dst and tag = e.tag and gen = t.timers in
+    Engine.after t.eng e.rto (fun () -> fire t ~dst ~tag ~gen)
+
+  (* most timers fire after their ack: [find_opt]'s miss raises nothing *)
+  and fire t ~dst ~tag ~gen =
+    match Hashtbl.find_opt t.pending (dst, tag) with
+    | None -> ()
+    | Some e when e.timer <> gen -> ()
+    | Some e ->
+        if e.tries >= t.cfg.max_tries then begin
+          Hashtbl.remove t.pending (e.dst, e.tag);
+          let channel = (Wire.decode e.header).Wire.channel in
+          let f = { node = t.node; dst = e.dst; channel; seq = e.seq; tries = e.tries } in
+          let exn = if t.peer_down e.dst then Peer_dead f else Delivery_failed f in
+          Engine.spawn t.eng ~name:"nic-delivery-failed" (fun () -> raise exn)
+        end
+        else begin
+          e.tries <- e.tries + 1;
+          let next_rto = Time.(e.rto * t.cfg.backoff) in
+          if next_rto > t.cfg.max_rto then begin
+            Stats.Counter.incr t.rto_capped;
+            e.rto <- t.cfg.max_rto
           end
-          else begin
-            e.tries <- e.tries + 1;
-            let next_rto = Time.(e.rto * t.cfg.backoff) in
-            if next_rto > t.cfg.max_rto then begin
-              Stats.Counter.incr t.rto_capped;
-              e.rto <- t.cfg.max_rto
-            end
-            else e.rto <- next_rto;
-            Stats.Counter.incr t.retransmits;
-            t.retransmit e;
-            arm t e
-          end)
+          else e.rto <- next_rto;
+          Stats.Counter.incr t.retransmits;
+          t.retransmit e;
+          arm t e
+        end
 
   (* The one crash rule: on a live board a new frame is pending with its
      timer armed (and sent when [send]); on a dead board it waits with the
@@ -184,23 +198,20 @@ module Sender = struct
 
   let find t ~dst ~tag = Hashtbl.find_opt t.pending (dst, tag)
 
+  (* the frame leaves [pending], so its timer finds nothing to act on *)
   let settle t ~dst ~tag =
     match Hashtbl.find_opt t.pending (dst, tag) with
-    | Some e as found ->
-        e.timer <- e.timer + 1;
+    | Some _ as found ->
         Hashtbl.remove t.pending (dst, tag);
         found
     | None -> None
 
   (* The board's timers die with it (even one that fires after the restart
-     armed the next), but the descriptors live in the host-resident rings. *)
+     armed the next: the re-arm's generation is newer), but the descriptors
+     live in the host-resident rings. *)
   let park t =
     t.up <- false;
-    Hashtbl.iter
-      (fun _ e ->
-        e.timer <- e.timer + 1;
-        t.parked <- e :: t.parked)
-      t.pending;
+    Hashtbl.iter (fun _ e -> t.parked <- e :: t.parked) t.pending;
     Hashtbl.reset t.pending
 
   (* A stamped frame keeps its ORIGINAL bare sequence number under the new

@@ -103,7 +103,10 @@ module Sender : sig
     mutable tries : int;
     mutable rto : Cni_engine.Time.t;  (** next retransmission timeout *)
     mutable timer : int;
-        (** the one timer that may act; each arm, ack and park moves it on *)
+        (** generation of the one timer that may act, unique in its table;
+            a timer names its frame by [(dst, tag)] and this generation
+            rather than holding it, so an acked frame is not kept alive
+            until its timer fires *)
   }
 
   type 'f t

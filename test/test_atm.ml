@@ -379,6 +379,71 @@ let test_topology_single () =
   Alcotest.check_raises "src = dst" (Invalid_argument "Topology.route: src = dst") (fun () ->
       ignore (Topology.route t ~src:3 ~dst:3))
 
+(* The fabric's allocation-free walk against the reference routes: for
+   every (src, dst) pair, [Walk] visits exactly [Topology.route]'s hops, and
+   stepping [Switch.next_wire] through each hop's switch gives exactly
+   [Switch.route]'s wires. The tori include 1- and 2-wide rings and even
+   rings, where the two ways round tie. *)
+let test_walk_matches_route () =
+  let shapes =
+    [ ("single 16", Topology.single ~nodes:16) ]
+    @ List.concat_map
+        (fun radix ->
+          List.map
+            (fun nodes ->
+              ( Printf.sprintf "fat-tree:%d on %d" radix nodes,
+                Topology.fat_tree ~leaf_radix:radix ~nodes () ))
+            [ 16; 64; 100 ])
+        [ 4; 8; 16 ]
+    @ List.map
+        (fun (nodes, dims) ->
+          ( (match dims with
+            | None -> Printf.sprintf "torus on %d" nodes
+            | Some (x, y, z) -> Printf.sprintf "torus:%dx%dx%d" x y z),
+            Topology.torus ?dims ~nodes () ))
+        [
+          (8, None); (8, Some (2, 2, 2)); (8, Some (1, 2, 4)); (8, Some (8, 1, 1));
+          (27, None); (27, Some (1, 3, 9)); (64, None); (64, Some (2, 4, 8));
+          (100, None); (100, Some (1, 10, 10)); (100, Some (2, 5, 10));
+        ]
+  in
+  List.iter
+    (fun (name, t) ->
+      let n = Topology.nodes t in
+      let w = Topology.Walk.create t in
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if src <> dst then begin
+            Topology.Walk.start w ~src ~dst;
+            let more = ref true in
+            Array.iteri
+              (fun i { Topology.h_switch; h_in; h_out } ->
+                let fail what = Alcotest.failf "%s: %d->%d hop %d: %s" name src dst i what in
+                if not !more then fail "the walk ended early";
+                if
+                  (Topology.Walk.switch w, Topology.Walk.in_port w, Topology.Walk.out_port w)
+                  <> (h_switch, h_in, h_out)
+                then
+                  fail
+                    (Printf.sprintf "walked (%d, %d, %d), route has (%d, %d, %d)"
+                       (Topology.Walk.switch w) (Topology.Walk.in_port w)
+                       (Topology.Walk.out_port w) h_switch h_in h_out);
+                let m = Topology.switch_model t h_switch in
+                let wire = ref h_in in
+                Array.iteri
+                  (fun stage expected ->
+                    wire := Switch.next_wire m ~stage ~wire:!wire ~dst:h_out;
+                    if !wire <> expected then
+                      fail (Printf.sprintf "stage %d wire %d, route has %d" stage !wire expected))
+                  (Switch.route m ~src:h_in ~dst:h_out);
+                more := Topology.Walk.next w)
+              (Topology.route t ~src ~dst);
+            if !more then Alcotest.failf "%s: %d->%d walks past the route" name src dst
+          end
+        done
+      done)
+    shapes
+
 let test_topology_fat_tree_structure () =
   (* 64 nodes, radix 16: 8 hosts per leaf -> 8 leaves, 8 spines *)
   let t = Topology.fat_tree ~leaf_radix:16 ~nodes:64 () in
@@ -824,6 +889,8 @@ let () =
           Alcotest.test_case "torus dimension order" `Quick test_topology_torus_dimension_order;
           Alcotest.test_case "validate" `Quick test_topology_validate;
           Alcotest.test_case "kind strings" `Quick test_topology_kind_strings;
+          Alcotest.test_case "walk visits the reference hops and wires" `Quick
+            test_walk_matches_route;
         ] );
       ( "fabric",
         [

@@ -3,6 +3,7 @@
 
 module Time = Cni_engine.Time
 module Heap = Cni_engine.Heap
+module Calendar = Cni_engine.Calendar
 module Rng = Cni_engine.Rng
 module Stats = Cni_engine.Stats
 module Trace = Cni_engine.Trace
@@ -196,6 +197,41 @@ let test_heap_hot_path_no_alloc () =
   let words = Gc.minor_words () -. before in
   (* a per-element allocation would cost >= 4096 words here; the small
      epsilon absorbs the Gc.minor_words float boxes themselves *)
+  if words > 256. then Alcotest.failf "steady-state add/pop allocated %.0f minor words" words
+
+(* the calendar queue's allocation contract, as the heap's: a warm queue
+   adds and pops without allocating, whether a key lands in the cursor's
+   bucket (sorted, then past the dense limit), in a later one, past the
+   window, or in a bucket dense enough to be popped from the heap. Each
+   cycle starts past the last, its first pop moving the cursor there as an
+   engine's clock moves on. *)
+let test_calendar_hot_path_no_alloc () =
+  let q = Calendar.create () in
+  let cycle c =
+    let base = c lsl 32 in
+    Calendar.add q ~key:base ~seq:0 0;
+    ignore (Calendar.pop_min_value q);
+    for i = 1 to 2047 do
+      let key =
+        if i land 7 = 0 then base + (1 lsl 29) + (i * 4099) (* past the window *)
+        else if i land 7 = 1 then base + (1 lsl 25) + (i land 255) (* one dense bucket *)
+        else if i land 15 = 2 then base + 1 + (i * 7 land 1023) (* the cursor's bucket *)
+        else base + ((i * 31 mod 257) lsl 16)
+      in
+      Calendar.add q ~key ~seq:i i
+    done;
+    let last = ref (-1) in
+    while Calendar.length q > 0 do
+      let key = Calendar.min_key q in
+      if key < !last then Alcotest.failf "key %d popped after %d" key !last;
+      last := key;
+      ignore (Calendar.pop_min_value q)
+    done
+  in
+  cycle 1;
+  let before = Gc.minor_words () in
+  cycle 2;
+  let words = Gc.minor_words () -. before in
   if words > 256. then Alcotest.failf "steady-state add/pop allocated %.0f minor words" words
 
 (* a fiber's [delay] on a warm engine: the effect, its continuation and the
@@ -625,13 +661,22 @@ let test_determinism () =
    spawns fibers that delay and suspend until an event resumes them.
    The reference is the definition of the engine's order: every event gets
    a label (time, scheduling order) when it is scheduled, and each dispatch
-   must be the least label still pending, at that label's time. Offsets are
-   a few picoseconds, so equal times — heap events keyed [now] next to
-   same-instant ones — occur constantly. The program runs in [run_until]
-   slices, which must never dispatch past their limit. *)
+   must be the least label still pending, at that label's time. The program
+   runs in [run_until] slices, which must never dispatch past their limit;
+   after each slice it may schedule more events from outside.
+
+   Two scales. With offsets of a few picoseconds, equal times — queued
+   events keyed [now] next to same-instant ones — occur constantly. With
+   offsets in units up to half the calendar queue's window, delays run from
+   0 to 3 windows, bursts put 1,000 or more events in one bucket, and an
+   event scheduled after a slice can land below the bucket that [run_until]
+   peeked at past its limit. *)
 type prog_event =
   | Event of int * prog_event list  (* at now + offset, then schedule the children *)
   | Fiber of prog_step list
+  | Burst of int * int
+      (* [n] events within half a bucket of now + offset; every third, when
+         dispatched, schedules one more a few picoseconds later *)
 
 and prog_step =
   | Sleep of int  (* delay *)
@@ -641,36 +686,66 @@ and prog_step =
 let rec show_event = function
   | Event (off, cs) -> Printf.sprintf "Event(%d,[%s])" off (String.concat ";" (List.map show_event cs))
   | Fiber ss -> Printf.sprintf "Fiber[%s]" (String.concat ";" (List.map show_step ss))
+  | Burst (n, off) -> Printf.sprintf "Burst(%d,%d)" n off
 
 and show_step = function
   | Sleep d -> Printf.sprintf "Sleep %d" d
   | Wait off -> Printf.sprintf "Wait %d" off
   | Fork e -> "Fork " ^ show_event e
 
-let rec gen_event depth =
+(* the offset, delay and wait generators of one scale, and whether bursts occur *)
+type prog_scale = {
+  offset : int QCheck.Gen.t;
+  sleep : int QCheck.Gen.t;
+  wait : int QCheck.Gen.t;
+  bursts : bool;
+}
+
+let ps_scale =
+  QCheck.Gen.{ offset = int_range (-3) 6; sleep = int_bound 6; wait = int_range (-2) 6; bursts = false }
+
+(* [k] units plus, sometimes, a jitter of up to a quarter unit *)
+let unit_scale u =
   let open QCheck.Gen in
-  let children = if depth = 0 then return [] else list_size (int_bound 3) (gen_event (depth - 1)) in
+  let jitter = frequency [ (2, return 0); (1, int_bound (u / 4)) ] in
+  let units lo hi = map2 (fun k j -> (k * u) + j) (int_range lo hi) jitter in
+  { offset = units (-3) 6; sleep = units 0 6; wait = units (-2) 6; bursts = true }
+
+let rec gen_event sc depth =
+  let open QCheck.Gen in
+  let children =
+    if depth = 0 then return [] else list_size (int_bound 3) (gen_event sc (depth - 1))
+  in
+  frequency
+    ([
+       (3, map2 (fun off cs -> Event (off, cs)) sc.offset children);
+       (1, map (fun ss -> Fiber ss) (list_size (int_bound 4) (gen_step sc depth)));
+     ]
+    @ if sc.bursts then [ (1, map2 (fun n off -> Burst (n, off)) (int_range 1000 1200) sc.offset) ]
+      else [])
+
+and gen_step sc depth =
+  let open QCheck.Gen in
   frequency
     [
-      (3, map2 (fun off cs -> Event (off, cs)) (int_range (-3) 6) children);
-      (1, map (fun ss -> Fiber ss) (list_size (int_bound 4) (gen_step depth)));
+      (3, map (fun d -> Sleep d) sc.sleep);
+      (2, map (fun off -> Wait off) sc.wait);
+      (1, if depth = 0 then return (Sleep 0) else map (fun e -> Fork e) (gen_event sc (depth - 1)));
     ]
 
-and gen_step depth =
-  let open QCheck.Gen in
-  frequency
-    [
-      (3, map (fun d -> Sleep d) (int_bound 6));
-      (2, map (fun off -> Wait off) (int_range (-2) 6));
-      (1, if depth = 0 then return (Sleep 0) else map (fun e -> Fork e) (gen_event (depth - 1)));
-    ]
+module Labels = Set.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
 
 let run_program (roots, slices) =
   let eng = Engine.create () in
   let ok = ref true in
   let fail () = ok := false in
   let next_seq = ref 0 in
-  let pending = ref [] (* labels (time, seq) scheduled, not yet dispatched *) in
+  let pending = ref Labels.empty (* labels (time, seq) scheduled, not yet dispatched *) in
+  let npending = ref 0 in
   let max_pending = ref 0 in
   let limit = ref max_int in
   let now () = Time.to_ps (Engine.now eng) in
@@ -678,15 +753,16 @@ let run_program (roots, slices) =
   let label time =
     let l = (max time (now ()), !next_seq) in
     incr next_seq;
-    pending := l :: !pending;
-    max_pending := max !max_pending (List.length !pending);
+    pending := Labels.add l !pending;
+    incr npending;
+    max_pending := max !max_pending !npending;
     l
   in
   let dispatched l =
-    let least = List.fold_left min (max_int, max_int) !pending in
-    if l <> least || fst l <> now () || now () > !limit then fail ();
-    if Engine.pending eng <> List.length !pending - 1 then fail ();
-    pending := List.filter (fun l' -> l' <> l) !pending
+    if l <> Labels.min_elt !pending || fst l <> now () || now () > !limit then fail ();
+    if Engine.pending eng <> !npending - 1 then fail ();
+    pending := Labels.remove l !pending;
+    decr npending
   in
   let rec schedule = function
     | Event (off, children) ->
@@ -699,6 +775,16 @@ let run_program (roots, slices) =
         Engine.spawn eng (fun () ->
             dispatched l;
             List.iter step steps)
+    | Burst (n, off) ->
+        let base = now () + off in
+        for i = 0 to n - 1 do
+          (* spread over 2^17 ps, with equal times 1,021 events apart *)
+          let time = base + (i * 7919 mod 1021 * 128) in
+          let l = label time in
+          Engine.at eng (Time.ps time) (fun () ->
+              dispatched l;
+              if i mod 3 = 0 then schedule (Event (i mod 5, [])))
+        done
   and step = function
     | Sleep d ->
         let l = label (now () + d) in
@@ -717,30 +803,57 @@ let run_program (roots, slices) =
   in
   List.iter schedule roots;
   List.iter
-    (fun s ->
+    (fun (s, injected) ->
       limit := s;
-      Engine.run_until eng (Time.ps s))
+      Engine.run_until eng (Time.ps s);
+      limit := max_int;
+      List.iter schedule injected)
     slices;
   limit := max_int;
   Engine.run eng;
-  !ok && !pending = []
+  !ok && Labels.is_empty !pending
   && (Engine.run_stats eng).Engine.events_dispatched = !next_seq
   && (Engine.run_stats eng).Engine.max_heap_depth = !max_pending
+
+let print_program (roots, slices) =
+  Printf.sprintf "roots=[%s] slices=[%s]"
+    (String.concat "; " (List.map show_event roots))
+    (String.concat ";"
+       (List.map
+          (fun (s, inj) ->
+            if inj = [] then string_of_int s
+            else Printf.sprintf "%d+[%s]" s (String.concat "; " (List.map show_event inj)))
+          slices))
 
 let engine_dispatch_model =
   let gen =
     QCheck.Gen.(
       pair
-        (list_size (int_range 1 6) (gen_event 3))
-        (map (List.sort compare) (list_size (int_bound 4) (int_bound 30))))
-  in
-  let print (roots, slices) =
-    Printf.sprintf "roots=[%s] slices=[%s]"
-      (String.concat "; " (List.map show_event roots))
-      (String.concat ";" (List.map string_of_int slices))
+        (list_size (int_range 1 6) (gen_event ps_scale 3))
+        (map
+           (fun l -> List.map (fun s -> (s, [])) (List.sort compare l))
+           (list_size (int_bound 4) (int_bound 30))))
   in
   QCheck.Test.make ~name:"dispatch order = (time, scheduling order) reference" ~count:500
-    (QCheck.make ~print gen) run_program
+    (QCheck.make ~print:print_program gen) run_program
+
+(* units from one picosecond to half the calendar's 2^28 ps window, across
+   its 2^18 ps bucket width *)
+let engine_dispatch_model_calendar =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 1; 1 lsl 10; 1 lsl 17; 1 lsl 18; 1 lsl 19; 1 lsl 27 ] >>= fun u ->
+      let sc = unit_scale u in
+      pair
+        (list_size (int_range 1 6) (gen_event sc 3))
+        (map
+           (List.sort (fun (a, _) (b, _) -> compare a b))
+           (list_size (int_bound 4)
+              (pair (int_bound (30 * u)) (list_size (int_bound 3) (gen_event sc 1))))))
+  in
+  QCheck.Test.make
+    ~name:"dispatch order = reference across buckets, bursts and the window" ~count:200
+    (QCheck.make ~print:print_program gen) run_program
 
 (* ------------------------------------------------------------------ *)
 (* Sync                                                                *)
@@ -750,6 +863,30 @@ let run_in_engine f =
   let eng = Engine.create () in
   f eng;
   Engine.run eng
+
+(* A hold of a free semaphore takes the unit inline: the one closure that
+   releases it and continues is all it builds (5 words), where an acquire
+   continuation built only to be called at once would add 7. *)
+let test_free_hold_alloc () =
+  let eng = Engine.create () in
+  let sem = Sync.Semaphore.create 1 in
+  let k () = () in
+  let hold () =
+    Sync.Semaphore.hold_then eng sem (Time.ns 1) k;
+    Engine.run eng
+  in
+  for _ = 1 to 100 do
+    hold ()
+  done;
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    hold ()
+  done;
+  let per_hold = (Gc.minor_words () -. before) /. float_of_int n in
+  checki "the unit is back" 1 (Sync.Semaphore.available sem);
+  if per_hold > 6. then
+    Alcotest.failf "a free hold allocated %.1f minor words (limit 6)" per_hold
 
 let test_ivar () =
   run_in_engine (fun eng ->
@@ -987,6 +1124,11 @@ let () =
           qc heap_sorts;
           qc heap_model;
         ] );
+      ( "calq",
+        [
+          Alcotest.test_case "steady-state add/pop is allocation-free" `Quick
+            test_calendar_hot_path_no_alloc;
+        ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -1026,6 +1168,7 @@ let () =
             test_clamp_emits_trace;
           Alcotest.test_case "determinism" `Quick test_determinism;
           qc engine_dispatch_model;
+          qc engine_dispatch_model_calendar;
         ] );
       ( "fibers",
         [
@@ -1046,5 +1189,6 @@ let () =
           Alcotest.test_case "semaphore FIFO wakeup" `Quick test_semaphore_fifo;
           Alcotest.test_case "semaphore try/available" `Quick test_semaphore_try;
           qc waits_schedule_the_same_events;
+          Alcotest.test_case "a free hold builds one closure" `Quick test_free_hold_alloc;
         ] );
     ]

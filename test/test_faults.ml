@@ -394,6 +394,39 @@ let test_timer_dies_with_its_crash () =
       ("sender crashed meanwhile", receiver_down @ down ~node:0 ~from_us:50 ~upto_us:300);
     ]
 
+(* An acked frame is garbage once its ack lands: its retransmit timer,
+   still queued for the rest of the 1 ms RTO, names the frame rather than
+   holding it, so neither the frame nor its payload survives a major
+   collection. *)
+let test_acked_frame_not_pinned_by_its_timer () =
+  let cluster : Bytes.t Cluster.t =
+    Cluster.create ~reliability:Reliable.default ~nic_kind:cni ~nodes:2 ()
+  in
+  let eng = Cluster.engine cluster in
+  let nic0 = Node.nic (Cluster.node cluster 0) in
+  let delivered = ref 0 in
+  ignore
+    (Nic.install_handler
+       (Node.nic (Cluster.node cluster 1))
+       ~pattern:(Cni_nic.Wire.pattern_channel ~channel:3) ~code_bytes:64
+       (fun _ _ -> incr delivered));
+  let payload = Weak.create 1 in
+  let post () =
+    let body = Bytes.make 256 'x' in
+    Weak.set payload 0 (Some body);
+    Engine.spawn eng (fun () ->
+        Nic.send nic0 ~dst:1 ~header:data_header ~body_bytes:256 ~data:Nic.No_data ~payload:body)
+  in
+  post ();
+  Engine.run_until eng (Time.us 500);
+  checki "delivered" 1 !delivered;
+  checki "acked" 0 (Nic.rel_pending_count nic0);
+  checkb "its retransmit timer is still queued" true (Engine.pending eng > 0);
+  Gc.full_major ();
+  checkb "the acked frame's payload was collected" true (Weak.get payload 0 = None);
+  Engine.run eng;
+  checki "the timer found nothing to resend" 0 (Cluster.retransmits cluster)
+
 let test_permanent_outage_fails_structurally () =
   (* a link that never comes back: the sender must surface Delivery_failed
      once its retry budget is exhausted, not hang the simulation *)
@@ -453,5 +486,7 @@ let () =
             test_timer_dies_with_its_crash;
           Alcotest.test_case "permanent outage fails structurally" `Quick
             test_permanent_outage_fails_structurally;
+          Alcotest.test_case "an acked frame is not pinned by its timer" `Quick
+            test_acked_frame_not_pinned_by_its_timer;
         ] );
     ]
