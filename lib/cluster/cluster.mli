@@ -80,9 +80,8 @@ val run_app : ?watchdog:Cni_engine.Time.t -> 'a t -> ('a Node.t -> unit) -> unit
     an already-crashed node's board. *)
 val crash_node : ?scrub:bool -> 'a t -> int -> unit
 
-(** Revive the board under a new delivery epoch (replaying scrubbed
-    installations), reattach the fabric link and thaw the application
-    fiber. *)
+(** Revive the board under a new delivery epoch (rebuilding scrubbed board
+    memory), reattach the fabric link and thaw the application fiber. *)
 val restart_node : 'a t -> int -> unit
 
 (** [false] between {!crash_node} and {!restart_node}. *)

@@ -338,8 +338,8 @@ let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64)
   in
   Array.iter
     (fun t ->
-      (* one AIH per board: 2 KB covers the handler's object code plus the
-         combining-tree state it keeps in board memory *)
+      (* one AIH per board: 2 KB covers the handler's object code plus its
+         combining-tree state (kept in the endpoint, which a scrub leaves) *)
       ignore
         (Nic.install_handler (Node.nic t.node)
            ~pattern:(Wire.pattern_channel ~channel)

@@ -1,10 +1,10 @@
 (** NIC-resident collective operations.
 
     Barrier, broadcast, reduce and allreduce over a combining tree whose
-    per-episode state lives in board memory and whose combine/forward steps
-    run as Application Interrupt Handler code — the design of Yu et al.'s
-    NIC-based collective protocol over Quadrics/Myrinet, mapped onto the
-    CNI's AIH machinery.
+    per-episode state the model keeps in the endpoint (a scrub leaves it)
+    and whose combine/forward steps run as Application Interrupt Handler
+    code — Yu et al.'s NIC-based collective protocol over
+    Quadrics/Myrinet, mapped onto the CNI's AIH machinery.
 
     On a CNI board with AIH enabled an episode costs the host exactly two
     actions: posting its local contribution (an ADC descriptor) and blocking

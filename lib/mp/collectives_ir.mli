@@ -22,7 +22,7 @@
     - Episode state lives in a fixed table of 16 board-segment slots, so at
       most 16 episodes may be in flight per endpoint; callers that issue
       collectives in order (every node, same order — already required)
-      never approach this.
+      never approach this. A scrub loses the episodes in flight.
 
     The closure path remains the default throughout the tree; this module
     is opt-in. *)

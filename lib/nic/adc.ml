@@ -5,7 +5,7 @@ type 'a t = {
   nic : 'a Nic.t;
   channel : int;
   ring : 'a Fabric.packet Ring.t;
-  handle : Cni_pathfinder.Classifier.handle;
+  handle : Nic.handle;
   buffer_base : int;
 }
 
@@ -21,13 +21,10 @@ let open_channel nic ~channel ?(slots = 32) () =
       ~subsystem:(Printf.sprintf "adc-ch%d/ring" channel)
       ~slots ()
   in
-  (* the ring lives in board memory: account it like handler state; a slot
-     holds a descriptor, not the data (64 bytes is generous) *)
+  (* the ring is host memory (DESIGN.md §7c); the board holds only the
+     delivery handler, charged as any installation *)
   let handle =
-    Nic.install_handler nic
-      ~pattern:(Wire.pattern_channel ~channel)
-      ~code_bytes:(slots * 64)
-      (fun ctx pkt ->
+    Nic.install_handler nic ~pattern:(Wire.pattern_channel ~channel) (fun ctx pkt ->
         (* deliver bulk data into this channel's posted host buffer, then
            enqueue the descriptor; a full ring exerts back-pressure on the
            board *)

@@ -1,10 +1,10 @@
 (** Application Device Channels as a user-level messaging API
     (paper section 2.1).
 
-    Opening a channel allocates a receive ring in the board's dual-ported
-    memory (the transmit and free queues of the paper's triplet are folded
-    into the send path and the ring's slot bound respectively) and programs
-    the PATHFINDER to steer matching packets into it. The application then
+    Opening a channel allocates a receive ring in host memory (DESIGN §7c;
+    the transmit and free queues of the paper's triplet are folded into the
+    send path and the ring's slot bound respectively) and programs the
+    PATHFINDER to steer matching packets into it. The application then
     sends and receives without any kernel involvement; protection was checked
     once, at channel-open time.
 
@@ -14,19 +14,19 @@
 
 type 'a t
 
-(** [open_channel nic ~channel ()] — allocates the ring (default 32 slots,
-    consuming board memory like any AIH installation) and installs the
-    classifier pattern for [channel]. Incoming bulk data is DMAed to the
+(** [open_channel nic ~channel ()] — allocates the ring (default 32 slots)
+    and installs the delivery handler for [channel], charged to board
+    memory like any installation. Incoming bulk data is DMAed to the
     channel's posted receive buffer, a channel-indexed page in a dedicated
     region ({!buffer_base}) — two channels never share a delivery page.
-    @raise Failure if the board cannot hold the ring. *)
+    @raise Failure if the board cannot hold the handler. *)
 val open_channel : 'a Nic.t -> channel:int -> ?slots:int -> unit -> 'a t
 
 (** Host virtual address incoming bulk data for this channel is DMAed to. *)
 val buffer_base : 'a t -> int
 
-(** Tear down: removes the pattern; later arrivals for the channel fall to
-    the NIC's default handler. *)
+(** Tear down: uninstalls the handler, before or after any scrub; later
+    arrivals for the channel fall to the NIC's default handler. *)
 val close : 'a t -> unit
 
 (** [send t ~dst ?data payload] transmits on this channel (host-side cost

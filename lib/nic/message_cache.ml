@@ -123,6 +123,9 @@ let bind t ~vpage =
 let unbind t ~vpage =
   match Page_map.find_opt t.map vpage with Some i -> drop_slot t i | None -> ()
 
+(* Every binding goes; the clock hand stays where it is. *)
+let clear t = Array.iteri (fun i _ -> drop_slot t i) t.slots
+
 let snoop t ~addr ~bytes =
   if bytes > 0 then begin
     let first = addr lsr t.page_shift and last = (addr + bytes - 1) lsr t.page_shift in

@@ -65,6 +65,9 @@ val snoop : t -> addr:int -> bytes:int -> unit
     else). *)
 val unbind : t -> vpage:int -> unit
 
+(** Drop every binding (a scrub wipes board memory); statistics stay. *)
+val clear : t -> unit
+
 type stats = {
   hits : int;
   misses : int;

@@ -70,15 +70,32 @@ type 'a rel = {
    protocol's frame type). *)
 type sender = Sender : 'f Reliable.Sender.t -> sender
 
-(* One replayable handler installation: a scrubbed board rebuilds its
-   classifier and code segments from this log at restart (re-verifying
-   firmware programs through the static verifier). *)
-type install_entry = {
-  mutable ie_handle : Classifier.handle;
-  mutable ie_live : bool;  (* cleared by uninstall *)
-  ie_replay : unit -> Classifier.handle option;  (* None: re-verification rejected *)
+module Imap = Map.Make (Int)
+
+(* A live installation: what a restart needs to load it again. *)
+type 'a install = {
+  pattern : Pattern.t;
+  code_bytes : int;
+  segment : unit -> int array;  (* a fresh board segment ([||]: none) *)
+  handler : int array -> 'a handler_fn;  (* the handler over its loaded segment *)
+  firmware : (Cni_aih.Aih_ir.program * int) option;  (* re-verified at this cell budget *)
 }
 
+(* Board memory: the classifier and each loaded install's entry and
+   segment; its code bytes are the install table's. *)
+type 'a board = {
+  classifier : 'a handler_fn Classifier.t;
+  loaded : (int, Classifier.handle * int array) Hashtbl.t;
+}
+
+let blank () = { classifier = Classifier.create (); loaded = Hashtbl.create 8 }
+
+(* Residency. Board memory is [board], which a scrub drops and a restart
+   rebuilds from [installs], and [mc]'s bindings, which a scrub clears (the
+   bus snooper holds the cache). The host keeps the rest through every
+   crash: [installs], the sender tables in [rel] and [senders], the
+   receive windows and peer epochs in [rel], [rx]'s coalescing queue, the
+   epoch, the counters and the recovery latencies; and the wiring. *)
 type 'a t = {
   eng : Engine.t;
   bus : Bus.t;
@@ -90,7 +107,7 @@ type 'a t = {
   host : host;
   registry : Stats.Registry.t option;
   mutable rel : 'a rel option;  (* set once, right after creation *)
-  mutable senders : sender list;  (* parked at crash, resumed at restart *)
+  mutable senders : sender list;
   nic_proc : Sync.Semaphore.t;  (* the 33 MHz processor is a shared resource *)
   tx_ring : unit Ring.t;  (* transmit descriptors are processed in order; a
                              single-slot descriptor ring whose full_stalls
@@ -98,15 +115,12 @@ type 'a t = {
   host_proc : Sync.Semaphore.t;  (* interrupt-level protocol work on the host
                                     serialises as well, [rx]'s included *)
   rx : ('a handler_fn, 'a Fabric.packet) Rx.t;  (* host delivery (CNI, AIH off) *)
-  classifier : ('a handler_fn * int) Classifier.t;
-  handler_sizes : (Classifier.handle, int) Hashtbl.t;
+  mutable board : 'a board option;  (* None from a scrub to the restart *)
+  mutable installs : 'a install Imap.t;  (* by id, so in install order *)
+  mutable next_install : int;
   mutable default_handler : 'a handler_fn;
-  mutable s_handler_code_bytes : int;
-  (* crash/restart state *)
   mutable alive : bool;
   mutable epoch : int;  (* restart epoch stamped into sequenced aux fields *)
-  mutable scrubbed : bool;  (* board memory wiped; restart must replay installs *)
-  mutable install_log : install_entry list;  (* newest first *)
   mutable restarted_at : Time.t option;  (* pending recovery-latency measurement *)
   mutable recovery_latencies : Time.t list;  (* newest first *)
   (* error-path counters, registered on first increment so clean runs leave
@@ -535,11 +549,16 @@ let reassembled t (pkt : 'a Fabric.packet) =
     | Some _ -> (
         (* classify the moment the frame is admitted: under reliable
            delivery its ack is already on the way, so the sender will never
-           resend it, and it must reach its handler even if a scrub wipes
-           the classifier while the lookup's cost is still being paid *)
+           resend it, and it must reach its handler (and segment) even if
+           a scrub drops board memory while the lookup's cost is paid *)
+        let found =
+          match t.board with
+          | Some b -> Classifier.classify b.classifier pkt.Fabric.header
+          | None -> None
+        in
         let handler =
-          match Classifier.classify t.classifier pkt.Fabric.header with
-          | Some (f, _code) -> f
+          match found with
+          | Some f -> f
           | None ->
               Stats.Counter.incr t.s_unmatched;
               t.default_handler
@@ -628,7 +647,7 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
   let host_proc = Sync.Semaphore.create 1 and s_interrupts = counter "interrupts" in
   (* the receive engine runs each frame it delivers in this board's host
      context, so the board and its engine are built together *)
-  let rec board =
+  let rec nic =
     lazy {
       eng;
       bus;
@@ -647,16 +666,14 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       rx =
         Rx.create eng p ~node ~host ~host_proc ~interrupts:s_interrupts ~counter ~policy ~batch
           ~run:(fun handler pkt ->
-            run_on_host (Lazy.force board) ~base:Time.zero
+            run_on_host (Lazy.force nic) ~base:Time.zero
               ~reply_host_cycles:p.Params.adc_enqueue_cycles handler pkt);
-      classifier = Classifier.create ();
-      handler_sizes = Hashtbl.create 16;
+      board = Some (blank ());
+      installs = Imap.empty;
+      next_install = 0;
       default_handler = (fun _ _ -> ());
-      s_handler_code_bytes = 0;
       alive = true;
       epoch = 0;
-      scrubbed = false;
-      install_log = [];
       restarted_at = None;
       recovery_latencies = [];
       lazy_counters = Hashtbl.create 8;
@@ -669,7 +686,7 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       s_interrupts;
     }
   in
-  let t = Lazy.force board in
+  let t = Lazy.force nic in
   Option.iter
     (fun cfg ->
       let r_tx =
@@ -691,43 +708,44 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
   Fabric.set_receiver fabric ~node (fun pkt -> receive t pkt);
   t
 
-(* The memory-check + classifier half of an installation, shared by the
-   public entry point and the restart replay (which must not re-log). *)
-let install_raw t ~pattern ~code_bytes f =
+type handle = int
+
+let load b id i =
+  let segment = i.segment () in
+  Hashtbl.replace b.loaded id (Classifier.add b.classifier i.pattern (i.handler segment), segment)
+
+let code_bytes_in_use t = Imap.fold (fun _ i n -> n + i.code_bytes) t.installs 0
+
+(* into the table, and onto the board unless a scrub left none *)
+let install t ~pattern ~code_bytes ?(segment = fun () -> [||]) ?firmware handler =
   if code_bytes <= 0 then invalid_arg "Nic.install_handler: code_bytes must be positive";
   let mc_bytes =
     match t.kind with `Cni { mc_bytes; _ } -> mc_bytes | `Osiris | `Standard -> 0
   in
-  let free = t.p.Params.nic_memory_bytes - mc_bytes - t.s_handler_code_bytes in
+  let free = t.p.Params.nic_memory_bytes - mc_bytes - code_bytes_in_use t in
   if code_bytes > free then
     failwith
       (Printf.sprintf "Nic.install_handler: %d bytes of object code exceed free board memory (%d)"
          code_bytes free);
-  t.s_handler_code_bytes <- t.s_handler_code_bytes + code_bytes;
-  let h = Classifier.add t.classifier pattern (f, code_bytes) in
-  Hashtbl.replace t.handler_sizes h code_bytes;
-  h
+  let id = t.next_install and i = { pattern; code_bytes; segment; handler; firmware } in
+  t.next_install <- id + 1;
+  t.installs <- Imap.add id i t.installs;
+  Option.iter (fun b -> load b id i) t.board;
+  id
 
-let install_handler t ~pattern ?(code_bytes = 512) f =
-  let h = install_raw t ~pattern ~code_bytes f in
-  let entry =
-    { ie_handle = h; ie_live = true;
-      ie_replay = (fun () -> Some (install_raw t ~pattern ~code_bytes f)) }
-  in
-  t.install_log <- entry :: t.install_log;
-  h
+let install_handler t ~pattern ?(code_bytes = 512) f = install t ~pattern ~code_bytes (fun _ -> f)
 
 (* removing a handler frees its board segment for later installations *)
-let uninstall_handler t h =
-  (match Hashtbl.find_opt t.handler_sizes h with
-  | Some bytes ->
-      Hashtbl.remove t.handler_sizes h;
-      t.s_handler_code_bytes <- t.s_handler_code_bytes - bytes
-  | None -> ());
-  List.iter (fun e -> if e.ie_live && e.ie_handle = h then e.ie_live <- false) t.install_log;
-  Classifier.remove t.classifier h
+let uninstall_handler t id =
+  t.installs <- Imap.remove id t.installs;
+  Option.iter
+    (fun b ->
+      Option.iter (fun (h, _) -> Classifier.remove b.classifier h) (Hashtbl.find_opt b.loaded id);
+      Hashtbl.remove b.loaded id)
+    t.board
+
 let set_default_handler t f = t.default_handler <- f
-let handler_code_bytes t = t.s_handler_code_bytes
+let handler_code_bytes t = if Option.is_some t.board then code_bytes_in_use t else 0
 
 (* ------------------------------------------------------------------ *)
 (* Crash / restart                                                     *)
@@ -741,24 +759,30 @@ let crash t ~scrub =
     t.alive <- false;
     Stats.Counter.incr (lcounter t "crashes");
     trace t ~label:(if scrub then "crash-scrub" else "crash") ~payload:t.epoch;
-    (* un-acked frames park in the host-resident descriptor rings, their
-       timers dead; the sequence allocators, duplicate windows and peer
-       epochs are host-resident too and survive (see {!Reliable}) *)
     List.iter (fun (Sender s) -> Reliable.Sender.park s) t.senders;
-    (* [rx]'s coalescing queue is the host-resident ADC receive ring: its
-       frames were admitted and acked, so it and its wakeup survive *)
     t.restarted_at <- None;
     if scrub then begin
-      t.scrubbed <- true;
-      Hashtbl.iter (fun h _ -> Classifier.remove t.classifier h) t.handler_sizes;
-      Hashtbl.reset t.handler_sizes;
-      t.s_handler_code_bytes <- 0;
-      Option.iter
-        (fun mc ->
-          List.iter (fun vpage -> Message_cache.unbind mc ~vpage) (Message_cache.bound_pages mc))
-        t.mc
+      t.board <- None;
+      Option.iter Message_cache.clear t.mc
     end
   end
+
+(* A board rebuilt from the install table, in install order; firmware goes
+   back through the verifier before the board will run it again. *)
+let rebuild t =
+  let b = blank () in
+  Imap.iter
+    (fun id i ->
+      match i.firmware with
+      | Some (program, cell_budget)
+        when Result.is_error (Cni_aih.Aih_verify.verify ~cell_budget program) ->
+          Stats.Counter.incr (lcounter t "restart_reverify_rejects");
+          t.installs <- Imap.remove id t.installs
+      | firmware ->
+          if Option.is_some firmware then Stats.Counter.incr (lcounter t "restart_reverified");
+          load b id i)
+    t.installs;
+  b
 
 let restart t =
   if not t.alive then begin
@@ -772,18 +796,7 @@ let restart t =
        again under the new epoch *)
     List.iter (fun (Sender s) -> Reliable.Sender.resume s ~epoch:t.epoch) t.senders;
     t.restarted_at <- Some (Engine.now t.eng);
-    if t.scrubbed then begin
-      t.scrubbed <- false;
-      (* replay the surviving installations in their original order; each
-         verified program goes back through the static verifier first *)
-      List.iter
-        (fun e ->
-          if e.ie_live then
-            match e.ie_replay () with
-            | Some h -> e.ie_handle <- h
-            | None -> e.ie_live <- false)
-        (List.rev t.install_log)
-    end
+    if Option.is_none t.board then t.board <- Some (rebuild t)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -791,7 +804,7 @@ let restart t =
 (* ------------------------------------------------------------------ *)
 
 type 'a verified_handler = {
-  vh_handle : Classifier.handle;
+  vh_handle : handle;
   vh_cert : Cni_aih.Aih_verify.cert;
   vh_budget : int;
   vh_activate : ?view:int array -> 'a ctx -> int array -> unit;
@@ -801,7 +814,8 @@ type 'a verified_handler = {
    header words plus the frame's body size. *)
 let header_view_words = 6
 
-let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_wake =
+let install_handler_verified ?link_bps ?(init = ignore) t ~pattern ~program ~entry ~on_send
+    ~on_wake =
   (* line-rate admission: the budget one streaming activation gets before
      the next cell arrives, at the configured (or overridden) link rate *)
   let cell_budget = Params.line_rate_budget ?link_bps t.p in
@@ -810,12 +824,14 @@ let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_w
       Stats.Counter.incr (lcounter t "aih_verify_rejects");
       Error rjs
   | Ok cert ->
-      (* the handler's persistent board segment: one allocation at install,
-         shared by every activation, like the closure handlers' mutable
-         state records. A scrub wipes it; the restart replay allocates a
-         fresh zeroed segment. *)
-      let mem = ref (Array.make program.Cni_aih.Aih_ir.seg_words 0) in
-      let activate ?view ctx inputs =
+      (* the persistent board segment: one per load, shared by every
+         activation, like the closure handlers' mutable state records *)
+      let segment () =
+        let mem = Array.make program.Cni_aih.Aih_ir.seg_words 0 in
+        init mem;
+        mem
+      in
+      let run mem ?view ctx inputs =
         let services =
           {
             Cni_aih.Aih_exec.sv_send =
@@ -824,11 +840,11 @@ let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_w
             sv_charge = ctx.charge;
           }
         in
-        ignore (Cni_aih.Aih_exec.run program ?view ~mem:!mem ~inputs services)
+        ignore (Cni_aih.Aih_exec.run program ?view ~mem ~inputs services)
       in
-      let fn ctx pkt =
+      let handler mem ctx pkt =
         match program.Cni_aih.Aih_ir.hkind with
-        | Cni_aih.Aih_ir.Episode -> activate ctx (entry pkt)
+        | Cni_aih.Aih_ir.Episode -> run mem ctx (entry pkt)
         | Cni_aih.Aih_ir.Header _ ->
             (* one activation per packet, with the first cell latched *)
             let view =
@@ -840,7 +856,7 @@ let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_w
                   |]
               | None -> [||] (* unreachable: undecodable frames never classify *)
             in
-            activate ~view ctx (entry pkt)
+            run mem ~view ctx (entry pkt)
         | Cni_aih.Aih_ir.Payload { chunk_words; max_chunks } ->
             (* one activation per payload chunk as reassembly streams it in;
                each activation's cycles hit the board through [ctx.charge],
@@ -858,28 +874,19 @@ let install_handler_verified ?link_bps t ~pattern ~program ~entry ~on_send ~on_w
               in
               inputs.(0) <- i;
               inputs.(1) <- valid;
-              activate ~view ctx inputs
+              run mem ~view ctx inputs
             done
       in
-      let code_bytes = cert.Cni_aih.Aih_verify.code_bytes in
-      let h = install_raw t ~pattern ~code_bytes fn in
-      let entry_log =
-        { ie_handle = h; ie_live = true;
-          ie_replay =
-            (fun () ->
-              (* firmware goes back through the verifier before the scrubbed
-                 board will run it again *)
-              match Cni_aih.Aih_verify.verify ~cell_budget program with
-              | Error _ ->
-                  Stats.Counter.incr (lcounter t "restart_reverify_rejects");
-                  None
-              | Ok cert' ->
-                  Stats.Counter.incr (lcounter t "restart_reverified");
-                  mem := Array.make program.Cni_aih.Aih_ir.seg_words 0;
-                  Some (install_raw t ~pattern ~code_bytes:cert'.Cni_aih.Aih_verify.code_bytes fn)) }
+      let id =
+        install t ~pattern ~code_bytes:cert.Cni_aih.Aih_verify.code_bytes ~segment
+          ~firmware:(program, cell_budget) handler
       in
-      t.install_log <- entry_log :: t.install_log;
-      Ok { vh_handle = h; vh_cert = cert; vh_budget = cell_budget; vh_activate = activate }
+      let activate ?view ctx inputs =
+        match Option.bind t.board (fun b -> Hashtbl.find_opt b.loaded id) with
+        | Some (_, mem) -> run mem ?view ctx inputs
+        | None -> run (segment ()) ?view ctx inputs (* scrubbed: nothing keeps it *)
+      in
+      Ok { vh_handle = id; vh_cert = cert; vh_budget = cell_budget; vh_activate = activate }
 
 let aih_verify_rejects t = lvalue t "aih_verify_rejects"
 

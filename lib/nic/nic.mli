@@ -126,6 +126,10 @@ val is_cni : 'a t -> bool
     AIH); [false] for the standard interface and the host-handler ablation. *)
 val aih_enabled : 'a t -> bool
 
+(** An installation in the host's install table: valid across any number
+    of scrubs, until {!uninstall_handler}. *)
+type handle
+
 (** [install_handler t ~pattern ~code_bytes f] — the paper's AIH
     installation: the connection-opening application supplies a PATHFINDER
     pattern and the location/size of relocatable protocol object code; the
@@ -144,11 +148,11 @@ val install_handler :
   pattern:Cni_pathfinder.Pattern.t ->
   ?code_bytes:int ->
   ('a ctx -> 'a Cni_atm.Fabric.packet -> unit) ->
-  Cni_pathfinder.Classifier.handle
+  handle
 
 (** Deprogram the classifier pattern and free the handler's board memory
     segment for later installations. Uninstalling twice is a no-op. *)
-val uninstall_handler : 'a t -> Cni_pathfinder.Classifier.handle -> unit
+val uninstall_handler : 'a t -> handle -> unit
 
 (** Fallback for packets no pattern matches (default: count and drop). *)
 val set_default_handler : 'a t -> ('a ctx -> 'a Cni_atm.Fabric.packet -> unit) -> unit
@@ -156,15 +160,16 @@ val set_default_handler : 'a t -> ('a ctx -> 'a Cni_atm.Fabric.packet -> unit) -
 (** Bytes of board memory currently holding AIH object code. *)
 val handler_code_bytes : 'a t -> int
 
-(** A handler admitted through the static verifier: the classifier handle
+(** A handler admitted through the static verifier: its installation
     (for {!uninstall_handler}), the admission certificate, the per-cell
     cycle budget it was admitted against, and the activation entry point
     the host side of a protocol may drive through {!local_dispatch}
-    ([vh_activate ctx inputs] runs the firmware with registers
-    [0..inputs-1] preloaded; [?view] supplies the [Ldv] window for
-    streaming programs). *)
+    ([vh_activate ctx inputs] runs the firmware on the segment the board
+    holds — a fresh one, kept by nothing, while a scrub has left none —
+    with registers [0..inputs-1] preloaded; [?view] supplies the [Ldv]
+    window for streaming programs). *)
 type 'a verified_handler = {
-  vh_handle : Cni_pathfinder.Classifier.handle;
+  vh_handle : handle;
   vh_cert : Cni_aih.Aih_verify.cert;
   vh_budget : int;
   vh_activate : ?view:int array -> 'a ctx -> int array -> unit;
@@ -197,10 +202,14 @@ val header_view_words : int
     reassembled body — each activation charging the cycles it executes, so
     cost scales per cell.
 
+    [init] fills each fresh (zeroed) segment: at install, and when a
+    restart reloads the firmware after a scrub.
+
     @raise Failure if the program verifies but the board's free memory
     cannot hold its certified [code_bytes]. *)
 val install_handler_verified :
   ?link_bps:int ->
+  ?init:(int array -> unit) ->
   'a t ->
   pattern:Cni_pathfinder.Pattern.t ->
   program:Cni_aih.Aih_ir.program ->
@@ -304,39 +313,23 @@ val rx_crc_errors : 'a t -> int
 
     A board can {!crash} — its timers die; frames reaching it, or still in
     reassembly when the crash lands, are dropped ([crash_rx_drops]) — and
-    later {!restart} under a new delivery {e epoch}.
+    later {!restart} under a new delivery {e epoch}. Board memory is the
+    classifier with the handlers loaded in it, their code bytes and
+    segments, and the Message Cache's bindings: a crash with [scrub = true]
+    wipes it, and {!restart} rebuilds it from the install table in install
+    order, re-verifying firmware ([restart_reverified] /
+    [restart_reverify_rejects]). Everything else is host state and survives
+    every crash, the install table and its {!handle}s included.
 
-    A frame the board has acked reaches its handler whatever crash follows,
-    since its sender will never resend it. The board classifies a fresh
-    frame as soon as it admits it, before paying the lookup's cost, so a
-    scrub during that wait cannot misroute it, and the receive engine's
-    coalescing queue survives the crash ({!Rx.deliver}).
-
-    Reliable delivery has one crash rule, {!Reliable.Sender}'s: the ADC
-    descriptor rings are host-resident, so the un-acked frames park, and so
-    does every sequenced frame posted while the board is down, by the host
-    or by a handler still finishing when the crash landed. {!restart}
-    re-stamps them under the new epoch with their original bare sequence
-    numbers and re-sends them, in parking order, for every table made with
-    {!sender}. Only an unsequenced frame (reliability off) posted to a dead
-    board is lost with it, counted as [crash_tx_drops] like a fabric loss;
-    that counter also records a transmission the crash caught in the
-    board's queue, whose sequenced original is parked.
-
-    Receivers reject frames from an older epoch of a source than the newest
-    seen ([rx_stale_epoch]). The duplicate windows, peer epochs and
-    sequence allocators are host-resident and survive, so a pre-crash
-    delivery of seq [s] suppresses the post-restart re-send of seq [s]:
-    delivery stays exactly-once across a restart.
-
-    A crash with [scrub = true] additionally wipes board memory: installed
-    handlers (and their firmware segments) and the Message Cache's bindings.
-    The restart then replays every surviving installation in its original
-    order, re-verifying firmware programs through
-    {!Cni_aih.Aih_verify.verify} (counted as [restart_reverified] /
-    [restart_reverify_rejects]). Classifier handles and [vh_activate]
-    closures obtained {e before} a scrubbed crash refer to the wiped
-    segments and must not be reused. *)
+    Delivery stays exactly-once: a frame the board acked reaches the
+    handler it was classified to at admission; sequenced frames not yet
+    acked, or posted while the board is down, park in their {!sender}
+    tables until {!restart} re-sends them under the new epoch with their
+    bare sequence numbers; the receive windows suppress re-sends of frames
+    that landed, and frames from an older epoch of a source are dropped
+    ([rx_stale_epoch]). [crash_tx_drops] counts an unsequenced frame posted
+    to a dead board, and a transmission the crash caught in the board's
+    queue (its sequenced original parked). *)
 
 (** The board's restart epoch (0 at creation; saturates at
     {!Reliable.max_epoch}). *)
@@ -347,8 +340,8 @@ val epoch : 'a t -> int
 val crash : 'a t -> scrub:bool -> unit
 
 (** Restart a crashed board; no-op if alive. Advances the epoch, re-sends
-    every parked frame of every sender table under it, and replays the
-    install log if the crash scrubbed board memory. *)
+    every parked frame of every sender table under it, and rebuilds board
+    memory from the install table if the crash scrubbed it. *)
 val restart : 'a t -> unit
 
 (** A {!Reliable.Sender} table under this board's crash rule ({!crash}

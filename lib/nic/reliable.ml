@@ -67,6 +67,7 @@ module Window = struct
 
   let create () = { floor = 0; above = Hashtbl.create 8 }
   let floor t = t.floor
+  let seen t seq = seq <= t.floor || Hashtbl.mem t.above seq
 
   let observe t seq =
     if seq = t.floor + 1 && Hashtbl.length t.above = 0 then begin
@@ -74,7 +75,7 @@ module Window = struct
       t.floor <- seq;
       `Fresh
     end
-    else if seq <= t.floor || Hashtbl.mem t.above seq then `Duplicate
+    else if seen t seq then `Duplicate
     else begin
       Hashtbl.replace t.above seq ();
       (* advance the floor over any now-contiguous prefix so the out-of-order
@@ -115,9 +116,7 @@ module Sender = struct
     rto_capped : Stats.Counter.t;  (* arm events clamped at max_rto *)
     next_seq : (int, int) Hashtbl.t;  (* last sequence number per destination *)
     pending : (int * int, 'f frame) Hashtbl.t;  (* (dst, tag) *)
-    mutable parked : 'f frame list;
-        (* frames waiting out a board crash in the host-resident descriptor
-           rings, newest first; re-sent at restart *)
+    mutable parked : 'f frame list;  (* waiting out a board crash, newest first *)
     mutable up : bool;
     mutable epoch : int;
     mutable timers : int;  (* timers armed so far: the next timer's generation *)
@@ -183,18 +182,24 @@ module Sender = struct
     end
     else t.parked <- e :: t.parked
 
-  let post t ~dst ~header body =
+  let next_seq t dst =
     let seq = 1 + Option.value (Hashtbl.find_opt t.next_seq dst) ~default:0 in
     Hashtbl.replace t.next_seq dst seq;
+    seq
+
+  let post t ~dst ~header body =
+    let seq = next_seq t dst in
     let tag = aux_of ~epoch:t.epoch ~seq in
     enter t ~send:true
       { dst; seq; stamped = true; tag; header = Wire.with_aux header tag; body;
         tries = 1; rto = t.cfg.timeout; timer = 0 }
 
-  let track t ~dst ~seq ~header body =
+  let track t ~dst ~header body =
+    let seq = next_seq t dst in
     enter t ~send:false
-      { dst; seq; stamped = false; tag = seq; header; body; tries = 1; rto = t.cfg.timeout;
-        timer = 0 }
+      { dst; seq; stamped = false; tag = seq; header = header seq; body; tries = 1;
+        rto = t.cfg.timeout; timer = 0 };
+    seq
 
   let find t ~dst ~tag = Hashtbl.find_opt t.pending (dst, tag)
 
@@ -207,8 +212,7 @@ module Sender = struct
     | None -> None
 
   (* The board's timers die with it (even one that fires after the restart
-     armed the next: the re-arm's generation is newer), but the descriptors
-     live in the host-resident rings. *)
+     armed the next: the re-arm's generation is newer); the frames stay. *)
   let park t =
     t.up <- false;
     Hashtbl.iter (fun _ e -> t.parked <- e :: t.parked) t.pending;

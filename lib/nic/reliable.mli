@@ -81,6 +81,9 @@ module Window : sig
   (** Highest sequence number below which everything has been seen. *)
   val floor : t -> int
 
+  (** Whether [seq] has been observed. *)
+  val seen : t -> int -> bool
+
   val observe : t -> int -> [ `Fresh | `Duplicate ]
 end
 
@@ -131,9 +134,10 @@ module Sender : sig
       copy of [header]'s aux field, and send (or park) the frame. *)
   val post : 'f t -> dst:int -> header:Bytes.t -> 'f -> unit
 
-  (** Take a frame numbered elsewhere (firmware), [header] as it is; the
-      caller sends it. Its tag is [seq], and {!resume} re-sends it as is. *)
-  val track : 'f t -> dst:int -> seq:int -> header:Bytes.t -> 'f -> unit
+  (** Allocate [dst]'s next sequence number [seq] and take the frame
+      [header seq] as it is, for firmware to stamp; the caller sends it.
+      Its tag is [seq], and {!resume} re-sends it as is. Returns [seq]. *)
+  val track : 'f t -> dst:int -> header:(int -> Bytes.t) -> 'f -> int
 
   val find : 'f t -> dst:int -> tag:int -> 'f frame option
 
@@ -156,9 +160,7 @@ end
 
 (** {2 Receiver verdict}
 
-    Per-source peer epochs and duplicate windows. Both are host-resident
-    and survive a board crash, which keeps delivery exactly-once across a
-    restart. *)
+    Per-source peer epochs and duplicate windows. *)
 module Receiver : sig
   type t
 

@@ -1,34 +1,14 @@
-(* Reliable delivery compiled onto the board: the PR-2 closure protocol
-   (per-destination sequencing, per-frame acks, a duplicate window whose
-   floor advances over contiguously seen numbers, timer-driven retransmit)
-   re-expressed as generated streaming AIH firmware, the way
-   {!Collectives_ir} compiles the tree collectives.
-
-   Two programs per endpoint:
-
-   - [rx_program] is a {!Aih_ir.Header} handler on the data channel. Its
-     board segment holds one [floor; bitmap] window slot per peer; a fresh
-     data frame sets its bit, slides the floor over the contiguous prefix
-     (a bounded [Loop], limit {!window}), acks the sender from protocol
-     context and wakes the host to deliver. Duplicates are re-acked (the
-     previous ack may have died on the fabric) and counted; frames more
-     than {!window} beyond the floor are dropped unacked and survive as a
-     later retransmission. Ack frames arriving back at a sender take an
-     early branch that just wakes the host.
-
-   - [tx_program] is an [Episode] stamp handler the host drives through
-     {!Nic.local_dispatch}: it allocates the next per-destination sequence
-     number from its segment, wakes the host (which puts the frame in its
-     sender table, timer armed, {e before} the frame is on the wire) and
-     then sends the data frame.
-
-   The host side owns what the paper keeps off the board: payload bytes
-   (stashed per-activation and handed to [deliver]), the un-acked frames
-   and their retransmit timers — a {!Reliable.Sender} table, the closure
-   layer's engine, so backoff, cap, retry budget and the crash rule are the
-   same code — and the completion ivars senders block on. Counters land in
-   the registry under subsystem "reliable-ir" with the same names as
-   {!Nic.rel_stats} so the two implementations diff directly. *)
+(* Reliable delivery compiled onto the board, the way {!Collectives_ir}
+   compiles the tree collectives: an rx [Header] handler on the data
+   channel, and a tx [Episode] stamp the host drives through
+   {!Nic.local_dispatch} with r0 = destination and r1 = the sequence
+   number (the {!Collectives_ir} ABI: the host numbers, the firmware
+   stamps). The host keeps the protocol's state — payloads, a
+   {!Reliable.Sender} table (the closure layer's numbering, timers and
+   crash rule), completion ivars, and per-peer {!Reliable.Window}s fed by
+   the delivery wakes, which the rx segment caches. Counters land in the
+   registry under subsystem "reliable-ir" with the names of
+   {!Nic.rel_stats}, so the two implementations diff directly. *)
 
 module Engine = Cni_engine.Engine
 module Stats = Cni_engine.Stats
@@ -50,7 +30,6 @@ let window = 8
 let ev_deliver = 1
 let ev_ack = 2
 let ev_dup = 3
-let ev_stamp = 4
 
 (* ------------------------------------------------------------------ *)
 (* Generated firmware                                                  *)
@@ -124,37 +103,28 @@ let rx_program ~size =
     ~hkind:(Ir.Header { view_words = Nic.header_view_words })
     a ~name:"reliable-rx" ~seg_words:(2 * size) ~inputs:0
 
-(* Episode-kind transmit stamp: r0 = destination (host-supplied through
-   local_dispatch, still proven in range before indexing the segment).
-   Wake first — the host must have the frame in its sender table, timer
-   armed, before the frame can race it to the fabric. *)
+(* Episode-kind transmit stamp: r0 = destination, r1 = the sequence number
+   the host's sender table allocated. The destination is proven in range
+   before it reaches the wire. *)
 let tx_program ~size =
   let a = Ir.Asm.create () in
   let open Ir.Asm in
   let l_out = fresh a in
   bri a Lt 0 0 l_out;
   bri a Ge 0 size l_out;
-  load a 1 ~base:0 0;
-  bini a Add 1 1 1;
-  store a 1 ~base:0 0;
-  const a 2 ev_stamp;
-  bini a Shl 2 2 16;
-  bin a Or 2 2 0;
-  wake a ~seq:2 ~value:1;
-  const a 3 k_data;
-  send a ~dst:0 ~kind:3 ~obj:1 ~value:1;
+  const a 2 k_data;
+  send a ~dst:0 ~kind:2 ~obj:1 ~value:1;
   place a l_out;
   halt a;
-  assemble a ~name:"reliable-tx-stamp" ~seg_words:size ~inputs:1
+  assemble a ~name:"reliable-tx-stamp" ~seg_words:0 ~inputs:2
 
 (* ------------------------------------------------------------------ *)
 (* Host endpoint                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* What the endpoint keeps of a data frame besides its header: staged by
-   {!send} until the stamp firmware numbers it, then the body of its
-   sender-table frame. *)
-type 'a staged = { g_body_bytes : int; g_payload : 'a; g_done : unit Sync.Ivar.t }
+(* What the endpoint keeps of a data frame besides its header: the body of
+   its sender-table frame. *)
+type 'a frame = { g_body_bytes : int; g_payload : 'a; g_done : unit Sync.Ivar.t }
 
 type 'a t = {
   nic : 'a Nic.t;
@@ -163,8 +133,8 @@ type 'a t = {
   deliver : src:int -> seq:int -> body_bytes:int -> payload:'a -> unit;
   rx_vh : 'a Nic.verified_handler;
   tx_vh : 'a Nic.verified_handler;
-  staged : 'a staged Queue.t;
-  tx : 'a staged Reliable.Sender.t;  (** un-acked data frames, keyed [(dst, seq)] *)
+  tx : 'a frame Reliable.Sender.t;  (** un-acked data frames, keyed [(dst, seq)] *)
+  windows : Reliable.Window.t array;  (** per peer: what the rx segment caches *)
   mutable cur_pkt : (int * 'a) option;
       (** body_bytes/payload of the frame the rx firmware is streaming *)
   s_acks_tx : Stats.Counter.t;
@@ -188,9 +158,9 @@ let header t ~kind ~obj =
       obj; aux = 0 }
 
 (* The re-send of a data frame, for the retransmit timer and a restart
-   alike: back through {!Nic.send} from a fresh fiber. The stamp already
-   happened, so the frame keeps its sequence number. *)
-let resend eng nic (e : 'a staged Reliable.Sender.frame) =
+   alike: back through {!Nic.send} from a fresh fiber. The frame keeps its
+   sequence number. *)
+let resend eng nic (e : 'a frame Reliable.Sender.frame) =
   Engine.spawn eng ~name:"relir-retx" (fun () ->
       Nic.send nic ~dst:e.dst ~header:e.header ~body_bytes:e.body.g_body_bytes
         ~data:Nic.No_data ~payload:e.body.g_payload)
@@ -202,8 +172,8 @@ let on_send t ctx ~dst ~kind ~obj ~value:_ =
       ~data:Nic.No_data ~payload:(Obj.magic 0)
   end
   else
-    (* data frame: the stamp wake just put it in the sender table; one
-       parked there (its board is down) waits for the restart instead *)
+    (* data frame: {!send} put it in the sender table; one parked there
+       (its board is down) waits for the restart instead *)
     match Reliable.Sender.find t.tx ~dst ~tag:obj with
     | Some e ->
         ctx.Nic.reply ~dst ~header:e.header ~body_bytes:e.body.g_body_bytes
@@ -213,6 +183,7 @@ let on_send t ctx ~dst ~kind ~obj ~value:_ =
 let on_wake t ~seq ~value =
   let ev = seq lsr 16 and peer = seq land 0xFFFF in
   if ev = ev_deliver then (
+    ignore (Reliable.Window.observe t.windows.(peer) value);
     match t.cur_pkt with
     | Some (body_bytes, payload) ->
         t.deliver ~src:peer ~seq:value ~body_bytes ~payload
@@ -224,9 +195,19 @@ let on_wake t ~seq ~value =
     | None -> () (* ack of an already-acked frame: a duplicate beat it *)
   end
   else if ev = ev_dup then Stats.Counter.incr t.s_rx_duplicates
-  else if ev = ev_stamp then
-    Reliable.Sender.track t.tx ~dst:peer ~seq:value ~header:(header t ~kind:k_data ~obj:value)
-      (Queue.pop t.staged)
+
+(* Fill a fresh rx segment from the host's windows: slot [2*peer] gets the
+   floor, [2*peer + 1] the bit [d-1] of every seen [floor + d]. *)
+let load_windows windows mem =
+  Array.iteri
+    (fun peer w ->
+      let floor = Reliable.Window.floor w in
+      mem.(2 * peer) <- floor;
+      for d = 1 to window do
+        if Reliable.Window.seen w (floor + d) then
+          mem.((2 * peer) + 1) <- mem.((2 * peer) + 1) lor (1 lsl (d - 1))
+      done)
+    windows
 
 let counter nic name =
   match Nic.registry nic with
@@ -238,6 +219,7 @@ let install ~engine ~size ~deliver nic =
   let rank = Nic.node nic in
   if size < 1 then invalid_arg "Reliable_ir.install: need at least one node";
   if size > 0xFFFF then invalid_arg "Reliable_ir.install: peer index rides in 16 bits";
+  let windows = Array.init size (fun _ -> Reliable.Window.create ()) in
   let rec t =
     lazy
       {
@@ -247,6 +229,7 @@ let install ~engine ~size ~deliver nic =
         deliver;
         rx_vh =
           install_program "rx" ~channel:default_channel ~program:(rx_program ~size)
+            ~init:(load_windows windows)
             ~entry:(fun pkt ->
               (Lazy.force t).cur_pkt <- Some (pkt.Fabric.body_bytes, pkt.Fabric.payload);
               [||]);
@@ -254,19 +237,20 @@ let install ~engine ~size ~deliver nic =
            pattern sits on the next channel, which never appears on the wire *)
         tx_vh =
           install_program "tx" ~channel:(default_channel + 1) ~program:(tx_program ~size)
-            ~entry:(fun _ -> [| 0 |]);
-        staged = Queue.create ();
+            ~entry:(fun _ -> [||]);
         tx =
           Nic.sender nic Reliable.default ~counter:(counter nic)
             ~transmit:(resend engine nic) ~retransmit:(resend engine nic);
+        windows;
         cur_pkt = None;
         s_acks_tx = counter nic "acks_tx";
         s_acks_rx = counter nic "acks_rx";
         s_rx_duplicates = counter nic "rx_duplicates";
       }
-  and install_program what ~channel ~program ~entry =
+  and install_program ?init what ~channel ~program ~entry =
     match
-      Nic.install_handler_verified nic ~pattern:(Wire.pattern_channel ~channel) ~program ~entry
+      Nic.install_handler_verified ?init nic ~pattern:(Wire.pattern_channel ~channel) ~program
+        ~entry
         ~on_send:(fun ctx ~dst ~kind ~obj ~value ->
           on_send (Lazy.force t) ctx ~dst ~kind ~obj ~value)
         ~on_wake:(fun ~seq ~value -> on_wake (Lazy.force t) ~seq ~value)
@@ -283,7 +267,12 @@ let send t ~dst ~body_bytes ~payload =
   if dst < 0 || dst >= t.size then invalid_arg "Reliable_ir.send: bad destination";
   if dst = t.rank then invalid_arg "Reliable_ir.send: no self-delivery";
   let g_done = Sync.Ivar.create () in
-  Queue.push { g_body_bytes = body_bytes; g_payload = payload; g_done } t.staged;
-  Nic.local_dispatch t.nic (fun ctx -> t.tx_vh.Nic.vh_activate ctx [| dst |]);
+  (* into the sender table, timer armed, before the frame can reach the wire *)
+  let seq =
+    Reliable.Sender.track t.tx ~dst
+      ~header:(fun seq -> header t ~kind:k_data ~obj:seq)
+      { g_body_bytes = body_bytes; g_payload = payload; g_done }
+  in
+  Nic.local_dispatch t.nic (fun ctx -> t.tx_vh.Nic.vh_activate ctx [| dst; seq |]);
   g_done
 

@@ -11,24 +11,23 @@
       acks, deduplicates and wakes the host to deliver, all from
       protocol context and all within the line-rate admission budget;
     - an [Episode]-kind transmit stamp the host drives through
-      {!Nic.local_dispatch}, which allocates the next sequence number
-      on the board and emits the data frame.
+      {!Nic.local_dispatch} with the sequence number the host allocated,
+      which emits the data frame.
 
     Both go through {!Nic.install_handler_verified}, so the protocol
     itself is subject to pointer-safety, WCET and line-rate admission —
-    the paper's "verify whole protocols onto the NIC". Host-side state
-    is payload staging, completion ivars and the un-acked frames, kept in
-    a {!Reliable.Sender} table made with {!Nic.sender}: the closure
-    layer's retransmission engine and crash rule. A crash of the board
-    parks those frames, and its restart re-sends them unchanged.
+    the paper's "verify whole protocols onto the NIC". The host keeps the
+    protocol's state: payloads, completion ivars, the un-acked frames in
+    a {!Reliable.Sender} table made with {!Nic.sender} (the closure
+    layer's numbering, retransmission and crash rule), and per-peer
+    {!Reliable.Window}s, which the rx segment caches — a scrub of either
+    end loses nothing.
 
     Intended for clusters created with [~reliability_off:true]: the
     firmware endpoints replace the closure layer rather than stack on
     top of it. The receive window tracks at most {!window} frames
     beyond the floor (the closure layer's table is unbounded); frames
-    further out are dropped unacked and recovered by retransmission.
-    A scrub crash of a {e sender} is not survived: its sequence counter
-    lives in the board segment the scrub wipes, so it restarts at 1. *)
+    further out are dropped unacked and recovered by retransmission. *)
 
 (** Wire channel of data/ack frames (9); the transmit stamp program
     occupies [default_channel + 1] in the classifier but never appears on
@@ -46,8 +45,8 @@ val window : int
     [2 * size] words. Exposed for the corpus, benchmarks and tests. *)
 val rx_program : size:int -> Cni_aih.Aih_ir.program
 
-(** The generated transmit stamp: [Episode], segment [size] words,
-    one input register (the destination). *)
+(** The generated transmit stamp: [Episode], no segment; inputs: the
+    destination (proven below [size]) and the sequence number. *)
 val tx_program : size:int -> Cni_aih.Aih_ir.program
 
 type 'a t
@@ -70,8 +69,9 @@ val install :
   'a Nic.t ->
   'a t
 
-(** [send t ~dst ~body_bytes ~payload] stages the frame, drives the
-    stamp firmware and returns the ivar filled when the ack comes back.
+(** [send t ~dst ~body_bytes ~payload] numbers the frame into the sender
+    table, drives the stamp firmware and returns the ivar filled when the
+    ack comes back.
     Must run in a fiber. Retransmission is automatic; when the retry
     budget is exhausted {!Reliable.Peer_dead} (destination crashed) or
     {!Reliable.Delivery_failed} surfaces through an engine fiber. *)

@@ -109,8 +109,8 @@ val create :
     fiber named [fabric-send]; otherwise one wakeup drains up to [batch]
     queued frames (those landing while it is charged ride free), each into
     a fiber [nic-rx-deliver] of its own, so a handler that blocks stalls
-    none of the rest. The queue is the host-resident ADC receive ring,
-    which survives a board crash. *)
+    none of the rest. The queue is the ADC receive ring, in host memory
+    (see {!Nic.crash}). *)
 val deliver : ('h, 'p) t -> 'h -> 'p -> unit
 
 (** The mode a frame arriving now would be woken with. *)

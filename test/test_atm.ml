@@ -278,6 +278,25 @@ let aal5_cell_count_qc =
       let cells = Aal5.cell_count len in
       (cells * 48) >= len + 8 && ((cells - 1) * 48) < len + 8 || (len = 0 && cells = 1))
 
+(* The fabric's wire formula against the byte-accurate twin: a frame of
+   any size up to 64 KB costs the cells AAL5 segments it into. Half the
+   draws sit within a byte of a cell boundary. *)
+let fabric_cells_match_aal5_qc =
+  let near_boundary =
+    QCheck.Gen.(map2 (fun k d -> max 0 ((48 * k) - 8 + d)) (int_bound 1366) (int_range (-1) 1))
+  in
+  QCheck.Test.make ~name:"Fabric.packet_cells = Aal5.segment cells" ~count:300
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(oneof [ int_bound 65_536; near_boundary ]))
+    (fun len ->
+      let header = min len 16 in
+      let pkt =
+        { Fabric.src = 0; dst = 1; vci = 0; header = Bytes.create header;
+          body_bytes = len - header; payload = (); crc_ok = true }
+      in
+      Fabric.packet_cells Params.default pkt
+      = List.length (Aal5.segment ~vpi:0 ~vci:0 (Bytes.create len)))
+
 let test_aal5_pending_cells () =
   let frame = Bytes.make 200 'p' in
   let cells = Aal5.segment ~vpi:0 ~vci:3 frame in
@@ -869,6 +888,7 @@ let () =
             test_aal5_demux_error_isolated_to_vc;
           qc aal5_roundtrip_qc;
           qc aal5_cell_count_qc;
+          qc fabric_cells_match_aal5_qc;
         ] );
       ( "switch",
         [

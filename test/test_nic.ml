@@ -828,14 +828,189 @@ let test_adc_send_wire_accounting () =
   checkb "frame carries the payload" true (via_adc >= bytes);
   checkb "payload not serialised twice" true (via_adc < 2 * bytes)
 
+(* the ring is host memory: a channel charges the board its delivery
+   handler, whatever the ring's size *)
 let test_adc_board_memory () =
   let cluster : int Cluster.t = Cluster.create ~nic_kind:cni ~nodes:1 () in
   let nic = Node.nic (Cluster.node cluster 0) in
   let before = Nic.handler_code_bytes nic in
-  let ch = Adc.open_channel nic ~channel:24 ~slots:16 () in
-  checki "ring accounted in board memory" (before + (16 * 64)) (Nic.handler_code_bytes nic);
-  Adc.close ch;
+  let small = Adc.open_channel nic ~channel:24 ~slots:16 () in
+  let charge = Nic.handler_code_bytes nic - before in
+  checkb "the delivery handler is charged" true (charge > 0);
+  let big = Adc.open_channel nic ~channel:25 ~slots:4096 () in
+  checki "ring slots charge no board memory" (before + (2 * charge))
+    (Nic.handler_code_bytes nic);
+  Adc.close small;
+  Adc.close big;
   checki "close reclaims the segment" before (Nic.handler_code_bytes nic)
+
+(* ------------------------------------------------------------------ *)
+(* Crash: board memory and the host's install table                     *)
+(* ------------------------------------------------------------------ *)
+
+module Reliable = Cni_nic.Reliable
+module Fabric = Cni_atm.Fabric
+module Ir = Cni_aih.Aih_ir
+
+(* An installation's handle outlives scrubs: after a scrub and a restart,
+   uninstalling with the handle install returned frees the board memory
+   and deprograms the pattern, and a second scrub does not bring the
+   handler back. *)
+let uninstall_after_scrub ~install ~uninstall () =
+  let cluster : int Cluster.t = Cluster.create ~nic_kind:cni ~nodes:2 () in
+  let nic = Node.nic (Cluster.node cluster 1) in
+  let baseline = Nic.handler_code_bytes nic in
+  let h = install nic in
+  checkb "installed" true (Nic.handler_code_bytes nic > baseline);
+  Nic.crash nic ~scrub:true;
+  Nic.restart nic;
+  uninstall nic h;
+  checki "board memory back at baseline" baseline (Nic.handler_code_bytes nic);
+  Nic.crash nic ~scrub:true;
+  Nic.restart nic;
+  checki "a second scrub brings nothing back" baseline (Nic.handler_code_bytes nic);
+  let fallback = ref 0 in
+  Nic.set_default_handler nic (fun _ _ -> incr fallback);
+  Cluster.run_app cluster (fun node ->
+      if Node.id node = 0 then
+        Nic.send (Node.nic node) ~dst:1
+          ~header:(header ~src:0 ~cacheable:false ~has_data:false)
+          ~body_bytes:0 ~data:Nic.No_data ~payload:0);
+  checki "a frame on the channel reaches the default handler" 1 !fallback
+
+let test_uninstall_after_scrub =
+  uninstall_after_scrub
+    ~install:(fun nic ->
+      Nic.install_handler nic ~pattern:(Wire.pattern_channel ~channel) ~code_bytes:512
+        (fun _ _ -> ()))
+    ~uninstall:Nic.uninstall_handler
+
+let test_adc_close_after_scrub =
+  uninstall_after_scrub
+    ~install:(fun nic -> Adc.open_channel nic ~channel ())
+    ~uninstall:(fun _ ch -> Adc.close ch)
+
+let install_verified ?(on_wake = fun ~seq:_ ~value:_ -> ()) nic ~channel program =
+  match
+    Nic.install_handler_verified nic ~pattern:(Wire.pattern_channel ~channel) ~program
+      ~entry:(fun _ -> [||])
+      ~on_send:(fun _ ~dst:_ ~kind:_ ~obj:_ ~value:_ -> ())
+      ~on_wake
+  with
+  | Ok vh -> vh
+  | Error rjs -> Alcotest.failf "rejected: %s" (Cni_aih.Aih_verify.explain_all rjs)
+
+let test_verified_uninstall_after_scrub =
+  uninstall_after_scrub
+    ~install:(fun nic -> install_verified nic ~channel (snd (List.hd Cni_aih.Aih_corpus.good)))
+    ~uninstall:(fun nic vh -> Nic.uninstall_handler nic vh.Nic.vh_handle)
+
+(* firmware that counts its activations in segment word 0 and wakes the
+   host with the count *)
+let segment_counter =
+  let a = Ir.Asm.create () in
+  let open Ir.Asm in
+  const a 0 0;
+  load a 1 ~base:0 0;
+  bini a Add 1 1 1;
+  store a 1 ~base:0 0;
+  wake a ~seq:0 ~value:1;
+  halt a;
+  assemble a ~name:"segment-counter" ~seg_words:1 ~inputs:0
+
+(* One scrub of a board holding every kind of board state (closure and
+   firmware handlers, a non-zero segment, Message Cache bindings) and
+   every kind of host state (a parked frame, a receive window above 0,
+   acked frames queued for a coalesced wakeup, the install table). After
+   the crash each board item is empty and each host item is unchanged;
+   after the restart the board classifies and charges as before. *)
+let test_scrub_residency () =
+  let kind =
+    `Cni { Nic.default_cni_options with Nic.aih = false; rx_policy = Nic.Rx_interrupt; rx_batch = 8 }
+  in
+  let cluster : int Cluster.t =
+    Cluster.create ~reliability:Reliable.default ~nic_kind:kind ~nodes:2 ()
+  in
+  let eng = Cluster.engine cluster in
+  let nic1 = Node.nic (Cluster.node cluster 1) in
+  let mc = Option.get (Nic.message_cache nic1) in
+  let frames = 5 and delivered = ref 0 and wakes = ref [] in
+  ignore
+    (Nic.install_handler nic1 ~pattern:(Wire.pattern_channel ~channel) (fun ctx _ ->
+         incr delivered;
+         (* the first frame holds the host's interrupt level for 1.2 ms:
+            the wakeup of every later frame queues behind it *)
+         if !delivered = 1 then ctx.Nic.charge 200_000));
+  let vh =
+    install_verified nic1 ~channel:41 segment_counter ~on_wake:(fun ~seq:_ ~value ->
+        wakes := value :: !wakes)
+  in
+  let activate () = Nic.local_dispatch nic1 (fun ctx -> vh.Nic.vh_activate ctx [||]) in
+  let frame ~src ~channel ~aux =
+    Wire.encode { Wire.kind = 1; cacheable = false; has_data = false; src; channel; obj = 0; aux }
+  in
+  let rel () = Option.get (Nic.rel_stats nic1) in
+  Cluster.run_app cluster (fun node ->
+      let nic = Node.nic node in
+      let send ~channel =
+        Nic.send nic ~dst:(1 - Node.id node) ~header:(frame ~src:(Node.id node) ~channel ~aux:0)
+          ~body_bytes:0 ~data:Nic.No_data ~payload:0
+      in
+      let await cond =
+        Node.blocking node (fun () -> while not (cond ()) do Engine.delay (Time.us 5) done)
+      in
+      if Node.id node = 0 then begin
+        Engine.delay (Time.us 100);
+        send ~channel;
+        Engine.delay (Time.us 50);
+        for _ = 2 to frames do
+          send ~channel
+        done;
+        Engine.delay (Time.ms 3);
+        send ~channel
+      end
+      else begin
+        (* a transmit-cached page binds in the Message Cache *)
+        Nic.send nic ~dst:0 ~header:(frame ~src:1 ~channel:42 ~aux:0) ~body_bytes:0
+          ~data:(Nic.Page { vaddr = 1 lsl 20; bytes = 2048; cacheable = true }) ~payload:0;
+        await (fun () -> Nic.rel_pending_count nic = 0);
+        for _ = 1 to 3 do
+          activate ()
+        done;
+        (* every frame acked (the window's floor is 5), one delivered: the
+           rest wait in the coalescing queue *)
+        await (fun () -> (rel ()).Nic.acks_tx = frames && !delivered = 1);
+        send ~channel:43;
+        let pending = Nic.rel_pending_count nic and code = Nic.handler_code_bytes nic in
+        let stats = Nic.stats nic and acks = (rel ()).Nic.acks_tx in
+        check (Alcotest.list Alcotest.int) "segment counts three activations" [ 3; 2; 1 ] !wakes;
+        checkb "Message Cache bindings" true (Mc.bound_pages mc <> []);
+        checki "an un-acked frame" 1 pending;
+        Nic.crash nic ~scrub:true;
+        checki "board: no handler code" 0 (Nic.handler_code_bytes nic);
+        check (Alcotest.list Alcotest.int) "board: no Message Cache bindings" []
+          (Mc.bound_pages mc);
+        checki "host: the frame parked" pending (Nic.rel_pending_count nic);
+        checki "host: acked frames still queued" (acks - 1) ((rel ()).Nic.acks_tx - !delivered);
+        checkb "host: counters" true (stats = Nic.stats nic);
+        checki "host: epoch" 0 (Nic.epoch nic);
+        (* waits for the interrupt level, so after the checks above *)
+        activate ();
+        checki "board: the segment is gone" 1 (List.hd !wakes);
+        Nic.restart nic;
+        checki "restart: the same code bytes" code (Nic.handler_code_bytes nic);
+        (* the window survived: a copy of seq 1 is a duplicate *)
+        Fabric.send (Cluster.fabric cluster)
+          { Fabric.src = 0; dst = 1; vci = 0; header = frame ~src:0 ~channel ~aux:1;
+            body_bytes = 0; payload = 0; crc_ok = true };
+        activate ();
+        checki "restart: a fresh segment" 1 (List.hd !wakes);
+        await (fun () -> Engine.now eng > Time.ms 4)
+      end);
+  checki "every frame delivered once, the one after the restart too" (frames + 1) !delivered;
+  checki "the copy of seq 1 was a duplicate" 1 (rel ()).Nic.rx_duplicates;
+  checki "nothing left unmatched" 0 (Nic.stats nic1).Nic.unmatched;
+  checki "the parked frame went out" 0 (Nic.rel_pending_count nic1)
 
 (* ------------------------------------------------------------------ *)
 (* Receive engine decisions, without a cluster, engine or fiber         *)
@@ -1021,5 +1196,14 @@ let () =
             test_adc_two_channel_delivery;
           Alcotest.test_case "bulk data charged once" `Quick test_adc_send_wire_accounting;
           Alcotest.test_case "board memory accounting" `Quick test_adc_board_memory;
+        ] );
+      ( "crash",
+        [
+          Alcotest.test_case "uninstall after a scrub" `Quick test_uninstall_after_scrub;
+          Alcotest.test_case "ADC close after a scrub" `Quick test_adc_close_after_scrub;
+          Alcotest.test_case "verified uninstall after a scrub" `Quick
+            test_verified_uninstall_after_scrub;
+          Alcotest.test_case "scrub drops board memory, keeps host state" `Quick
+            test_scrub_residency;
         ] );
     ]

@@ -131,55 +131,79 @@ let test_parity_qcheck =
       let a = Flow.run Flow.Closure cfg and b = Flow.run Flow.Firmware cfg in
       a.Flow.checksum = b.Flow.checksum)
 
+(* as many deliveries as messages, none of them twice *)
+let check_exactly_once name (cfg : Flow.config) (o : Flow.outcome) =
+  let n = cfg.Flow.nodes * cfg.Flow.messages in
+  checki (name ^ ": every message delivered") n (List.length o.Flow.delivered);
+  checki (name ^ ": no message delivered twice") n
+    (List.length (List.sort_uniq compare o.Flow.delivered))
+
 let test_parity_crash_restart () =
-  (* crash one node mid-flow without scrubbing its board. Sends ride a
-     40 us pacing grid so both implementations have the same frame in
-     flight when the window opens, and the window edges sit mid-slot,
+  (* crash one node mid-flow, with and without scrubbing its board. Sends
+     ride a 40 us pacing grid so both implementations have the same frame
+     in flight when the window opens, and the window edges sit mid-slot,
      hundreds of microseconds from the 1 ms retransmission grid. *)
-  let crash_cfg ~victim ~at_us ~down_us =
+  let row ?(messages = 6) ~scrub (name, victim, at_us, down_us) =
+    let name = if scrub then "scrub " ^ name else name in
     let schedule =
       [
-        { Faults.e_at = Time.us at_us; e_node = victim; e_fault = Faults.Crash { scrub = false } };
+        { Faults.e_at = Time.us at_us; e_node = victim; e_fault = Faults.Crash { scrub } };
         { Faults.e_at = Time.us (at_us + down_us); e_node = victim; e_fault = Faults.Restart };
       ]
     in
-    {
-      Flow.default with
-      Flow.messages = 6;
-      pace = Some (Time.us 40);
-      faults = Some { Faults.none with Faults.seed = 5; schedule };
-    }
+    let cfg =
+      {
+        Flow.default with
+        Flow.messages;
+        pace = Some (Time.us 40);
+        faults = Some { Faults.none with Faults.seed = 5; schedule };
+      }
+    in
+    let o = parity name cfg in
+    check_exactly_once name cfg o;
+    (name, o)
   in
-  (* a crashed receiver: its window state survives, frames sent into the
-     dead window are lost unjudged and a post-restart retransmission
-     completes the flow *)
   List.iter
-    (fun (name, victim, at_us, down_us) ->
-      let o = parity name (crash_cfg ~victim ~at_us ~down_us) in
-      (* not vacuous: the dead window really cost a frame *)
-      let retx = Array.fold_left (fun acc c -> acc + c.Flow.retransmits) 0 o.Flow.per_node in
-      checki (name ^ ": exactly one frame died in the window") 1 retx)
-    [
-      (* node 1 receives node 0's flow over slots 0..200us; edges sit
-         ~30us into a slot, past either implementation's ~15us round trip *)
-      ("crash rx node1 @110us/80us down", 1, 110, 80);
-      ("crash rx node1 @70us/60us down", 1, 70, 60);
-      (* node 0 receives node 1's flow over slots 240..440us *)
-      ("crash rx node0 @310us/80us down", 0, 310, 80);
-    ];
-  (* a crashed sender: the frames it posts while down, and the un-acked
-     ones the crash caught, park and go out at the restart; both
-     implementations keep them in the same sender table *)
+    (fun scrub ->
+      (* a crashed receiver: its window state survives (after a scrub, the
+         host's copy fills the fresh firmware segment), frames sent into
+         the dead window are lost unjudged and a post-restart
+         retransmission completes the flow *)
+      List.iter
+        (fun r ->
+          let name, o = row ~scrub r in
+          (* not vacuous: the dead window really cost a frame *)
+          let retx = Array.fold_left (fun acc c -> acc + c.Flow.retransmits) 0 o.Flow.per_node in
+          checki (name ^ ": exactly one frame died in the window") 1 retx)
+        [
+          (* node 1 receives node 0's flow over slots 0..200us; edges sit
+             ~30us into a slot, past either implementation's ~15us round
+             trip *)
+          ("crash rx node1 @110us/80us down", 1, 110, 80);
+          ("crash rx node1 @70us/60us down", 1, 70, 60);
+          (* node 0 receives node 1's flow over slots 240..440us *)
+          ("crash rx node0 @310us/80us down", 0, 310, 80);
+        ];
+      (* a crashed sender: the frames it posts while down, and the un-acked
+         ones the crash caught, park and go out at the restart; both
+         implementations number and keep them in the same sender table *)
+      List.iter
+        (fun r -> ignore (row ~scrub r))
+        [
+          ("crash tx node0 @100us/50us down", 0, 100, 50);
+          ("crash tx node0 @100us/1500us down", 0, 100, 1500);
+          ("crash tx node1 @330us/50us down", 1, 330, 50);
+          ("crash tx node1 @330us/1500us down", 1, 330, 1500);
+        ])
+    [ false; true ];
+  (* a scrubbed receiver whose window has moved past [window] frames: the
+     fresh segment must start at the host's floor, or seq 9 lies beyond
+     the firmware window on every retransmission *)
   List.iter
-    (fun (name, victim, at_us, down_us) ->
-      let o = parity name (crash_cfg ~victim ~at_us ~down_us) in
-      checki (name ^ ": every message delivered exactly once") (2 * 6)
-        (List.length o.Flow.delivered))
+    (fun r -> ignore (row ~messages:12 ~scrub:true r))
     [
-      ("crash tx node0 @100us/50us down", 0, 100, 50);
-      ("crash tx node0 @100us/1500us down", 0, 100, 1500);
-      ("crash tx node1 @330us/50us down", 1, 330, 50);
-      ("crash tx node1 @330us/1500us down", 1, 330, 1500);
+      ("crash rx node1 @110us/80us down, 12 msgs", 1, 110, 80);
+      ("crash rx node1 @150us/30us down, 12 msgs", 1, 150, 30);
     ]
 
 let test_retransmission_happens () =
