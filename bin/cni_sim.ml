@@ -284,9 +284,9 @@ let crash_arg =
     & info [ "crash" ] ~docv:"NODE:AT_US:DOWN_US[:scrub]"
         ~doc:
           "Crash $(b,NODE)'s board at $(b,AT_US) and restart it $(b,DOWN_US) later; the \
-           host freezes meanwhile and the board comes back under a new delivery epoch. \
-           With $(b,:scrub) the board memory is wiped and handlers are re-verified and \
-           re-installed at restart. Repeatable.")
+           host freezes meanwhile, and at the restart the board re-sends every frame not \
+           yet acknowledged. With $(b,:scrub) the board memory is wiped and handlers are \
+           re-verified and re-installed at restart. Repeatable.")
 
 let crash_events crash =
   List.concat_map

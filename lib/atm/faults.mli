@@ -20,7 +20,7 @@
     schedule}: timed crash / restart / board-scrub events per node, driven
     off engine time by [Cluster]. The schedule is data only — this module
     parses, validates and orders it; the crash semantics (frozen fibers,
-    scrubbed boards, delivery epochs) live in [Nic]/[Node]/[Cluster].
+    scrubbed boards, parked and re-sent frames) live in [Nic]/[Node]/[Cluster].
 
     Counting and tracing of fault events is done by the fabric, which knows
     node ids and owns the metrics registry. *)

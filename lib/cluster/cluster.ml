@@ -22,28 +22,19 @@ type 'a t = {
    its memory if asked) and sever it from the fabric. The order matters —
    the fiber must be frozen before the board dies so no send slips into the
    dead window at the same instant. *)
-let crash_node ?(scrub = false) t i =
+let crash_node ~scrub t i =
   let n = t.nodes.(i) in
   Node.freeze n;
   Nic.crash (Node.nic n) ~scrub;
   Fabric.set_node_down t.fabric ~node:i true
 
-(* Restart in the reverse order: board first (new epoch, install replay),
-   then the fabric link, then the thawed application fiber. *)
+(* Restart in the reverse order: board first (parked frames re-sent, board
+   memory rebuilt), then the fabric link, then the thawed application fiber. *)
 let restart_node t i =
   let n = t.nodes.(i) in
   Nic.restart (Node.nic n);
   Fabric.set_node_down t.fabric ~node:i false;
   Node.unfreeze n
-
-let node_alive t i = not (Fabric.node_down t.fabric ~node:i)
-
-let crashed_nodes t =
-  let acc = ref [] in
-  for i = Array.length t.nodes - 1 downto 0 do
-    if Fabric.node_down t.fabric ~node:i then acc := i :: !acc
-  done;
-  !acc
 
 let create ?(params = Params.default) ?faults ?reliability ?(reliability_off = false) ?topology
     ~nic_kind ~nodes () =
@@ -146,8 +137,8 @@ let run_app ?watchdog t f =
       List.partition (fun i -> Fabric.node_down t.fabric ~node:i) (List.rev stuck)
     in
     (* nodes that crashed and never restarted are expected casualties: the
-       run completes and {!crashed_nodes} reports them. Anything else still
-       unfinished with the event queue drained is a real deadlock. *)
+       run completes without them. Anything else still unfinished with the
+       event queue drained is a real deadlock. *)
     if hung <> [] then raise (Deadlock { unfinished = hung; crashed })
   end
 

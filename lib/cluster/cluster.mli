@@ -20,7 +20,11 @@ type 'a t
     accept raw loss everywhere else. Every fault model other than
     {!Cni_atm.Faults.none} is validated against the node count (see
     {!Cni_atm.Faults.validate}), and its schedule is wired onto engine
-    timers: each event calls {!crash_node} / {!restart_node} at its time.
+    timers. A crash freezes the node's application fiber
+    ({!Node.freeze}), crashes its board ({!Cni_nic.Nic.crash}, scrubbing
+    board memory if the event says so) and severs it from the fabric; a
+    restart brings the board back ({!Cni_nic.Nic.restart}), reattaches the
+    link and thaws the fiber.
 
     [topology] selects the fabric's interconnect shape (default
     {!Cni_atm.Topology.Single}, the seed central switch).
@@ -57,9 +61,9 @@ val is_cni : 'a t -> bool
 
 (** Raised by {!run_app} when the event queue drained but some
     {e non-crashed} node's application fiber never finished — a protocol
-    deadlock. [crashed] lists nodes that crashed without restarting (those
-    alone do {e not} raise: they are expected casualties of the fault
-    schedule, reported by {!crashed_nodes}). A printer is registered. *)
+    deadlock. [crashed] lists unfinished nodes that crashed without
+    restarting (those alone do {e not} raise: they are expected casualties
+    of the fault schedule). A printer is registered. *)
 exception Deadlock of { unfinished : int list; crashed : int list }
 
 (** [run_app t f] spawns one application fiber per node running [f node],
@@ -69,26 +73,6 @@ exception Deadlock of { unfinished : int list; crashed : int list }
     limit raise [Engine.Quiescence_timeout] instead of spinning forever.
     @raise Deadlock when a live node's fiber never finished. *)
 val run_app : ?watchdog:Cni_engine.Time.t -> 'a t -> ('a Node.t -> unit) -> unit
-
-(** {2 Node faults}
-
-    Normally driven by the fault schedule given to {!create}; exposed for
-    tests and custom harnesses. *)
-
-(** Freeze the node's application fiber, crash its board ([scrub] wipes
-    board memory — default [false]) and sever it from the fabric. No-op on
-    an already-crashed node's board. *)
-val crash_node : ?scrub:bool -> 'a t -> int -> unit
-
-(** Revive the board under a new delivery epoch (rebuilding scrubbed board
-    memory), reattach the fabric link and thaw the application fiber. *)
-val restart_node : 'a t -> int -> unit
-
-(** [false] between {!crash_node} and {!restart_node}. *)
-val node_alive : 'a t -> int -> bool
-
-(** Currently-crashed nodes, ascending. *)
-val crashed_nodes : 'a t -> int list
 
 (** Wall-clock of the slowest application fiber (valid after {!run_app}). *)
 val elapsed : 'a t -> Cni_engine.Time.t

@@ -78,8 +78,8 @@ val finished : 'a t -> bool
     While a node is crashed its host makes no progress: {!freeze} parks the
     application fiber at its next interaction point (any operation that
     flushes batched work), and {!unfreeze} resumes it. Program state — host
-    memory — survives; only time passes. Driven by [Cluster.crash_node] /
-    [Cluster.restart_node] together with the NIC-level crash. *)
+    memory — survives; only time passes. Driven by the fault schedule a
+    cluster is created with, together with the NIC-level crash. *)
 
 val freeze : 'a t -> unit
 

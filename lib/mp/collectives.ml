@@ -46,7 +46,6 @@ type ('v, 'a) t = {
   fanout : int;
   channel : int;
   combine_cycles : int;  (* per combine/forward step, protocol clock *)
-  live : int -> bool;  (* routing oracle: dead ranks are bypassed in the tree *)
   inject : 'v -> 'a;
   project : 'a -> 'v;
   bytes_of : 'v -> int;
@@ -66,49 +65,22 @@ let episodes t = Stats.Counter.value t.s_episodes
 (* ------------------------------------------------------------------ *)
 
 (* A [fanout]-ary tree rooted at [root], laid out over virtual ranks so any
-   node can serve as the root without reprogramming the boards.
-
-   Dead ranks (per the [live] oracle) are routed around rather than waited
-   on: a node's parent is its first {e live} ancestor, and its children are
-   the live ranks whose first live ancestor it is — dead subtree roots are
-   transparently replaced by their live descendants. Both sides recompute
-   the routing from the same oracle, so the adopted edges agree. The oracle
-   is consulted afresh each episode; a crash {e during} an episode can still
-   strand it (the quiescence watchdog's job), but episodes that start after
-   the crash reconfigure cleanly. *)
+   node can serve as the root without reprogramming the boards — the same
+   arithmetic as {!Collectives_ir}'s firmware. The tree does not change
+   when a rank crashes: frames to and from it park and re-send through the
+   reliable layer, and the episode finishes once the rank is back. *)
 let vrank t ~root = (t.rank - root + t.size) mod t.size
 let unvrank t ~root v = (v + root) mod t.size
-let vparent t v = (v - 1) / t.fanout
 
 let parent t ~root =
   let v = vrank t ~root in
-  if v = 0 then None
-  else
-    let rec first_live v =
-      let r = unvrank t ~root v in
-      if v = 0 || t.live r then r else first_live (vparent t v)
-    in
-    Some (first_live (vparent t v))
+  if v = 0 then None else Some (unvrank t ~root ((v - 1) / t.fanout))
 
 let children t ~root =
-  let v = vrank t ~root in
-  (* a live virtual rank is a child; a dead one is expanded into its own
-     children, recursively — its live descendants report here instead *)
-  let rec expand c acc =
-    if c >= t.size then acc
-    else
-      let r = unvrank t ~root c in
-      if t.live r then r :: acc
-      else
-        let rec kids i acc =
-          if i > t.fanout then acc else kids (i + 1) (expand ((t.fanout * c) + i) acc)
-        in
-        kids 1 acc
-  in
-  let rec go i acc =
-    if i > t.fanout then List.rev acc else go (i + 1) (expand ((t.fanout * v) + i) acc)
-  in
-  go 1 []
+  let first = (t.fanout * vrank t ~root) + 1 in
+  List.filter_map
+    (fun c -> if c < t.size then Some (unvrank t ~root c) else None)
+    (List.init t.fanout (fun i -> first + i))
 
 let nchildren t ~root = List.length (children t ~root)
 
@@ -305,7 +277,6 @@ let allreduce t ~op v =
 
 let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64) ~inject
     ~project cluster =
-  let live r = Cluster.node_alive cluster r in
   let n = Cluster.size cluster in
   if n > 256 then
     invalid_arg "Collectives.install: at most 256 nodes (the root rides in the header)";
@@ -325,7 +296,6 @@ let install ?(channel = default_channel) ?(fanout = 2) ?(bytes_of = fun _ -> 64)
           fanout;
           channel;
           combine_cycles = p.Params.handler_dispatch_nic_cycles;
-          live;
           inject;
           project;
           bytes_of;

@@ -37,13 +37,13 @@ val default_channel : int
     (default 2) is the combining-tree arity; [bytes_of] (default
     [fun _ -> 64]) sizes a value on the wire.
 
-    The combining tree routes around crashed nodes: a rank
-    [Cluster.node_alive] reports dead is bypassed — its parent adopts its
-    live descendants — so collectives started {e after} a crash
-    reconfigure around the casualty instead of waiting on it forever.
-    A crash in the middle of an episode can still strand that episode; bound
-    the run with [Cluster.run_app ~watchdog] to turn such hangs into a
-    structured failure.
+    The tree is fixed, as in {!Collectives_ir}. A crashed rank is waited
+    for, not routed around: its episode state is host state, and the
+    tree frames to and from it ride the reliable layer, which parks and
+    re-sends them across the crash. A rank that never comes back ends the
+    run in a structured failure — [Cluster.Deadlock], or
+    [Cni_nic.Reliable.Peer_dead] when a frame to it runs out of retries —
+    never in a partial result.
     @raise Invalid_argument on more than 256 nodes or [fanout < 1].
     @raise Failure if a board cannot hold 2048 bytes. *)
 val install :

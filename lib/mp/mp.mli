@@ -69,7 +69,8 @@ val recv : 'a t -> ?src:int -> tag:int -> unit -> 'a envelope
     [timeout] of simulated time, returning [None]. On timeout the pending
     receive is withdrawn: a message arriving later parks in the mailbox for a
     future receive rather than being lost. Use against a peer that may have
-    crashed (see [Cluster.crash_node]) to degrade cleanly instead of hanging.
+    crashed (a [Crash] event of the cluster's fault schedule) to degrade
+    cleanly instead of hanging.
     @raise Invalid_argument on a non-positive timeout or reserved tag. *)
 val recv_timeout :
   'a t -> ?src:int -> tag:int -> timeout:Cni_engine.Time.t -> unit -> 'a envelope option

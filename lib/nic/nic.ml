@@ -94,8 +94,8 @@ let blank () = { classifier = Classifier.create (); loaded = Hashtbl.create 8 }
    rebuilds from [installs], and [mc]'s bindings, which a scrub clears (the
    bus snooper holds the cache). The host keeps the rest through every
    crash: [installs], the sender tables in [rel] and [senders], the
-   receive windows and peer epochs in [rel], [rx]'s coalescing queue, the
-   epoch, the counters and the recovery latencies; and the wiring. *)
+   receive windows in [rel], [rx]'s coalescing queue, the counters and the
+   recovery latencies; and the wiring. *)
 type 'a t = {
   eng : Engine.t;
   bus : Bus.t;
@@ -120,7 +120,6 @@ type 'a t = {
   mutable next_install : int;
   mutable default_handler : 'a handler_fn;
   mutable alive : bool;
-  mutable epoch : int;  (* restart epoch stamped into sequenced aux fields *)
   mutable restarted_at : Time.t option;  (* pending recovery-latency measurement *)
   mutable recovery_latencies : Time.t list;  (* newest first *)
   (* error-path counters, registered on first increment so clean runs leave
@@ -492,7 +491,7 @@ let handle_ack t (h : Wire.t) (pkt : 'a Fabric.packet) =
   | None -> () (* reliability off: stray ack, drop silently *)
   | Some r ->
       Stats.Counter.incr r.r_acks_rx;
-      ignore (Reliable.Sender.settle r.r_tx ~dst:pkt.Fabric.src ~tag:h.Wire.obj);
+      ignore (Reliable.Sender.settle r.r_tx ~dst:pkt.Fabric.src ~seq:h.Wire.obj);
       discard t
 
 (* Duplicate suppression + acknowledgment for one decoded frame; [true] when
@@ -504,14 +503,6 @@ let rel_admit t (h : Wire.t) (pkt : 'a Fabric.packet) =
       let src = pkt.Fabric.src and aux = h.Wire.aux in
       match Reliable.Receiver.judge r.r_rx ~src ~aux with
       | `Unsequenced -> true
-      | `Stale ->
-          (* a transmission queued before the source's board crashed:
-             dropping it (unacked) keeps the pre-crash sequence space from
-             bleeding into the new epoch's window *)
-          Stats.Counter.incr (lcounter t "rx_stale_epoch");
-          trace t ~label:"rx-stale-epoch" ~payload:aux;
-          discard t;
-          false
       | `Fresh ->
           send_ack t r ~dst:src ~seq:aux;
           true
@@ -673,7 +664,6 @@ let create ?registry ?reliability ~kind eng bus fabric ~node ~host =
       next_install = 0;
       default_handler = (fun _ _ -> ());
       alive = true;
-      epoch = 0;
       restarted_at = None;
       recovery_latencies = [];
       lazy_counters = Hashtbl.create 8;
@@ -751,14 +741,14 @@ let handler_code_bytes t = if Option.is_some t.board then code_bytes_in_use t el
 (* Crash / restart                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let epoch t = t.epoch
 let recovery_latencies t = List.rev t.recovery_latencies
 
 let crash t ~scrub =
   if t.alive then begin
     t.alive <- false;
     Stats.Counter.incr (lcounter t "crashes");
-    trace t ~label:(if scrub then "crash-scrub" else "crash") ~payload:t.epoch;
+    (* crash and restart records carry the board's restarts so far *)
+    trace t ~label:(if scrub then "crash-scrub" else "crash") ~payload:(lvalue t "restarts");
     List.iter (fun (Sender s) -> Reliable.Sender.park s) t.senders;
     t.restarted_at <- None;
     if scrub then begin
@@ -787,14 +777,11 @@ let rebuild t =
 let restart t =
   if not t.alive then begin
     t.alive <- true;
-    (* the epoch saturates rather than wraps: a board that crashed 127 times
-       keeps epoch 127, trading stale-frame rejection for monotonicity *)
-    t.epoch <- min (t.epoch + 1) Reliable.max_epoch;
     Stats.Counter.incr (lcounter t "restarts");
-    trace t ~label:"restart" ~payload:t.epoch;
+    trace t ~label:"restart" ~payload:(lvalue t "restarts");
     (* end-to-end recovery of in-flight sends: every parked frame goes out
-       again under the new epoch *)
-    List.iter (fun (Sender s) -> Reliable.Sender.resume s ~epoch:t.epoch) t.senders;
+       again as it was *)
+    List.iter (fun (Sender s) -> Reliable.Sender.resume s) t.senders;
     t.restarted_at <- Some (Engine.now t.eng);
     if Option.is_none t.board then t.board <- Some (rebuild t)
   end

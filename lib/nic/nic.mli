@@ -313,7 +313,7 @@ val rx_crc_errors : 'a t -> int
 
     A board can {!crash} — its timers die; frames reaching it, or still in
     reassembly when the crash lands, are dropped ([crash_rx_drops]) — and
-    later {!restart} under a new delivery {e epoch}. Board memory is the
+    later {!restart} ([crashes], [restarts]). Board memory is the
     classifier with the handlers loaded in it, their code bytes and
     segments, and the Message Cache's bindings: a crash with [scrub = true]
     wipes it, and {!restart} rebuilds it from the install table in install
@@ -321,27 +321,24 @@ val rx_crc_errors : 'a t -> int
     [restart_reverify_rejects]). Everything else is host state and survives
     every crash, the install table and its {!handle}s included.
 
-    Delivery stays exactly-once: a frame the board acked reaches the
+    Delivery stays exactly-once because the sequence numbers and the
+    receive windows are host state: a frame the board acked reaches the
     handler it was classified to at admission; sequenced frames not yet
     acked, or posted while the board is down, park in their {!sender}
-    tables until {!restart} re-sends them under the new epoch with their
-    bare sequence numbers; the receive windows suppress re-sends of frames
-    that landed, and frames from an older epoch of a source are dropped
-    ([rx_stale_epoch]). [crash_tx_drops] counts an unsequenced frame posted
-    to a dead board, and a transmission the crash caught in the board's
-    queue (its sequenced original parked). *)
-
-(** The board's restart epoch (0 at creation; saturates at
-    {!Reliable.max_epoch}). *)
-val epoch : 'a t -> int
+    tables until {!restart} re-sends them with their original sequence
+    numbers; and the receive windows take whichever copy of a frame lands
+    first and call every later one a duplicate, whether it was sent before
+    the crash or after the restart. [crash_tx_drops] counts an unsequenced
+    frame posted to a dead board, and a transmission the crash caught in
+    the board's queue (its sequenced original parked). *)
 
 (** Crash the board; no-op if already dead. [Cluster] pairs this with
     marking the node down on the fabric. *)
 val crash : 'a t -> scrub:bool -> unit
 
-(** Restart a crashed board; no-op if alive. Advances the epoch, re-sends
-    every parked frame of every sender table under it, and rebuilds board
-    memory from the install table if the crash scrubbed it. *)
+(** Restart a crashed board; no-op if alive. Re-sends every parked frame
+    of every sender table, and rebuilds board memory from the install table
+    if the crash scrubbed it. *)
 val restart : 'a t -> unit
 
 (** A {!Reliable.Sender} table under this board's crash rule ({!crash}

@@ -44,24 +44,6 @@ let () =
              f.node f.dst f.channel f.seq f.tries)
     | _ -> None)
 
-(* ------------------------------------------------------------------ *)
-(* Delivery epochs                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The Wire aux field carries (epoch << 24) | seq. Sequence numbers start at
-   1, so aux is never 0 (0 marks unsequenced traffic); epochs occupy bits
-   24-30 and saturate at 127 so the int32 on the wire stays positive. Epoch
-   0 leaves aux equal to the bare sequence number — bit-identical to the
-   pre-epoch encoding. *)
-let epoch_shift = 24
-let seq_mask = (1 lsl epoch_shift) - 1
-let max_epoch = 127
-
-let aux_of ~epoch ~seq =
-  if epoch < 0 || epoch > max_epoch then invalid_arg "Reliable.aux_of: epoch out of range";
-  if seq < 1 || seq > seq_mask then invalid_arg "Reliable.aux_of: seq out of range";
-  (epoch lsl epoch_shift) lor seq
-
 module Window = struct
   type t = { mutable floor : int; above : (int, unit) Hashtbl.t }
 
@@ -95,10 +77,8 @@ end
 module Sender = struct
   type 'f frame = {
     dst : int;
-    seq : int;
-    stamped : bool;  (* the table stamped (epoch, seq) into the header's aux *)
-    mutable tag : int;  (* what the ack names; the pending key with [dst] *)
-    mutable header : Bytes.t;
+    seq : int;  (* what the ack names; the pending key with [dst] *)
+    header : Bytes.t;
     body : 'f;
     mutable tries : int;  (* transmissions so far *)
     mutable rto : Time.t;  (* next retransmission timeout *)
@@ -115,10 +95,9 @@ module Sender = struct
     retransmits : Stats.Counter.t;
     rto_capped : Stats.Counter.t;  (* arm events clamped at max_rto *)
     next_seq : (int, int) Hashtbl.t;  (* last sequence number per destination *)
-    pending : (int * int, 'f frame) Hashtbl.t;  (* (dst, tag) *)
+    pending : (int * int, 'f frame) Hashtbl.t;  (* (dst, seq) *)
     mutable parked : 'f frame list;  (* waiting out a board crash, newest first *)
     mutable up : bool;
-    mutable epoch : int;
     mutable timers : int;  (* timers armed so far: the next timer's generation *)
   }
 
@@ -127,32 +106,32 @@ module Sender = struct
     { cfg; eng; node; peer_down; transmit; retransmit;
       retransmits = counter "retransmits"; rto_capped = counter "rto_capped";
       next_seq = Hashtbl.create 8; pending = Hashtbl.create 32; parked = []; up = true;
-      epoch = 0; timers = 0 }
+      timers = 0 }
 
   (* Arm (or re-arm) the retransmission timer of one pending frame.
      Exhausting the budget kills the run with a structured error in place of
      a silent hang; a crashed destination is a diagnosis, not a timeout.
 
-     The timer names its frame — (dst, tag) and a generation — and finds it
+     The timer names its frame — (dst, seq) and a generation — and finds it
      in [pending] when it fires; it does not hold it. An ack settles a frame
      within tens of us, long before the RTO, and the acked frame is then
      free to go. Generations come from the table's own counter, so they are
      unique: only the newest arm's timer acts, and never on another frame
-     that reuses (dst, tag) after a settle or a park. *)
+     that reuses (dst, seq) after a settle or a park. *)
   let rec arm t e =
     t.timers <- t.timers + 1;
     e.timer <- t.timers;
-    let dst = e.dst and tag = e.tag and gen = t.timers in
-    Engine.after t.eng e.rto (fun () -> fire t ~dst ~tag ~gen)
+    let dst = e.dst and seq = e.seq and gen = t.timers in
+    Engine.after t.eng e.rto (fun () -> fire t ~dst ~seq ~gen)
 
   (* most timers fire after their ack: [find_opt]'s miss raises nothing *)
-  and fire t ~dst ~tag ~gen =
-    match Hashtbl.find_opt t.pending (dst, tag) with
+  and fire t ~dst ~seq ~gen =
+    match Hashtbl.find_opt t.pending (dst, seq) with
     | None -> ()
     | Some e when e.timer <> gen -> ()
     | Some e ->
         if e.tries >= t.cfg.max_tries then begin
-          Hashtbl.remove t.pending (e.dst, e.tag);
+          Hashtbl.remove t.pending (e.dst, e.seq);
           let channel = (Wire.decode e.header).Wire.channel in
           let f = { node = t.node; dst = e.dst; channel; seq = e.seq; tries = e.tries } in
           let exn = if t.peer_down e.dst then Peer_dead f else Delivery_failed f in
@@ -176,7 +155,7 @@ module Sender = struct
      parked frames, whoever posted it. *)
   let enter t e ~send =
     if t.up then begin
-      Hashtbl.replace t.pending (e.dst, e.tag) e;
+      Hashtbl.replace t.pending (e.dst, e.seq) e;
       arm t e;
       if send then t.transmit e
     end
@@ -187,27 +166,25 @@ module Sender = struct
     Hashtbl.replace t.next_seq dst seq;
     seq
 
+  let frame t ~dst ~seq ~header body =
+    { dst; seq; header; body; tries = 1; rto = t.cfg.timeout; timer = 0 }
+
   let post t ~dst ~header body =
     let seq = next_seq t dst in
-    let tag = aux_of ~epoch:t.epoch ~seq in
-    enter t ~send:true
-      { dst; seq; stamped = true; tag; header = Wire.with_aux header tag; body;
-        tries = 1; rto = t.cfg.timeout; timer = 0 }
+    enter t ~send:true (frame t ~dst ~seq ~header:(Wire.with_aux header seq) body)
 
   let track t ~dst ~header body =
     let seq = next_seq t dst in
-    enter t ~send:false
-      { dst; seq; stamped = false; tag = seq; header = header seq; body; tries = 1;
-        rto = t.cfg.timeout; timer = 0 };
+    enter t ~send:false (frame t ~dst ~seq ~header:(header seq) body);
     seq
 
-  let find t ~dst ~tag = Hashtbl.find_opt t.pending (dst, tag)
+  let find t ~dst ~seq = Hashtbl.find_opt t.pending (dst, seq)
 
   (* the frame leaves [pending], so its timer finds nothing to act on *)
-  let settle t ~dst ~tag =
-    match Hashtbl.find_opt t.pending (dst, tag) with
+  let settle t ~dst ~seq =
+    match Hashtbl.find_opt t.pending (dst, seq) with
     | Some _ as found ->
-        Hashtbl.remove t.pending (dst, tag);
+        Hashtbl.remove t.pending (dst, seq);
         found
     | None -> None
 
@@ -218,21 +195,15 @@ module Sender = struct
     Hashtbl.iter (fun _ e -> t.parked <- e :: t.parked) t.pending;
     Hashtbl.reset t.pending
 
-  (* A stamped frame keeps its ORIGINAL bare sequence number under the new
-     epoch: a pre-crash transmission that did land is suppressed by the
-     receiver's duplicate window, one still in flight under the old epoch
-     is rejected as stale, so the frame is delivered exactly once. *)
-  let resume t ~epoch =
+  (* A parked frame goes out again as it was, sequence number and all: the
+     receiver's window admits whichever copy lands first and calls every
+     later one a duplicate, so the frame is delivered exactly once. *)
+  let resume t =
     t.up <- true;
-    t.epoch <- epoch;
     let parked = List.rev t.parked in
     t.parked <- [];
     List.iter
       (fun e ->
-        if e.stamped then begin
-          e.tag <- aux_of ~epoch ~seq:e.seq;
-          e.header <- Wire.with_aux e.header e.tag
-        end;
         e.tries <- 1;
         e.rto <- t.cfg.timeout;
         enter t e ~send:true)
@@ -248,36 +219,22 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Receiver = struct
-  type t = {
-    windows : (int, Window.t) Hashtbl.t;  (* per-source dedup *)
-    peer_epoch : (int, int) Hashtbl.t;  (* newest epoch seen per source *)
-  }
+  type t = (int, Window.t) Hashtbl.t  (* per-source dedup *)
+  type verdict = [ `Unsequenced | `Fresh | `Duplicate ]
 
-  type verdict = [ `Unsequenced | `Fresh | `Duplicate | `Stale ]
-
-  let create () = { windows = Hashtbl.create 8; peer_epoch = Hashtbl.create 8 }
+  let create () : t = Hashtbl.create 8
 
   (* runs on every received frame: Hashtbl.find, unlike find_opt, allocates nothing *)
-  let judge t ~src ~aux : verdict =
+  let judge (t : t) ~src ~aux : verdict =
     if aux = 0 then `Unsequenced
     else
-      let epoch = aux lsr epoch_shift in
-      let known = match Hashtbl.find t.peer_epoch src with e -> e | exception Not_found -> 0 in
-      if epoch < known then `Stale
-      else begin
-        (* the source restarted: adopt its new epoch, but keep the window —
-           the sender's sequence allocator survives its board crash, and the
-           window is what suppresses the post-restart re-send of a frame
-           whose pre-crash transmission already landed *)
-        if epoch > known then Hashtbl.replace t.peer_epoch src epoch;
-        let w =
-          match Hashtbl.find t.windows src with
-          | w -> w
-          | exception Not_found ->
-              let w = Window.create () in
-              Hashtbl.replace t.windows src w;
-              w
-        in
-        (Window.observe w (aux land seq_mask) :> verdict)
-      end
+      let w =
+        match Hashtbl.find t src with
+        | w -> w
+        | exception Not_found ->
+            let w = Window.create () in
+            Hashtbl.replace t src w;
+            w
+      in
+      (Window.observe w aux :> verdict)
 end

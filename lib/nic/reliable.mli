@@ -51,25 +51,6 @@ exception Delivery_failed of failure
     registered. *)
 exception Peer_dead of failure
 
-(** {2 Delivery epochs}
-
-    The Wire aux field of a sequenced frame carries
-    [(epoch lsl 24) lor seq]: the low 24 bits are the per-destination
-    sequence number (starting at 1, so aux is never 0 — 0 marks
-    unsequenced traffic), bits 24–30 are the sender board's restart epoch.
-    A receiver drops frames from an older epoch of a source than the newest
-    it has seen, so retransmissions queued before a crash cannot corrupt
-    the post-restart sequence space. Epoch 0 encodes to the bare sequence
-    number, bit-identical to the pre-epoch wire format. *)
-
-(** Epochs saturate here (127) rather than wrap, keeping the wire int32
-    positive. *)
-val max_epoch : int
-
-(** @raise Invalid_argument if [epoch] is outside [0, max_epoch] or [seq]
-    outside [1, 2^24 - 1]. *)
-val aux_of : epoch:int -> seq:int -> int
-
 (** Per-source receive window: duplicate suppression with a floor that
     advances over contiguously seen sequence numbers (senders allocate
     1, 2, 3, ... per destination). *)
@@ -90,31 +71,31 @@ end
 (** {2 Sender table}
 
     One endpoint's un-acked frames on one board, keyed by destination and
-    the tag an ack names. The one crash rule: a frame is {e pending}, its
-    timer armed, while the board is up; every frame added while the board
-    is down — by the host, or by a handler still finishing when the crash
-    landed — {e parks} with those {!park} moved there, and {!resume}
-    re-sends them all in parking order. *)
+    sequence number, which is what an ack names. The table is host state:
+    its numbering and frames outlive every board crash. The one crash rule:
+    a frame is {e pending}, its timer armed, while the board is up; every
+    frame added while the board is down — by the host, or by a handler
+    still finishing when the crash landed — {e parks} with those {!park}
+    moved there, and {!resume} re-sends them all in parking order, each
+    with its original sequence number. *)
 module Sender : sig
   type 'f frame = private {
     dst : int;
-    seq : int;  (** bare sequence number; stable across re-stamping *)
-    stamped : bool;  (** [true] for {!post}ed frames, [false] for {!track}ed *)
-    mutable tag : int;  (** the ack's key: [aux_of ~epoch ~seq], or [seq] if tracked *)
-    mutable header : Bytes.t;  (** as it goes on the wire *)
+    seq : int;  (** per-destination sequence number, from 1 *)
+    header : Bytes.t;  (** as it goes on the wire, every time *)
     body : 'f;  (** the caller's rest of the frame *)
     mutable tries : int;
     mutable rto : Cni_engine.Time.t;  (** next retransmission timeout *)
     mutable timer : int;
         (** generation of the one timer that may act, unique in its table;
-            a timer names its frame by [(dst, tag)] and this generation
+            a timer names its frame by [(dst, seq)] and this generation
             rather than holding it, so an acked frame is not kept alive
             until its timer fires *)
   }
 
   type 'f t
 
-  (** An empty table on a live board at epoch 0. [transmit] sends a frame
+  (** An empty table on a live board. [transmit] sends a frame
       at {!post} and {!resume}, [retransmit] when its timer fires; both run
       in event context. [counter] registers ["retransmits"] and
       ["rto_capped"]; an exhausted budget raises {!Peer_dead} when
@@ -130,26 +111,26 @@ module Sender : sig
     retransmit:('f frame -> unit) ->
     'f t
 
-  (** Allocate [dst]'s next sequence number, stamp [(epoch, seq)] into a
-      copy of [header]'s aux field, and send (or park) the frame. *)
+  (** Allocate [dst]'s next sequence number, write it into a copy of
+      [header]'s aux field, and send (or park) the frame. *)
   val post : 'f t -> dst:int -> header:Bytes.t -> 'f -> unit
 
   (** Allocate [dst]'s next sequence number [seq] and take the frame
       [header seq] as it is, for firmware to stamp; the caller sends it.
-      Its tag is [seq], and {!resume} re-sends it as is. Returns [seq]. *)
+      Returns [seq]. *)
   val track : 'f t -> dst:int -> header:(int -> Bytes.t) -> 'f -> int
 
-  val find : 'f t -> dst:int -> tag:int -> 'f frame option
+  val find : 'f t -> dst:int -> seq:int -> 'f frame option
 
   (** An ack arrived: the pending frame it names, if any, leaves the table. *)
-  val settle : 'f t -> dst:int -> tag:int -> 'f frame option
+  val settle : 'f t -> dst:int -> seq:int -> 'f frame option
 
   (** The board crashed: every pending frame parks, its timer dead. *)
   val park : 'f t -> unit
 
-  (** The board restarted under [epoch]: re-stamp, re-arm and re-send every
-      parked frame. *)
-  val resume : 'f t -> epoch:int -> unit
+  (** The board restarted: re-arm and re-send every parked frame as it
+      was. *)
+  val resume : 'f t -> unit
 
   (** Frames not yet acknowledged, parked ones included. *)
   val unacked : 'f t -> int
@@ -160,14 +141,15 @@ end
 
 (** {2 Receiver verdict}
 
-    Per-source peer epochs and duplicate windows. *)
+    Per-source duplicate windows, host state like the sender table: they
+    outlive every crash of either end, so a copy sent before a crash and a
+    re-send after it are one frame. *)
 module Receiver : sig
   type t
 
-  (** [`Unsequenced]: aux 0. [`Stale]: an older epoch than the newest seen
-      from [src] — sent before its board crashed. Otherwise the source's
-      window judges the frame, after adopting a newer epoch. *)
-  type verdict = [ `Unsequenced | `Fresh | `Duplicate | `Stale ]
+  (** [`Unsequenced]: aux 0. Otherwise aux is the frame's sequence number
+      and the source's window judges it. *)
+  type verdict = [ `Unsequenced | `Fresh | `Duplicate ]
 
   val create : unit -> t
 

@@ -174,7 +174,7 @@ let on_send t ctx ~dst ~kind ~obj ~value:_ =
   else
     (* data frame: {!send} put it in the sender table; one parked there
        (its board is down) waits for the restart instead *)
-    match Reliable.Sender.find t.tx ~dst ~tag:obj with
+    match Reliable.Sender.find t.tx ~dst ~seq:obj with
     | Some e ->
         ctx.Nic.reply ~dst ~header:e.header ~body_bytes:e.body.g_body_bytes
           ~data:Nic.No_data ~payload:e.body.g_payload
@@ -190,7 +190,7 @@ let on_wake t ~seq ~value =
     | None -> ())
   else if ev = ev_ack then begin
     Stats.Counter.incr t.s_acks_rx;
-    match Reliable.Sender.settle t.tx ~dst:peer ~tag:value with
+    match Reliable.Sender.settle t.tx ~dst:peer ~seq:value with
     | Some e -> Sync.Ivar.fill e.body.g_done ()
     | None -> () (* ack of an already-acked frame: a duplicate beat it *)
   end

@@ -12,6 +12,7 @@ module Cluster = Cni_cluster.Cluster
 module Node = Cni_cluster.Node
 module Mp = Cni_mp.Mp
 module Collectives = Cni_mp.Collectives
+module Collectives_ir = Cni_mp.Collectives_ir
 module Chaos = Cni_experiments.Chaos
 module Runner = Cni_experiments.Runner
 
@@ -194,43 +195,82 @@ let test_scrub_cycles_preserve_board_memory () =
   checki "every message delivered exactly once across the crashes" 105 !got;
   checki "board memory restored by the install-log replay" code_bytes
     (Nic.handler_code_bytes nic1);
-  checki "one epoch per restart" cycles (Nic.epoch nic1)
+  match List.assoc_opt "node1/nic/restarts" (Cluster.metrics_snapshot cluster) with
+  | Some (Cni_engine.Stats.Registry.Counter_v n) -> checki "one restart counted per cycle" cycles n
+  | Some _ | None -> Alcotest.fail "node1/nic/restarts not registered"
 
 (* ------------------------------------------------------------------ *)
 (* Collectives around a crash                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_collective_parity_between_crashes () =
-  (* a scrub crash/restart cycle that falls between two allreduce
-     episodes: both episodes must produce the fault-free result *)
-  let run ~faulty =
-    let faults =
-      if not faulty then Faults.none
-      else
-        {
-          Faults.none with
-          Faults.schedule =
-            [
-              { Faults.e_at = Time.us 300; e_node = 2; e_fault = Faults.Crash { scrub = true } };
-              { Faults.e_at = Time.us 600; e_node = 2; e_fault = Faults.Restart };
-            ];
-        }
-    in
-    let cluster : int Cluster.t = Cluster.create ~faults ~nic_kind:cni ~nodes:4 () in
-    let eps = Collectives.install ~inject:Fun.id ~project:Fun.id cluster in
-    let sums = Array.make 4 (0, 0) in
-    Cluster.run_app ~watchdog:(Time.s 1) cluster (fun node ->
-        let r = Node.id node in
-        let ep = eps.(r) in
-        let a = Collectives.allreduce ep ~op:( + ) (r + 1) in
-        Engine.delay (Time.us 1000);
-        let b = Collectives.allreduce ep ~op:( + ) ((r + 1) * 10) in
-        sums.(r) <- (a, b));
-    sums
+(* Two allreduce episodes 1 ms apart on a 4-node CNI cluster under a crash
+   schedule, through the closure tree or the firmware tree; each node's two
+   results, or the run's exception. *)
+let two_allreduces ~tree schedule =
+  let faults = { Faults.none with Faults.schedule } in
+  let cluster : int Cluster.t = Cluster.create ~faults ~nic_kind:cni ~nodes:4 () in
+  let allreduce =
+    match tree with
+    | `Closure ->
+        let eps = Collectives.install ~inject:Fun.id ~project:Fun.id cluster in
+        fun r v -> Collectives.allreduce eps.(r) ~op:( + ) v
+    | `Firmware ->
+        let eps =
+          Collectives_ir.install ~op:Collectives_ir.Sum ~inject:Fun.id ~project:Fun.id cluster
+        in
+        fun r v -> Collectives_ir.allreduce eps.(r) v
   in
-  Alcotest.(check (array (pair int int)))
-    "episodes straddling the crash match the fault-free run" (run ~faulty:false)
-    (run ~faulty:true)
+  let sums = Array.make 4 (0, 0) in
+  Cluster.run_app ~watchdog:(Time.s 1) cluster (fun node ->
+      let r = Node.id node in
+      let a = allreduce r (r + 1) in
+      Engine.delay (Time.us 1000);
+      let b = allreduce r ((r + 1) * 10) in
+      sums.(r) <- (a, b));
+  sums
+
+(* node 2 crashes at [at] us and, given [down], restarts [down] us later *)
+let crash_node2 ?down ~scrub at =
+  { Faults.e_at = Time.us at; e_node = 2; e_fault = Faults.Crash { scrub } }
+  :: Option.fold down ~none:[] ~some:(fun d ->
+         [ { Faults.e_at = Time.us (at + d); e_node = 2; e_fault = Faults.Restart } ])
+
+let trees = [ ("closure", `Closure); ("firmware", `Firmware) ]
+
+let each_tree_and_scrub f =
+  List.iter (fun scrub -> List.iter (fun (name, tree) -> f ~scrub name tree) trees) [ false; true ]
+
+let test_collective_parity_between_crashes () =
+  (* node 2 goes down early in the first episode, across its start, for
+     longer than the retransmit timeout, inside the second episode, and
+     between the two: the tree waits for the rank, the reliable layer
+     carries its frames across the crash, and every node gets the
+     fault-free results *)
+  List.iter
+    (fun (at, down) ->
+      each_tree_and_scrub (fun ~scrub name tree ->
+          Alcotest.(check (array (pair int int)))
+            (Printf.sprintf "%s tree, node 2 down %d us from %d us%s" name down at
+               (if scrub then ", scrubbed" else ""))
+            (Array.make 4 (10, 100))
+            (two_allreduces ~tree (crash_node2 ~down ~scrub at))))
+    [ (2, 20); (5, 20); (10, 20); (3, 50); (20, 2000); (1030, 20); (300, 300) ]
+
+let test_collective_rank_never_restarts () =
+  (* a rank that never comes back ends the run in a structured failure,
+     never in a partial result from the live ranks *)
+  List.iter
+    (fun at ->
+      each_tree_and_scrub (fun ~scrub name tree ->
+          match two_allreduces ~tree (crash_node2 ~scrub at) with
+          | sums ->
+              Alcotest.failf
+                "%s tree, node 2 down for good from %d us%s: completed, node 0 got %d/%d" name at
+                (if scrub then ", scrubbed" else "")
+                (fst sums.(0)) (snd sums.(0))
+          | exception Cluster.Deadlock _ -> ()
+          | exception Engine.Fiber_failure (_, Reliable.Peer_dead _) -> ()))
+    [ 0; 2; 500 ]
 
 (* ------------------------------------------------------------------ *)
 (* Structured failure, never a hang                                    *)
@@ -375,6 +415,8 @@ let () =
             test_scrub_cycles_preserve_board_memory;
           Alcotest.test_case "collective parity between crashes" `Quick
             test_collective_parity_between_crashes;
+          Alcotest.test_case "collective with a rank that never restarts" `Quick
+            test_collective_rank_never_restarts;
         ] );
       ( "structured failure",
         [

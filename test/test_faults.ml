@@ -227,12 +227,14 @@ let window_matches_a_seen_set =
 (* ------------------------------------------------------------------ *)
 
 (* The sender table on a bare engine: no cluster, a recorded transmit path
-   and a destination whose liveness the test switches. *)
+   and a destination whose liveness the test switches. Each transmission is
+   logged as (dst, seq, the aux field of the header that went out). *)
 let sender_table ~peer_down =
   let eng = Engine.create () in
   let sent = ref [] and resent = ref [] in
   let record log (e : unit Reliable.Sender.frame) =
-    log := (e.Reliable.Sender.dst, e.Reliable.Sender.seq, e.Reliable.Sender.tag) :: !log
+    let aux = (Cni_nic.Wire.decode e.Reliable.Sender.header).Cni_nic.Wire.aux in
+    log := (e.Reliable.Sender.dst, e.Reliable.Sender.seq, aux) :: !log
   in
   let cfg =
     { Reliable.timeout = Time.us 10; backoff = 2; max_tries = 3; max_rto = Time.us 15 }
@@ -262,19 +264,15 @@ let test_sender_table () =
   checki "posts while down send nothing" 1 (List.length !sent);
   checki "parked frames stay unacked" 3 (Reliable.Sender.unacked s);
   sent := [];
-  Reliable.Sender.resume s ~epoch:1;
-  let aux seq = Reliable.aux_of ~epoch:1 ~seq in
-  check triples "restart re-sends in post order under the new epoch"
-    [ (1, 1, aux 1); (2, 1, aux 1); (1, 2, aux 2) ]
+  Reliable.Sender.resume s;
+  check triples "restart re-sends in post order, each with its original sequence number"
+    [ (1, 1, 1); (2, 1, 1); (1, 2, 2) ]
     (List.rev !sent);
-  (match Reliable.Sender.find s ~dst:1 ~tag:(aux 2) with
-  | Some e ->
-      checki "the header carries the new stamp" (aux 2)
-        (Cni_nic.Wire.decode e.Reliable.Sender.header).Cni_nic.Wire.aux
-  | None -> Alcotest.fail "re-sent frame not pending");
+  checkb "the re-sent frame is pending under (dst, seq)" true
+    (Reliable.Sender.find s ~dst:1 ~seq:2 <> None);
   (* an ack settles its frame: it leaves the table and never retransmits *)
-  checkb "ack settles" true (Reliable.Sender.settle s ~dst:2 ~tag:(aux 1) <> None);
-  checkb "second ack finds nothing" true (Reliable.Sender.settle s ~dst:2 ~tag:(aux 1) = None);
+  checkb "ack settles" true (Reliable.Sender.settle s ~dst:2 ~seq:1 <> None);
+  checkb "second ack finds nothing" true (Reliable.Sender.settle s ~dst:2 ~seq:1 = None);
   checki "two frames left" 2 (Reliable.Sender.unacked s);
   (match Engine.run eng with
   | () -> Alcotest.fail "expected the retry budget to run out"
@@ -290,6 +288,44 @@ let test_sender_table () =
   | () -> Alcotest.fail "expected Peer_dead"
   | exception Engine.Fiber_failure (_, Reliable.Peer_dead f) ->
       checki "peer-dead names the destination" 1 f.Reliable.dst
+
+(* A frame whose first transmission is still in flight when its board
+   crashes: the copy sent before the crash and the re-send after the
+   restart carry the same sequence number, so the receiver's window takes
+   whichever lands first and calls the other a duplicate, and the ack of
+   either settles the frame. *)
+let test_pre_crash_copy () =
+  let verdict =
+    Alcotest.testable
+      (fun ppf v ->
+        Format.pp_print_string ppf
+          (match v with
+          | `Unsequenced -> "unsequenced"
+          | `Fresh -> "fresh"
+          | `Duplicate -> "duplicate"))
+      ( = )
+  in
+  let eng, s, sent, resent = sender_table ~peer_down:(ref false) in
+  Reliable.Sender.post s ~dst:1 ~header:data_header ();
+  let before = List.hd !sent in
+  Reliable.Sender.park s;
+  Reliable.Sender.resume s;
+  let after = List.hd !sent in
+  check Alcotest.(triple int int int) "the re-send is the same frame" before after;
+  let judge rx (_, _, aux) = Reliable.Receiver.judge rx ~src:0 ~aux in
+  let rx = Reliable.Receiver.create () in
+  check verdict "the pre-crash copy, arriving after the restart" `Fresh (judge rx before);
+  check verdict "the re-send behind it" `Duplicate (judge rx after);
+  check verdict "the pre-crash copy again" `Duplicate (judge rx before);
+  let rx = Reliable.Receiver.create () in
+  check verdict "the re-send, arriving first" `Fresh (judge rx after);
+  check verdict "the pre-crash copy behind it" `Duplicate (judge rx before);
+  (* the receiver acks each copy with the sequence number it carries *)
+  let _, _, seq = before in
+  checkb "the ack settles the re-sent frame" true (Reliable.Sender.settle s ~dst:1 ~seq <> None);
+  checki "nothing left unacked" 0 (Reliable.Sender.unacked s);
+  Engine.run eng;
+  checki "its timer finds nothing to retransmit" 0 (List.length !resent)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end recovery                                                 *)
@@ -472,7 +508,11 @@ let () =
           QCheck_alcotest.to_alcotest window_matches_a_seen_set;
         ] );
       ( "sender",
-        [ Alcotest.test_case "park, resume, settle, budget" `Quick test_sender_table ] );
+        [
+          Alcotest.test_case "park, resume, settle, budget" `Quick test_sender_table;
+          Alcotest.test_case "a pre-crash copy is one frame with its re-send" `Quick
+            test_pre_crash_copy;
+        ] );
       ( "recovery",
         [
           Alcotest.test_case "survives cell loss (both NICs)" `Quick test_survives_cell_loss;

@@ -950,6 +950,12 @@ let test_scrub_residency () =
     Wire.encode { Wire.kind = 1; cacheable = false; has_data = false; src; channel; obj = 0; aux }
   in
   let rel () = Option.get (Nic.rel_stats nic1) in
+  let restarts () =
+    let module R = Cni_engine.Stats.Registry in
+    match List.assoc_opt "node1/nic/restarts" (R.snapshot (Cluster.metrics cluster)) with
+    | Some (R.Counter_v n) -> n
+    | Some _ | None -> 0
+  in
   Cluster.run_app cluster (fun node ->
       let nic = Node.nic node in
       let send ~channel =
@@ -993,11 +999,12 @@ let test_scrub_residency () =
         checki "host: the frame parked" pending (Nic.rel_pending_count nic);
         checki "host: acked frames still queued" (acks - 1) ((rel ()).Nic.acks_tx - !delivered);
         checkb "host: counters" true (stats = Nic.stats nic);
-        checki "host: epoch" 0 (Nic.epoch nic);
+        checki "host: no restart counted" 0 (restarts ());
         (* waits for the interrupt level, so after the checks above *)
         activate ();
         checki "board: the segment is gone" 1 (List.hd !wakes);
         Nic.restart nic;
+        checki "restart: counted in the registry" 1 (restarts ());
         checki "restart: the same code bytes" code (Nic.handler_code_bytes nic);
         (* the window survived: a copy of seq 1 is a duplicate *)
         Fabric.send (Cluster.fabric cluster)
