@@ -30,6 +30,7 @@ type result = {
   polls : int;  (* receive wakeups taken by a host poll, summed over nodes *)
   wasted_polls : int;  (* empty ring checks while in poll mode, summed *)
   checksum : float;
+  digest : int;  (* the engine's event digest *)
   metrics : Cni_engine.Stats.Registry.snapshot;
 }
 
@@ -106,6 +107,7 @@ let exec (cluster, lrcs) app =
     polls = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.polls);
     wasted_polls = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.wasted_polls);
     checksum;
+    digest = (Cni_engine.Engine.run_stats (Cluster.engine cluster)).Cni_engine.Engine.digest;
     metrics = Cluster.metrics_snapshot cluster;
   }
 

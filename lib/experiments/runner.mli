@@ -54,6 +54,10 @@ type result = {
   wasted_polls : int;
       (** empty receive-ring checks while in poll mode, summed over nodes *)
   checksum : float;  (** the application's checksum *)
+  digest : int;
+      (** the engine's event digest ({!Cni_engine.Engine.run_stats}): equal
+          digests mean the same events ran at the same times in the same
+          order *)
   metrics : Cni_engine.Stats.Registry.snapshot;
       (** full registry snapshot: every node's NIC, ring, Message Cache, DSM
           and time-accounting metrics *)

@@ -620,7 +620,8 @@ let cluster4 ?faults ?topology nic_kind =
 
 let engine_totals cluster =
   let s = Engine.run_stats (Cluster.engine cluster) in
-  [ ("events", s.Engine.events_dispatched); ("max_heap_depth", s.Engine.max_heap_depth) ]
+  [ ("events", s.Engine.events_dispatched); ("max_heap_depth", s.Engine.max_heap_depth);
+    ("digest", s.Engine.digest) ]
 
 let pinned_run app ~elapsed_ps ~engine ~counters =
   let cluster, lrcs = cluster4 (`Cni Nic.default_cni_options) in
@@ -651,7 +652,7 @@ let test_pinned_jacobi () =
         (Cni_apps.Jacobi.run cluster lrcs
            { Cni_apps.Jacobi.default_config with Cni_apps.Jacobi.n = 128; iterations = 3 }))
     ~elapsed_ps:6_283_577_373
-    ~engine:[ ("events", 1_586); ("max_heap_depth", 4) ]
+    ~engine:[ ("events", 1_586); ("max_heap_depth", 4); ("digest", 4_221_216_508_979_703_952) ]
     ~counters:
       [
         ("faults", 16);
@@ -675,7 +676,7 @@ let test_pinned_cholesky () =
   pinned_run
     (fun cluster lrcs -> ignore (run_cholesky cluster lrcs))
     ~elapsed_ps:53_309_604_564
-    ~engine:[ ("events", 33_279); ("max_heap_depth", 7) ]
+    ~engine:[ ("events", 33_279); ("max_heap_depth", 7); ("digest", -3_478_499_709_552_796_099) ]
     ~counters:
       [
         ("faults", 422);
@@ -689,6 +690,26 @@ let test_pinned_cholesky () =
         ("barriers", 8);
         ("evictions", 0);
       ]
+
+(* The digest sees what rounded report values hide: one more picosecond of
+   switch latency leaves the 4-node Jacobi's checksum and its elapsed time
+   to 0.1 us as they were, and moves the digest. *)
+let test_digest_sees_one_ps () =
+  let run params =
+    Cni_experiments.Runner.run ~params ~kind:(`Cni Nic.default_cni_options) ~procs:4
+      (Cni_experiments.Runner.jacobi ~n:64 ~iterations:2)
+  in
+  let p = Cni_machine.Params.default in
+  let a = run p
+  and b =
+    run { p with Cni_machine.Params.switch_latency = Time.(p.Cni_machine.Params.switch_latency + ps 1) }
+  in
+  let report (r : Cni_experiments.Runner.result) =
+    Printf.sprintf "%.1f us, checksum %.6f" (Time.to_us_float r.elapsed) r.checksum
+  in
+  check Alcotest.string "rounded report unchanged" (report a) (report b);
+  checkb "elapsed moved" true (a.Cni_experiments.Runner.elapsed <> b.elapsed);
+  checkb "digest moved" true (a.digest <> b.digest)
 
 (* The same 4-node Cholesky down the datapath branches the runs above skip,
    one row each: the host receive path under two wakeup policies, the OSIRIS
@@ -705,7 +726,7 @@ type datapath_row = {
 }
 
 let datapath_columns =
-  [ "elapsed_ps"; "events"; "max_heap_depth"; "interrupts"; "polls"; "coalesced";
+  [ "elapsed_ps"; "events"; "max_heap_depth"; "digest"; "interrupts"; "polls"; "coalesced";
     "retransmits"; "crash_drops"; "hop_waits" ]
 
 let no_aih = { Nic.default_cni_options with Nic.aih = false }
@@ -726,21 +747,28 @@ let datapath_rows =
   let row ?faults ?topology row kind expect = { row; kind; faults; topology; expect } in
   [
     row "AIH off, hybrid wakeup" (`Cni no_aih)
-      [ 65_953_760_301; 32_865; 9; 836; 1_396; 0; 0; 0; 0 ];
+      [ 65_953_760_301; 32_865; 9;
+        2_253_288_856_889_818_573; 836; 1_396; 0; 0; 0; 0 ];
     row "AIH off, adaptive wakeup, rx_batch 8"
       (`Cni { no_aih with Nic.rx_policy = Nic.Rx_adaptive Nic.default_rx_adaptive; rx_batch = 8 })
-      [ 70_287_828_360; 38_477; 9; 1_264; 772; 327; 0; 0; 0 ];
+      [ 70_287_828_360; 38_477; 9;
+        -3_342_043_214_406_017_916; 1_264; 772; 327; 0; 0; 0 ];
     row "OSIRIS board" `Osiris
-      [ 90_506_282_350; 37_150; 9; 2_392; 0; 0; 0; 0; 0 ];
+      [ 90_506_282_350; 37_150; 9;
+        -4_086_223_448_580_967_872; 2_392; 0; 0; 0; 0; 0 ];
     row "standard board" `Standard
-      [ 98_029_180_716; 33_155; 9; 2_322; 0; 0; 0; 0; 0 ];
+      [ 98_029_180_716; 33_155; 9;
+        -567_213_085_131_960_066; 2_322; 0; 0; 0; 0; 0 ];
     row "reliable delivery, loss + corruption" ~faults:lossy (`Cni Nic.default_cni_options)
-      [ 54_729_007_076; 63_005; 85; 0; 0; 0; 6; 0; 0 ];
+      [ 54_729_007_076; 63_005; 85;
+        -3_100_719_415_534_746_042; 0; 0; 0; 6; 0; 0 ];
     row "scrubbed crash of node 2" ~faults:crash (`Cni Nic.default_cni_options)
-      [ 54_858_566_207; 62_438; 84; 0; 0; 0; 2; 2; 0 ];
+      [ 54_858_566_207; 62_438; 84;
+        4_442_768_685_889_036_020; 0; 0; 0; 2; 2; 0 ];
     row "3D torus" ~topology:(Cni_atm.Topology.Torus { dims = None })
       (`Cni Nic.default_cni_options)
-      [ 52_671_302_938; 32_913; 7; 0; 0; 0; 0; 0; 191 ];
+      [ 52_671_302_938; 32_913; 7;
+        4_350_840_709_079_368_283; 0; 0; 0; 0; 0; 191 ];
   ]
 
 let test_datapath_row r () =
@@ -826,5 +854,6 @@ let () =
         ]
         @ List.map
             (fun r -> Alcotest.test_case ("4-node Cholesky, " ^ r.row) `Quick (test_datapath_row r))
-            datapath_rows );
+            datapath_rows
+        @ [ Alcotest.test_case "digest sees a 1 ps cost change" `Quick test_digest_sees_one_ps ] );
     ]
