@@ -82,6 +82,41 @@ val faults : 'a t -> Faults.config option
     @raise Invalid_argument on out-of-range src/dst or src = dst. *)
 val send : 'a t -> 'a packet -> unit
 
+(** {2 Frame records}
+
+    A frame in flight is one record in the fabric's pool, indexed by a
+    {e slot}, from the board that posts it to the start of its handler at
+    the far end: its packet and three int words. The boards' stages and
+    the wire's move the slot, not a closure per stage (see
+    {!Cni_engine.Engine.register}), so a frame allocates nothing between
+    the two. The pool grows by doubling to the peak number of frames in
+    flight on the whole fabric. The boards own the words on either side of
+    the wire; from {!send_frame} to the delivery the wire uses words 0 and
+    1. *)
+
+(** [new_frame t pkt] takes a record for [pkt] and returns its slot. *)
+val new_frame : 'a t -> 'a packet -> int
+
+(** Give a record back: its frame was delivered to a handler or died. *)
+val free_frame : 'a t -> int -> unit
+
+val frame_packet : 'a t -> int -> 'a packet
+
+(** [frame_word t s i] is word [i] (0, 1 or 2) of slot [s]'s record. *)
+val frame_word : 'a t -> int -> int -> int
+
+val set_frame_word : 'a t -> int -> int -> int -> unit
+
+(** [send_frame t s] is {!send} of the record's packet: the record goes
+    onto the wire, and to the receiver at the far end, or is freed where
+    the frame dies. *)
+val send_frame : 'a t -> int -> unit
+
+(** [set_frame_receiver t ~node f] makes [f s] run in the event that
+    delivers a frame's last bit to [node], as {!set_receiver}'s callback
+    would, with the frame's record, which [f] then owns. *)
+val set_frame_receiver : 'a t -> node:int -> (int -> unit) -> unit
+
 (** Total frame size (header + body) in bytes. *)
 val frame_bytes : 'a packet -> int
 

@@ -22,7 +22,13 @@ module Ivar : sig
 end
 
 module Semaphore : sig
-  (** Counting semaphore with FIFO wakeup order. *)
+  (** Counting semaphore with FIFO wakeup order.
+
+      Waiters come in two forms, in one FIFO (an {!Engine.queue}): a fiber
+      or callback waiter (a closure), and a stage waiter, a registered
+      stage and its slot (see {!Engine.register}), which waits without a
+      closure. A {!release} hands the unit to the oldest waiter, whatever
+      its form, and runs it in an event of its own at that instant. *)
   type t
 
   val create : int -> t
@@ -31,6 +37,12 @@ module Semaphore : sig
       positive, else in an event of its own at the {!release} that hands
       over the unit, where a blocked fiber would resume. *)
   val acquire_then : Engine.t -> t -> (unit -> unit) -> unit
+
+  (** [acquire_stage eng t stage slot] is the stage form: [true] when it
+      took a free unit (the caller goes on inline), else [false], and the
+      stage event (stage, slot) runs at the {!release} that hands the unit
+      over, where {!acquire_then}'s [k] would. *)
+  val acquire_stage : Engine.t -> t -> Engine.stage -> int -> bool
 
   (** Blocks while the count is zero; decrements. *)
   val acquire : t -> unit

@@ -1,10 +1,28 @@
 module Engine = Cni_engine.Engine
 module Sync = Cni_engine.Sync
 module Time = Cni_engine.Time
+module Pool = Cni_engine.Pool
 
 type dir = Cpu_writeback | Dma_to_memory | Dma_from_memory
 
 type stats = { dma_transfers : int; dma_bytes : int; writeback_lines : int }
+
+(* The DMAs waiting for the bus or holding it are pooled records: int
+   columns for the direction, address, size and continuation stage and
+   slot, and a closure column for a fiber's continuation (stage -1). They
+   and the bus's one engine stage are made at the first DMA, so a bus that
+   never transfers costs nothing; a stage event's slot is a record's and a
+   step's, [2x + 1] once the transfer is under way. *)
+type xfers = {
+  pool : Pool.t;
+  mutable to_memory : bool array;
+  mutable addr : int array;
+  mutable bytes : int array;
+  mutable stage : int array;
+  mutable slot : int array;
+  mutable k : (unit -> unit) array;
+  mutable st : Engine.stage;
+}
 
 type t = {
   eng : Engine.t;
@@ -16,7 +34,47 @@ type t = {
   mutable s_dma_transfers : int;
   mutable s_dma_bytes : int;
   mutable s_writeback_lines : int;
+  mutable xfers : xfers option;
 }
+
+let dma_time t ~bytes = Params.bus_transfer t.p ~bytes
+
+let start t xs x = Engine.after_stage t.eng (dma_time t ~bytes:xs.bytes.(x)) xs.st ((2 * x) + 1)
+
+(* a plain recursion over the list: no closure is built per notification *)
+let rec notify snoopers ~dir ~addr ~bytes =
+  match snoopers with
+  | [] -> ()
+  | f :: rest ->
+      f ~dir ~addr ~bytes;
+      notify rest ~dir ~addr ~bytes
+
+let transferred t xs x =
+  let bytes = xs.bytes.(x) and addr = xs.addr.(x) in
+  let dir = if xs.to_memory.(x) then Dma_to_memory else Dma_from_memory in
+  t.s_dma_transfers <- t.s_dma_transfers + 1;
+  t.s_dma_bytes <- t.s_dma_bytes + bytes;
+  notify t.snoopers ~dir ~addr ~bytes;
+  Sync.Semaphore.release t.sem;
+  let stage = xs.stage.(x) and slot = xs.slot.(x) and k = xs.k.(x) in
+  if stage < 0 then xs.k.(x) <- ignore;
+  Pool.release xs.pool x;
+  if stage >= 0 then Engine.run_stage t.eng stage slot else k ()
+
+let xfers t =
+  match t.xfers with
+  | Some xs -> xs
+  | None ->
+      let xs =
+        { pool = Pool.create (); to_memory = [||]; addr = [||]; bytes = [||]; stage = [||];
+          slot = [||]; k = [||]; st = 0 }
+      in
+      (* step 0: the bus came free, start the transfer; step 1: it ended *)
+      xs.st <-
+        Engine.register t.eng (fun v ->
+            if v land 1 = 0 then start t xs (v lsr 1) else transferred t xs (v lsr 1));
+      t.xfers <- Some xs;
+      xs
 
 let create eng p =
   {
@@ -29,39 +87,50 @@ let create eng p =
     s_dma_transfers = 0;
     s_dma_bytes = 0;
     s_writeback_lines = 0;
+    xfers = None;
   }
 
 let params t = t.p
 let register_snooper t f = t.snoopers <- f :: t.snoopers
-
-(* a plain recursion over the list: no closure is built per notification *)
-let rec notify snoopers ~dir ~addr ~bytes =
-  match snoopers with
-  | [] -> ()
-  | f :: rest ->
-      f ~dir ~addr ~bytes;
-      notify rest ~dir ~addr ~bytes
 
 let writeback_line t la =
   t.s_writeback_lines <- t.s_writeback_lines + 1;
   notify t.snoopers ~dir:Cpu_writeback ~addr:la ~bytes:t.line_bytes;
   t.line_time
 
-let dma_time t ~bytes = Params.bus_transfer t.p ~bytes
+(* a transfer record; the bus's FIFO hands it the bus, at once or at the
+   release that frees it ([acquired]) *)
+let transfer t ~dir ~addr ~bytes ~stage ~slot k =
+  let to_memory =
+    match dir with
+    | Dma_to_memory -> true
+    | Dma_from_memory -> false
+    | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction"
+  in
+  let xs = xfers t in
+  let x = Pool.alloc xs.pool in
+  if x >= Array.length xs.addr then begin
+    let n = Pool.capacity xs.pool in
+    xs.to_memory <- Pool.extend xs.to_memory n false;
+    xs.addr <- Pool.extend xs.addr n 0;
+    xs.bytes <- Pool.extend xs.bytes n 0;
+    xs.stage <- Pool.extend xs.stage n 0;
+    xs.slot <- Pool.extend xs.slot n 0;
+    xs.k <- Pool.extend xs.k n ignore
+  end;
+  xs.to_memory.(x) <- to_memory;
+  xs.addr.(x) <- addr;
+  xs.bytes.(x) <- bytes;
+  xs.stage.(x) <- stage;
+  xs.slot.(x) <- slot;
+  if stage < 0 then xs.k.(x) <- k;
+  if Sync.Semaphore.acquire_stage t.eng t.sem xs.st (2 * x) then start t xs x
 
-let dma_then t ~dir ~addr ~bytes k =
-  (match dir with
-  | Dma_to_memory | Dma_from_memory -> ()
-  | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction");
-  Sync.Semaphore.acquire_then t.eng t.sem (fun () ->
-      Engine.after t.eng (dma_time t ~bytes) (fun () ->
-          t.s_dma_transfers <- t.s_dma_transfers + 1;
-          t.s_dma_bytes <- t.s_dma_bytes + bytes;
-          notify t.snoopers ~dir ~addr ~bytes;
-          Sync.Semaphore.release t.sem;
-          k ()))
+let dma_stage t ~dir ~addr ~bytes stage slot =
+  transfer t ~dir ~addr ~bytes ~stage ~slot ignore
 
-let dma t ~dir ~addr ~bytes = Engine.await (fun _ k -> dma_then t ~dir ~addr ~bytes k)
+let dma t ~dir ~addr ~bytes =
+  Engine.await (fun _ k -> transfer t ~dir ~addr ~bytes ~stage:(-1) ~slot:0 k)
 
 let stats t =
   {

@@ -31,11 +31,15 @@ val register_snooper : t -> (dir:dir -> addr:int -> bytes:int -> unit) -> unit
     occupancy to charge to the CPU's clock. Allocates nothing. *)
 val writeback_line : t -> int -> Cni_engine.Time.t
 
-(** [dma_then t ~dir ~addr ~bytes k] performs a DMA transfer, then runs [k]
-    (any event context): acquires the bus, holds it for the transfer time,
-    notifies snoopers and releases it. [dma] is the same from inside a
-    fiber. [dir] must be [Dma_to_memory] or [Dma_from_memory]. *)
-val dma_then : t -> dir:dir -> addr:int -> bytes:int -> (unit -> unit) -> unit
+(** [dma_stage t ~dir ~addr ~bytes stage slot] performs a DMA transfer,
+    then runs the stage (stage, slot) inside the event that completes it
+    (any event context; see {!Cni_engine.Engine.register}): it acquires the
+    bus in FIFO order, holds it for the transfer time, notifies snoopers and
+    releases it. [dma] is the same from inside a fiber, on the same FIFO.
+    [dir] must be [Dma_to_memory] or [Dma_from_memory]. *)
+val dma_stage :
+  t -> dir:dir -> addr:int -> bytes:int -> Cni_engine.Engine.stage -> int -> unit
+
 val dma : t -> dir:dir -> addr:int -> bytes:int -> unit
 
 (** Pure transfer-time of a DMA of [bytes] (no queueing). *)

@@ -4,10 +4,18 @@ type mode = Update | Invalidate
 
 type slot = { mutable vpage : int (* -1 = free *); mutable referenced : bool }
 
-(* The buffer map is probed on every snooped write-back line; an int-keyed
-   table skips the polymorphic hash and compare. It is never iterated
-   ([bound_pages] reads the slots), so its order shows nowhere. *)
-module Page_map = Hashtbl.Make (Int)
+(* The buffer map is probed on every snooped write-back line. [Int.hash]
+   is the polymorphic [caml_hash], a C call per probe, so the table hashes
+   inline: a multiplicative (Fibonacci) hash whose high bits reach the low
+   ones the table masks with, since virtual page numbers are dense. It is
+   never iterated ([bound_pages] reads the slots), so its order shows
+   nowhere. *)
+module Page_map = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash v = (v * 0x9E3779B97F4A7C1) lsr 17
+end)
 
 type t = {
   page_shift : int;  (* page size = 1 lsl page_shift *)

@@ -2,9 +2,14 @@ module Engine = Cni_engine.Engine
 module Sync = Cni_engine.Sync
 module Stats = Cni_engine.Stats
 
+(* The entries sit in a fixed array of [capacity] cells, [len] of them from
+   [head]; the two semaphores count free cells and entries, and are the
+   ring's one waiting mechanism, for stage and fiber waiters alike. *)
 type 'a t = {
   capacity : int;
-  q : 'a Queue.t;
+  cells : 'a array;
+  mutable head : int;
+  mutable len : int;
   space : Sync.Semaphore.t;
   items : Sync.Semaphore.t;
   s_pushes : Stats.Counter.t;
@@ -15,6 +20,10 @@ type 'a t = {
 
 type stats = { pushes : int; pops : int; full_stalls : int; empty_stalls : int }
 
+(* what a free cell holds, so the ring never pins a popped entry; never
+   read (see [Heap.dummy]) *)
+let dummy () : 'a = Obj.magic 0
+
 let create ?registry ?node ?(subsystem = "ring") ~slots () =
   if slots < 1 then invalid_arg "Ring.create: need at least one slot";
   let counter name =
@@ -24,7 +33,9 @@ let create ?registry ?node ?(subsystem = "ring") ~slots () =
   in
   {
     capacity = slots;
-    q = Queue.create ();
+    cells = Array.make slots (dummy ());
+    head = 0;
+    len = 0;
     space = Sync.Semaphore.create slots;
     items = Sync.Semaphore.create 0;
     s_pushes = counter "pushes";
@@ -34,46 +45,53 @@ let create ?registry ?node ?(subsystem = "ring") ~slots () =
   }
 
 let slots t = t.capacity
-let length t = Queue.length t.q
-let is_full t = Queue.length t.q >= t.capacity
-let is_empty t = Queue.is_empty t.q
+let length t = t.len
+let is_full t = t.len >= t.capacity
+let is_empty t = t.len = 0
+
+let put t v =
+  t.cells.((t.head + t.len) mod t.capacity) <- v;
+  t.len <- t.len + 1;
+  Stats.Counter.incr t.s_pushes;
+  Sync.Semaphore.release t.items
+
+let take t =
+  let v = t.cells.(t.head) in
+  t.cells.(t.head) <- dummy ();
+  t.head <- (t.head + 1) mod t.capacity;
+  t.len <- t.len - 1;
+  Stats.Counter.incr t.s_pops;
+  Sync.Semaphore.release t.space;
+  v
 
 let try_push t v =
-  if Sync.Semaphore.try_acquire t.space then begin
-    Queue.add v t.q;
-    Stats.Counter.incr t.s_pushes;
-    Sync.Semaphore.release t.items;
+  Sync.Semaphore.try_acquire t.space
+  && begin
+    put t v;
     true
   end
-  else false
 
-let try_pop t =
-  if Sync.Semaphore.try_acquire t.items then begin
-    let v = Queue.take t.q in
-    Stats.Counter.incr t.s_pops;
-    Sync.Semaphore.release t.space;
-    Some v
-  end
-  else None
+let try_pop t = if Sync.Semaphore.try_acquire t.items then Some (take t) else None
 
-let push_then eng t v k =
+let reserve eng t stage slot =
   if Sync.Semaphore.available t.space = 0 then Stats.Counter.incr t.s_full_stalls;
-  Sync.Semaphore.acquire_then eng t.space (fun () ->
-      Queue.add v t.q;
-      Stats.Counter.incr t.s_pushes;
-      Sync.Semaphore.release t.items;
-      k ())
+  Sync.Semaphore.acquire_stage eng t.space stage slot
 
-let pop_then eng t k =
+let claim eng t stage slot =
   if Sync.Semaphore.available t.items = 0 then Stats.Counter.incr t.s_empty_stalls;
-  Sync.Semaphore.acquire_then eng t.items (fun () ->
-      let v = Queue.take t.q in
-      Stats.Counter.incr t.s_pops;
-      Sync.Semaphore.release t.space;
-      k v)
+  Sync.Semaphore.acquire_stage eng t.items stage slot
 
-let push t v = Engine.await (fun eng k -> push_then eng t v k)
-let pop t = Engine.await (fun eng k -> pop_then eng t k)
+let push t v =
+  Engine.await (fun eng k ->
+      if Sync.Semaphore.available t.space = 0 then Stats.Counter.incr t.s_full_stalls;
+      Sync.Semaphore.acquire_then eng t.space (fun () ->
+          put t v;
+          k ()))
+
+let pop t =
+  Engine.await (fun eng k ->
+      if Sync.Semaphore.available t.items = 0 then Stats.Counter.incr t.s_empty_stalls;
+      Sync.Semaphore.acquire_then eng t.items (fun () -> k (take t)))
 
 let stats t =
   {

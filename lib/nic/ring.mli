@@ -31,12 +31,23 @@ val try_push : 'a t -> 'a -> bool
 (** Non-blocking; [None] when empty. *)
 val try_pop : 'a t -> 'a option
 
-(** Blocking variants in callback form (any event context): [push_then]
-    runs [k] once [v] is queued, [pop_then] passes [k] the oldest entry. *)
-val push_then : Cni_engine.Engine.t -> 'a t -> 'a -> (unit -> unit) -> unit
-val pop_then : Cni_engine.Engine.t -> 'a t -> ('a -> unit) -> unit
+(** The stage form (any event context), for a board stage working on a
+    pooled record's [slot] (see {!Cni_engine.Engine.register}). A push is
+    {!reserve} then {!put}: [reserve eng t stage slot] takes a free cell
+    and returns [true], or counts a full stall, returns [false] and runs
+    the stage event (stage, slot) at the pop that frees one. A pop is
+    {!claim} then {!take}, alike over the entries, counting empty stalls. *)
+val reserve : Cni_engine.Engine.t -> 'a t -> Cni_engine.Engine.stage -> int -> bool
 
-(** Blocking variants (fiber context). *)
+(** Queue [v] into a cell {!reserve} took. *)
+val put : 'a t -> 'a -> unit
+
+val claim : Cni_engine.Engine.t -> 'a t -> Cni_engine.Engine.stage -> int -> bool
+
+(** The oldest entry, which {!claim} took; frees its cell. *)
+val take : 'a t -> 'a
+
+(** Blocking variants (fiber context), on the same waiting mechanism. *)
 val push : 'a t -> 'a -> unit
 
 val pop : 'a t -> 'a

@@ -81,12 +81,16 @@ val wake_kind : mode -> waiting:bool -> [ `Interrupt | `Poll ]
 
 (** {2 The engine} *)
 
-(** A board's engine, delivering frames ['p] to handlers ['h]. *)
-type ('h, 'p) t
+(** A board's engine, delivering the frames of the board's record slots.
+    A wakeup runs as stage events (see {!Cni_engine.Engine.register}),
+    registered once per engine: no closure is built per frame until its
+    handler's fiber. *)
+type t
 
-(** [run h p] runs a frame's handler on the host, inside its fiber;
-    [host_proc] (the host's interrupt level) and [interrupts] are shared
-    with the rest of the board; [counter] registers counters by name.
+(** [take s] gives up frame slot [s] and returns the fiber body that runs
+    its handler on the host; [host_proc] (the host's interrupt level) and
+    [interrupts] are shared with the rest of the board; [counter]
+    registers counters by name.
     @raise Invalid_argument on [batch < 1] or adaptive parameters out of range. *)
 val create :
   Cni_engine.Engine.t ->
@@ -98,10 +102,10 @@ val create :
   counter:(string -> Cni_engine.Stats.Counter.t) ->
   policy:policy ->
   batch:int ->
-  run:('h -> 'p -> unit) ->
-  ('h, 'p) t
+  take:(int -> unit -> unit) ->
+  t
 
-(** Deliver one classified frame to host code. The arrival first closes the
+(** Deliver the classified frame in slot [s] to host code. The arrival first closes the
     gap since the previous one: the wasted polls of the mode then in force,
     and under the adaptive policy the estimate and the mode (a switch is
     traced as [rx-mode], payload 0/1/2 for interrupt/hybrid/poll). With
@@ -111,10 +115,10 @@ val create :
     a fiber [nic-rx-deliver] of its own, so a handler that blocks stalls
     none of the rest. The queue is the ADC receive ring, in host memory
     (see {!Nic.crash}). *)
-val deliver : ('h, 'p) t -> 'h -> 'p -> unit
+val deliver : t -> int -> unit
 
 (** The mode a frame arriving now would be woken with. *)
-val mode : ('h, 'p) t -> mode
+val mode : t -> mode
 
 (** The engine's counters (documented with the board's statistics). *)
 type stats = {
@@ -122,4 +126,4 @@ type stats = {
   mode_interrupt : int; mode_hybrid : int; mode_poll : int;
 }
 
-val stats : ('h, 'p) t -> stats
+val stats : t -> stats

@@ -234,6 +234,73 @@ let test_calendar_hot_path_no_alloc () =
   let words = Gc.minor_words () -. before in
   if words > 256. then Alcotest.failf "steady-state add/pop allocated %.0f minor words" words
 
+(* The stage-event form's contract: a warm heap, calendar and engine add,
+   pop and dispatch (stage, slot) events without allocating, whether they
+   go on the lane, into a bucket, past the window or into a dense bucket;
+   and the codes come back in (key, seq) order. *)
+let test_stage_events_no_alloc () =
+  let h = Heap.create () in
+  let heap_cycle () =
+    for i = 0 to 1023 do
+      Heap.add_code h ~key:(i * 31 mod 257) ~seq:i i
+    done;
+    while not (Heap.is_empty h) do
+      ignore (Heap.pop_min_value h);
+      if Heap.last_code h < 0 then Alcotest.fail "a code came back as a payload"
+    done
+  in
+  let q = Calendar.create () in
+  let calendar_cycle c =
+    let base = c lsl 32 in
+    for i = 0 to 2047 do
+      let key =
+        if i land 7 = 0 then base + (1 lsl 29) + (i * 4099) (* past the window *)
+        else if i land 7 = 1 then base + (1 lsl 25) + (i land 255) (* one dense bucket *)
+        else base + ((i * 31 mod 257) lsl 16)
+      in
+      Calendar.add_code q ~key ~seq:i i
+    done;
+    let last_key = ref (-1) and last_seq = ref (-1) in
+    while Calendar.length q > 0 do
+      let key = Calendar.min_key q in
+      ignore (Calendar.pop_min_value q);
+      let seq = Calendar.last_seq q in
+      if Calendar.last_code q <> seq then Alcotest.fail "code and seq parted";
+      if key < !last_key || (key = !last_key && seq < !last_seq) then
+        Alcotest.failf "(%d, %d) popped late" key seq;
+      last_key := key;
+      last_seq := seq
+    done
+  in
+  (* 64 slots, each a chain of 200 events alternating between the lane and
+     later keys *)
+  let eng = Engine.create () in
+  let left = Array.make 64 0 in
+  let stage = ref 0 in
+  stage :=
+    Engine.register eng (fun s ->
+        left.(s) <- left.(s) - 1;
+        if left.(s) > 0 then
+          if left.(s) land 1 = 0 then Engine.at_stage eng (Engine.now eng) !stage s
+          else Engine.after_stage eng (Time.ps (1 + (s * 70_000))) !stage s);
+  let engine_cycle () =
+    for s = 0 to 63 do
+      left.(s) <- 200;
+      Engine.at_stage eng (Engine.now eng) !stage s
+    done;
+    Engine.run eng
+  in
+  heap_cycle ();
+  calendar_cycle 1;
+  engine_cycle ();
+  let before = Gc.minor_words () in
+  heap_cycle ();
+  calendar_cycle 2;
+  engine_cycle ();
+  let words = Gc.minor_words () -. before in
+  checki "every stage event dispatched" (2 * 64 * 200) (Engine.run_stats eng).Engine.events_dispatched;
+  if words > 256. then Alcotest.failf "steady-state stage events allocated %.0f minor words" words
+
 (* a fiber's [delay] on a warm engine: the effect, its continuation and the
    closure of the event that resumes it are all that may allocate (9 minor
    words); a handler closure built on every perform would add 7 *)
@@ -297,6 +364,48 @@ let test_rng_split_independent () =
   ignore (Rng.split r2);
   ignore (Rng.int64 s);
   checkb "parent streams aligned" true (Rng.int64 r = Rng.int64 r2)
+
+(* The unboxed generator draws the stream of the plain one: a random mix of
+   every draw kind, splits included, from a random seed. *)
+let rng_matches_oracle =
+  QCheck.Test.make ~name:"Rng draws the oracle's stream" ~count:300
+    QCheck.(pair int (list_of_size Gen.(1 -- 200) (pair (int_bound 5) (int_range 1 1_000_000))))
+    (fun (seed, draws) ->
+      let r = ref (Rng.create ~seed) and o = ref (Rng_oracle.create ~seed) in
+      List.for_all
+        (fun (kind, bound) ->
+          match kind with
+          | 0 -> Rng.int64 !r = Rng_oracle.int64 !o
+          | 1 -> Rng.int !r bound = Rng_oracle.int !o bound
+          | 2 -> Rng.int !r max_int = Rng_oracle.int !o max_int
+          | 3 -> Int64.bits_of_float (Rng.float !r) = Int64.bits_of_float (Rng_oracle.float !o)
+          | 4 -> Rng.bool !r = Rng_oracle.bool !o
+          | _ ->
+              r := Rng.split !r;
+              o := Rng_oracle.split !o;
+              true)
+        draws)
+
+(* An integer draw allocates nothing; a float draw at most its boxed
+   result when the call is not inlined (2 words). *)
+let test_rng_allocation () =
+  let r = Rng.create ~seed:1 in
+  let n = 100_000 in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    acc := !acc + Rng.int r 1000
+  done;
+  let ints = (Gc.minor_words () -. before) /. float_of_int n in
+  let facc = ref 0. in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    facc := !facc +. Rng.float r
+  done;
+  let floats = (Gc.minor_words () -. before) /. float_of_int n in
+  checkb (Printf.sprintf "int draw: %.2f words" ints) true (ints < 0.01);
+  checkb (Printf.sprintf "float draw: %.2f words" floats) true (floats <= 2.01);
+  checkb "draws used" true (!acc >= 0 && !facc >= 0.)
 
 let shuffle_is_permutation =
   QCheck.Test.make ~name:"shuffle preserves the multiset" ~count:200
@@ -1023,7 +1132,10 @@ module Suspend_semaphore = struct
     match Queue.take_opt t.waiters with Some resume -> resume () | None -> t.count <- t.count + 1
 end
 
-type wait_mode = Suspend_waits | Fiber_waits | Callback_waits
+(* [Stage_waits] runs every program as registered stages over pooled slots;
+   [Mixed_waits] runs the even-labelled programs so and the odd ones as
+   fibers, so stage and fiber waiters queue on one semaphore together. *)
+type wait_mode = Suspend_waits | Fiber_waits | Callback_waits | Stage_waits | Mixed_waits
 
 let run_waits mode (progs, counts) =
   let eng = Engine.create () in
@@ -1031,7 +1143,58 @@ let run_waits mode (progs, counts) =
   let note label = log := (Time.to_ps (Engine.now eng), label) :: !log in
   let old_sems = Array.map Suspend_semaphore.create counts in
   let sems = Array.map Sync.Semaphore.create counts in
-  let rec fiber p =
+  (* the stage interpreter: a running program is a slot holding its label
+     and the index of its next step *)
+  let by_label = Hashtbl.create 16 in
+  let rec index p =
+    Hashtbl.replace by_label p.label (Array.of_list p.steps);
+    List.iter (function Spawn_prog c | Start_prog c -> index c | Hold _ | Pause _ -> ()) p.steps
+  in
+  List.iter index progs;
+  let pool = Cni_engine.Pool.create () in
+  let prog = ref [||] and pc = ref [||] in
+  let alloc label =
+    let s = Cni_engine.Pool.alloc pool in
+    if s >= Array.length !prog then begin
+      let n = Cni_engine.Pool.capacity pool in
+      prog := Cni_engine.Pool.extend !prog n 0;
+      pc := Cni_engine.Pool.extend !pc n 0
+    end;
+    !prog.(s) <- label;
+    !pc.(s) <- 0;
+    s
+  in
+  let staged p = mode = Stage_waits || (mode = Mixed_waits && p.label mod 2 = 0) in
+  let st_begin = ref 0 and st_acquired = ref 0 and st_held = ref 0 and st_paused = ref 0 in
+  (* the step a stage event continues *)
+  let current s = (Hashtbl.find by_label !prog.(s)).(!pc.(s) - 1) in
+  let rec go s =
+    let steps = Hashtbl.find by_label !prog.(s) in
+    if !pc.(s) >= Array.length steps then Cni_engine.Pool.release pool s
+    else begin
+      !pc.(s) <- !pc.(s) + 1;
+      match steps.(!pc.(s) - 1) with
+      | Hold (i, d) ->
+          if Sync.Semaphore.acquire_stage eng sems.(i) !st_acquired s then
+            Engine.after_stage eng (Time.ps d) !st_held s
+      | Pause d -> Engine.after_stage eng (Time.ps d) !st_paused s
+      | Spawn_prog c ->
+          spawn c;
+          note !prog.(s);
+          go s
+      | Start_prog c ->
+          start c;
+          note !prog.(s);
+          go s
+    end
+  and begin_ s =
+    note !prog.(s);
+    go s
+  and spawn c =
+    if staged c then Engine.at_stage eng (Engine.now eng) !st_begin (alloc c.label)
+    else Engine.spawn eng (fun () -> fiber c)
+  and start c = if staged c then begin_ (alloc c.label) else Engine.start eng (fun () -> fiber c)
+  and fiber p =
     note p.label;
     List.iter
       (fun s ->
@@ -1043,11 +1206,28 @@ let run_waits mode (progs, counts) =
             if mode = Suspend_waits then Suspend_semaphore.release old_sems.(i)
             else Sync.Semaphore.release sems.(i)
         | Pause d -> Engine.delay (Time.ps d)
-        | Spawn_prog c -> Engine.spawn eng (fun () -> fiber c)
-        | Start_prog c -> Engine.start eng (fun () -> fiber c));
+        | Spawn_prog c -> spawn c
+        | Start_prog c -> start c);
         note p.label)
       p.steps
   in
+  st_begin := Engine.register eng begin_;
+  st_acquired :=
+    Engine.register eng (fun s ->
+        match current s with
+        | Hold (_, d) -> Engine.after_stage eng (Time.ps d) !st_held s
+        | Pause _ | Spawn_prog _ | Start_prog _ -> assert false);
+  st_held :=
+    Engine.register eng (fun s ->
+        (match current s with
+        | Hold (i, _) -> Sync.Semaphore.release sems.(i)
+        | Pause _ | Spawn_prog _ | Start_prog _ -> assert false);
+        note !prog.(s);
+        go s);
+  st_paused :=
+    Engine.register eng (fun s ->
+        note !prog.(s);
+        go s);
   let rec chain label = function
     | [] -> ()
     | s :: rest -> (
@@ -1075,11 +1255,12 @@ let run_waits mode (progs, counts) =
   List.iter
     (fun p ->
       if mode = Callback_waits then Engine.at eng (Engine.now eng) (fun () -> callbacks p)
-      else Engine.spawn eng (fun () -> fiber p))
+      else spawn p)
     progs;
   Engine.run eng;
   let s = Engine.run_stats eng in
-  (List.rev !log, s.Engine.events_dispatched, s.Engine.max_heap_depth)
+  checkb "every slot released" true (Cni_engine.Pool.live pool = 0);
+  (List.rev !log, s.Engine.events_dispatched, s.Engine.max_heap_depth, s.Engine.digest)
 
 let waits_schedule_the_same_events =
   let gen =
@@ -1095,7 +1276,9 @@ let waits_schedule_the_same_events =
   QCheck.Test.make ~name:"fiber and callback waits dispatch the same events" ~count:500
     (QCheck.make ~print gen) (fun prog ->
       let reference = run_waits Suspend_waits prog in
-      run_waits Fiber_waits prog = reference && run_waits Callback_waits prog = reference)
+      List.for_all
+        (fun mode -> run_waits mode prog = reference)
+        [ Fiber_waits; Callback_waits; Stage_waits; Mixed_waits ])
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -1128,6 +1311,7 @@ let () =
         [
           Alcotest.test_case "steady-state add/pop is allocation-free" `Quick
             test_calendar_hot_path_no_alloc;
+          Alcotest.test_case "stage events allocate nothing" `Quick test_stage_events_no_alloc;
         ] );
       ( "rng",
         [
@@ -1135,6 +1319,8 @@ let () =
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           qc shuffle_is_permutation;
+          qc rng_matches_oracle;
+          Alcotest.test_case "draws do not allocate" `Quick test_rng_allocation;
         ] );
       ( "stats",
         [
