@@ -9,8 +9,9 @@ let s n = n * 1_000_000_000_000
 let ( + ) = Stdlib.( + )
 let ( - ) = Stdlib.( - )
 let ( * ) = Stdlib.( * )
-let max = Stdlib.max
-let min = Stdlib.min
+(* on ints: [Stdlib.max] is polymorphic and compares through a C call *)
+let max (a : t) b = if a >= b then a else b
+let min (a : t) b = if a <= b then a else b
 let to_ps t = t
 let to_ns_float t = float_of_int t /. 1e3
 let to_us_float t = float_of_int t /. 1e6

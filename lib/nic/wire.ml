@@ -39,10 +39,12 @@ let decode b =
     aux = Int32.to_int (Bytes.get_int32_be b 12);
   }
 
-let decode_opt b =
-  if Bytes.length b < header_bytes then None
-  else if Bytes.get_uint16_be b 0 <> magic then None
-  else Some (decode b)
+let valid b = Bytes.length b >= header_bytes && Bytes.get_uint16_be b 0 = magic
+let decode_opt b = if valid b then Some (decode b) else None
+let read_kind b = Bytes.get_uint8 b 2
+let read_channel b = Bytes.get_uint16_be b 6
+let read_obj b = Int32.to_int (Bytes.get_int32_be b 8)
+let read_aux b = Int32.to_int (Bytes.get_int32_be b 12)
 
 let with_aux b aux =
   let c = Bytes.copy b in

@@ -38,6 +38,17 @@ val decode : Bytes.t -> t
     than raise. *)
 val decode_opt : Bytes.t -> t option
 
+(** [valid b]: [decode_opt b] is [Some _]. *)
+val valid : Bytes.t -> bool
+
+(** One field of a {!valid} header, read in place: the board's per-frame
+    checks read these rather than decode a record. *)
+val read_kind : Bytes.t -> int
+
+val read_channel : Bytes.t -> int
+val read_obj : Bytes.t -> int
+val read_aux : Bytes.t -> int
+
 (** [with_aux b aux] is a copy of the encoded header [b] with the aux field
     (bytes 12-15) overwritten — how the reliability layer stamps a sequence
     number onto an already-built header without disturbing the offsets
