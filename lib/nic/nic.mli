@@ -19,8 +19,9 @@
 
     Time accounting: host-side costs are charged with [Engine.delay] in the
     calling fiber and reported through [host.overhead]; a frame's NIC-side
-    costs are charged at the NIC clock by engine callbacks, up to the fiber
-    that runs its handler; bus transfers go through the shared
+    costs are charged at the NIC clock by the board's stage events on the
+    frame's record (see {!Cni_atm.Fabric.new_frame}), up to the fiber that
+    runs its handler; bus transfers go through the shared
     {!Cni_machine.Bus} (whose snooper feeds the Message Cache). *)
 
 (** Bulk data attached to a message. [vaddr] is the host virtual address of
