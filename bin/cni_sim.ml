@@ -393,6 +393,7 @@ let run_cmd =
     Printf.printf "host interrupts    %d\n" r.Runner.host_interrupts;
     Printf.printf "host polls         %d (%d wasted)\n" r.Runner.polls r.Runner.wasted_polls;
     Printf.printf "checksum           %.17g\n" r.Runner.checksum;
+    Printf.printf "engine             %d events, digest %d\n" r.Runner.events r.Runner.digest;
     if faults <> None then
       Printf.printf "faults             %d frames destroyed, %d retransmits\n"
         r.Runner.fault_drops r.Runner.retransmits;

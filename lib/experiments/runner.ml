@@ -30,6 +30,7 @@ type result = {
   polls : int;  (* receive wakeups taken by a host poll, summed over nodes *)
   wasted_polls : int;  (* empty ring checks while in poll mode, summed *)
   checksum : float;
+  events : int;  (* events the engine dispatched *)
   digest : int;  (* the engine's event digest *)
   metrics : Cni_engine.Stats.Registry.snapshot;
 }
@@ -77,6 +78,7 @@ let exec (cluster, lrcs) app =
   let o = Cluster.overheads cluster in
   let f = Fabric.stats (Cluster.fabric cluster) in
   let elapsed = Cluster.elapsed cluster in
+  let engine = Cni_engine.Engine.run_stats (Cluster.engine cluster) in
   let mix = Hashtbl.create 12 in
   Array.iter
     (fun l ->
@@ -107,7 +109,8 @@ let exec (cluster, lrcs) app =
     polls = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.polls);
     wasted_polls = Cluster.sum cluster (fun n -> (Nic.stats (Node.nic n)).Nic.wasted_polls);
     checksum;
-    digest = (Cni_engine.Engine.run_stats (Cluster.engine cluster)).Cni_engine.Engine.digest;
+    events = engine.Cni_engine.Engine.events_dispatched;
+    digest = engine.Cni_engine.Engine.digest;
     metrics = Cluster.metrics_snapshot cluster;
   }
 

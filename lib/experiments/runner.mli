@@ -54,6 +54,8 @@ type result = {
   wasted_polls : int;
       (** empty receive-ring checks while in poll mode, summed over nodes *)
   checksum : float;  (** the application's checksum *)
+  events : int;
+      (** events the engine dispatched ({!Cni_engine.Engine.run_stats}) *)
   digest : int;
       (** the engine's event digest ({!Cni_engine.Engine.run_stats}): equal
           digests mean the same events ran at the same times in the same
