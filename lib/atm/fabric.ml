@@ -164,6 +164,8 @@ let free_frame t s =
   t.f_pkt.(s) <- no_packet ();
   Pool.release t.frames s
 
+let frames_in_flight t = Pool.live t.frames
+
 let[@inline] frame_packet t s = t.f_pkt.(s)
 let[@inline] frame_word t s i = t.f_words.((words * s) + i)
 let[@inline] set_frame_word t s i v = t.f_words.((words * s) + i) <- v
@@ -375,11 +377,16 @@ let delivered t s =
     t.receivers.(pkt.dst) s
   end
 
+(* a rejected frame's record is freed, so a bad address leaks none *)
+let reject t s msg =
+  free_frame t s;
+  invalid_arg msg
+
 let send_frame t s =
   let pkt = t.f_pkt.(s) in
-  if pkt.src < 0 || pkt.src >= t.n then invalid_arg "Fabric.send: src out of range";
-  if pkt.dst < 0 || pkt.dst >= t.n then invalid_arg "Fabric.send: dst out of range";
-  if pkt.src = pkt.dst then invalid_arg "Fabric.send: src = dst";
+  if pkt.src < 0 || pkt.src >= t.n then reject t s "Fabric.send: src out of range";
+  if pkt.dst < 0 || pkt.dst >= t.n then reject t s "Fabric.send: dst out of range";
+  if pkt.src = pkt.dst then reject t s "Fabric.send: src = dst";
   let cells = packet_cells t.p pkt in
   let wire = wire_bytes t.p pkt in
   emit t ~node:pkt.src ~label:"send" ~payload:pkt.dst;
@@ -405,11 +412,7 @@ let send_frame t s =
     Engine.at_stage t.eng (Engine.now t.eng) t.st_transit s
   end
 
-let send t pkt =
-  if pkt.src < 0 || pkt.src >= t.n then invalid_arg "Fabric.send: src out of range";
-  if pkt.dst < 0 || pkt.dst >= t.n then invalid_arg "Fabric.send: dst out of range";
-  if pkt.src = pkt.dst then invalid_arg "Fabric.send: src = dst";
-  send_frame t (new_frame t pkt)
+let send t pkt = send_frame t (new_frame t pkt)
 
 let create ?registry ?faults ?(topology = Topology.Single) eng p ~nodes =
   if nodes < 1 then invalid_arg "Fabric.create: need at least one node";

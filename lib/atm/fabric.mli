@@ -100,6 +100,10 @@ val new_frame : 'a t -> 'a packet -> int
 (** Give a record back: its frame was delivered to a handler or died. *)
 val free_frame : 'a t -> int -> unit
 
+(** Records in use: frames taken by {!new_frame} and not yet given back.
+    A run that has drained its events leaves 0. *)
+val frames_in_flight : 'a t -> int
+
 val frame_packet : 'a t -> int -> 'a packet
 
 (** [frame_word t s i] is word [i] (0, 1 or 2) of slot [s]'s record. *)
@@ -109,7 +113,7 @@ val set_frame_word : 'a t -> int -> int -> int -> unit
 
 (** [send_frame t s] is {!send} of the record's packet: the record goes
     onto the wire, and to the receiver at the far end, or is freed where
-    the frame dies. *)
+    the frame dies (or before {!send}'s [Invalid_argument]). *)
 val send_frame : 'a t -> int -> unit
 
 (** [set_frame_receiver t ~node f] makes [f s] run in the event that

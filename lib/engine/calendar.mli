@@ -13,46 +13,35 @@
     key added at or below the cursor's bucket — possible after {!min_key}
     moved the cursor past the caller's clock — still pops first.
 
-    An element carries a payload ({!add}) or an int code in its place
-    ({!add_code}): the engine's closure events and its stage events, in one
-    order. {!add}, {!add_code} and {!pop_min_value} allocate nothing once
+    An element is an int code: the engine's event, a (stage, slot) pair
+    packed into one int. {!add} and {!pop_min_value} allocate nothing once
     the queue's arrays have grown to the peak number of pending events,
-    and a code element stores no pointer on its way through. *)
+    and no element stores a pointer on its way through. *)
 
-type 'a t
+type t
 
-val create : unit -> 'a t
-val length : 'a t -> int
+val create : unit -> t
+val length : t -> int
 
-(** @raise Invalid_argument on a negative [key]. *)
-val add : 'a t -> key:int -> seq:int -> 'a -> unit
-
-(** [add_code q ~key ~seq code] adds an element carrying the int [code]
-    (>= 0) in place of a payload. A code element past the window or in a
-    dense bucket waits in the far heap as its ints too.
-    @raise Invalid_argument on a negative [key] or [code]. *)
-val add_code : 'a t -> key:int -> seq:int -> int -> unit
+(** [add q ~key ~seq code] adds the element [code].
+    @raise Invalid_argument on a negative [key]. *)
+val add : t -> key:int -> seq:int -> int -> unit
 
 (** [min_key q] is the key of the minimum element, left in place. It may
     move the cursor forward to that element's bucket.
     @raise Not_found if the queue is empty. *)
-val min_key : 'a t -> int
+val min_key : t -> int
 
 (** [has_key_at_most q k] is [min_key q <= k] ([false] on an empty queue),
     but moves the cursor only when [k] lies past the cursor's bucket: the
     engine asks it with [k = now] whenever the same-instant lane has
     events, and a cursor moved ahead of the clock would send the keys
     scheduled next to the slow sorted insert. *)
-val has_key_at_most : 'a t -> int -> bool
+val has_key_at_most : t -> int -> bool
 
-(** [pop_min_value q] removes the minimum element and returns its payload,
-    or a placeholder that must not be used for a code element.
+(** [pop_min_value q] removes the minimum element and returns its code.
     @raise Not_found if the queue is empty. *)
-val pop_min_value : 'a t -> 'a
+val pop_min_value : t -> int
 
 (** The seq of the element {!pop_min_value} removed last (0 before any). *)
-val last_seq : 'a t -> int
-
-(** The code of the element {!pop_min_value} removed last: -1 for a payload
-    element. *)
-val last_code : 'a t -> int
+val last_seq : t -> int

@@ -17,17 +17,15 @@ type run_stats = {
    event precedes any queued event keyed later. So: first the queued
    events keyed [now], then the lane, then the clock advances.
 
-   An event is a closure or a stage event: a registered stage and a slot,
-   packed into one int code, [slot lsl stage_bits lor stage]. Both forms
-   take a seq from the one counter and go the one way (the lane at [now],
-   the calendar later), so which form a caller picks moves no event. The
-   calendar and the lane keep a code column beside their closure column,
-   -1 for a closure, and a stage event writes only the int. *)
+   An event is a stage event: a registered stage and a slot, packed into
+   one int code, [slot lsl stage_bits lor stage]. The calendar, the lane
+   and the waiter queues hold only these codes. A closure is an event of
+   stage 0, the engine's own: [hold] puts it in [closures] at a slot of
+   [held], and stage 0 takes it out of that slot and runs it. *)
 type t = {
   mutable now : Time.t;
-  q : (unit -> unit) Calendar.t;
-  mutable lane : (unit -> unit) array;  (* ring buffer, power-of-two length *)
-  mutable lane_codes : int array;  (* parallel to [lane]: -1 for a closure *)
+  q : Calendar.t;
+  mutable lane : int array;  (* ring buffer of codes, power-of-two length *)
   mutable lane_head : int;
   mutable lane_len : int;
   mutable seq : int;
@@ -38,10 +36,11 @@ type t = {
   mutable digest : int;
   mutable stages : (int -> unit) array;  (* by stage id *)
   mutable nstages : int;
+  held : Pool.t;  (* the slots of stage 0 *)
+  mutable closures : (unit -> unit) array;  (* by slot of [held] *)
   (* the nodes of every waiter queue on this engine, a pool sized to the
-     peak number of waiters: a stage event's code, or -1 and a closure *)
+     peak number of waiters: each holds the code it wakes *)
   mutable w_code : int array;
-  mutable w_k : (unit -> unit) array;
   mutable w_link : int array;  (* next node in its queue, or in the free list *)
   mutable w_free : int;
   (* A fiber performs [delay] on most simulated steps, so its effect
@@ -55,7 +54,7 @@ type t = {
 
 exception Fiber_failure of string * exn
 
-(* what a vacated lane slot holds, so the ring never pins a run event *)
+(* a free slot of [closures], so the table never pins a run closure *)
 let vacant () = ()
 
 let now t = t.now
@@ -85,8 +84,7 @@ let lane_tail t =
       Array.blit ring 0 a first t.lane_head;
       a
     in
-    t.lane <- unroll t.lane vacant;
-    t.lane_codes <- unroll t.lane_codes (-1);
+    t.lane <- unroll t.lane 0;
     t.lane_head <- 0
   end;
   let i = (t.lane_head + t.lane_len) land (Array.length t.lane - 1) in
@@ -118,17 +116,6 @@ let[@inline] note_depth t =
   let depth = pending t in
   if depth > t.max_depth then t.max_depth <- depth
 
-let at t time f =
-  if due_now t time then begin
-    let i = lane_tail t in
-    t.lane.(i) <- f;
-    t.lane_codes.(i) <- -1
-  end
-  else Calendar.add t.q ~key:(Time.to_ps time) ~seq:(next_seq t) f;
-  note_depth t
-
-let after t d f = at t Time.(t.now + d) f
-
 (* ------------------------------------------------------------------ *)
 (* Stage events                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -158,12 +145,33 @@ let[@inline] code_of stage slot =
   (slot lsl stage_bits) lor stage
 
 let at_code t time code =
-  if due_now t time then t.lane_codes.(lane_tail t) <- code
-  else Calendar.add_code t.q ~key:(Time.to_ps time) ~seq:(next_seq t) code;
+  if due_now t time then t.lane.(lane_tail t) <- code
+  else Calendar.add t.q ~key:(Time.to_ps time) ~seq:(next_seq t) code;
   note_depth t
 
 let at_stage t time stage slot = at_code t time (code_of stage slot)
 let after_stage t d stage slot = at_stage t Time.(t.now + d) stage slot
+
+(* registered first by [create] *)
+let closure_stage = 0
+
+let hold t f =
+  let s = Pool.alloc t.held in
+  if s >= Array.length t.closures then
+    t.closures <- Pool.extend t.closures (Pool.capacity t.held) vacant;
+  t.closures.(s) <- f;
+  s
+
+(* the slot is free before the closure runs: one that raises leaks no
+   slot, and one that has run is not kept alive *)
+let run_held t s =
+  let f = t.closures.(s) in
+  t.closures.(s) <- vacant;
+  Pool.release t.held s;
+  f ()
+
+let at t time f = at_code t time (code_of closure_stage (hold t f))
+let after t d f = at t Time.(t.now + d) f
 
 (* ------------------------------------------------------------------ *)
 (* Waiter queues                                                      *)
@@ -178,8 +186,7 @@ let waiter t q =
   if t.w_free < 0 then begin
     let cap = Array.length t.w_code in
     let ncap = if cap = 0 then 16 else 2 * cap in
-    t.w_code <- Pool.extend t.w_code ncap (-1);
-    t.w_k <- Pool.extend t.w_k ncap vacant;
+    t.w_code <- Pool.extend t.w_code ncap 0;
     t.w_link <-
       Array.init ncap (fun n ->
           if n < cap then t.w_link.(n) else if n = ncap - 1 then -1 else n + 1);
@@ -197,11 +204,6 @@ let wait_stage t q stage slot =
   let code = code_of stage slot in
   t.w_code.(waiter t q) <- code
 
-let wait t q k =
-  let n = waiter t q in
-  t.w_code.(n) <- -1;
-  t.w_k.(n) <- k
-
 let wake t q =
   q.len > 0
   && begin
@@ -211,14 +213,8 @@ let wake t q =
     q.len <- q.len - 1;
     t.w_link.(n) <- t.w_free;
     t.w_free <- n;
-    (* at [now]: a lane push, as [at] and [at_stage] would make it *)
-    let code = t.w_code.(n) in
-    let i = lane_tail t in
-    t.lane_codes.(i) <- code;
-    if code < 0 then begin
-      t.lane.(i) <- t.w_k.(n);
-      t.w_k.(n) <- vacant
-    end;
+    (* at [now]: a lane push, as [at_stage] would make it *)
+    t.lane.(lane_tail t) <- t.w_code.(n);
     note_depth t;
     true
   end
@@ -228,8 +224,7 @@ let create () =
     {
       now = Time.zero;
       q = Calendar.create ();
-      lane = Array.make 64 vacant;
-      lane_codes = Array.make 64 (-1);
+      lane = Array.make 64 0;
       lane_head = 0;
       lane_len = 0;
       seq = 0;
@@ -240,8 +235,9 @@ let create () =
       digest = 0;
       stages = [||];
       nstages = 0;
+      held = Pool.create ();
+      closures = [||];
       w_code = [||];
-      w_k = [||];
       w_link = [||];
       w_free = -1;
       delay_by = Time.zero;
@@ -249,35 +245,34 @@ let create () =
       awaiting = "";
     }
   in
+  ignore (register t (run_held t) : stage);
   t
 
 (* the time of the next event; [pending t > 0] *)
 let next_time t = if t.lane_len > 0 then Time.to_ps t.now else Calendar.min_key t.q
 
-(* [f] is the closure of a closure event ([code < 0]) *)
-let[@inline] dispatch t code f =
+let[@inline] dispatch t code =
   t.dispatched <- t.dispatched + 1;
   if Trace.enabled_cat Trace.Engine then
     Trace.emit ~t_ps:(Time.to_ps t.now) ~node:(-1) Trace.Engine ~label:"event"
       ~payload:(pending t);
-  if code < 0 then f () else t.stages.(code land stage_mask) (code lsr stage_bits)
+  t.stages.(code land stage_mask) (code lsr stage_bits)
 
 let step t =
   if t.lane_len > 0 && not (Calendar.has_key_at_most t.q (Time.to_ps t.now)) then begin
     fold t ~order:(lnot t.lane_popped);
     t.lane_popped <- t.lane_popped + 1;
     let head = t.lane_head in
-    let code = t.lane_codes.(head) and f = t.lane.(head) in
-    if code < 0 then t.lane.(head) <- vacant;
+    let code = t.lane.(head) in
     t.lane_head <- (head + 1) land (Array.length t.lane - 1);
     t.lane_len <- t.lane_len - 1;
-    dispatch t code f
+    dispatch t code
   end
   else begin
     t.now <- Time.ps (Calendar.min_key t.q);
-    let f = Calendar.pop_min_value t.q in
+    let code = Calendar.pop_min_value t.q in
     fold t ~order:(Calendar.last_seq t.q);
-    dispatch t (Calendar.last_code t.q) f
+    dispatch t code
   end
 
 let run t =

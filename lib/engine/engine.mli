@@ -42,11 +42,12 @@ type run_stats = {
 
 val run_stats : t -> run_stats
 
-(** [at t time f] schedules [f] to run at absolute [time] (>= [now t]).
-    A [time] earlier than [now t] is clamped to [now t] (time never runs
-    backwards); each clamp increments {!run_stats}[.past_clamps] and, when
-    the [Engine] trace category is enabled, emits a ["past-clamp"] record
-    whose payload is the clamped distance in picoseconds. *)
+(** [at t time f] schedules [f] to run at absolute [time] (>= [now t]): a
+    {!closure_stage} event on [hold t f]. A [time] earlier than [now t] is
+    clamped to [now t] (time never runs backwards); each clamp increments
+    {!run_stats}[.past_clamps] and, when the [Engine] trace category is
+    enabled, emits a ["past-clamp"] record whose payload is the clamped
+    distance in picoseconds. *)
 val at : t -> Time.t -> (unit -> unit) -> unit
 
 (** [after t d f] schedules [f] to run [d] after the current time. *)
@@ -54,17 +55,24 @@ val after : t -> Time.t -> (unit -> unit) -> unit
 
 (** {2 Stage events}
 
-    A fixed pipeline step (a board or wire stage of a frame) is a {e stage}:
-    a handler registered once, run on a {e slot} — the index of the
-    caller's pooled record of the item it works on. A stage event is the
-    pair (stage, slot), two ints the engine keeps in place of a closure, so
-    scheduling one allocates nothing and stores no pointer. It takes its
-    seq from the same counter as a closure event and goes the same way (the
-    lane at {!now}, the calendar later): events keep their (time, seq)
-    whichever form their callers use, and {!pending}, {!run_stats} and the
-    [event] trace record count both. *)
+    Every event is a {e stage event}. A fixed pipeline step (a board or
+    wire stage of a frame) is a {e stage}: a handler registered once, run
+    on a {e slot} — the index of the caller's pooled record of the item it
+    works on. The pair (stage, slot) packs into the one int code that the
+    calendar, the same-instant lane and the waiter queues hold, so
+    scheduling one allocates nothing and stores no pointer. A closure
+    ({!at}, {!after}) is an event of {!closure_stage} on its {!hold}
+    slot. *)
 
 type stage = int
+
+(** The engine's own stage: an event on slot [s] frees [s], then runs the
+    closure {!hold} put there. *)
+val closure_stage : stage
+
+(** [hold t f] puts [f] in a free slot of {!closure_stage}, for one event
+    to run, and returns the slot. It schedules nothing and takes no seq. *)
+val hold : t -> (unit -> unit) -> int
 
 (** [register t f] makes [f] a stage of [t]: a stage event on slot [s]
     runs [f s]. Register once per owner (a board, a fabric), not per item.
@@ -85,10 +93,10 @@ val run_stage : t -> stage -> int -> unit
 
 (** {2 Waiter queues}
 
-    A resource's FIFO of waiters ({!Sync.Semaphore}'s): stage waiters and
-    closure waiters in one order. The queues of an engine keep their
-    waiters in one pool of nodes, sized to the peak number of waiters on
-    the engine, so a stage waiter waits without allocating. *)
+    A resource's FIFO of waiters ({!Sync.Semaphore}'s), each a stage
+    event's code. The queues of an engine keep their waiters in one pool
+    of int nodes, sized to the peak number of waiters on the engine, so a
+    waiter waits without allocating. *)
 
 type queue
 
@@ -97,11 +105,8 @@ val queue : unit -> queue
 (** [wait_stage t q stage slot] queues the stage event (stage, slot). *)
 val wait_stage : t -> queue -> stage -> int -> unit
 
-(** [wait t q k] queues the closure [k]. *)
-val wait : t -> queue -> (unit -> unit) -> unit
-
 (** [wake t q] takes the oldest waiter off [q] and schedules it at [now t]
-    (on the lane), whatever its form; [false] when [q] is empty. *)
+    (on the lane); [false] when [q] is empty. *)
 val wake : t -> queue -> bool
 
 val waiting : queue -> int

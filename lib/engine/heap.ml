@@ -3,25 +3,19 @@
    separate slot table, written once at [add] and read once at pop. The sift
    loops therefore move only immediates: no level of a sift runs the write
    barrier or the float-array check that a polymorphic payload store costs.
-   The calendar queue keeps its far and dense-bucket events here.
+   The calendar queue keeps the codes of its far and dense-bucket events
+   here, in an [int t].
 
    The slot column doubles as the free list: positions >= [len] hold the ids
    of the free payload slots, so [slots] is always a permutation of
-   [0 .. capacity - 1] and [add] takes its slot from [slots.(len)].
-
-   An element added with {!add_code} has an int code in place of a
-   payload: the code goes in [codes], beside the slot table, and [vals]
-   keeps its dummy, so neither the add nor the pop stores a pointer. *)
+   [0 .. capacity - 1] and [add] takes its slot from [slots.(len)]. *)
 
 type 'a t = {
   mutable keys : int array;
   mutable seqs : int array;
   mutable slots : int array;
   mutable vals : 'a array;  (* indexed by slot id, not by heap position *)
-  mutable codes : int array;  (* indexed by slot id: -1 for a payload, else the code *)
   mutable len : int;
-  mutable last_code : int;  (* of the element [pop_min_value] took last *)
-  mutable last_seq : int;
 }
 
 (* Free payload slots must not pin popped payloads against the GC: they are
@@ -32,9 +26,7 @@ type 'a t = {
    array primitives. *)
 let dummy () : 'a = Obj.magic 0
 
-let create () =
-  { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; codes = [||]; len = 0; last_code = -1;
-    last_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; slots = [||]; vals = [||]; len = 0 }
 let length h = h.len
 let is_empty h = h.len = 0
 
@@ -48,27 +40,22 @@ let grow h =
     let nseqs = Array.make ncap 0 in
     let nslots = Array.init ncap Fun.id in
     let nvals = Array.make ncap (dummy ()) in
-    let ncodes = Array.make ncap (-1) in
     Array.blit h.keys 0 nkeys 0 cap;
     Array.blit h.seqs 0 nseqs 0 cap;
     Array.blit h.slots 0 nslots 0 cap;
     Array.blit h.vals 0 nvals 0 cap;
-    Array.blit h.codes 0 ncodes 0 cap;
     h.keys <- nkeys;
     h.seqs <- nseqs;
     h.slots <- nslots;
-    h.vals <- nvals;
-    h.codes <- ncodes
+    h.vals <- nvals
   end
 
-(* a free slot for the element about to be sifted in *)
-let take_slot h =
+let add h ~key ~seq v =
   grow h;
-  h.slots.(h.len)
-
-let sift_up h ~key ~seq slot =
   let keys = h.keys and seqs = h.seqs and slots = h.slots in
   let n = h.len in
+  let slot = slots.(n) in
+  h.vals.(slot) <- v;
   h.len <- n + 1;
   (* sift up, moving a hole: parents slide down and the new triple is
      written exactly once, at its final position *)
@@ -89,27 +76,12 @@ let sift_up h ~key ~seq slot =
   seqs.(!i) <- seq;
   slots.(!i) <- slot
 
-let add h ~key ~seq v =
-  let slot = take_slot h in
-  h.vals.(slot) <- v;
-  h.codes.(slot) <- -1;
-  sift_up h ~key ~seq slot
-
-let add_code h ~key ~seq code =
-  if code < 0 then invalid_arg "Heap.add_code: negative code";
-  let slot = take_slot h in
-  h.codes.(slot) <- code;
-  sift_up h ~key ~seq slot
-
 let pop_min_value h =
   if h.len = 0 then raise Not_found;
   let keys = h.keys and seqs = h.seqs and slots = h.slots in
   let top = slots.(0) in
-  let code = h.codes.(top) in
-  h.last_code <- code;
-  h.last_seq <- seqs.(0);
   let min_v = h.vals.(top) in
-  if code < 0 then h.vals.(top) <- dummy ();
+  h.vals.(top) <- dummy ();
   let n = h.len - 1 in
   h.len <- n;
   if n > 0 then begin
@@ -154,8 +126,6 @@ let pop_min h =
 
 let min_key h = if h.len = 0 then raise Not_found else h.keys.(0)
 let min_seq h = if h.len = 0 then raise Not_found else h.seqs.(0)
-let last_code h = h.last_code
-let last_seq h = h.last_seq
 
 (* Large heaps drop their backing stores outright; small ones null the whole
    slot table (free slots already hold the dummy). Any permutation of slot
@@ -165,8 +135,7 @@ let clear h =
     h.keys <- [||];
     h.seqs <- [||];
     h.slots <- [||];
-    h.vals <- [||];
-    h.codes <- [||]
+    h.vals <- [||]
   end
   else Array.fill h.vals 0 (Array.length h.vals) (dummy ());
   h.len <- 0

@@ -8,7 +8,8 @@
     {!add}; a pop reads it back once. Sifting moves only integers, so no
     level of a sift runs the write barrier or the float-array check, and
     {!add} and {!pop_min_value} allocate nothing once the columns have
-    grown: the calendar queue's far events stay off the minor heap. The
+    grown: the calendar queue's far event codes, in an [int t], stay off
+    the minor heap. The
     slot column doubles as the free list (positions past the length hold
     the free slot ids). *)
 
@@ -18,13 +19,6 @@ val create : unit -> 'a t
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 val add : 'a t -> key:int -> seq:int -> 'a -> unit
-
-(** [add_code h ~key ~seq code] adds an element that carries the int
-    [code] (>= 0) in place of a payload, storing no pointer: the engine's
-    stage events. Popping it returns a placeholder that must not be used;
-    {!last_code} tells the two kinds apart.
-    @raise Invalid_argument on a negative [code]. *)
-val add_code : 'a t -> key:int -> seq:int -> int -> unit
 
 (** [pop_min h] removes and returns the minimum element as [(key, seq, v)].
     Allocates the result tuple; hot paths that only need the payload should
@@ -44,12 +38,5 @@ val min_key : 'a t -> int
 (** [min_seq h] is the seq of the minimum element, as {!min_key} its key.
     @raise Not_found if the heap is empty. *)
 val min_seq : 'a t -> int
-
-(** The code of the element the last {!pop_min_value} or {!pop_min} removed:
-    -1 for an element added with a payload. *)
-val last_code : 'a t -> int
-
-(** The seq of the element the last pop removed. *)
-val last_seq : 'a t -> int
 
 val clear : 'a t -> unit

@@ -52,7 +52,7 @@ module Semaphore = struct
     if try_acquire t then k ()
     else begin
       bind eng t;
-      Engine.wait eng t.waiters k
+      Engine.wait_stage eng t.waiters Engine.closure_stage (Engine.hold eng k)
     end
 
   let acquire t = Engine.await (fun eng k -> acquire_then eng t k)

@@ -24,11 +24,11 @@ end
 module Semaphore : sig
   (** Counting semaphore with FIFO wakeup order.
 
-      Waiters come in two forms, in one FIFO (an {!Engine.queue}): a fiber
-      or callback waiter (a closure), and a stage waiter, a registered
-      stage and its slot (see {!Engine.register}), which waits without a
-      closure. A {!release} hands the unit to the oldest waiter, whatever
-      its form, and runs it in an event of its own at that instant. *)
+      Waiters wait in one FIFO (an {!Engine.queue}) as stage events: a
+      registered stage and its slot (see {!Engine.register}), or a fiber or
+      callback waiter's closure on {!Engine.closure_stage}. A {!release}
+      hands the unit to the oldest waiter and runs it in an event of its
+      own at that instant. *)
   type t
 
   val create : int -> t

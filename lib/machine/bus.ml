@@ -9,10 +9,10 @@ type stats = { dma_transfers : int; dma_bytes : int; writeback_lines : int }
 
 (* The DMAs waiting for the bus or holding it are pooled records: int
    columns for the direction, address, size and continuation stage and
-   slot, and a closure column for a fiber's continuation (stage -1). They
-   and the bus's one engine stage are made at the first DMA, so a bus that
-   never transfers costs nothing; a stage event's slot is a record's and a
-   step's, [2x + 1] once the transfer is under way. *)
+   slot (a fiber's continuation is held on the engine's closure stage).
+   They and the bus's one engine stage are made at the first DMA, so a bus
+   that never transfers costs nothing; a stage event's slot is a record's
+   and a step's, [2x + 1] once the transfer is under way. *)
 type xfers = {
   pool : Pool.t;
   mutable to_memory : bool array;
@@ -20,7 +20,6 @@ type xfers = {
   mutable bytes : int array;
   mutable stage : int array;
   mutable slot : int array;
-  mutable k : (unit -> unit) array;
   mutable st : Engine.stage;
 }
 
@@ -56,10 +55,9 @@ let transferred t xs x =
   t.s_dma_bytes <- t.s_dma_bytes + bytes;
   notify t.snoopers ~dir ~addr ~bytes;
   Sync.Semaphore.release t.sem;
-  let stage = xs.stage.(x) and slot = xs.slot.(x) and k = xs.k.(x) in
-  if stage < 0 then xs.k.(x) <- ignore;
+  let stage = xs.stage.(x) and slot = xs.slot.(x) in
   Pool.release xs.pool x;
-  if stage >= 0 then Engine.run_stage t.eng stage slot else k ()
+  Engine.run_stage t.eng stage slot
 
 let xfers t =
   match t.xfers with
@@ -67,7 +65,7 @@ let xfers t =
   | None ->
       let xs =
         { pool = Pool.create (); to_memory = [||]; addr = [||]; bytes = [||]; stage = [||];
-          slot = [||]; k = [||]; st = 0 }
+          slot = [||]; st = 0 }
       in
       (* step 0: the bus came free, start the transfer; step 1: it ended *)
       xs.st <-
@@ -98,15 +96,14 @@ let writeback_line t la =
   notify t.snoopers ~dir:Cpu_writeback ~addr:la ~bytes:t.line_bytes;
   t.line_time
 
+let to_memory = function
+  | Dma_to_memory -> true
+  | Dma_from_memory -> false
+  | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction"
+
 (* a transfer record; the bus's FIFO hands it the bus, at once or at the
    release that frees it ([acquired]) *)
-let transfer t ~dir ~addr ~bytes ~stage ~slot k =
-  let to_memory =
-    match dir with
-    | Dma_to_memory -> true
-    | Dma_from_memory -> false
-    | Cpu_writeback -> invalid_arg "Bus.dma: Cpu_writeback is not a DMA direction"
-  in
+let transfer t ~to_memory ~addr ~bytes stage slot =
   let xs = xfers t in
   let x = Pool.alloc xs.pool in
   if x >= Array.length xs.addr then begin
@@ -115,22 +112,23 @@ let transfer t ~dir ~addr ~bytes ~stage ~slot k =
     xs.addr <- Pool.extend xs.addr n 0;
     xs.bytes <- Pool.extend xs.bytes n 0;
     xs.stage <- Pool.extend xs.stage n 0;
-    xs.slot <- Pool.extend xs.slot n 0;
-    xs.k <- Pool.extend xs.k n ignore
+    xs.slot <- Pool.extend xs.slot n 0
   end;
   xs.to_memory.(x) <- to_memory;
   xs.addr.(x) <- addr;
   xs.bytes.(x) <- bytes;
   xs.stage.(x) <- stage;
   xs.slot.(x) <- slot;
-  if stage < 0 then xs.k.(x) <- k;
   if Sync.Semaphore.acquire_stage t.eng t.sem xs.st (2 * x) then start t xs x
 
 let dma_stage t ~dir ~addr ~bytes stage slot =
-  transfer t ~dir ~addr ~bytes ~stage ~slot ignore
+  transfer t ~to_memory:(to_memory dir) ~addr ~bytes stage slot
 
+(* the direction is checked before the continuation takes a slot *)
 let dma t ~dir ~addr ~bytes =
-  Engine.await (fun _ k -> transfer t ~dir ~addr ~bytes ~stage:(-1) ~slot:0 k)
+  let to_memory = to_memory dir in
+  Engine.await (fun _ k ->
+      transfer t ~to_memory ~addr ~bytes Engine.closure_stage (Engine.hold t.eng k))
 
 let stats t =
   {

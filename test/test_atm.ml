@@ -636,7 +636,8 @@ let test_fabric_rejects_bad_addresses () =
   Alcotest.check_raises "src = dst" (Invalid_argument "Fabric.send: src = dst") (fun () ->
       Fabric.send fab (mk_packet ~src:1 ~dst:1 ~bytes:64 ()));
   Alcotest.check_raises "dst out of range" (Invalid_argument "Fabric.send: dst out of range")
-    (fun () -> Fabric.send fab (mk_packet ~src:0 ~dst:5 ~bytes:64 ()))
+    (fun () -> Fabric.send fab (mk_packet ~src:0 ~dst:5 ~bytes:64 ()));
+  checki "rejected frames keep no record" 0 (Fabric.frames_in_flight fab)
 
 let test_fabric_min_latency_monotone () =
   let prev = ref Time.zero in

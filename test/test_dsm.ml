@@ -716,7 +716,8 @@ let test_digest_sees_one_ps () =
    and standard boards, reliable delivery over a lossy and corrupting
    fabric, a scrubbed crash, and a multi-switch fabric. Besides the engine
    totals, each row pins the counters that show its branch was taken, in
-   the order of [datapath_columns]. *)
+   the order of [datapath_columns], and that every frame record came back
+   to the fabric's pool. *)
 type datapath_row = {
   row : string;
   kind : Nic.kind;
@@ -727,7 +728,7 @@ type datapath_row = {
 
 let datapath_columns =
   [ "elapsed_ps"; "events"; "max_heap_depth"; "digest"; "interrupts"; "polls"; "coalesced";
-    "retransmits"; "crash_drops"; "hop_waits" ]
+    "retransmits"; "crash_drops"; "hop_waits"; "frames_in_flight" ]
 
 let no_aih = { Nic.default_cni_options with Nic.aih = false }
 
@@ -748,27 +749,27 @@ let datapath_rows =
   [
     row "AIH off, hybrid wakeup" (`Cni no_aih)
       [ 65_953_760_301; 32_865; 9;
-        2_253_288_856_889_818_573; 836; 1_396; 0; 0; 0; 0 ];
+        2_253_288_856_889_818_573; 836; 1_396; 0; 0; 0; 0; 0 ];
     row "AIH off, adaptive wakeup, rx_batch 8"
       (`Cni { no_aih with Nic.rx_policy = Nic.Rx_adaptive Nic.default_rx_adaptive; rx_batch = 8 })
       [ 70_287_828_360; 38_477; 9;
-        -3_342_043_214_406_017_916; 1_264; 772; 327; 0; 0; 0 ];
+        -3_342_043_214_406_017_916; 1_264; 772; 327; 0; 0; 0; 0 ];
     row "OSIRIS board" `Osiris
       [ 90_506_282_350; 37_150; 9;
-        -4_086_223_448_580_967_872; 2_392; 0; 0; 0; 0; 0 ];
+        -4_086_223_448_580_967_872; 2_392; 0; 0; 0; 0; 0; 0 ];
     row "standard board" `Standard
       [ 98_029_180_716; 33_155; 9;
-        -567_213_085_131_960_066; 2_322; 0; 0; 0; 0; 0 ];
+        -567_213_085_131_960_066; 2_322; 0; 0; 0; 0; 0; 0 ];
     row "reliable delivery, loss + corruption" ~faults:lossy (`Cni Nic.default_cni_options)
       [ 54_729_007_076; 63_005; 85;
-        -3_100_719_415_534_746_042; 0; 0; 0; 6; 0; 0 ];
+        -3_100_719_415_534_746_042; 0; 0; 0; 6; 0; 0; 0 ];
     row "scrubbed crash of node 2" ~faults:crash (`Cni Nic.default_cni_options)
       [ 54_858_566_207; 62_438; 84;
-        4_442_768_685_889_036_020; 0; 0; 0; 2; 2; 0 ];
+        4_442_768_685_889_036_020; 0; 0; 0; 2; 2; 0; 0 ];
     row "3D torus" ~topology:(Cni_atm.Topology.Torus { dims = None })
       (`Cni Nic.default_cni_options)
       [ 52_671_302_938; 32_913; 7;
-        4_350_840_709_079_368_283; 0; 0; 0; 0; 0; 191 ];
+        4_350_840_709_079_368_283; 0; 0; 0; 0; 0; 191; 0 ];
   ]
 
 let test_datapath_row r () =
@@ -790,6 +791,7 @@ let test_datapath_row r () =
         ("crash_drops",
           Cluster.sum cluster (fun n -> Cni_atm.Fabric.crash_drops fabric ~node:(Node.id n)));
         ("hop_waits", (Cni_atm.Fabric.stats fabric).Cni_atm.Fabric.hop_waits);
+        ("frames_in_flight", Cni_atm.Fabric.frames_in_flight fabric);
       ])
 
 let () =
