@@ -11,11 +11,16 @@ let extend a n fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* every slot is in use, so the new stack holds only the new slots *)
+(* every slot is in use, so the new stack holds only the new slots; filled
+   in place, since [Array.init] stores each int through the write barrier *)
 let grow p =
   let cap = p.cap in
   let ncap = if cap = 0 then 8 else 2 * cap in
-  p.free <- Array.init ncap (fun i -> ncap - 1 - i);
+  let free = Array.make ncap 0 in
+  for i = 0 to ncap - 1 do
+    free.(i) <- ncap - 1 - i
+  done;
+  p.free <- free;
   p.nfree <- ncap - cap;
   p.cap <- ncap
 
